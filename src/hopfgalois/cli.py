@@ -268,10 +268,11 @@ def _render(command: str, inputs: dict, result: dict, fmt: str) -> str:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    store = ResultsStore(args.store) if args.store else None
+    store = None
     started = time.monotonic()
     try:
-        if store is not None:
+        if args.store:
+            store = ResultsStore(args.store)
             _warm_aut_cache(args, store)
         inputs, result, code = _COMMANDS[args.command](args)
     except HopfGaloisError as exc:

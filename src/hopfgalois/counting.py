@@ -17,39 +17,8 @@ from math import gcd
 from . import perm
 from .errors import BudgetExceededError, CountingBugError, PreconditionError
 from .factory import Dihedral, automorphism_group, build, catalog, class_index, holomorph
-from .groups import TABLE_LIMIT, PermGroup, left_translation
+from .groups import TABLE_LIMIT, PermGroup, factorize, left_translation
 from .realize import regular_subgroups
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as (prime, exponent) pairs sorted by prime."""
-
-    pairs: tuple
-
-    def value(self) -> int:
-        out = 1
-        for p, a in self.pairs:
-            out *= p**a
-        return out
-
-
-def factorize(n: int) -> Factorization:
-    if n < 1:
-        raise PreconditionError(f"cannot factor {n}")
-    pairs = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            pairs.append((p, a))
-        p += 1
-    if n > 1:
-        pairs.append((n, 1))
-    return Factorization(tuple(pairs))
 
 
 def euler_phi(n: int) -> int:

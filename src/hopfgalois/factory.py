@@ -10,7 +10,6 @@ cross-checks need.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -24,8 +23,10 @@ from .groups import (
     PermGroup,
     TABLE_LIMIT,
     are_isomorphic,
-    bfs_order,
     closure,
+    extend_images,
+    factorize,
+    generator_frame,
     is_cyclic,
     is_c_group,
     is_normal,
@@ -248,64 +249,33 @@ def automorphism_group(N: PermGroup, max_generators=3, cache=None) -> PermGroup:
     Generator-image search over order-matched candidates; every candidate
     map is verified multiplicative and bijective, so the returned list is
     the complete automorphism group.  ``cache`` may be a dict-like object
-    keyed by canonical spec text (only labeled groups are cached).
+    keyed by canonical spec text (only labeled groups are cached).  The
+    cache gets the entry whenever its key is missing, even when Aut was
+    already computed in this process.
     """
-    cached = getattr(N, "_aut_group", None)
-    if cached is not None:
-        return cached
-    key = N.label.text() if N.label is not None else None
-    if cache is not None and key is not None:
-        hit = cache.get(key)
+    aut = getattr(N, "_aut_group", None)
+    key = N.label.text() if cache is not None and N.label is not None else None
+    hit = None if key is None else cache.get(key)
+    if aut is None:
         if hit is not None:
             aut = PermGroup(len(N), [tuple(p) for p in hit])
-            N._aut_group = aut
-            return aut
-    aut_perms = _automorphism_perms(N, max_generators)
-    aut = PermGroup(len(N), aut_perms)
-    N._aut_group = aut
-    if cache is not None and key is not None:
+        else:
+            aut = PermGroup(len(N), _automorphism_perms(N, max_generators))
+        N._aut_group = aut
+    if key is not None and hit is None:
         cache.put(key, [list(p) for p in aut.elements])
     return aut
 
 
 def _automorphism_perms(N: PermGroup, max_generators):
-    gens = N.minimal_generating_set()
-    if len(gens) > max_generators:
-        raise PreconditionError(
-            f"needs {len(gens)} generators, bound is {max_generators}"
-        )
-    gen_idxs = [N.index_of(g) for g in gens]
-    order, parent = bfs_order(N, gen_idxs)
+    frame = generator_frame(N, max_generators, PreconditionError)
     if len(N) <= TABLE_LIMIT:
         N.table()
     cands = [
         [j for j in range(len(N)) if N.order_of(j) == N.order_of(gi)]
-        for gi in gen_idxs
+        for gi in frame[0]
     ]
-    n = len(N)
-    e = N.identity_index
-    mul = N.mul
-    out = []
-    for choice in itertools.product(*cands):
-        images = [None] * n
-        images[e] = e
-        for i in order[1:]:
-            prev, pos = parent[i]
-            images[i] = mul(images[prev], choice[pos])
-        if len(set(images)) != n:
-            continue
-        ok = True
-        for x in range(n):
-            ix = images[x]
-            for pos, g in enumerate(gen_idxs):
-                if images[mul(x, g)] != mul(ix, choice[pos]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(images))
-    return out
+    return list(extend_images(N, N, frame, cands, injective=True))
 
 
 @dataclass
@@ -381,14 +351,7 @@ _CATALOG_CACHE: dict = {}
 
 
 def is_squarefree(n: int) -> bool:
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1
-    return True
+    return all(a == 1 for _, a in factorize(n).pairs)
 
 
 def catalog(order: int) -> list[CatalogEntry]:

@@ -30,8 +30,11 @@ class PermGroup:
 
     Elements are sorted lexicographically by image tuple, so two
     generating sets of the same subgroup produce identical lists and the
-    identity always sits at index 0.  Instances are immutable after
-    construction and safe to share across threads.
+    identity always sits at index 0.  The element list is fixed at
+    construction; the multiplication, inverse and order tables, the
+    generating set and the subgroup list fill in lazily on first use, and
+    other modules stash derived objects on instances (``_aut_group``,
+    ``_holomorph``, ``_regular_records``).
     """
 
     def __init__(self, degree, elements, generators=None, label=None):
@@ -262,17 +265,39 @@ def _subgroup_sets(G, bound, max_order):
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
+@dataclass(frozen=True)
+class Factorization:
+    """Prime factorization as (prime, exponent) pairs sorted by prime."""
+
+    pairs: tuple
+
+    def value(self) -> int:
+        out = 1
+        for p, a in self.pairs:
+            out *= p**a
+        return out
+
+
+def factorize(n: int) -> Factorization:
+    if n < 1:
+        raise PreconditionError(f"cannot factor {n}")
+    pairs = []
     p = 2
     while p * p <= n:
         if n % p == 0:
+            a = 0
             while n % p == 0:
                 n //= p
-            return n == 1
+                a += 1
+            pairs.append((p, a))
         p += 1
-    return True
+    if n > 1:
+        pairs.append((n, 1))
+    return Factorization(tuple(pairs))
+
+
+def _is_prime_power(n: int) -> bool:
+    return len(factorize(n).pairs) == 1
 
 
 def all_subgroups(G: PermGroup, bound=SUBGROUP_BOUND) -> list[PermGroup]:
@@ -344,48 +369,84 @@ def bfs_order(G: PermGroup, gen_idxs):
     return order, parent
 
 
-def homomorphisms(G: PermGroup, H: PermGroup, max_generators=GENERATOR_BOUND):
-    """All homomorphisms G -> H, in canonical order of their image tables.
+def generator_frame(G: PermGroup, max_generators, error):
+    """Generator indices of a smallest generating set, with its bfs_order.
 
-    Generator images are filtered by order divisibility; each candidate map
-    is extended along a fixed breadth-first factorization and then checked
-    multiplicative on every (element, generator) product, which forces the
-    law on all pairs.
+    Returns (gen_idxs, order, parent); raises ``error`` when G needs more
+    than ``max_generators`` generators.
     """
     gens = G.minimal_generating_set()
     if len(gens) > max_generators:
-        raise BoundExceededError(
-            f"needs {len(gens)} generators, bound is {max_generators}"
-        )
+        raise error(f"needs {len(gens)} generators, bound is {max_generators}")
     gen_idxs = [G.index_of(g) for g in gens]
-    order, parent = bfs_order(G, gen_idxs)
+    return (gen_idxs,) + bfs_order(G, gen_idxs)
+
+
+def extend_images(
+    G: PermGroup, H: PermGroup, frame, cands, twist=None, injective=False
+):
+    """Every image tuple m: G -> H with m(x*s) = m(x) * twist[x](m(s)).
+
+    ``frame`` comes from generator_frame and ``cands[pos]`` lists the
+    allowed images of generator ``pos``.  Choices are scanned in
+    ``itertools.product`` order; each is extended along the fixed
+    breadth-first factorization and yielded when the law holds on every
+    (element, generator) product, which forces it on all pairs.
+    ``twist[x]`` is a permutation of H's indices (an automorphism for
+    crossed homomorphisms); ``None`` means the identity, so the law is the
+    plain homomorphism law.  With ``injective``, a choice is dropped as
+    soon as an image repeats.
+    """
+    gen_idxs, order, parent = frame
+    n = len(G)
+    if twist is None:
+        twist = (tuple(range(len(H))),) * n
+    mul_g, mul_h = G.mul, H.mul
+    steps = []
+    for i in order[1:]:
+        prev, pos = parent[i]
+        steps.append((i, prev, twist[prev], pos))
+    checks = [
+        (x, mul_g(x, s), twist[x], pos)
+        for x in range(n)
+        for pos, s in enumerate(gen_idxs)
+    ]
+    e_g, e_h = G.identity_index, H.identity_index
+    for choice in itertools.product(*cands):
+        m = [None] * n
+        m[e_g] = e_h
+        used = None
+        if injective:
+            used = bytearray(len(H))
+            used[e_h] = 1
+        for i, prev, tw, pos in steps:
+            v = mul_h(m[prev], tw[choice[pos]])
+            if used is not None:
+                if used[v]:
+                    break
+                used[v] = 1
+            m[i] = v
+        else:
+            for x, xs, tw, pos in checks:
+                if m[xs] != mul_h(m[x], tw[choice[pos]]):
+                    break
+            else:
+                yield tuple(m)
+
+
+def homomorphisms(G: PermGroup, H: PermGroup, max_generators=GENERATOR_BOUND):
+    """All homomorphisms G -> H, in canonical order of their image tables.
+
+    Generator images are filtered by order divisibility and searched with
+    extend_images.
+    """
+    frame = generator_frame(G, max_generators, BoundExceededError)
     H.table()
     cands = [
         [j for j in range(len(H)) if G.order_of(gi) % H.order_of(j) == 0]
-        for gi in gen_idxs
+        for gi in frame[0]
     ]
-    e_h = H.identity_index
-    mul_h = H.mul
-    found = []
-    for choice in itertools.product(*cands):
-        images = [None] * len(G)
-        images[G.identity_index] = e_h
-        for i in order[1:]:
-            prev, pos = parent[i]
-            images[i] = mul_h(images[prev], choice[pos])
-        ok = True
-        for x in range(len(G)):
-            ix = images[x]
-            for pos, g in enumerate(gen_idxs):
-                if images[G.mul(x, g)] != mul_h(ix, choice[pos]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(Homomorphism(G, H, tuple(images)))
-    found.sort(key=lambda h: h.images)
-    return found
+    return [Homomorphism(G, H, m) for m in sorted(extend_images(G, H, frame, cands))]
 
 
 def are_isomorphic(G: PermGroup, H: PermGroup, max_generators=GENERATOR_BOUND):
@@ -399,42 +460,15 @@ def are_isomorphic(G: PermGroup, H: PermGroup, max_generators=GENERATOR_BOUND):
         return None
     if G.is_abelian() != H.is_abelian():
         return None
-    gens = G.minimal_generating_set()
-    if len(gens) > max_generators:
-        raise BoundExceededError(
-            f"needs {len(gens)} generators, bound is {max_generators}"
-        )
-    gen_idxs = [G.index_of(g) for g in gens]
-    order, parent = bfs_order(G, gen_idxs)
+    frame = generator_frame(G, max_generators, BoundExceededError)
     if len(H) <= TABLE_LIMIT:
         H.table()
     cands = [
         [j for j in range(len(H)) if H.order_of(j) == G.order_of(gi)]
-        for gi in gen_idxs
+        for gi in frame[0]
     ]
-    e_h = H.identity_index
-    mul_h = H.mul
-    n = len(G)
-    for choice in itertools.product(*cands):
-        images = [None] * n
-        images[G.identity_index] = e_h
-        for i in order[1:]:
-            prev, pos = parent[i]
-            images[i] = mul_h(images[prev], choice[pos])
-        if len(set(images)) != n:
-            continue
-        ok = True
-        for x in range(n):
-            ix = images[x]
-            for pos, g in enumerate(gen_idxs):
-                if images[G.mul(x, g)] != mul_h(ix, choice[pos]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Homomorphism(G, H, tuple(images))
-    return None
+    m = next(extend_images(G, H, frame, cands, injective=True), None)
+    return None if m is None else Homomorphism(G, H, m)
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
@@ -480,17 +514,7 @@ def sylow_subgroup(G: PermGroup, p: int, bound=SUBGROUP_BOUND) -> PermGroup:
 
 
 def _prime_divisors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return [p for p, _ in factorize(n).pairs]
 
 
 def is_c_group(G: PermGroup, bound=SUBGROUP_BOUND) -> bool:

@@ -26,9 +26,11 @@ from .factory import (
     holomorph,
 )
 from .groups import (
+    GENERATOR_BOUND,
     Homomorphism,
     PermGroup,
-    bfs_order,
+    extend_images,
+    generator_frame,
     homomorphisms,
     is_regular,
     are_isomorphic,
@@ -91,50 +93,12 @@ def crossed_homomorphisms(f: Homomorphism, G: PermGroup, N: PermGroup, limit=Non
     """
     if len(G) != len(N):
         raise PreconditionError("crossed homomorphisms need |G| = |N|")
-    gens = G.minimal_generating_set()
-    gen_idxs = [G.index_of(p) for p in gens]
-    order, parent = bfs_order(G, gen_idxs)
-    n = len(G)
+    frame = generator_frame(G, GENERATOR_BOUND, BoundExceededError)
     N.table()
-    mul_n = N.mul
-    e_n = N.identity_index
-    f_perms = [f.image_perm(a) for a in range(n)]
-    cands = [
-        _cyclic_consistent_images(G, N, f_perms, gi) for gi in gen_idxs
-    ]
-    out = []
-    mul_g = G.mul
-    for choice in itertools.product(*cands):
-        g = [None] * n
-        g[G.identity_index] = e_n
-        used = bytearray(n)
-        used[e_n] = 1
-        ok = True
-        for i in order[1:]:
-            prev, pos = parent[i]
-            val = mul_n(g[prev], f_perms[prev][choice[pos]])
-            if used[val]:
-                ok = False
-                break
-            used[val] = 1
-            g[i] = val
-        if not ok:
-            continue
-        for x in range(n):
-            gx = g[x]
-            fx = f_perms[x]
-            for pos, gi in enumerate(gen_idxs):
-                if g[mul_g(x, gi)] != mul_n(gx, fx[choice[pos]]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(CrossedHom(f, tuple(g), N, True))
-            if limit is not None and len(out) >= limit:
-                break
-    out.sort(key=lambda c: c.g)
-    return out
+    f_perms = [f.image_perm(a) for a in range(len(G))]
+    cands = [_cyclic_consistent_images(G, N, f_perms, gi) for gi in frame[0]]
+    found = extend_images(G, N, frame, cands, twist=f_perms, injective=True)
+    return [CrossedHom(f, g, N, True) for g in sorted(itertools.islice(found, limit))]
 
 
 def _cyclic_consistent_images(G, N, f_perms, gen_idx):

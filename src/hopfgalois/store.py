@@ -13,6 +13,8 @@ import json
 import os
 from pathlib import Path
 
+from .errors import HopfGaloisError
+
 SCHEMA_VERSION = "1"
 ENGINE_VERSION = "0.1.0"
 
@@ -22,8 +24,15 @@ class AutCache:
         self.path = Path(path)
         self._data = {}
         if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                self._data = json.load(fh)
+            try:
+                with open(self.path, "r", encoding="utf-8") as fh:
+                    self._data = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise HopfGaloisError(
+                    f"unreadable Aut cache {self.path}: {exc}"
+                ) from exc
+            if not isinstance(self._data, dict):
+                raise HopfGaloisError(f"Aut cache {self.path} is not a JSON object")
 
     def _key(self, spec_text: str) -> str:
         return f"{ENGINE_VERSION}:{spec_text}"

@@ -181,3 +181,23 @@ def test_store_aut_cache_bit_identical(tmp_path):
     fresh._aut_group = None
     recomputed = automorphism_group(fresh)
     assert [tuple(p) for p in value] == list(recomputed.elements)
+
+
+def test_store_aut_cache_written_after_in_process_aut(tmp_path):
+    from hopfgalois import Cyclic, automorphism_group, build
+
+    automorphism_group(build(Cyclic(15)))  # Aut(C15) is now stashed
+    store_path = tmp_path / "results.jsonl"
+    run_cli(["regular-subgroups", "--hol-of", "C15", "--store", str(store_path)])
+    cached = json.loads(Path(str(store_path) + ".autcache.json").read_text())
+    assert [k for k in cached if k.endswith(":C15")]
+
+
+@pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
+def test_corrupt_aut_cache_is_error(tmp_path, capsys, content):
+    store_path = tmp_path / "results.jsonl"
+    Path(str(store_path) + ".autcache.json").write_text(content)
+    code, out = run_cli(["catalog", "--order", "6", "--store", str(store_path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not store_path.exists()

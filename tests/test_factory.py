@@ -21,7 +21,11 @@ from hopfgalois import (
     z2_twists,
 )
 from hopfgalois import perm
-from hopfgalois.errors import SpecSemanticError, UnsupportedOrderError
+from hopfgalois.errors import (
+    PreconditionError,
+    SpecSemanticError,
+    UnsupportedOrderError,
+)
 from hopfgalois.factory import is_squarefree
 from hopfgalois.groups import PermGroup, closure
 
@@ -97,6 +101,13 @@ def test_automorphisms_against_brute_force(spec):
     N = build(spec)
     fast = sorted(automorphism_group(N).elements)
     assert fast == brute_force_automorphisms(N)
+
+
+def test_automorphism_group_generator_bound():
+    N = build(DirectProduct(Cyclic(2), Cyclic(2)))
+    fresh = PermGroup(N.degree, N.elements)  # no Aut stashed on it
+    with pytest.raises(PreconditionError):
+        automorphism_group(fresh, max_generators=1)
 
 
 def test_holomorph_orders():

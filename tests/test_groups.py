@@ -184,6 +184,11 @@ def test_homomorphisms_against_brute_force(g_spec, h_spec):
     assert fast == brute_force_homomorphisms(G, H)
 
 
+def test_homomorphisms_generator_bound(z3xz3):
+    with pytest.raises(BoundExceededError):
+        homomorphisms(z3xz3, C(3), max_generators=1)
+
+
 def test_are_isomorphic_identity():
     G = C(6)
     iso = are_isomorphic(G, G)

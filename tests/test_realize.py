@@ -71,6 +71,29 @@ def test_crossed_homs_all_fs_brute_force(g_spec, n_spec):
         assert fast == brute_force_bijective_crossed_homs(f, G, N)
 
 
+@pytest.mark.parametrize(
+    "g_spec,n_spec",
+    [
+        (Cyclic(6), Dihedral(6)),
+        (Dihedral(6), Cyclic(6)),
+        (Dihedral(10), Dihedral(10)),
+    ],
+)
+def test_crossed_homs_limit_one_is_a_member(g_spec, n_spec):
+    G, N = build(g_spec), build(n_spec)
+    aut = automorphism_group(N)
+    seen = set()
+    for f in homomorphisms(G, aut):
+        full = [c.g for c in crossed_homomorphisms(f, G, N)]
+        first = [c.g for c in crossed_homomorphisms(f, G, N, limit=1)]
+        if full:
+            assert len(first) == 1 and first[0] in full
+        else:
+            assert first == []
+        seen.add(bool(full))
+    assert seen == {True, False}
+
+
 def test_crossed_hom_law_holds_on_all_pairs():
     w = realizable_via_cocycles(C(6), D(6))
     assert w is not None and w.bijective and w.verify_law()
