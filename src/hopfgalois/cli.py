@@ -116,7 +116,7 @@ def _cmd_realizable(args):
             }
         )
     if args.method in ("search", "both"):
-        verdicts["search"] = realizable_via_search(G, N, threads=args.threads)
+        verdicts["search"] = realizable_via_search(G, N)
     if len(verdicts) == 2 and verdicts["cocycle"] != verdicts["search"]:
         raise HopfGaloisError(
             f"engine disagreement: cocycle={verdicts['cocycle']} "
@@ -133,7 +133,7 @@ def _cmd_regular_subgroups(args):
     n_spec = parse_group_spec(args.hol_of)
     N = build(n_spec)
     hol = holomorph(N)
-    records = regular_subgroups(hol, threads=args.threads)
+    records = regular_subgroups(hol)
     counts = {}
     for r in records:
         counts[r.iso_text] = counts.get(r.iso_text, 0) + 1
@@ -152,7 +152,7 @@ def _cmd_braces(args):
     rows = []
     for entry in entries:
         hol = holomorph(entry.group)
-        for rec in regular_subgroups(hol, threads=args.threads):
+        for rec in regular_subgroups(hol):
             b = brace_from_regular(rec.subgroup, entry.group)
             rows.append(
                 {
@@ -275,17 +275,17 @@ def main(argv=None) -> int:
             store = ResultsStore(args.store)
             _warm_aut_cache(args, store)
         inputs, result, code = _COMMANDS[args.command](args)
+        if store is not None:
+            elapsed_ms = int((time.monotonic() - started) * 1000)
+            outcome = {"exit_code": code}
+            for key in ("realizable", "verdict", "e_formula", "agreement", "total", "count"):
+                if key in result:
+                    outcome[key] = result[key]
+            store.record(args.command, inputs, outcome, elapsed_ms)
     except HopfGaloisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(_render(args.command, inputs, result, args.format))
-    if store is not None:
-        elapsed_ms = int((time.monotonic() - started) * 1000)
-        outcome = {"exit_code": code}
-        for key in ("realizable", "verdict", "e_formula", "agreement", "total", "count"):
-            if key in result:
-                outcome[key] = result[key]
-        store.record(args.command, inputs, outcome, elapsed_ms)
     return code
 
 

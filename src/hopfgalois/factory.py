@@ -15,6 +15,7 @@ from math import gcd
 
 from . import perm
 from .errors import (
+    HopfGaloisError,
     PreconditionError,
     SpecSemanticError,
     UnsupportedOrderError,
@@ -251,20 +252,43 @@ def automorphism_group(N: PermGroup, max_generators=3, cache=None) -> PermGroup:
     the complete automorphism group.  ``cache`` may be a dict-like object
     keyed by canonical spec text (only labeled groups are cached).  The
     cache gets the entry whenever its key is missing, even when Aut was
-    already computed in this process.
+    already computed in this process.  A malformed entry raises
+    HopfGaloisError; one that is well formed but wrong is trusted.
     """
     aut = getattr(N, "_aut_group", None)
     key = N.label.text() if cache is not None and N.label is not None else None
     hit = None if key is None else cache.get(key)
+    if hit is not None:
+        hit = _cached_perms(hit, len(N), key)
     if aut is None:
         if hit is not None:
-            aut = PermGroup(len(N), [tuple(p) for p in hit])
+            aut = PermGroup(len(N), hit)
         else:
             aut = PermGroup(len(N), _automorphism_perms(N, max_generators))
         N._aut_group = aut
     if key is not None and hit is None:
         cache.put(key, [list(p) for p in aut.elements])
     return aut
+
+
+def _cached_perms(entry, degree, key):
+    """A cache entry as permutation tuples; raises unless it is a list of
+    distinct permutations of range(degree) that includes the identity."""
+    perms = []
+    if isinstance(entry, list):
+        for p in entry:
+            if not (
+                isinstance(p, list)
+                and len(p) == degree
+                and all(type(x) is int for x in p)
+                and perm.is_perm(p)
+            ):
+                break
+            perms.append(tuple(p))
+        else:
+            if perm.identity(degree) in perms and len(set(perms)) == len(perms):
+                return perms
+    raise HopfGaloisError(f"malformed Aut cache entry for {key}")
 
 
 def _automorphism_perms(N: PermGroup, max_generators):
@@ -284,7 +308,11 @@ class HolomorphGroup:
 
     ``lam[t]`` is the left translation by element t, ``iota[a]`` the
     automorphism with index a, and ``tags`` recovers the (translation,
-    automorphism) pair of any holomorph element.
+    automorphism) pair of any holomorph element: h = lam[t] * iota[a].
+    In these coordinates the product is
+    (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2), three table lookups;
+    ``realize`` searches regular subgroups this way, and ``group.table()``
+    is filled this way.
     """
 
     group: PermGroup
@@ -299,29 +327,47 @@ class HolomorphGroup:
         return self.n_group.identity_index
 
 
+class _HolomorphPerms(PermGroup):
+    """The permutations of Hol(N), with the table read from coordinates."""
+
+    def __init__(self, n_group, aut, tags, generators, label):
+        super().__init__(len(n_group), tags, generators=generators, label=label)
+        self._coords = ([tags[h] for h in self.elements], n_group, aut)
+
+    def _compute_table(self):
+        coords, N, aut = self._coords
+        ntab, atab, iota = N.table(), aut.table(), aut.elements
+        size = len(aut)
+        index = [0] * (len(N) * size)
+        for i, (t, a) in enumerate(coords):
+            index[t * size + a] = i
+        rows = []
+        for t1, a1 in coords:
+            trow, alpha, arow = ntab[t1], iota[a1], atab[a1]
+            rows.append(
+                tuple(index[trow[alpha[t2]] * size + arow[a2]] for t2, a2 in coords)
+            )
+        return rows
+
+
 def holomorph(N: PermGroup, cache=None) -> HolomorphGroup:
     """The permutations of N generated by translations and automorphisms."""
     cached = getattr(N, "_holomorph", None)
     if cached is not None:
         return cached
     aut = automorphism_group(N, cache=cache)
-    n = len(N)
-    lam = tuple(left_translation(N, t) for t in range(n))
+    lam = tuple(left_translation(N, t) for t in range(len(N)))
+    iota = tuple(aut.elements)
     tags = {}
-    elements = []
-    for t in range(n):
-        lam_t = lam[t]
-        for a, alpha in enumerate(aut.elements):
+    for t, lam_t in enumerate(lam):
+        for a, alpha in enumerate(iota):
             h = perm.compose(lam_t, alpha)
             if h in tags:
                 raise PreconditionError("holomorph pair collision")  # pragma: no cover
             tags[h] = (t, a)
-            elements.append(h)
-    gens = [lam[N.index_of(g)] for g in N.minimal_generating_set()]
-    gens += list(aut.minimal_generating_set())
+    gens = [lam[N.index_of(g)] for g in N.generators] + list(aut.generators)
     label = Holomorph(N.label) if N.label is not None else None
-    group = PermGroup(n, elements, generators=gens, label=label)
-    iota = tuple(aut.elements)
+    group = _HolomorphPerms(N, aut, tags, gens, label)
     hol = HolomorphGroup(group, N, aut, lam, iota, tags)
     N._holomorph = hol
     return hol

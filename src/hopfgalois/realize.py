@@ -203,101 +203,103 @@ def _semiregular_elements(H: PermGroup):
     return [p for p in H.elements if p != ident and perm.is_semiregular(p)]
 
 
-def _pair_search(hol_group: PermGroup, m: int, threads=1):
-    """All order-m regular subgroups closed from <= 2 semiregular elements.
+def _pair_search(hol: HolomorphGroup):
+    """All regular subgroups of Hol(N) closed from <= 2 semiregular elements.
 
-    Non-identity elements of a regular subgroup are semiregular, so the
-    closure aborts as soon as it leaves the semiregular pool or outgrows
-    m.  Complete whenever every order-m regular subgroup is 2-generated,
-    which holds for every catalog order (squarefree and the hard-coded
-    exceptions are all metacyclic or 2-generated).
+    Works in (translation, automorphism) coordinates: lam[t] * iota[a] is
+    the pair (t, a), and (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2).
+    The t-part of an element is the image of N's identity, so a subgroup
+    is regular exactly when it has |N| elements with distinct t-parts.  A
+    closure therefore stops at the first repeated t-part (which also caps
+    it at |N| elements), and one that finishes with |N| elements is
+    regular.  Non-identity elements of a regular subgroup are
+    semiregular, so only those are tried as generators, and a closure
+    also stops at the first element outside that pool.  Pairs whose
+    orders multiply to less than |N| are not tried, so the search is
+    complete when every order-|N| regular subgroup is generated by two
+    elements whose orders multiply to at least |N|.  That holds for the
+    metacyclic groups, hence at every squarefree order, but not for A4:
+    at order 12 only the subgroup lattice is complete.
     """
-    ident = perm.identity(hol_group.degree)
-    semis = _semiregular_elements(hol_group)
-    orders = {p: perm.order(p) for p in semis}
-    semis.sort(key=lambda p: (-orders[p], p))
-    pool = set(semis)
-    pool.add(ident)
-    found: list[frozenset] = []
-    found_keys: set[frozenset] = set()
-    member: dict = {}
+    N, aut, G = hol.n_group, hol.aut, hol.group
+    m, size = len(N), len(aut)
+    ntab, atab, iota = N.table(), aut.table(), hol.iota
+    e_t, e_a = N.identity_index, aut.identity_index
+    semis = sorted((-G.order_of(G.index_of(p)), p) for p in _semiregular_elements(G))
+    orders = [-k for k, _ in semis]
+    gens = [hol.tags[p] for _, p in semis]
+    codes = [t * size + a for t, a in gens]
+    in_pool = bytearray(m * size)
+    for c in codes:
+        in_pool[c] = 1
+    found: dict = {}  # subgroup as parts (see close) -> subgroup id
+    member: dict = {}  # element code -> ids of the subgroups holding it
 
-    def close_pair(gens):
-        elems = {ident}
-        frontier = [ident]
+    def close(pair):
+        # parts[t] is the a-part of the element with t-part t, or -1.
+        parts = [-1] * m
+        parts[e_t] = e_a
+        frontier = [(e_t, e_a)]
+        count = 1
         while frontier:
             nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = perm.compose(x, g)
-                    if y not in elems:
-                        if y not in pool or len(elems) >= m:
+            for tx, ax in frontier:
+                trow, alpha, arow = ntab[tx], iota[ax], atab[ax]
+                for tg, ag in pair:
+                    ty = trow[alpha[tg]]
+                    ay = arow[ag]
+                    seen = parts[ty]
+                    if seen != ay:
+                        if seen >= 0 or not in_pool[ty * size + ay]:
                             return None
-                        elems.add(y)
-                        nxt.append(y)
+                        parts[ty] = ay
+                        nxt.append((ty, ay))
+            count += len(nxt)
             frontier = nxt
-        return frozenset(elems) if len(elems) == m else None
+        return tuple(parts) if count == m else None
 
-    def record(S):
-        if S in found_keys:
+    def record(parts):
+        if parts in found:
             return
-        found_keys.add(S)
-        gid = len(found)
-        found.append(S)
-        for p in S:
-            if p != ident:
-                member.setdefault(p, set()).add(gid)
+        gid = found[parts] = len(found)
+        for t, a in enumerate(parts):
+            if t != e_t:
+                member.setdefault(t * size + a, set()).add(gid)
 
-    for a in semis:
-        if orders[a] == m:
-            S = close_pair((a,))
-            if S is not None:
-                record(S)
-
-    def scan(i):
-        # A pair lying inside a known regular subgroup closes to that
-        # subgroup or to a proper (hence non-regular) piece of it, so it
-        # can be skipped outright.
-        a = semis[i]
-        oa = orders[a]
-        groups_a = member.get(a)
-        hits = []
-        for b in semis[i + 1 :]:
-            if oa * orders[b] < m:
+    for i, g in enumerate(gens):
+        if orders[i] == m:
+            parts = close((g,))
+            if parts is not None:
+                record(parts)
+    # A pair lying inside a known regular subgroup closes to that subgroup
+    # or to a proper (hence non-regular) piece of it, so it is skipped.
+    # The skip index grows after every hit; the result does not depend on
+    # the scan order, because skips only drop pairs that rediscover a
+    # known subgroup.
+    for i, x in enumerate(gens):
+        ox, cx = orders[i], codes[i]
+        for j in range(i + 1, len(gens)):
+            if ox * orders[j] < m:
                 continue
-            if groups_a:
-                groups_b = member.get(b)
-                if groups_b and not groups_a.isdisjoint(groups_b):
+            groups_x = member.get(cx)
+            if groups_x:
+                groups_y = member.get(codes[j])
+                if groups_y and not groups_x.isdisjoint(groups_y):
                     continue
-            S = close_pair((a, b))
-            if S is not None:
-                hits.append(S)
-        return hits
-
-    # Results feed back between chunks so the skip index keeps growing;
-    # the final set is order-independent because skips only ever drop
-    # pairs that rediscover known subgroups.
-    chunk = max(1, threads * 8)
-    for start in range(0, len(semis), chunk):
-        results = parallel_map(
-            scan, range(start, min(start + chunk, len(semis))), threads=threads
-        )
-        for hits in results:
-            for S in hits:
-                record(S)
-    regular = []
-    for S in found:
-        points = {p[0] for p in S}
-        if len(points) == hol_group.degree:
-            regular.append(S)
-    return sorted(regular, key=lambda s: tuple(sorted(s)))
+            parts = close((x, gens[j]))
+            if parts is not None:
+                record(parts)
+    lam = hol.lam
+    return [
+        frozenset(perm.compose(lam[t], iota[a]) for t, a in enumerate(parts))
+        for parts in found
+    ]
 
 
 def regular_subgroups(
     hol: HolomorphGroup,
     lattice_bound=LATTICE_BOUND,
     pair_max=PAIR_SEARCH_MAX,
-    threads=1,
     strategy=None,
 ):
     """Every regular subgroup of Hol(N), tagged with its catalog class.
@@ -326,7 +328,7 @@ def regular_subgroups(
         subs = subgroups_of_order(hol.group, m, bound=lattice_bound)
         sets = [frozenset(S.elements) for S in subs if is_regular(S)]
     elif strategy == "generator-pairs":
-        sets = _pair_search(hol.group, m, threads=threads)
+        sets = _pair_search(hol)
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}")
     entries = catalog(m)
@@ -342,11 +344,11 @@ def regular_subgroups(
     return list(records)
 
 
-def realizable_via_search(G: PermGroup, N: PermGroup, threads=1) -> bool:
+def realizable_via_search(G: PermGroup, N: PermGroup) -> bool:
     """True iff the direct Hol(N) search finds a regular subgroup iso to G."""
     if len(G) != len(N):
         raise PreconditionError("realizability needs |G| = |N|")
-    records = regular_subgroups(holomorph(N), threads=threads)
+    records = regular_subgroups(holomorph(N))
     target = class_index(G, catalog(len(N)))
     return any(r.iso_index == target for r in records)
 

@@ -43,9 +43,12 @@ class AutCache:
     def put(self, spec_text: str, perms):
         self._data[self._key(spec_text)] = perms
         tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._data, fh, sort_keys=True)
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self._data, fh, sort_keys=True)
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            raise HopfGaloisError(f"cannot write Aut cache {self.path}: {exc}") from exc
 
 
 class ResultsStore:
@@ -53,7 +56,12 @@ class ResultsStore:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise HopfGaloisError(
+                f"cannot create store directory {self.path.parent}: {exc}"
+            ) from exc
         self.aut_cache = AutCache(Path(str(path) + ".autcache.json"))
 
     def record(self, command: str, inputs: dict, outcome: dict, elapsed_ms: int):
@@ -65,8 +73,11 @@ class ResultsStore:
             "outcome": outcome,
             "elapsed_ms": elapsed_ms,
         }
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise HopfGaloisError(f"cannot write store {self.path}: {exc}") from exc
 
     def records(self) -> list:
         if not self.path.exists():

@@ -201,3 +201,36 @@ def test_corrupt_aut_cache_is_error(tmp_path, capsys, content):
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
     assert not store_path.exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[[0, 1]], [[1, 0, 2, 3, 4, 5]], [[0, 1, 2, 3, 4, "5"]], "D6"],
+    ids=["short", "no-identity", "non-int", "not-a-list"],
+)
+def test_malformed_aut_cache_entry_is_error(tmp_path, capsys, entry):
+    from hopfgalois.store import ENGINE_VERSION
+
+    store_path = tmp_path / "results.jsonl"
+    cache = {f"{ENGINE_VERSION}:D6": entry}
+    Path(str(store_path) + ".autcache.json").write_text(json.dumps(cache))
+    argv = ["realizable", "--g", "C6", "--n", "D6", "--method", "cocycle"]
+    code, out = run_cli(argv + ["--store", str(store_path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("blocked", ["parent", "store", "cache"])
+def test_unwritable_store_is_error(tmp_path, capsys, blocked):
+    store_path = tmp_path / "results.jsonl"
+    if blocked == "parent":  # the store's directory is a regular file
+        (tmp_path / "F").write_text("")
+        store_path = tmp_path / "F" / "x.jsonl"
+    elif blocked == "store":  # the store itself is a directory
+        store_path.mkdir()
+    else:  # the Aut cache's temporary file is a directory
+        Path(str(store_path) + ".autcache.json.tmp").mkdir()
+    argv = ["realizable", "--g", "C6", "--n", "D6", "--method", "cocycle"]
+    code, out = run_cli(argv + ["--store", str(store_path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")

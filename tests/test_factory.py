@@ -134,6 +134,38 @@ def test_holomorph_structure():
         assert perm.compose(hol.lam[t], hol.iota[a]) == h
 
 
+@pytest.mark.parametrize(
+    "spec", [Dihedral(6), Alternating4(), Cyclic(30)], ids=["D6", "A4", "C30"]
+)
+def test_holomorph_table_from_coordinates(spec, monkeypatch):
+    hol = holomorph(build(spec))
+    G = hol.group
+    for h in G.elements:
+        t, a = hol.tags[h]
+        assert perm.compose(hol.lam[t], hol.iota[a]) == h
+    composed = PermGroup(G.degree, G.elements).table()
+    assert G.table() == composed
+
+    def refuse(p, q):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(perm, "compose", refuse)
+    assert G._compute_table() == composed
+
+
+def test_holomorph_takes_any_generating_set(monkeypatch):
+    base = D(10)
+    N = PermGroup(base.degree, base.elements, generators=base.generators)
+    automorphism_group(N)
+
+    def refuse(self):
+        raise AssertionError("minimal_generating_set called")
+
+    monkeypatch.setattr(PermGroup, "minimal_generating_set", refuse)
+    hol = holomorph(N)
+    assert closure(list(hol.group.generators)).elements == hol.group.elements
+
+
 @pytest.mark.parametrize("order", [6, 10, 12])
 def test_holomorph_invariants_across_catalog(order):
     for entry in catalog(order):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from hopfgalois import (
@@ -22,7 +24,6 @@ from hopfgalois import (
     unique_odd_part,
 )
 from hopfgalois.errors import PreconditionError
-from hopfgalois.realize import _pair_search
 
 from conftest import C, D, brute_force_bijective_crossed_homs
 
@@ -187,15 +188,35 @@ def test_regular_subgroups_hol_z6_exact_elements():
     )
 
 
-@pytest.mark.parametrize("order", [6, 10])
+@pytest.mark.parametrize("order", [6, 10, 14])
 def test_strategy_agreement(order):
+    # |Hol(D14)| = 588, so order 14 needs a raised lattice bound; D14 is
+    # where the default strategy is generator pairs.
     for entry in catalog(order):
         hol = holomorph(entry.group)
-        lattice = regular_subgroups(hol, strategy="subgroup-lattice")
+        lattice = regular_subgroups(hol, lattice_bound=600, strategy="subgroup-lattice")
         pairs = regular_subgroups(hol, strategy="generator-pairs")
         assert [frozenset(r.subgroup.elements) for r in lattice] == [
             frozenset(r.subgroup.elements) for r in pairs
         ]
+
+
+@pytest.mark.parametrize(
+    "spec,counts",
+    [
+        (Dihedral(14), {"C14": 14, "D14": 2}),
+        (Dihedral(22), {"C22": 22, "D22": 2}),
+        (
+            SemidirectCC(15, 2, 11),
+            {"C30": 6, "D30": 2, "SD(15,2;11)": 2, "SD(15,2;4)": 6},
+        ),
+    ],
+    ids=["D14", "D22", "SD(15,2;11)"],
+)
+def test_generator_pair_counts(spec, counts):
+    records = regular_subgroups(holomorph(build(spec)))
+    assert {r.strategy for r in records} == {"generator-pairs"}
+    assert dict(Counter(r.iso_text for r in records)) == counts
 
 
 @pytest.mark.parametrize("order", [6, 10])
@@ -262,7 +283,3 @@ def test_threads_deterministic():
     w1 = realizable_via_cocycles(G, N, threads=1)
     w4 = realizable_via_cocycles(G, N, threads=4)
     assert (w1.f.images, w1.g) == (w4.f.images, w4.g)
-    hol = holomorph(D(14))
-    base = _pair_search(hol.group, 14, threads=1)
-    multi = _pair_search(hol.group, 14, threads=4)
-    assert base == multi
