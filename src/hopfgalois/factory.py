@@ -311,8 +311,7 @@ class HolomorphGroup:
     automorphism) pair of any holomorph element: h = lam[t] * iota[a].
     In these coordinates the product is
     (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2), three table lookups;
-    ``realize`` searches regular subgroups this way, and ``group.table()``
-    is filled this way.
+    ``realize`` searches regular subgroups this way.
     """
 
     group: PermGroup
@@ -325,29 +324,6 @@ class HolomorphGroup:
     @property
     def identity_point(self) -> int:
         return self.n_group.identity_index
-
-
-class _HolomorphPerms(PermGroup):
-    """The permutations of Hol(N), with the table read from coordinates."""
-
-    def __init__(self, n_group, aut, tags, generators, label):
-        super().__init__(len(n_group), tags, generators=generators, label=label)
-        self._coords = ([tags[h] for h in self.elements], n_group, aut)
-
-    def _compute_table(self):
-        coords, N, aut = self._coords
-        ntab, atab, iota = N.table(), aut.table(), aut.elements
-        size = len(aut)
-        index = [0] * (len(N) * size)
-        for i, (t, a) in enumerate(coords):
-            index[t * size + a] = i
-        rows = []
-        for t1, a1 in coords:
-            trow, alpha, arow = ntab[t1], iota[a1], atab[a1]
-            rows.append(
-                tuple(index[trow[alpha[t2]] * size + arow[a2]] for t2, a2 in coords)
-            )
-        return rows
 
 
 def holomorph(N: PermGroup, cache=None) -> HolomorphGroup:
@@ -367,7 +343,7 @@ def holomorph(N: PermGroup, cache=None) -> HolomorphGroup:
             tags[h] = (t, a)
     gens = [lam[N.index_of(g)] for g in N.generators] + list(aut.generators)
     label = Holomorph(N.label) if N.label is not None else None
-    group = _HolomorphPerms(N, aut, tags, gens, label)
+    group = PermGroup(len(N), tags, generators=gens, label=label)
     hol = HolomorphGroup(group, N, aut, lam, iota, tags)
     N._holomorph = hol
     return hol

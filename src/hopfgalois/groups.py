@@ -87,15 +87,12 @@ class PermGroup:
         if self._mul_table is None:
             if len(self) > TABLE_LIMIT:
                 raise BoundExceededError(f"no table above {TABLE_LIMIT} elements")
-            self._mul_table = self._compute_table()
+            els = self.elements
+            idx = self._index
+            self._mul_table = [
+                tuple(idx[perm.compose(p, q)] for q in els) for p in els
+            ]
         return self._mul_table
-
-    def _compute_table(self):
-        """The table rows by composing image tuples; subclasses that know a
-        cheaper product override this, and ``table`` stays the accessor."""
-        els = self.elements
-        idx = self._index
-        return [tuple(idx[perm.compose(p, q)] for q in els) for p in els]
 
     def inv(self, i: int) -> int:
         if self._inverse_table is None:

@@ -5,10 +5,10 @@ G -> Aut(N), a map g: G -> N with g(ab) = g(a) f(a)(g(b)) that is bijective
 pins down a regular subgroup {x -> g(a) * f(a)(x)} of Hol(N) isomorphic
 to G, and every such subgroup arises this way.
 
-Route two searches Hol(N) for regular subgroups directly (full subgroup
-lattice when Hol is small, otherwise closure over pairs of semiregular
-elements) and tags each one with its isomorphism class.  The two routes
-must agree; tests hold them against each other.
+Route two searches Hol(N) for regular subgroups directly, by closing
+pairs of semiregular elements (|N| capped), and tags each one with its
+isomorphism class.  The two routes must agree; tests hold them against
+each other.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from .groups import (
     homomorphisms,
     is_regular,
     are_isomorphic,
-    subgroups_of_order,
 )
 from .parallel import parallel_map
 
-LATTICE_BOUND = 400    # max |Hol(N)| for the subgroup-lattice strategy
-PAIR_SEARCH_MAX = 30   # max |N| for the generator-pair strategy
+PAIR_SEARCH_MAX = 30   # max |N| for the direct Hol(N) search
 
 
 @dataclass(frozen=True)
@@ -214,12 +212,12 @@ def _pair_search(hol: HolomorphGroup):
     it at |N| elements), and one that finishes with |N| elements is
     regular.  Non-identity elements of a regular subgroup are
     semiregular, so only those are tried as generators, and a closure
-    also stops at the first element outside that pool.  Pairs whose
-    orders multiply to less than |N| are not tried, so the search is
-    complete when every order-|N| regular subgroup is generated by two
-    elements whose orders multiply to at least |N|.  That holds for the
-    metacyclic groups, hence at every squarefree order, but not for A4:
-    at order 12 only the subgroup lattice is complete.
+    also stops at the first element outside that pool.  Every pair of
+    pool elements is tried unless both lie in one subgroup already found,
+    so the search is complete when every regular subgroup of order |N| is
+    generated by at most two elements.  Every catalog class is: squarefree
+    orders give metacyclic groups, the classes at orders 4 and 12 are
+    small, and the tests check each class.
     """
     N, aut, G = hol.n_group, hol.aut, hol.group
     m, size = len(N), len(aut)
@@ -266,21 +264,19 @@ def _pair_search(hol: HolomorphGroup):
             if t != e_t:
                 member.setdefault(t * size + a, set()).add(gid)
 
-    for i, g in enumerate(gens):
-        if orders[i] == m:
-            parts = close((g,))
-            if parts is not None:
-                record(parts)
+    # The trivial group is generated by no element, a cyclic one by one.
+    for pair in [()] + [(g,) for i, g in enumerate(gens) if orders[i] == m]:
+        parts = close(pair)
+        if parts is not None:
+            record(parts)
     # A pair lying inside a known regular subgroup closes to that subgroup
     # or to a proper (hence non-regular) piece of it, so it is skipped.
     # The skip index grows after every hit; the result does not depend on
     # the scan order, because skips only drop pairs that rediscover a
     # known subgroup.
     for i, x in enumerate(gens):
-        ox, cx = orders[i], codes[i]
+        cx = codes[i]
         for j in range(i + 1, len(gens)):
-            if ox * orders[j] < m:
-                continue
             groups_x = member.get(cx)
             if groups_x:
                 groups_y = member.get(codes[j])
@@ -296,51 +292,31 @@ def _pair_search(hol: HolomorphGroup):
     ]
 
 
-def regular_subgroups(
-    hol: HolomorphGroup,
-    lattice_bound=LATTICE_BOUND,
-    pair_max=PAIR_SEARCH_MAX,
-    strategy=None,
-):
+def regular_subgroups(hol: HolomorphGroup):
     """Every regular subgroup of Hol(N), tagged with its catalog class.
 
-    Strategy: the full subgroup lattice when |Hol(N)| fits the subgroup
-    bound, otherwise generator-pair closure (|N| capped).  The choice is
-    recorded on each output record.
+    Runs the generator-pair search, for |N| up to ``PAIR_SEARCH_MAX``,
+    and keeps the result on ``hol``.
     """
-    use_cache = strategy is None
-    if use_cache:
-        cache = getattr(hol, "_regular_records", None)
-        if cache is not None:
-            return list(cache)
-    N = hol.n_group
-    m = len(N)
-    if strategy is None:
-        if len(hol.group) <= lattice_bound:
-            strategy = "subgroup-lattice"
-        elif m <= pair_max:
-            strategy = "generator-pairs"
-        else:
-            raise BoundExceededError(
-                f"|Hol| = {len(hol.group)} and |N| = {m} exceed both strategies"
-            )
-    if strategy == "subgroup-lattice":
-        subs = subgroups_of_order(hol.group, m, bound=lattice_bound)
-        sets = [frozenset(S.elements) for S in subs if is_regular(S)]
-    elif strategy == "generator-pairs":
-        sets = _pair_search(hol)
-    else:
-        raise PreconditionError(f"unknown strategy {strategy!r}")
+    cache = getattr(hol, "_regular_records", None)
+    if cache is not None:
+        return list(cache)
+    m = len(hol.n_group)
+    if m > PAIR_SEARCH_MAX:
+        raise BoundExceededError(
+            f"|N| = {m} exceeds the Hol(N) search bound {PAIR_SEARCH_MAX}"
+        )
     entries = catalog(m)
     records = []
-    for S in sorted(sets, key=lambda s: tuple(sorted(s))):
+    for S in sorted(_pair_search(hol), key=lambda s: tuple(sorted(s))):
         sub = PermGroup(hol.group.degree, S)
         idx = class_index(sub, entries)
         records.append(
-            RegularSubgroupRecord(sub, idx, entries[idx].spec.text(), None, strategy)
+            RegularSubgroupRecord(
+                sub, idx, entries[idx].spec.text(), None, "generator-pairs"
+            )
         )
-    if use_cache:
-        hol._regular_records = records
+    hol._regular_records = records
     return list(records)
 
 

@@ -66,7 +66,13 @@ def test_regular_subgroups_counts():
     assert code == 0
     payload = json.loads(out)
     assert payload["result"]["counts"] == {"C6": 1, "D6": 1}
-    assert payload["result"]["strategy"] == "subgroup-lattice"
+    assert payload["result"]["strategy"] == "generator-pairs"
+
+
+def test_regular_subgroups_order_bound_is_error(capsys):
+    code, out = run_cli(["regular-subgroups", "--hol-of", "C31"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_braces_order_6():

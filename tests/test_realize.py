@@ -23,7 +23,9 @@ from hopfgalois import (
     transport_characteristic,
     unique_odd_part,
 )
-from hopfgalois.errors import PreconditionError
+from hopfgalois.errors import BoundExceededError, PreconditionError
+from hopfgalois.factory import is_squarefree
+from hopfgalois.groups import subgroups_of_order
 
 from conftest import C, D, brute_force_bijective_crossed_homs
 
@@ -188,17 +190,34 @@ def test_regular_subgroups_hol_z6_exact_elements():
     )
 
 
-@pytest.mark.parametrize("order", [6, 10, 14])
-def test_strategy_agreement(order):
-    # |Hol(D14)| = 588, so order 14 needs a raised lattice bound; D14 is
-    # where the default strategy is generator pairs.
+@pytest.mark.parametrize("order", [4, 6, 10, 12, 14])
+def test_regular_subgroups_match_lattice(order):
+    # the full subgroup lattice is the reference; |Hol(D14)| = 588, so the
+    # walk needs a raised bound; order 12 holds A4, whose generating pairs
+    # all have element orders multiplying to less than 12
     for entry in catalog(order):
         hol = holomorph(entry.group)
-        lattice = regular_subgroups(hol, lattice_bound=600, strategy="subgroup-lattice")
-        pairs = regular_subgroups(hol, strategy="generator-pairs")
-        assert [frozenset(r.subgroup.elements) for r in lattice] == [
-            frozenset(r.subgroup.elements) for r in pairs
+        lattice = [
+            frozenset(S.elements)
+            for S in subgroups_of_order(hol.group, order, bound=600)
+            if is_regular(S)
         ]
+        found = [frozenset(r.subgroup.elements) for r in regular_subgroups(hol)]
+        assert found == lattice, entry.spec.text()
+
+
+@pytest.mark.parametrize(
+    "order", [4, 12] + [n for n in range(1, 31) if is_squarefree(n)]
+)
+def test_catalog_classes_are_two_generated(order):
+    # the generator-pair search is complete only under this condition
+    for entry in catalog(order):
+        assert len(entry.group.minimal_generating_set()) <= 2, entry.spec.text()
+
+
+def test_regular_subgroups_order_bound():
+    with pytest.raises(BoundExceededError):
+        regular_subgroups(holomorph(build(Cyclic(31))))
 
 
 @pytest.mark.parametrize(
@@ -229,7 +248,7 @@ def test_oracle_equivalence(order):
             assert cocycle == search, (g.spec.text(), n.spec.text())
 
 
-@pytest.mark.parametrize("order", [6, 10])
+@pytest.mark.parametrize("order", [4, 6, 10, 12, 14])
 def test_count_equivalence(order):
     # each regular subgroup isomorphic to G arises from |Aut(G)| pairs
     entries = catalog(order)
