@@ -9,6 +9,7 @@ violations appear as explicit skipped instances rather than omissions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .counting import is_burnside_number, radical
@@ -22,6 +23,7 @@ from .factory import (
     catalog,
     class_index,
     is_squarefree,
+    shape_check_semidirect_z2,
     z2_twists,
 )
 from .groups import (
@@ -104,24 +106,47 @@ def _verdict(instances) -> str:
     return "pass"
 
 
-# Shared realizability cache, keyed by canonical spec text.
+@functools.cache
+def cached_realizable(G: PermGroup, N: PermGroup):
+    """Witness or None, shared across audits for each (G, N) pair of group
+    objects."""
+    return realizable_via_cocycles(G, N)
 
-_REALIZABLE: dict = {}
+
+def _realizability_audit(theorem_id, order, domain, rows, conclude, flags=()):
+    """Audit "if (G, N) is realizable then the conclusion holds".
+
+    ``rows`` yields (subject, G, N); ``conclude(G, N)`` returns
+    (held, witness text) and runs only where the hypothesis holds.
+    """
+    instances = []
+    for subject, G, N in rows:
+        if cached_realizable(G, N) is None:
+            instances.append(AuditInstance(subject, False, None))
+        else:
+            held, text = conclude(G, N)
+            instances.append(AuditInstance(subject, True, held, witness=text))
+    return AuditReport(theorem_id, order, domain, tuple(instances), _verdict(instances), flags)
 
 
-def cached_realizable(G: PermGroup, N: PermGroup, threads=1):
-    """Witness or None, cached across audits for labeled groups."""
-    if G.label is None or N.label is None:
-        return realizable_via_cocycles(G, N, threads=threads)
-    key = (G.label.text(), N.label.text())
-    if key not in _REALIZABLE:
-        _REALIZABLE[key] = realizable_via_cocycles(G, N, threads=threads)
-    return _REALIZABLE[key]
+def _odd_part_shape(name, H):
+    """The t001/t003 conclusion on H: (held, "name odd part = SD(k,l;t)")."""
+    shape = shape_check_semidirect_z2(H)
+    if shape is None:
+        return False, ""
+    return True, f"{name} odd part = SD({shape.k},{shape.l};{shape.t})"
 
 
 def _require_twice_odd(order: int):
     if order < 2 or order % 2 or (order // 2) % 2 == 0:
         raise PreconditionError(f"order {order} is not twice an odd number")
+
+
+def _require_odd_squarefree(order: int):
+    if order % 2 == 0:
+        raise PreconditionError(f"odd order required, got {order}")
+    if not is_squarefree(order):
+        raise PreconditionError(f"odd squarefree order required, got {order}")
 
 
 def _catalog_or_none(order):
@@ -222,59 +247,31 @@ def audit_t001(n: int) -> AuditReport:
     """If (Z_n x| Z_2 twist, N) is realizable then N splits as
     (Z_k x| Z_l) x| Z_2 over its odd part."""
     _require_twice_odd(2 * n)
-    from .factory import shape_check_semidirect_z2
-
-    instances = []
-    for s in z2_twists(n):
-        G = build(SemidirectZ2(n, s))
-        for entry in catalog(2 * n):
-            N = entry.group
-            witness = cached_realizable(G, N)
-            hyp = witness is not None
-            concl = None
-            text = ""
-            if hyp:
-                shape = shape_check_semidirect_z2(N)
-                concl = shape is not None
-                if shape:
-                    text = f"N odd part = SD({shape.k},{shape.l};{shape.t})"
-            instances.append(
-                AuditInstance(
-                    f"(SDZ2({n};{s}), {entry.spec.text()})", hyp, concl, witness=text
-                )
-            )
+    rows = (
+        (f"(SDZ2({n};{s}), {entry.spec.text()})", build(SemidirectZ2(n, s)), entry.group)
+        for s in z2_twists(n)
+        for entry in catalog(2 * n)
+    )
     domain = f"twists {z2_twists(n)} x catalog({2 * n})"
-    return AuditReport("t001", 2 * n, domain, tuple(instances), _verdict(instances))
+    return _realizability_audit(
+        "t001", 2 * n, domain, rows, lambda G, N: _odd_part_shape("N", N)
+    )
 
 
 def audit_t003(n: int) -> AuditReport:
     """Mirror of t001: realizable partners G of Z_n x| Z_2 split the same
     way.  The stated conclusion's trailing factor is read as Z_2."""
     _require_twice_odd(2 * n)
-    from .factory import shape_check_semidirect_z2
-
-    instances = []
-    for entry in catalog(2 * n):
-        G = entry.group
-        for s in z2_twists(n):
-            N = build(SemidirectZ2(n, s))
-            witness = cached_realizable(G, N)
-            hyp = witness is not None
-            concl = None
-            text = ""
-            if hyp:
-                shape = shape_check_semidirect_z2(G)
-                concl = shape is not None
-                if shape:
-                    text = f"G odd part = SD({shape.k},{shape.l};{shape.t})"
-            instances.append(
-                AuditInstance(
-                    f"({entry.spec.text()}, SDZ2({n};{s}))", hyp, concl, witness=text
-                )
-            )
+    rows = (
+        (f"({entry.spec.text()}, SDZ2({n};{s}))", entry.group, build(SemidirectZ2(n, s)))
+        for entry in catalog(2 * n)
+        for s in z2_twists(n)
+    )
     flags = ("conclusion audited as (Z_k x| Z_l) x| Z_2; the stated trailing Z_l is read as a typo for Z_2",)
     domain = f"catalog({2 * n}) x twists {z2_twists(n)}"
-    return AuditReport("t003", 2 * n, domain, tuple(instances), _verdict(instances), flags)
+    return _realizability_audit(
+        "t003", 2 * n, domain, rows, lambda G, N: _odd_part_shape("G", G), flags
+    )
 
 
 def audit_t004(n: int) -> AuditReport:
@@ -343,25 +340,16 @@ def audit_p005(n: int) -> AuditReport:
     """Realizable partners of a dihedral group are solvable."""
     _require_twice_odd(2 * n)
     N = build(Dihedral(2 * n))
-    instances = []
-    for entry in catalog(2 * n):
-        witness = cached_realizable(entry.group, N)
-        hyp = witness is not None
-        concl = is_solvable(entry.group) if hyp else None
-        instances.append(
-            AuditInstance(f"({entry.spec.text()}, D{2 * n})", hyp, concl)
-        )
-    return AuditReport(
-        "p005", 2 * n, f"catalog({2 * n}) against D{2 * n}", tuple(instances), _verdict(instances)
+    rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in catalog(2 * n))
+    return _realizability_audit(
+        "p005", 2 * n, f"catalog({2 * n}) against D{2 * n}", rows,
+        lambda G, N: (is_solvable(G), ""),
     )
 
 
 def audit_p003(order: int) -> AuditReport:
     """If (Z_m, N) is realizable for odd m then N is a C-group."""
-    if order % 2 == 0:
-        raise PreconditionError(f"odd order required, got {order}")
-    if not is_squarefree(order):
-        raise PreconditionError(f"odd squarefree order required, got {order}")
+    _require_odd_squarefree(order)
     Z = build(Cyclic(order))
     instances = []
     for entry in catalog(order):
@@ -383,23 +371,12 @@ def audit_p003(order: int) -> AuditReport:
 
 def audit_p004(order: int) -> AuditReport:
     """If (G, Z_m) is realizable then G is solvable and almost Sylow-cyclic."""
-    if order % 2 == 0:
-        raise PreconditionError(f"odd order required, got {order}")
-    if not is_squarefree(order):
-        raise PreconditionError(f"odd squarefree order required, got {order}")
+    _require_odd_squarefree(order)
     Z = build(Cyclic(order))
-    instances = []
-    for entry in catalog(order):
-        witness = cached_realizable(entry.group, Z)
-        hyp = witness is not None
-        concl = None
-        if hyp:
-            concl = is_solvable(entry.group) and is_almost_sylow_cyclic(entry.group)
-        instances.append(
-            AuditInstance(f"({entry.spec.text()}, C{order})", hyp, concl)
-        )
-    return AuditReport(
-        "p004", order, f"catalog({order}) against C{order}", tuple(instances), _verdict(instances)
+    rows = ((f"({e.spec.text()}, C{order})", e.group, Z) for e in catalog(order))
+    return _realizability_audit(
+        "p004", order, f"catalog({order}) against C{order}", rows,
+        lambda G, N: (is_solvable(G) and is_almost_sylow_cyclic(G), ""),
     )
 
 
@@ -461,29 +438,16 @@ def audit_ses_final(n: int) -> AuditReport:
             flags + (f"no complete catalog at order {2 * n}",),
         )
     N = build(Dihedral(2 * n))
-    instances = []
-    for entry in entries:
-        G = entry.group
-        witness = cached_realizable(G, N)
-        hyp = witness is not None
-        concl = None
-        text = ""
-        if hyp:
-            kernels = [
-                K
-                for K in all_subgroups(G)
-                if len(K) == n and is_normal(G, K) and is_c_group(K)
-            ]
-            concl = bool(kernels)
-            text = (
-                f"normal order-{n} coprime-metacyclic subgroups: {len(kernels)}"
-            )
-        instances.append(
-            AuditInstance(f"({entry.spec.text()}, D{2 * n})", hyp, concl, witness=text)
-        )
-    domain = f"catalog({2 * n}) against D{2 * n}"
-    return AuditReport(
-        "ses_final", 2 * n, domain, tuple(instances), _verdict(instances), flags
+    rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in entries)
+
+    def conclude(G, N):
+        kernels = [
+            K for K in all_subgroups(G) if len(K) == n and is_normal(G, K) and is_c_group(K)
+        ]
+        return bool(kernels), f"normal order-{n} coprime-metacyclic subgroups: {len(kernels)}"
+
+    return _realizability_audit(
+        "ses_final", 2 * n, f"catalog({2 * n}) against D{2 * n}", rows, conclude, flags
     )
 
 

@@ -10,6 +10,7 @@ cross-checks need.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -177,17 +178,11 @@ def z2_twists(n: int) -> list[int]:
     ]
 
 
-_BUILD_CACHE: dict = {}
-
-
+@functools.cache
 def build(spec: GroupSpec) -> PermGroup:
-    """Materialize a recipe as a faithful permutation group."""
-    if spec in _BUILD_CACHE:
-        return _BUILD_CACHE[spec]
+    """Materialize a recipe as a faithful permutation group, once per recipe."""
     validate_spec(spec)
-    G = _build(spec)
-    _BUILD_CACHE[spec] = G
-    return G
+    return _build(spec)
 
 
 def _build(spec: GroupSpec) -> PermGroup:
@@ -302,7 +297,7 @@ def _automorphism_perms(N: PermGroup, max_generators):
     return list(extend_images(N, N, frame, cands, injective=True))
 
 
-@dataclass
+@dataclass(eq=False)
 class HolomorphGroup:
     """Hol(N) on N's element indices, with tagged embeddings.
 
@@ -311,7 +306,8 @@ class HolomorphGroup:
     automorphism) pair of any holomorph element: h = lam[t] * iota[a].
     In these coordinates the product is
     (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2), three table lookups;
-    ``realize`` searches regular subgroups this way.
+    ``realize`` searches regular subgroups this way.  Hashed by identity,
+    so it can key a memo.
     """
 
     group: PermGroup
@@ -321,17 +317,12 @@ class HolomorphGroup:
     iota: tuple
     tags: dict
 
-    @property
-    def identity_point(self) -> int:
-        return self.n_group.identity_index
 
-
-def holomorph(N: PermGroup, cache=None) -> HolomorphGroup:
-    """The permutations of N generated by translations and automorphisms."""
-    cached = getattr(N, "_holomorph", None)
-    if cached is not None:
-        return cached
-    aut = automorphism_group(N, cache=cache)
+@functools.cache
+def holomorph(N: PermGroup) -> HolomorphGroup:
+    """The permutations of N generated by translations and automorphisms,
+    built once per group object."""
+    aut = automorphism_group(N)
     lam = tuple(left_translation(N, t) for t in range(len(N)))
     iota = tuple(aut.elements)
     tags = {}
@@ -344,9 +335,7 @@ def holomorph(N: PermGroup, cache=None) -> HolomorphGroup:
     gens = [lam[N.index_of(g)] for g in N.generators] + list(aut.generators)
     label = Holomorph(N.label) if N.label is not None else None
     group = PermGroup(len(N), tags, generators=gens, label=label)
-    hol = HolomorphGroup(group, N, aut, lam, iota, tags)
-    N._holomorph = hol
-    return hol
+    return HolomorphGroup(group, N, aut, lam, iota, tags)
 
 
 # The small-order catalog.
@@ -369,8 +358,6 @@ _EXCEPTION_ORDERS = {
     ),
 }
 
-_CATALOG_CACHE: dict = {}
-
 
 def is_squarefree(n: int) -> bool:
     return all(a == 1 for _, a in factorize(n).pairs)
@@ -380,16 +367,18 @@ def catalog(order: int) -> list[CatalogEntry]:
     """One entry per isomorphism class of groups of the given order.
 
     Complete for squarefree orders and for the hard-coded exception
-    orders; anything else raises UnsupportedOrderError.
+    orders; anything else raises UnsupportedOrderError.  The list is the
+    caller's own; the entries are shared.
     """
-    if order in _CATALOG_CACHE:
-        return list(_CATALOG_CACHE[order])
+    return list(_catalog(order))
+
+
+@functools.cache
+def _catalog(order: int) -> tuple[CatalogEntry, ...]:
     if order < 1:
         raise UnsupportedOrderError(f"order {order} is not positive")
     if order in _EXCEPTION_ORDERS:
-        entries = [CatalogEntry(s, build(s)) for s in _EXCEPTION_ORDERS[order]]
-        _CATALOG_CACHE[order] = entries
-        return list(entries)
+        return tuple(CatalogEntry(s, build(s)) for s in _EXCEPTION_ORDERS[order])
     if not is_squarefree(order):
         raise UnsupportedOrderError(
             f"order {order} is not squarefree and has no exception entry"
@@ -418,8 +407,7 @@ def catalog(order: int) -> list[CatalogEntry]:
     for s, G in classes:
         pretty = _prettify(s)
         entries.append(CatalogEntry(pretty, _relabel(G, pretty)))
-    _CATALOG_CACHE[order] = entries
-    return list(entries)
+    return tuple(entries)
 
 
 def _prettify(spec: GroupSpec) -> GroupSpec:

@@ -32,9 +32,10 @@ class PermGroup:
     generating sets of the same subgroup produce identical lists and the
     identity always sits at index 0.  The element list is fixed at
     construction; the multiplication, inverse and order tables, the
-    generating set and the subgroup list fill in lazily on first use, and
-    other modules stash derived objects on instances (``_aut_group``,
-    ``_holomorph``, ``_regular_records``).
+    generating set and the subgroup list fill in lazily on first use.  The
+    one object another module sets on an instance is ``_aut_group``, from
+    ``factory.automorphism_group``; holomorphs and their regular subgroups
+    are memoized by ``functools.cache`` with the group as key.
     """
 
     def __init__(self, degree, elements, generators=None, label=None):
@@ -449,7 +450,7 @@ def homomorphisms(G: PermGroup, H: PermGroup, max_generators=GENERATOR_BOUND):
     return [Homomorphism(G, H, m) for m in sorted(extend_images(G, H, frame, cands))]
 
 
-def are_isomorphic(G: PermGroup, H: PermGroup, max_generators=GENERATOR_BOUND):
+def are_isomorphic(G: PermGroup, H: PermGroup):
     """An explicit isomorphism G -> H if one exists, else None.
 
     Generator-image search pruned by order profile and abelianness.
@@ -460,7 +461,7 @@ def are_isomorphic(G: PermGroup, H: PermGroup, max_generators=GENERATOR_BOUND):
         return None
     if G.is_abelian() != H.is_abelian():
         return None
-    frame = generator_frame(G, max_generators, BoundExceededError)
+    frame = generator_frame(G, GENERATOR_BOUND, BoundExceededError)
     if len(H) <= TABLE_LIMIT:
         H.table()
     cands = [
@@ -498,7 +499,7 @@ def is_cyclic(G: PermGroup) -> bool:
     return any(G.order_of(i) == n for i in range(n))
 
 
-def sylow_subgroup(G: PermGroup, p: int, bound=SUBGROUP_BOUND) -> PermGroup:
+def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
     """One maximal p-subgroup, taken from the full subgroup list."""
     n = len(G)
     if n % p != 0:
@@ -507,7 +508,7 @@ def sylow_subgroup(G: PermGroup, p: int, bound=SUBGROUP_BOUND) -> PermGroup:
     while n % p == 0:
         target *= p
         n //= p
-    for S in all_subgroups(G, bound=bound):
+    for S in all_subgroups(G):
         if len(S) == target:
             return S
     raise PreconditionError(f"no subgroup of order {target} found")  # pragma: no cover
@@ -517,25 +518,22 @@ def _prime_divisors(n: int):
     return [p for p, _ in factorize(n).pairs]
 
 
-def is_c_group(G: PermGroup, bound=SUBGROUP_BOUND) -> bool:
+def is_c_group(G: PermGroup) -> bool:
     """True iff every Sylow subgroup is cyclic."""
-    return all(
-        is_cyclic(sylow_subgroup(G, p, bound=bound))
-        for p in _prime_divisors(len(G))
-    )
+    return all(is_cyclic(sylow_subgroup(G, p)) for p in _prime_divisors(len(G)))
 
 
-def is_almost_sylow_cyclic(G: PermGroup, bound=SUBGROUP_BOUND) -> bool:
+def is_almost_sylow_cyclic(G: PermGroup) -> bool:
     """Odd Sylows cyclic; Sylow-2 trivial or with a cyclic index-2 subgroup."""
     for p in _prime_divisors(len(G)):
-        S = sylow_subgroup(G, p, bound=bound)
+        S = sylow_subgroup(G, p)
         if p != 2:
             if not is_cyclic(S):
                 return False
         else:
             half = len(S) // 2
             if not any(
-                len(T) == half and is_cyclic(T) for T in all_subgroups(S, bound=bound)
+                len(T) == half and is_cyclic(T) for T in all_subgroups(S)
             ):
                 return False
     return True
@@ -566,7 +564,7 @@ def regular_representation(G: PermGroup) -> PermGroup:
     return PermGroup(len(G), perms)
 
 
-def unique_odd_part(G: PermGroup, bound=SUBGROUP_BOUND) -> PermGroup:
+def unique_odd_part(G: PermGroup) -> PermGroup:
     """The unique index-2 subgroup of a group of order 2n, n odd.
 
     Computed as the kernel of the sign of the left regular action; the
@@ -585,14 +583,14 @@ def unique_odd_part(G: PermGroup, bound=SUBGROUP_BOUND) -> PermGroup:
             f"sign kernel has order {len(kernel)}, expected {n}"
         )  # pragma: no cover
     H = G.subgroup_from_indices(kernel)
-    if size <= bound:
-        others = [S for S in all_subgroups(G, bound=bound) if len(S) == n]
+    if size <= SUBGROUP_BOUND:
+        others = [S for S in all_subgroups(G) if len(S) == n]
         if len(others) != 1 or others[0].elements != H.elements:
             raise PreconditionError("order-n subgroup is not unique")  # pragma: no cover
     return H
 
 
-def characteristic_subgroups(N: PermGroup, autN: PermGroup, bound=SUBGROUP_BOUND):
+def characteristic_subgroups(N: PermGroup, autN: PermGroup):
     """Subgroups of N mapped to themselves by every automorphism.
 
     ``autN`` must act on N's element indices (degree |N|).
@@ -600,7 +598,7 @@ def characteristic_subgroups(N: PermGroup, autN: PermGroup, bound=SUBGROUP_BOUND
     if autN.degree != len(N):
         raise PreconditionError("automorphism group must act on element indices")
     out = []
-    for S in all_subgroups(N, bound=bound):
+    for S in all_subgroups(N):
         idxs = frozenset(N.index_of(p) for p in S.elements)
         if all(
             frozenset(alpha[i] for i in idxs) == idxs for alpha in autN.elements

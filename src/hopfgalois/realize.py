@@ -13,6 +13,7 @@ each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -292,15 +293,13 @@ def _pair_search(hol: HolomorphGroup):
     ]
 
 
-def regular_subgroups(hol: HolomorphGroup):
+@functools.cache
+def regular_subgroups(hol: HolomorphGroup) -> tuple[RegularSubgroupRecord, ...]:
     """Every regular subgroup of Hol(N), tagged with its catalog class.
 
     Runs the generator-pair search, for |N| up to ``PAIR_SEARCH_MAX``,
-    and keeps the result on ``hol``.
+    once per ``hol``.
     """
-    cache = getattr(hol, "_regular_records", None)
-    if cache is not None:
-        return list(cache)
     m = len(hol.n_group)
     if m > PAIR_SEARCH_MAX:
         raise BoundExceededError(
@@ -316,8 +315,7 @@ def regular_subgroups(hol: HolomorphGroup):
                 sub, idx, entries[idx].spec.text(), None, "generator-pairs"
             )
         )
-    hol._regular_records = records
-    return list(records)
+    return tuple(records)
 
 
 def realizable_via_search(G: PermGroup, N: PermGroup) -> bool:

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from hopfgalois import run_audit
+from hopfgalois import Cyclic, build, catalog, run_audit
 from hopfgalois.audit import (
+    THEOREM_IDS,
     AuditInstance,
     _verdict,
     audit_c001,
@@ -17,6 +19,7 @@ from hopfgalois.audit import (
     audit_t002,
     audit_t003,
     audit_t004,
+    cached_realizable,
 )
 from hopfgalois.errors import PreconditionError
 
@@ -140,6 +143,16 @@ def test_c001_order_12():
     assert not hyp["D12"] and not hyp["A4"] and not hyp["C2xC6"]
 
 
+@pytest.mark.parametrize("order", [15, 30])
+def test_cached_realizable_keys_on_group_objects(order):
+    z = build(Cyclic(order))
+    cat = catalog(order)[0].group
+    assert z is not cat and z.label == cat.label
+    cached_realizable(cat, z)
+    witness = cached_realizable(z, cat)
+    assert witness.domain is z and witness.n_group is cat
+
+
 def test_run_audit_dispatch():
     assert run_audit("t001", 3).verdict == "pass"
     assert run_audit("p001", 3).order == 6
@@ -157,3 +170,13 @@ def test_report_records_domain():
     report = audit_t001(3)
     assert "twists" in report.domain and "catalog" in report.domain
     assert report.to_dict()["scope_note"]
+
+
+GOLDEN_AUDITS = Path(__file__).parent / "golden" / "audits.json"
+
+
+def test_audit_golden():
+    """Every theorem's report at two sizes, byte for byte."""
+    cases = [(t, n) for t in THEOREM_IDS for n in ((6, 10) if t == "ses_final" else (3, 15))]
+    reports = {f"{t} {n}": run_audit(t, n).to_dict() for t, n in cases}
+    assert json.dumps(reports, sort_keys=True, indent=2) + "\n" == GOLDEN_AUDITS.read_text()

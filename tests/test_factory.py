@@ -118,8 +118,13 @@ def test_holomorph_orders():
     assert len(holomorph(D(30)).group) == 3600
 
 
-def test_holomorph_structure():
-    hol = holomorph(build(SemidirectCC(3, 2, 2)))
+@pytest.mark.parametrize(
+    "spec",
+    [SemidirectCC(3, 2, 2), Dihedral(6), Alternating4(), Cyclic(30)],
+    ids=["SD(3,2;2)", "D6", "A4", "C30"],
+)
+def test_holomorph_structure(spec):
+    hol = holomorph(build(spec))
     N, aut = hol.n_group, hol.aut
     assert len(hol.group) == len(N) * len(aut)
     lam_set = set(hol.lam)
@@ -134,17 +139,9 @@ def test_holomorph_structure():
         assert perm.compose(hol.lam[t], hol.iota[a]) == h
 
 
-@pytest.mark.parametrize(
-    "spec", [Dihedral(6), Alternating4(), Cyclic(30)], ids=["D6", "A4", "C30"]
-)
-def test_holomorph_table_from_coordinates(spec):
-    hol = holomorph(build(spec))
-    G = hol.group
-    for h in G.elements:
-        t, a = hol.tags[h]
-        assert perm.compose(hol.lam[t], hol.iota[a]) == h
-    composed = PermGroup(G.degree, G.elements).table()
-    assert G.table() == composed
+def test_holomorph_is_memoized_per_group():
+    N = build(Dihedral(10))
+    assert holomorph(N) is holomorph(N)
 
 
 def test_holomorph_takes_any_generating_set(monkeypatch):
@@ -167,6 +164,14 @@ def test_holomorph_invariants_across_catalog(order):
         assert len(hol.group) == len(entry.group) * len(hol.aut)
         lam_group = PermGroup(hol.group.degree, hol.lam)
         assert is_regular(lam_group)
+
+
+def test_catalog_returns_a_fresh_list():
+    first = catalog(6)
+    expected = list(first)
+    first.clear()
+    again = catalog(6)
+    assert again == expected and again is not first
 
 
 def test_catalog_counts():

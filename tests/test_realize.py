@@ -215,6 +215,11 @@ def test_catalog_classes_are_two_generated(order):
         assert len(entry.group.minimal_generating_set()) <= 2, entry.spec.text()
 
 
+def test_regular_subgroups_is_memoized_per_holomorph():
+    hol = holomorph(C(6))
+    assert regular_subgroups(hol) is regular_subgroups(hol)
+
+
 def test_regular_subgroups_order_bound():
     with pytest.raises(BoundExceededError):
         regular_subgroups(holomorph(build(Cyclic(31))))
