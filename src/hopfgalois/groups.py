@@ -8,6 +8,7 @@ explicit enumeration is used throughout instead of stabilizer chains.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from math import lcm
@@ -84,15 +85,24 @@ class PermGroup:
         return self._index[perm.compose(self.elements[i], self.elements[j])]
 
     def table(self):
-        """Full index multiplication table; built lazily for small groups."""
+        """Full index multiplication table; built lazily for small groups.
+
+        Entry [i][j] is the index of compose(elements[i], elements[j]).
+        Composing with q is ``itemgetter(*q)``, one C call per entry, so a
+        row is one lookup per column.  Below degree 2 the group is trivial,
+        and ``itemgetter`` of one index would return a scalar, so that case
+        is written out.
+        """
         if self._mul_table is None:
             if len(self) > TABLE_LIMIT:
                 raise BoundExceededError(f"no table above {TABLE_LIMIT} elements")
             els = self.elements
             idx = self._index
-            self._mul_table = [
-                tuple(idx[perm.compose(p, q)] for q in els) for p in els
-            ]
+            if self.degree < 2:
+                self._mul_table = [(0,)]
+            else:
+                cols = [operator.itemgetter(*q) for q in els]
+                self._mul_table = [tuple(idx[col(p)] for col in cols) for p in els]
         return self._mul_table
 
     def inv(self, i: int) -> int:

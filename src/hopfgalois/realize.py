@@ -157,40 +157,80 @@ def subgroup_from_cocycle(c: CrossedHom, hol: HolomorphGroup) -> RegularSubgroup
     return RegularSubgroupRecord(sub, idx, entries[idx].spec.text(), c, "cocycle")
 
 
+def hom_orbits(G: PermGroup, aut: PermGroup, homs):
+    """Aut(N)-conjugacy orbits of Hom(G, Aut N), one (f, orbit) per orbit.
+
+    ``homs`` is the list from ``homomorphisms(G, aut)``; representatives
+    come in its order, each the first member of its orbit.  An f is keyed
+    by its images of G's frame generators, which determine it, and its
+    orbit is the set of keys of the conjugates b * f * b^-1, read from
+    ``aut.table()``.  Every orbit must lie inside ``homs``, and once the
+    scan is complete the orbit sizes must sum to ``len(homs)``; either
+    failure raises CountingBugError.
+    """
+    gens = generator_frame(G, GENERATOR_BOUND, BoundExceededError)[0]
+    atab = aut.table()
+    pairs = [(atab[b], aut.inv(b)) for b in range(len(aut))]
+    keyed = [(tuple(f.images[g] for g in gens), f) for f in homs]
+    keys = {key for key, _ in keyed}
+    seen = set()
+    covered = 0
+    for key, f in keyed:
+        if key in seen:
+            continue
+        orbit = {tuple(atab[row[x]][ib] for x in key) for row, ib in pairs}
+        if not orbit <= keys:
+            raise CountingBugError("Aut(N)-orbit leaves Hom(G, Aut N)")
+        seen |= orbit
+        covered += len(orbit)
+        yield f, orbit
+    if covered != len(homs):
+        raise CountingBugError(
+            f"Aut(N)-orbit sizes sum to {covered}, |Hom(G, Aut N)| = {len(homs)}"
+        )
+
+
 def realizable_via_cocycles(G: PermGroup, N: PermGroup, threads=1):
     """A witness (f, g) if G embeds as a regular subgroup of Hol(N).
 
     Iterates f over Hom(G, Aut(N)) in canonical order and returns the
-    first bijective crossed homomorphism, or None.
+    first bijective crossed homomorphism, or None.  An f conjugate under
+    Aut(N) to an f already scanned empty has none either, since
+    (f, g) -> (b f b^-1, b g) is a bijection of the pairs; so only orbit
+    representatives are scanned, and the witness is the one the full scan
+    would find.  With ``threads`` > 1, representatives are probed in
+    blocks of that size.
     """
     if len(G) != len(N):
         raise PreconditionError("realizability needs |G| = |N|")
     aut = automorphism_group(N)
-    homs = homomorphisms(G, aut)
+    reps = (f for f, _ in hom_orbits(G, aut, homomorphisms(G, aut)))
 
     def probe(f):
         found = crossed_homomorphisms(f, G, N, limit=1)
         return found[0] if found else None
 
     if threads <= 1:
-        for f in homs:
-            w = probe(f)
-            if w is not None:
-                return w
-        return None
-    for block_start in range(0, len(homs), threads):
-        block = homs[block_start : block_start + threads]
-        for w in parallel_map(probe, block, threads=threads):
-            if w is not None:
-                return w
+        return next(filter(None, map(probe, reps)), None)
+    while block := list(itertools.islice(reps, threads)):
+        w = next(filter(None, parallel_map(probe, block, threads=threads)), None)
+        if w is not None:
+            return w
     return None
 
 
 def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
-    """Total number of (f, g) pairs over every f in Hom(G, Aut(N))."""
+    """Total number of (f, g) pairs over every f in Hom(G, Aut(N)).
+
+    The count for f is constant on its Aut(N)-conjugacy orbit, because
+    (f, g) -> (b f b^-1, b g) is a bijection of the pairs for each b in
+    Aut(N).  So each orbit representative is scanned once and its count
+    weighted by the orbit size.
+    """
     aut = automorphism_group(N)
     return sum(
-        len(crossed_homomorphisms(f, G, N)) for f in homomorphisms(G, aut)
+        len(orbit) * len(crossed_homomorphisms(f, G, N))
+        for f, orbit in hom_orbits(G, aut, homomorphisms(G, aut))
     )
 
 

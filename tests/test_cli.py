@@ -181,12 +181,15 @@ def test_store_aut_cache_bit_identical(tmp_path):
     assert cache_file.exists()
     cached = json.loads(cache_file.read_text())
     (value,) = [v for k, v in cached.items() if k.endswith(":C15")]
-    from hopfgalois import Cyclic, automorphism_group, build
+    from hopfgalois import Cyclic, PermGroup, automorphism_group, build, holomorph
 
-    fresh = build(Cyclic(15))
-    fresh._aut_group = None
+    # recompute on an unshared copy: build(...) is memoized, and clearing
+    # its Aut would split it from holomorph(...).aut
+    shared = build(Cyclic(15))
+    fresh = PermGroup(shared.degree, shared.elements, label=shared.label)
     recomputed = automorphism_group(fresh)
     assert [tuple(p) for p in value] == list(recomputed.elements)
+    assert holomorph(shared).aut is automorphism_group(shared)
 
 
 def test_store_aut_cache_written_after_in_process_aut(tmp_path):

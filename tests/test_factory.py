@@ -294,9 +294,11 @@ def test_aut_cache_roundtrip(tmp_path):
     from hopfgalois.store import AutCache
 
     cache = AutCache(tmp_path / "aut.json")
-    fresh = build(Cyclic(15))
-    fresh._aut_group = None
+    # an unshared copy, so the memoized build(...) keeps its Aut
+    shared = build(Cyclic(15))
+    fresh = PermGroup(shared.degree, shared.elements, label=shared.label)
     first = automorphism_group(fresh, cache=cache)
     reloaded = AutCache(tmp_path / "aut.json")
     again = PermGroup(len(fresh), [tuple(p) for p in reloaded.get("C15")])
     assert again.elements == first.elements
+    assert holomorph(shared).aut is automorphism_group(shared)

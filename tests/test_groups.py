@@ -2,9 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hopfgalois import (
     all_subgroups,
+    catalog,
+    holomorph,
     are_isomorphic,
     characteristic_subgroups,
     automorphism_group,
@@ -31,7 +35,7 @@ from hopfgalois.errors import (
     CapExceededError,
     PreconditionError,
 )
-from hopfgalois.groups import is_normal, left_translation
+from hopfgalois.groups import PermGroup, is_normal, left_translation
 
 from conftest import C, D, brute_force_homomorphisms
 
@@ -309,3 +313,49 @@ def test_order_profile_and_table_consistency():
         assert table[i][j] == G.index_of(
             perm.compose(G.elements[i], G.elements[j])
         )
+
+
+def compose_table(G):
+    # the table straight from the definition, one perm.compose per entry
+    return [
+        tuple(G.index_of(perm.compose(p, q)) for q in G.elements)
+        for p in G.elements
+    ]
+
+
+def fresh_copy(G):
+    # tables are built once per object; a copy makes table() build anew
+    return PermGroup(G.degree, G.elements)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: C(1),
+        lambda: C(2),
+        lambda: D(6),
+        lambda: next(e.group for e in catalog(12) if e.spec.text() == "A4"),
+        lambda: holomorph(C(6)).group,
+        lambda: automorphism_group(D(42)),
+    ],
+    ids=["C1", "C2", "D6", "A4", "Hol(C6)", "Aut(D42)"],
+)
+def test_table_matches_compose(make):
+    G = fresh_copy(make())
+    assert G.table() == compose_table(G)
+
+
+@st.composite
+def small_closures(draw):
+    degree = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    try:
+        return closure([tuple(g) for g in gens], cap=120)
+    except CapExceededError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_closures())
+def test_table_matches_compose_on_random_closures(G):
+    assert G.table() == compose_table(G)

@@ -23,9 +23,11 @@ from hopfgalois import (
     transport_characteristic,
     unique_odd_part,
 )
-from hopfgalois.errors import BoundExceededError, PreconditionError
+from hopfgalois import realize
+from hopfgalois.errors import BoundExceededError, CountingBugError, PreconditionError
 from hopfgalois.factory import is_squarefree
 from hopfgalois.groups import subgroups_of_order
+from hopfgalois.realize import hom_orbits
 
 from conftest import C, D, brute_force_bijective_crossed_homs
 
@@ -307,3 +309,90 @@ def test_threads_deterministic():
     w1 = realizable_via_cocycles(G, N, threads=1)
     w4 = realizable_via_cocycles(G, N, threads=4)
     assert (w1.f.images, w1.g) == (w4.f.images, w4.g)
+
+
+def per_f_count(G, N):
+    # the plain scan: one crossed-hom count per f in Hom(G, Aut N)
+    aut = automorphism_group(N)
+    return sum(len(crossed_homomorphisms(f, G, N)) for f in homomorphisms(G, aut))
+
+
+def naive_first_witness(G, N):
+    # the plain canonical scan: first f with a bijective crossed hom
+    aut = automorphism_group(N)
+    for f in homomorphisms(G, aut):
+        found = crossed_homomorphisms(f, G, N, limit=1)
+        if found:
+            return f.images, found[0].g
+    return None
+
+
+def catalog_pairs(order, n_texts=None):
+    entries = catalog(order)
+    return [
+        (g, n)
+        for n in entries
+        if n_texts is None or n.spec.text() in n_texts
+        for g in entries
+    ]
+
+
+ORBIT_PAIRS = catalog_pairs(30) + catalog_pairs(42, {"SD(14,3;9)", "SD(7,6;3)"})
+
+
+@pytest.mark.parametrize(
+    "g,n", ORBIT_PAIRS, ids=[f"{g.spec.text()}-{n.spec.text()}" for g, n in ORBIT_PAIRS]
+)
+def test_orbit_count_matches_per_f_sum(g, n):
+    assert count_crossed_pairs(g.group, n.group) == per_f_count(g.group, n.group)
+
+
+@pytest.mark.parametrize("order", [6, 12, 30])
+def test_hom_orbits_partition_hom(order):
+    for g, n in catalog_pairs(order):
+        aut = automorphism_group(n.group)
+        homs = homomorphisms(g.group, aut)
+        orbits = list(hom_orbits(g.group, aut, homs))
+        assert sum(len(o) for _, o in orbits) == len(homs)
+        positions = [homs.index(f) for f, _ in orbits]
+        assert positions == sorted(positions) and positions[:1] == [0]
+
+
+def _hom_with_big_orbit(G, N):
+    aut = automorphism_group(N)
+    homs = homomorphisms(G, aut)
+    f, orbit = next((f, o) for f, o in hom_orbits(G, aut, homs) if len(o) > 1)
+    return aut, homs, f
+
+
+def test_orbit_leaving_hom_is_a_bug(monkeypatch):
+    G, N = C(6), D(6)
+    aut, homs, f = _hom_with_big_orbit(G, N)
+    cut = [h for h in homs if h != f]  # an orbit of a later f now leaves Hom
+    with pytest.raises(CountingBugError):
+        list(hom_orbits(G, aut, cut))
+    monkeypatch.setattr(realize, "homomorphisms", lambda G, H: cut)
+    with pytest.raises(CountingBugError):
+        count_crossed_pairs(G, N)
+
+
+def test_orbit_sizes_not_summing_is_a_bug():
+    G, N = C(6), D(6)
+    aut, homs, f = _hom_with_big_orbit(G, N)
+    with pytest.raises(CountingBugError):
+        list(hom_orbits(G, aut, homs + [f]))
+
+
+FIRST_HIT_PAIRS = [p for order in (6, 10, 12, 30) for p in catalog_pairs(order)]
+
+
+@pytest.mark.parametrize(
+    "g,n",
+    FIRST_HIT_PAIRS,
+    ids=[f"{g.spec.text()}-{n.spec.text()}" for g, n in FIRST_HIT_PAIRS],
+)
+def test_first_witness_matches_canonical_scan(g, n):
+    expected = naive_first_witness(g.group, n.group)
+    for threads in (1, 3):
+        w = realizable_via_cocycles(g.group, n.group, threads=threads)
+        assert (None if w is None else (w.f.images, w.g)) == expected
