@@ -156,23 +156,15 @@ def _catalog_or_none(order):
         return None
 
 
-def audit_p001(max_2n: int, orders=None) -> AuditReport:
+def audit_p001(max_2n: int) -> AuditReport:
     """Unconditional: every group of order 2n (n odd) has exactly one
     subgroup of order n, equal to the sign-of-translation kernel.
 
-    Quantifies over the default audit orders up to ``max_2n``; pass
-    ``orders`` to override the domain (each must be twice an odd number
-    with catalog support).
+    Quantifies over the default audit orders up to ``max_2n``.
     """
     if max_2n % 2 or (max_2n // 2) % 2 == 0:
         raise PreconditionError(f"order {max_2n} is not twice an odd number")
-    if orders is None:
-        orders = [o for o in AUDIT_ORDERS if o <= max_2n]
-    else:
-        orders = sorted(orders)
-        for o in orders:
-            if o % 2 or (o // 2) % 2 == 0:
-                raise PreconditionError(f"order {o} is not twice an odd number")
+    orders = [o for o in AUDIT_ORDERS if o <= max_2n]
     instances = []
     for order in orders:
         n = order // 2

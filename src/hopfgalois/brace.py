@@ -8,7 +8,7 @@ additive identity to a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .groups import PermGroup, is_regular
@@ -19,13 +19,6 @@ class SkewBrace:
     size: int
     add_table: tuple
     mul_table: tuple
-    labels: tuple = field(default=None)
-
-    def __post_init__(self):
-        if self.labels is None:
-            object.__setattr__(
-                self, "labels", tuple(str(i) for i in range(self.size))
-            )
 
 
 def group_table_identity(table):
@@ -74,18 +67,16 @@ def brace_from_regular(R: PermGroup, N: PermGroup) -> SkewBrace:
     pi = [None] * n
     for p in R.elements:
         pi[p[e]] = p
-    add = tuple(tuple(N.mul(i, j) for j in range(n)) for i in range(n))
     mul = tuple(pi[a] for a in range(n))
-    brace = SkewBrace(n, add, mul)
+    brace = SkewBrace(n, tuple(N.table()), mul)
     if not verify_brace(brace):
         raise PreconditionError("induced tables violate the brace law")  # pragma: no cover
     return brace
 
 
 def trivial_brace(N: PermGroup) -> SkewBrace:
-    n = len(N)
-    add = tuple(tuple(N.mul(i, j) for j in range(n)) for i in range(n))
-    return SkewBrace(n, add, add)
+    add = tuple(N.table())
+    return SkewBrace(len(N), add, add)
 
 
 def verify_brace(B: SkewBrace) -> bool:

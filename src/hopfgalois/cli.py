@@ -5,8 +5,7 @@ Exit codes partition outcomes so shell pipelines can tell them apart:
 4 audit fail, 5 audit vacuous or unsupported.
 
 JSON output is schema-stable (sorted keys, fixed field set, no timing)
-and byte-identical across runs and thread counts; timings go only to the
-results store.
+and byte-identical across runs; timings go only to the results store.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ EXIT_AUDIT_VACUOUS = 5
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p.add_argument("--store", default=None, help="append a JSONL record here")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="ignored; both engines run on one thread")
     p.add_argument(
         "--seedless",
         action="store_true",
@@ -104,7 +103,7 @@ def _cmd_realizable(args):
     }
     verdicts = {}
     if args.method in ("cocycle", "both"):
-        w = realizable_via_cocycles(G, N, threads=args.threads)
+        w = realizable_via_cocycles(G, N)
         verdicts["cocycle"] = w is not None
         result["witness"] = (
             None

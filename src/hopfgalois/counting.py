@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, inf
 
 from . import perm
 from .errors import BudgetExceededError, CountingBugError, PreconditionError
@@ -135,11 +135,11 @@ def count_hgs_dihedral(n: int, with_direct=False, budget_seconds=None) -> CountR
     )
 
 
-def _semiregular_symmetric(m: int, check_budget=None):
+def _semiregular_symmetric(m: int, check_budget):
     ident = perm.identity(m)
     out = []
     for i, p in enumerate(itertools.permutations(range(m))):
-        if check_budget is not None and i % 4096 == 0:
+        if i % 4096 == 0:
             check_budget()
         if p != ident and perm.is_semiregular(p):
             out.append(p)
@@ -153,12 +153,17 @@ def direct_normalized_count(G: PermGroup, budget_seconds=None) -> int:
     set-level deduplication; this count equals the number of Hopf-Galois
     structures on a Galois extension with group G.  Orders above 6 need an
     explicit time budget and fail with BudgetExceededError when it runs
-    out (reported, never returned as a count).
+    out (reported, never returned as a count).  A budget must be a finite
+    number of seconds >= 0; NaN would make the deadline unreachable.
     """
     m = len(G)
     if m > 6 and budget_seconds is None:
         raise PreconditionError(
             f"order {m} > 6 needs an explicit budget_seconds"
+        )
+    if budget_seconds is not None and not 0 <= budget_seconds < inf:
+        raise PreconditionError(
+            f"budget_seconds must be finite and >= 0, got {budget_seconds}"
         )
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     if m <= TABLE_LIMIT:
@@ -177,7 +182,7 @@ def direct_normalized_count(G: PermGroup, budget_seconds=None) -> int:
                 f"direct count for order {m} ran past its budget"
             )
 
-    semis = _semiregular_symmetric(m, check_budget if deadline is not None else None)
+    semis = _semiregular_symmetric(m, check_budget)
     orders = {p: perm.order(p) for p in semis}
     semis.sort(key=lambda p: (-orders[p], p))
     pool = set(semis)

@@ -239,7 +239,7 @@ def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
 # Automorphism groups and holomorphs.
 
 
-def automorphism_group(N: PermGroup, max_generators=3, cache=None) -> PermGroup:
+def automorphism_group(N: PermGroup, cache=None) -> PermGroup:
     """All automorphisms of N, as permutations of N's element indices.
 
     Generator-image search over order-matched candidates; every candidate
@@ -259,7 +259,7 @@ def automorphism_group(N: PermGroup, max_generators=3, cache=None) -> PermGroup:
         if hit is not None:
             aut = PermGroup(len(N), hit)
         else:
-            aut = PermGroup(len(N), _automorphism_perms(N, max_generators))
+            aut = PermGroup(len(N), _automorphism_perms(N))
         N._aut_group = aut
     if key is not None and hit is None:
         cache.put(key, [list(p) for p in aut.elements])
@@ -286,8 +286,8 @@ def _cached_perms(entry, degree, key):
     raise HopfGaloisError(f"malformed Aut cache entry for {key}")
 
 
-def _automorphism_perms(N: PermGroup, max_generators):
-    frame = generator_frame(N, max_generators, PreconditionError)
+def _automorphism_perms(N: PermGroup):
+    frame = generator_frame(N)
     if len(N) <= TABLE_LIMIT:
         N.table()
     cands = [

@@ -22,7 +22,6 @@ from .errors import (
 )
 
 SUBGROUP_BOUND = 400   # default |G| cap for full subgroup enumeration
-GENERATOR_BOUND = 3    # default cap on generating-set size for searches
 TABLE_LIMIT = 1200     # build a full index multiplication table below this
 
 
@@ -311,12 +310,12 @@ def _is_prime_power(n: int) -> bool:
     return len(factorize(n).pairs) == 1
 
 
-def all_subgroups(G: PermGroup, bound=SUBGROUP_BOUND) -> list[PermGroup]:
+def all_subgroups(G: PermGroup) -> list[PermGroup]:
     """Every subgroup of G exactly once, ascending by order then element list."""
-    if G._subgroups is None or G._subgroups[0] != bound:
-        sets = _subgroup_sets(G, bound, None)
-        G._subgroups = (bound, [G.subgroup_from_indices(s) for s in sets])
-    return list(G._subgroups[1])
+    if G._subgroups is None:
+        sets = _subgroup_sets(G, SUBGROUP_BOUND, None)
+        G._subgroups = [G.subgroup_from_indices(s) for s in sets]
+    return list(G._subgroups)
 
 
 def subgroups_of_order(G: PermGroup, order: int, bound=SUBGROUP_BOUND):
@@ -380,16 +379,13 @@ def bfs_order(G: PermGroup, gen_idxs):
     return order, parent
 
 
-def generator_frame(G: PermGroup, max_generators, error):
+def generator_frame(G: PermGroup):
     """Generator indices of a smallest generating set, with its bfs_order.
 
-    Returns (gen_idxs, order, parent); raises ``error`` when G needs more
-    than ``max_generators`` generators.
+    Returns (gen_idxs, order, parent); minimal_generating_set raises
+    BoundExceededError when G needs more than three generators.
     """
-    gens = G.minimal_generating_set()
-    if len(gens) > max_generators:
-        raise error(f"needs {len(gens)} generators, bound is {max_generators}")
-    gen_idxs = [G.index_of(g) for g in gens]
+    gen_idxs = [G.index_of(g) for g in G.minimal_generating_set()]
     return (gen_idxs,) + bfs_order(G, gen_idxs)
 
 
@@ -445,13 +441,13 @@ def extend_images(
                 yield tuple(m)
 
 
-def homomorphisms(G: PermGroup, H: PermGroup, max_generators=GENERATOR_BOUND):
+def homomorphisms(G: PermGroup, H: PermGroup):
     """All homomorphisms G -> H, in canonical order of their image tables.
 
     Generator images are filtered by order divisibility and searched with
     extend_images.
     """
-    frame = generator_frame(G, max_generators, BoundExceededError)
+    frame = generator_frame(G)
     H.table()
     cands = [
         [j for j in range(len(H)) if G.order_of(gi) % H.order_of(j) == 0]
@@ -471,7 +467,7 @@ def are_isomorphic(G: PermGroup, H: PermGroup):
         return None
     if G.is_abelian() != H.is_abelian():
         return None
-    frame = generator_frame(G, GENERATOR_BOUND, BoundExceededError)
+    frame = generator_frame(G)
     if len(H) <= TABLE_LIMIT:
         H.table()
     cands = [

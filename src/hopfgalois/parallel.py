@@ -1,8 +1,5 @@
-"""Deterministic thread fan-out for candidate searches.
-
-Work is mapped in input order and results are collected positionally, so
-callers that sort or scan the output get schedule-independent answers.
-"""
+"""Unused by the library; kept only because perfbench/tracing.py names it
+(it goes with ROADMAP item 2)."""
 
 from __future__ import annotations
 

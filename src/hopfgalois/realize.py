@@ -27,7 +27,6 @@ from .factory import (
     holomorph,
 )
 from .groups import (
-    GENERATOR_BOUND,
     Homomorphism,
     PermGroup,
     extend_images,
@@ -36,7 +35,6 @@ from .groups import (
     is_regular,
     are_isomorphic,
 )
-from .parallel import parallel_map
 
 PAIR_SEARCH_MAX = 30   # max |N| for the direct Hol(N) search
 
@@ -92,7 +90,7 @@ def crossed_homomorphisms(f: Homomorphism, G: PermGroup, N: PermGroup, limit=Non
     """
     if len(G) != len(N):
         raise PreconditionError("crossed homomorphisms need |G| = |N|")
-    frame = generator_frame(G, GENERATOR_BOUND, BoundExceededError)
+    frame = generator_frame(G)
     N.table()
     f_perms = [f.image_perm(a) for a in range(len(G))]
     cands = [_cyclic_consistent_images(G, N, f_perms, gi) for gi in frame[0]]
@@ -168,7 +166,7 @@ def hom_orbits(G: PermGroup, aut: PermGroup, homs):
     scan is complete the orbit sizes must sum to ``len(homs)``; either
     failure raises CountingBugError.
     """
-    gens = generator_frame(G, GENERATOR_BOUND, BoundExceededError)[0]
+    gens = generator_frame(G)[0]
     atab = aut.table()
     pairs = [(atab[b], aut.inv(b)) for b in range(len(aut))]
     keyed = [(tuple(f.images[g] for g in gens), f) for f in homs]
@@ -190,7 +188,7 @@ def hom_orbits(G: PermGroup, aut: PermGroup, homs):
         )
 
 
-def realizable_via_cocycles(G: PermGroup, N: PermGroup, threads=1):
+def realizable_via_cocycles(G: PermGroup, N: PermGroup):
     """A witness (f, g) if G embeds as a regular subgroup of Hol(N).
 
     Iterates f over Hom(G, Aut(N)) in canonical order and returns the
@@ -198,8 +196,7 @@ def realizable_via_cocycles(G: PermGroup, N: PermGroup, threads=1):
     Aut(N) to an f already scanned empty has none either, since
     (f, g) -> (b f b^-1, b g) is a bijection of the pairs; so only orbit
     representatives are scanned, and the witness is the one the full scan
-    would find.  With ``threads`` > 1, representatives are probed in
-    blocks of that size.
+    would find.
     """
     if len(G) != len(N):
         raise PreconditionError("realizability needs |G| = |N|")
@@ -210,13 +207,7 @@ def realizable_via_cocycles(G: PermGroup, N: PermGroup, threads=1):
         found = crossed_homomorphisms(f, G, N, limit=1)
         return found[0] if found else None
 
-    if threads <= 1:
-        return next(filter(None, map(probe, reps)), None)
-    while block := list(itertools.islice(reps, threads)):
-        w = next(filter(None, parallel_map(probe, block, threads=threads)), None)
-        if w is not None:
-            return w
-    return None
+    return next(filter(None, map(probe, reps)), None)
 
 
 def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:

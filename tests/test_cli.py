@@ -147,6 +147,25 @@ def test_thread_count_does_not_change_bytes(argv):
     assert single == multi
 
 
+def test_count_dihedral_nan_budget_is_not_run():
+    code, out = run_cli(
+        ["count-dihedral", "--n", "3", "--direct", "--budget", "nan", "--format", "json"]
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["agreement"] == "direct-not-run"
+    assert result["e_direct"] is None
+    assert result["direct_method"].startswith("not-run")
+
+
+def test_four_generator_group_is_error(capsys):
+    code, _ = run_cli(["realizable", "--g", "C2xC2xC2xC2", "--n", "C16"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_seedless_flag_accepted():
     code, _ = run_cli(["catalog", "--order", "6", "--seedless"])
     assert code == 0

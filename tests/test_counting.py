@@ -119,6 +119,13 @@ def test_direct_count_needs_budget_above_6():
         direct_normalized_count(D(10))
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1])
+def test_direct_count_rejects_bad_budget(budget):
+    # a NaN deadline is never passed, so the budget would be switched off
+    with pytest.raises(PreconditionError):
+        direct_normalized_count(build(Dihedral(6)), budget_seconds=budget)
+
+
 def test_direct_count_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         direct_normalized_count(D(10), budget_seconds=0.0)

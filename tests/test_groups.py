@@ -121,8 +121,10 @@ def test_all_subgroups_lagrange_and_distinct():
 
 
 def test_all_subgroups_bound():
+    s6 = closure([(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+    assert len(s6) == 720  # above SUBGROUP_BOUND = 400
     with pytest.raises(BoundExceededError):
-        all_subgroups(C(6), bound=5)
+        all_subgroups(s6)
 
 
 @pytest.mark.parametrize(
@@ -188,9 +190,11 @@ def test_homomorphisms_against_brute_force(g_spec, h_spec):
     assert fast == brute_force_homomorphisms(G, H)
 
 
-def test_homomorphisms_generator_bound(z3xz3):
-    with pytest.raises(BoundExceededError):
-        homomorphisms(z3xz3, C(3), max_generators=1)
+def test_homomorphisms_generator_bound():
+    c2_2 = DirectProduct(Cyclic(2), Cyclic(2))
+    c2_4 = build(DirectProduct(c2_2, c2_2))
+    with pytest.raises(BoundExceededError):  # needs four generators
+        homomorphisms(c2_4, C(2))
 
 
 def test_are_isomorphic_identity():

@@ -304,13 +304,6 @@ def test_transport_rotations():
     assert len(H) == 3 and inner is not None
 
 
-def test_threads_deterministic():
-    G, N = C(6), D(6)
-    w1 = realizable_via_cocycles(G, N, threads=1)
-    w4 = realizable_via_cocycles(G, N, threads=4)
-    assert (w1.f.images, w1.g) == (w4.f.images, w4.g)
-
-
 def per_f_count(G, N):
     # the plain scan: one crossed-hom count per f in Hom(G, Aut N)
     aut = automorphism_group(N)
@@ -392,7 +385,7 @@ FIRST_HIT_PAIRS = [p for order in (6, 10, 12, 30) for p in catalog_pairs(order)]
     ids=[f"{g.spec.text()}-{n.spec.text()}" for g, n in FIRST_HIT_PAIRS],
 )
 def test_first_witness_matches_canonical_scan(g, n):
-    expected = naive_first_witness(g.group, n.group)
-    for threads in (1, 3):
-        w = realizable_via_cocycles(g.group, n.group, threads=threads)
-        assert (None if w is None else (w.f.images, w.g)) == expected
+    w = realizable_via_cocycles(g.group, n.group)
+    assert (None if w is None else (w.f.images, w.g)) == naive_first_witness(
+        g.group, n.group
+    )
