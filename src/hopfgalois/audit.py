@@ -162,8 +162,7 @@ def audit_p001(max_2n: int) -> AuditReport:
 
     Quantifies over the default audit orders up to ``max_2n``.
     """
-    if max_2n % 2 or (max_2n // 2) % 2 == 0:
-        raise PreconditionError(f"order {max_2n} is not twice an odd number")
+    _require_twice_odd(max_2n)
     orders = [o for o in AUDIT_ORDERS if o <= max_2n]
     instances = []
     for order in orders:

@@ -21,7 +21,7 @@ from .audit import THEOREM_IDS, run_audit
 from .brace import brace_from_regular, lambda_circ_in_hol, verify_brace
 from .counting import count_hgs_dihedral
 from .errors import HopfGaloisError
-from .factory import automorphism_group, build, catalog, holomorph
+from .factory import build, catalog, holomorph
 from .realize import (
     realizable_via_cocycles,
     realizable_via_search,
@@ -272,7 +272,6 @@ def main(argv=None) -> int:
     try:
         if args.store:
             store = ResultsStore(args.store)
-            _warm_aut_cache(args, store)
         inputs, result, code = _COMMANDS[args.command](args)
         if store is not None:
             elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -286,21 +285,6 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     sys.stdout.write(_render(args.command, inputs, result, args.format))
     return code
-
-
-def _warm_aut_cache(args, store: ResultsStore):
-    """Precompute Aut for the directly named groups through the store cache."""
-    texts = [
-        getattr(args, name)
-        for name in ("g", "n", "hol_of")
-        if isinstance(getattr(args, name, None), str)
-    ]
-    for text in texts:
-        try:
-            spec = parse_group_spec(text)
-        except HopfGaloisError:
-            continue
-        automorphism_group(build(spec), cache=store.aut_cache)
 
 
 def app():  # console entry point

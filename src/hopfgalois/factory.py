@@ -16,7 +16,6 @@ from math import gcd
 
 from . import perm
 from .errors import (
-    HopfGaloisError,
     PreconditionError,
     SpecSemanticError,
     UnsupportedOrderError,
@@ -239,51 +238,16 @@ def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
 # Automorphism groups and holomorphs.
 
 
-def automorphism_group(N: PermGroup, cache=None) -> PermGroup:
-    """All automorphisms of N, as permutations of N's element indices.
+@functools.cache
+def automorphism_group(N: PermGroup) -> PermGroup:
+    """All automorphisms of N, as permutations of N's element indices,
+    computed once per group object.
 
     Generator-image search over order-matched candidates; every candidate
     map is verified multiplicative and bijective, so the returned list is
-    the complete automorphism group.  ``cache`` may be a dict-like object
-    keyed by canonical spec text (only labeled groups are cached).  The
-    cache gets the entry whenever its key is missing, even when Aut was
-    already computed in this process.  A malformed entry raises
-    HopfGaloisError; one that is well formed but wrong is trusted.
+    the complete automorphism group.
     """
-    aut = getattr(N, "_aut_group", None)
-    key = N.label.text() if cache is not None and N.label is not None else None
-    hit = None if key is None else cache.get(key)
-    if hit is not None:
-        hit = _cached_perms(hit, len(N), key)
-    if aut is None:
-        if hit is not None:
-            aut = PermGroup(len(N), hit)
-        else:
-            aut = PermGroup(len(N), _automorphism_perms(N))
-        N._aut_group = aut
-    if key is not None and hit is None:
-        cache.put(key, [list(p) for p in aut.elements])
-    return aut
-
-
-def _cached_perms(entry, degree, key):
-    """A cache entry as permutation tuples; raises unless it is a list of
-    distinct permutations of range(degree) that includes the identity."""
-    perms = []
-    if isinstance(entry, list):
-        for p in entry:
-            if not (
-                isinstance(p, list)
-                and len(p) == degree
-                and all(type(x) is int for x in p)
-                and perm.is_perm(p)
-            ):
-                break
-            perms.append(tuple(p))
-        else:
-            if perm.identity(degree) in perms and len(set(perms)) == len(perms):
-                return perms
-    raise HopfGaloisError(f"malformed Aut cache entry for {key}")
+    return PermGroup(len(N), _automorphism_perms(N))
 
 
 def _automorphism_perms(N: PermGroup):

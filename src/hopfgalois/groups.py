@@ -32,10 +32,10 @@ class PermGroup:
     generating sets of the same subgroup produce identical lists and the
     identity always sits at index 0.  The element list is fixed at
     construction; the multiplication, inverse and order tables, the
-    generating set and the subgroup list fill in lazily on first use.  The
-    one object another module sets on an instance is ``_aut_group``, from
-    ``factory.automorphism_group``; holomorphs and their regular subgroups
-    are memoized by ``functools.cache`` with the group as key.
+    generating set and the subgroup list fill in lazily on first use.  No
+    other module sets attributes on an instance; automorphism groups,
+    holomorphs and regular subgroups are memoized by ``functools.cache``
+    with the group as key.
     """
 
     def __init__(self, degree, elements, generators=None, label=None):

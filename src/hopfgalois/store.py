@@ -1,10 +1,8 @@
-"""Append-only results store and the automorphism cache.
+"""Append-only results store.
 
 Records go to a line-delimited JSON file (one self-describing object per
-line, schema-versioned) so runs can be grepped and replayed.  Computed
-automorphism groups are cached in a sidecar JSON file keyed by canonical
-spec text plus engine version; a cache hit must reproduce the computation
-bit for bit, which the tests enforce.
+line, schema-versioned) so runs can be grepped and replayed.  The store
+writes that file and nothing else.
 """
 
 from __future__ import annotations
@@ -20,6 +18,9 @@ ENGINE_VERSION = "0.1.0"
 
 
 class AutCache:
+    """Unused by the library; kept only because perfbench/tracing.py names it
+    (it goes with ROADMAP item 2)."""
+
     def __init__(self, path: Path):
         self.path = Path(path)
         self._data = {}
@@ -52,7 +53,7 @@ class AutCache:
 
 
 class ResultsStore:
-    """One JSONL record per command run, plus the automorphism cache."""
+    """One JSONL record per command run."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -62,7 +63,6 @@ class ResultsStore:
             raise HopfGaloisError(
                 f"cannot create store directory {self.path.parent}: {exc}"
             ) from exc
-        self.aut_cache = AutCache(Path(str(path) + ".autcache.json"))
 
     def record(self, command: str, inputs: dict, outcome: dict, elapsed_ms: int):
         entry = {

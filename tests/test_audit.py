@@ -44,8 +44,9 @@ def test_p001_small():
 
 
 def test_p001_rejects_bad_order():
-    with pytest.raises(PreconditionError):
-        audit_p001(4)
+    for max_2n in (4, -6):
+        with pytest.raises(PreconditionError):
+            audit_p001(max_2n)
 
 
 def test_t001_pass_and_nonvacuous():

@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hopfgalois
 from hopfgalois import cli
 from hopfgalois.audit import AuditReport
 from hopfgalois.store import ResultsStore
@@ -97,6 +101,12 @@ def test_audit_exit_codes():
     assert code == 5
     code, _ = run_cli(["audit", "--theorem", "ses_final", "--n", "10"])
     assert code == 5
+
+
+def test_audit_bad_order_is_error(capsys):
+    code, out = run_cli(["audit", "--theorem", "p001", "--n", "-3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_audit_fail_exit_code(monkeypatch):
@@ -193,71 +203,39 @@ def test_store_records_and_replays(tmp_path):
     assert store.records()[1]["outcome"]["realizable"] is True
 
 
-def test_store_aut_cache_bit_identical(tmp_path):
-    store_path = tmp_path / "results.jsonl"
-    run_cli(["regular-subgroups", "--hol-of", "C15", "--store", str(store_path)])
-    cache_file = Path(str(store_path) + ".autcache.json")
-    assert cache_file.exists()
-    cached = json.loads(cache_file.read_text())
-    (value,) = [v for k, v in cached.items() if k.endswith(":C15")]
-    from hopfgalois import Cyclic, PermGroup, automorphism_group, build, holomorph
-
-    # recompute on an unshared copy: build(...) is memoized, and clearing
-    # its Aut would split it from holomorph(...).aut
-    shared = build(Cyclic(15))
-    fresh = PermGroup(shared.degree, shared.elements, label=shared.label)
-    recomputed = automorphism_group(fresh)
-    assert [tuple(p) for p in value] == list(recomputed.elements)
-    assert holomorph(shared).aut is automorphism_group(shared)
-
-
-def test_store_aut_cache_written_after_in_process_aut(tmp_path):
-    from hopfgalois import Cyclic, automorphism_group, build
-
-    automorphism_group(build(Cyclic(15)))  # Aut(C15) is now stashed
-    store_path = tmp_path / "results.jsonl"
-    run_cli(["regular-subgroups", "--hol-of", "C15", "--store", str(store_path)])
-    cached = json.loads(Path(str(store_path) + ".autcache.json").read_text())
-    assert [k for k in cached if k.endswith(":C15")]
-
-
-@pytest.mark.parametrize("content", ["{not json", "[1, 2]"])
-def test_corrupt_aut_cache_is_error(tmp_path, capsys, content):
-    store_path = tmp_path / "results.jsonl"
-    Path(str(store_path) + ".autcache.json").write_text(content)
-    code, out = run_cli(["catalog", "--order", "6", "--store", str(store_path)])
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not store_path.exists()
-
-
 @pytest.mark.parametrize(
-    "entry",
-    [[[0, 1]], [[1, 0, 2, 3, 4, 5]], [[0, 1, 2, 3, 4, "5"]], "D6"],
-    ids=["short", "no-identity", "non-int", "not-a-list"],
+    "content", ['{"0.1.0:D6": [[0, 1, 2, 3, 4, 5]]}', "{not json"], ids=["cut-down", "corrupt"]
 )
-def test_malformed_aut_cache_entry_is_error(tmp_path, capsys, entry):
-    from hopfgalois.store import ENGINE_VERSION
-
+def test_leftover_aut_cache_file_is_ignored(tmp_path, content):
+    # a fresh process, so no Aut(D6) computed by an earlier test can mask the file
     store_path = tmp_path / "results.jsonl"
-    cache = {f"{ENGINE_VERSION}:D6": entry}
-    Path(str(store_path) + ".autcache.json").write_text(json.dumps(cache))
+    leftover = Path(str(store_path) + ".autcache.json")
+    leftover.write_text(content)
     argv = ["realizable", "--g", "C6", "--n", "D6", "--method", "cocycle"]
-    code, out = run_cli(argv + ["--store", str(store_path)])
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfgalois", *argv, "--store", str(store_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0 and "realizable: True" in proc.stdout, proc.stderr
+    assert leftover.read_bytes() == content.encode()
 
 
-@pytest.mark.parametrize("blocked", ["parent", "store", "cache"])
+def test_store_writes_only_its_log(tmp_path):
+    store_path = tmp_path / "results.jsonl"
+    code, _ = run_cli(["regular-subgroups", "--hol-of", "C15", "--store", str(store_path)])
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+
+
+@pytest.mark.parametrize("blocked", ["parent", "store"])
 def test_unwritable_store_is_error(tmp_path, capsys, blocked):
     store_path = tmp_path / "results.jsonl"
     if blocked == "parent":  # the store's directory is a regular file
         (tmp_path / "F").write_text("")
         store_path = tmp_path / "F" / "x.jsonl"
-    elif blocked == "store":  # the store itself is a directory
+    else:  # the store itself is a directory
         store_path.mkdir()
-    else:  # the Aut cache's temporary file is a directory
-        Path(str(store_path) + ".autcache.json.tmp").mkdir()
     argv = ["realizable", "--g", "C6", "--n", "D6", "--method", "cocycle"]
     code, out = run_cli(argv + ["--store", str(store_path)])
     assert code == 1 and out == ""

@@ -143,6 +143,13 @@ def test_holomorph_structure(spec):
 def test_holomorph_is_memoized_per_group():
     N = build(Dihedral(10))
     assert holomorph(N) is holomorph(N)
+    assert automorphism_group(N) is automorphism_group(N)
+    assert holomorph(N).aut is automorphism_group(N)
+    # an unshared copy is another key: its own Aut object, equal elements
+    copy = PermGroup(N.degree, N.elements)
+    assert automorphism_group(copy) is not automorphism_group(N)
+    assert automorphism_group(copy).elements == automorphism_group(N).elements
+    assert holomorph(copy).aut is automorphism_group(copy)
 
 
 def test_holomorph_takes_any_generating_set(monkeypatch):
@@ -290,16 +297,3 @@ def test_holomorph_spec_builds():
     G = build(Holomorph(Cyclic(6)))
     assert len(G) == 12
 
-
-def test_aut_cache_roundtrip(tmp_path):
-    from hopfgalois.store import AutCache
-
-    cache = AutCache(tmp_path / "aut.json")
-    # an unshared copy, so the memoized build(...) keeps its Aut
-    shared = build(Cyclic(15))
-    fresh = PermGroup(shared.degree, shared.elements, label=shared.label)
-    first = automorphism_group(fresh, cache=cache)
-    reloaded = AutCache(tmp_path / "aut.json")
-    again = PermGroup(len(fresh), [tuple(p) for p in reloaded.get("C15")])
-    assert again.elements == first.elements
-    assert holomorph(shared).aut is automorphism_group(shared)
