@@ -17,7 +17,7 @@ from math import gcd, inf
 from . import perm
 from .errors import BudgetExceededError, CountingBugError, PreconditionError
 from .factory import Dihedral, automorphism_group, build, catalog, class_index, holomorph
-from .groups import TABLE_LIMIT, PermGroup, factorize, left_translation
+from .groups import PermGroup, factorize, left_translation
 from .realize import regular_subgroups
 
 
@@ -166,8 +166,6 @@ def direct_normalized_count(G: PermGroup, budget_seconds=None) -> int:
             f"budget_seconds must be finite and >= 0, got {budget_seconds}"
         )
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    if m <= TABLE_LIMIT:
-        G.table()
     lam_gens = [
         left_translation(G, G.index_of(g)) for g in G.minimal_generating_set()
     ]

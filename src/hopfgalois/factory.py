@@ -22,7 +22,6 @@ from .errors import (
 )
 from .groups import (
     PermGroup,
-    TABLE_LIMIT,
     are_isomorphic,
     closure,
     extend_images,
@@ -143,7 +142,7 @@ def validate_spec(spec: GroupSpec):
             raise SpecSemanticError(f"{spec.text()}: factors must be positive")
         if gcd(k, l) != 1:
             raise SpecSemanticError(f"{spec.text()}: gcd({k},{l}) != 1")
-        if t < 1 or t > k or gcd(t % k if k > 1 else 1, k) != 1:
+        if t < 1 or t > k or gcd(t, k) != 1:
             raise SpecSemanticError(f"{spec.text()}: twist {t} is not a unit mod {k}")
         if pow(t, l, k) != 1 % k:
             raise SpecSemanticError(
@@ -153,7 +152,7 @@ def validate_spec(spec: GroupSpec):
         n, s = spec.n, spec.s
         if n < 1:
             raise SpecSemanticError(f"{spec.text()}: n must be positive")
-        if s < 1 or s > n or gcd(s % n if n > 1 else 1, n) != 1:
+        if s < 1 or s > n or gcd(s, n) != 1:
             raise SpecSemanticError(f"{spec.text()}: twist {s} is not a unit mod {n}")
         if (s * s) % n != 1 % n:
             raise SpecSemanticError(f"{spec.text()}: {s}^2 != 1 mod {n}")
@@ -168,13 +167,14 @@ def validate_spec(spec: GroupSpec):
         raise SpecSemanticError(f"unknown spec {spec!r}")
 
 
+def _twists(k: int, l: int) -> list[int]:
+    """The units t in 1..k with t^l = 1 mod k: every Z_k x| Z_l twist."""
+    return [t for t in range(1, k + 1) if gcd(t, k) == 1 and pow(t, l, k) == 1 % k]
+
+
 def z2_twists(n: int) -> list[int]:
     """All valid SemidirectZ2 twists for Z_n: units s with s^2 = 1 mod n."""
-    return [
-        s
-        for s in range(1, n + 1)
-        if gcd(s % n if n > 1 else 1, n) == 1 and (s * s) % n == 1 % n
-    ]
+    return _twists(n, 2)
 
 
 @functools.cache
@@ -252,8 +252,6 @@ def automorphism_group(N: PermGroup) -> PermGroup:
 
 def _automorphism_perms(N: PermGroup):
     frame = generator_frame(N)
-    if len(N) <= TABLE_LIMIT:
-        N.table()
     cands = [
         [j for j in range(len(N)) if N.order_of(j) == N.order_of(gi)]
         for gi in frame[0]
@@ -331,8 +329,9 @@ def catalog(order: int) -> list[CatalogEntry]:
     """One entry per isomorphism class of groups of the given order.
 
     Complete for squarefree orders and for the hard-coded exception
-    orders; anything else raises UnsupportedOrderError.  The list is the
-    caller's own; the entries are shared.
+    orders; any other positive order raises UnsupportedOrderError, and an
+    order below 1 raises PreconditionError.  The list is the caller's
+    own; the entries are shared.
     """
     return list(_catalog(order))
 
@@ -340,38 +339,31 @@ def catalog(order: int) -> list[CatalogEntry]:
 @functools.cache
 def _catalog(order: int) -> tuple[CatalogEntry, ...]:
     if order < 1:
-        raise UnsupportedOrderError(f"order {order} is not positive")
+        raise PreconditionError(f"order {order} is not positive")
     if order in _EXCEPTION_ORDERS:
         return tuple(CatalogEntry(s, build(s)) for s in _EXCEPTION_ORDERS[order])
     if not is_squarefree(order):
         raise UnsupportedOrderError(
             f"order {order} is not squarefree and has no exception entry"
         )
-    classes: list[tuple[GroupSpec, PermGroup]] = []
+    classes: list[PermGroup] = []
     for k in sorted(d for d in range(1, order + 1) if order % d == 0):
         l = order // k
         if gcd(k, l) != 1:
             continue
-        for t in range(1, k + 1):
-            if gcd(t % k if k > 1 else 1, k) != 1 or pow(t, l, k) != 1 % k:
-                continue
-            spec = SemidirectCC(k, l, t)
-            G = build(spec)
-            placed = False
-            for i, (espec, EG) in enumerate(classes):
+        # Built outside the ``build`` memo, so candidates that lose to an
+        # isomorphic class are dropped with their tables.
+        for t in _twists(k, l):
+            G = _semidirect_pair(k, l, t, _prettify(SemidirectCC(k, l, t)))
+            for i, EG in enumerate(classes):
                 if are_isomorphic(EG, G) is not None:
                     if G.elements < EG.elements:
-                        classes[i] = (spec, G)
-                    placed = True
+                        classes[i] = G
                     break
-            if not placed:
-                classes.append((spec, G))
-    classes.sort(key=lambda sg: sg[1].elements)
-    entries = []
-    for s, G in classes:
-        pretty = _prettify(s)
-        entries.append(CatalogEntry(pretty, _relabel(G, pretty)))
-    return tuple(entries)
+            else:
+                classes.append(G)
+    classes.sort(key=lambda G: G.elements)
+    return tuple(CatalogEntry(G.label, G) for G in classes)
 
 
 def _prettify(spec: GroupSpec) -> GroupSpec:
@@ -387,13 +379,6 @@ def _prettify(spec: GroupSpec) -> GroupSpec:
         if l == 2 and t == k - 1:
             return Dihedral(2 * k)
     return spec
-
-
-def _relabel(G: PermGroup, spec: GroupSpec) -> PermGroup:
-    if G.label == spec:
-        return G
-    H = PermGroup(G.degree, G.elements, generators=G.generators, label=spec)
-    return H
 
 
 def class_index(G: PermGroup, entries: list[CatalogEntry]) -> int:
@@ -482,8 +467,6 @@ def shape_check_semidirect_z2(N: PermGroup):
     over it by any involution; the shape holds exactly when that subgroup
     decomposes as a coprime cyclic semidirect product.
     """
-    if len(N) % 2 or (len(N) // 2) % 2 == 0:
-        raise PreconditionError(f"order {len(N)} is not twice an odd number")
     H = unique_odd_part(N)
     if not is_c_group(H):
         return None

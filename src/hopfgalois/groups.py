@@ -22,7 +22,7 @@ from .errors import (
 )
 
 SUBGROUP_BOUND = 400   # default |G| cap for full subgroup enumeration
-TABLE_LIMIT = 1200     # build a full index multiplication table below this
+TABLE_LIMIT = 1200     # larger groups have no table; their products compose
 
 
 class PermGroup:
@@ -31,11 +31,11 @@ class PermGroup:
     Elements are sorted lexicographically by image tuple, so two
     generating sets of the same subgroup produce identical lists and the
     identity always sits at index 0.  The element list is fixed at
-    construction; the multiplication, inverse and order tables, the
-    generating set and the subgroup list fill in lazily on first use.  No
-    other module sets attributes on an instance; automorphism groups,
-    holomorphs and regular subgroups are memoized by ``functools.cache``
-    with the group as key.
+    construction; the multiplication table fills in on the first product
+    (``mul``), and the inverse and order tables, the generating set and
+    the subgroup list on first use.  No other module sets attributes on
+    an instance; automorphism groups, holomorphs and regular subgroups
+    are memoized by ``functools.cache`` with the group as key.
     """
 
     def __init__(self, degree, elements, generators=None, label=None):
@@ -79,18 +79,27 @@ class PermGroup:
     # Index arithmetic.
 
     def mul(self, i: int, j: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
-        return self._index[perm.compose(self.elements[i], self.elements[j])]
+        """Index of compose(elements[i], elements[j]), from the table.
+
+        The first product builds the table; above ``TABLE_LIMIT`` there
+        is none and the permutations are composed.
+        """
+        if self._mul_table is None:
+            if len(self) > TABLE_LIMIT:
+                return self._index[perm.compose(self.elements[i], self.elements[j])]
+            self.table()
+        return self._mul_table[i][j]
 
     def table(self):
-        """Full index multiplication table; built lazily for small groups.
+        """Full index multiplication table, the only place one is built.
 
         Entry [i][j] is the index of compose(elements[i], elements[j]).
-        Composing with q is ``itemgetter(*q)``, one C call per entry, so a
-        row is one lookup per column.  Below degree 2 the group is trivial,
-        and ``itemgetter`` of one index would return a scalar, so that case
-        is written out.
+        Above ``TABLE_LIMIT`` elements it raises BoundExceededError, so a
+        caller that indexes the table itself, or must fail before doing
+        work, calls it first.  Composing with q is ``itemgetter(*q)``, one
+        C call per entry, so a row is one lookup per column.  Below degree
+        2 the group is trivial, and ``itemgetter`` of one index would
+        return a scalar, so that case is written out.
         """
         if self._mul_table is None:
             if len(self) > TABLE_LIMIT:
@@ -147,27 +156,13 @@ class PermGroup:
             if self.order_of(i) == n:
                 self._min_gens = (self.elements[i],)
                 return self._min_gens
+        e = self.identity_index
         for size in (2, 3):
             for combo in itertools.combinations(by_order, size):
-                if _generates(self, combo):
+                if len(_closure_idx(self, (e,), combo, n)) == n:
                     self._min_gens = tuple(self.elements[i] for i in combo)
                     return self._min_gens
         raise BoundExceededError(f"no generating set of size <= 3 for order {n}")
-
-
-def _generates(G, idxs) -> bool:
-    seen = {G.identity_index}
-    frontier = [G.identity_index]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in idxs:
-                y = G.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen) == len(G)
 
 
 def closure(generators, cap=20000, label=None) -> PermGroup:
@@ -252,7 +247,6 @@ def _subgroup_sets(G, bound, max_order):
             f"subgroup enumeration bound {bound} exceeded by order {len(G)}"
         )
     cap = len(G) if max_order is None else max_order
-    G.table()
     e = G.identity_index
     atoms = [
         i
@@ -468,8 +462,6 @@ def are_isomorphic(G: PermGroup, H: PermGroup):
     if G.is_abelian() != H.is_abelian():
         return None
     frame = generator_frame(G)
-    if len(H) <= TABLE_LIMIT:
-        H.table()
     cands = [
         [j for j in range(len(H)) if H.order_of(j) == G.order_of(gi)]
         for gi in frame[0]
@@ -564,8 +556,6 @@ def left_translation(G: PermGroup, a: int):
 
 def regular_representation(G: PermGroup) -> PermGroup:
     """G acting on its own element indices by left translation."""
-    if len(G) <= TABLE_LIMIT:
-        G.table()
     perms = [left_translation(G, a) for a in range(len(G))]
     return PermGroup(len(G), perms)
 

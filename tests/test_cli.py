@@ -103,8 +103,12 @@ def test_audit_exit_codes():
     assert code == 5
 
 
-def test_audit_bad_order_is_error(capsys):
-    code, out = run_cli(["audit", "--theorem", "p001", "--n", "-3"])
+@pytest.mark.parametrize(
+    "theorem, n",
+    [("p001", "-3"), ("c001", "-6"), ("c001", "0"), ("ses_final", "-2")],
+)
+def test_audit_bad_order_is_error(capsys, theorem, n):
+    code, out = run_cli(["audit", "--theorem", theorem, "--n", n])
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
 

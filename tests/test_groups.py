@@ -11,6 +11,7 @@ from hopfgalois import (
     holomorph,
     are_isomorphic,
     characteristic_subgroups,
+    count_crossed_pairs,
     automorphism_group,
     build,
     closure,
@@ -24,6 +25,7 @@ from hopfgalois import (
     regular_representation,
     sylow_subgroup,
     unique_odd_part,
+    Alternating4,
     Cyclic,
     Dihedral,
     DirectProduct,
@@ -35,7 +37,7 @@ from hopfgalois.errors import (
     CapExceededError,
     PreconditionError,
 )
-from hopfgalois.groups import PermGroup, is_normal, left_translation
+from hopfgalois.groups import TABLE_LIMIT, PermGroup, is_normal, left_translation
 
 from conftest import C, D, brute_force_homomorphisms
 
@@ -347,6 +349,32 @@ def fresh_copy(G):
 def test_table_matches_compose(make):
     G = fresh_copy(make())
     assert G.table() == compose_table(G)
+
+
+def test_products_below_table_limit_never_compose(monkeypatch):
+    # on untabled copies the first product builds the table, so no product
+    # anywhere in the scan composes permutations
+    sd, d30 = build(SemidirectCC(15, 2, 4)), D(30)
+    expected = count_crossed_pairs(sd, d30)
+    G, N = fresh_copy(sd), fresh_copy(d30)
+    A, B = (fresh_copy(build(Alternating4())) for _ in range(2))
+
+    def refuse(p, q):
+        raise AssertionError("perm.compose called below TABLE_LIMIT")
+
+    monkeypatch.setattr(perm, "compose", refuse)
+    assert count_crossed_pairs(G, N) == expected
+    assert are_isomorphic(A, B) is not None
+
+
+def test_products_above_table_limit_compose():
+    G = build(Cyclic(1201))
+    assert len(G) > TABLE_LIMIT
+    for i, j in [(0, 7), (5, 1000), (1200, 1200), (613, 2)]:
+        assert G.mul(i, j) == G.index_of(perm.compose(G.elements[i], G.elements[j]))
+    with pytest.raises(BoundExceededError):
+        G.table()
+    assert are_isomorphic(G, fresh_copy(G)) is not None
 
 
 @st.composite
