@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's generator-word
 machinery: homomorphisms are found by backtracking over full element
 image tables, automorphisms by filtering all bijections, and crossed
-homomorphisms by filtering all identity-fixing bijections.  They exist so
-the fast engines can be checked against something slow and obviously
-correct.
+homomorphisms by filtering all identity-fixing bijections, and group
+tables, the brace law and holomorph membership by scanning all n^3
+triples.  They exist so the fast engines can be checked against something
+slow and obviously correct.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from hopfgalois import (
     SemidirectCC,
     build,
 )
+from hopfgalois.brace import group_table_identity
 
 
 def C(n):
@@ -103,3 +105,89 @@ def brute_force_bijective_crossed_homs(f, G, N):
         ):
             out.append(tuple(g))
     return sorted(out)
+
+
+def brute_force_is_group_table(table):
+    """Latin square with identity, associativity checked on all n^3 triples."""
+    n = len(table)
+    full = tuple(range(n))
+    for row in table:
+        if tuple(sorted(row)) != full:
+            return False
+    for col in range(n):
+        if tuple(sorted(table[r][col] for r in range(n))) != full:
+            return False
+    if group_table_identity(table) is None:
+        return False
+    for a in range(n):
+        ta = table[a]
+        for b in range(n):
+            tab = ta[b]
+            tb = table[b]
+            for c in range(n):
+                if table[tab][c] != ta[tb[c]]:
+                    return False
+    return True
+
+
+def _brute_force_negatives(add, e):
+    n = len(add)
+    neg = [None] * n
+    for a in range(n):
+        for x in range(n):
+            if add[a][x] == e:
+                neg[a] = x
+                break
+    return neg
+
+
+def brute_force_verify_brace(B):
+    """Both tables groups, shared identity, the law on all n^3 triples.
+
+    Expects both tables to have ``B.size`` rows of ``B.size`` entries.
+    """
+    add, mul = B.add_table, B.mul_table
+    n = B.size
+    if not brute_force_is_group_table(add) or not brute_force_is_group_table(mul):
+        return False
+    e = group_table_identity(add)
+    if group_table_identity(mul) != e:
+        return False
+    neg = _brute_force_negatives(add, e)
+    for a in range(n):
+        ma = mul[a]
+        na = neg[a]
+        for b in range(n):
+            row_ab = add[ma[b]]
+            for c in range(n):
+                if ma[add[b][c]] != add[row_ab[na]][ma[c]]:
+                    return False
+    return True
+
+
+def brute_force_lambda_circ_in_hol(B):
+    """Every row x -> a o x is a translation after an additive bijection,
+    with additivity checked on all n^2 pairs of every row.
+
+    Expects a group addition table with ``B.size`` rows of ``B.size``
+    entries and a multiplicative table with ``B.size`` rows.
+    """
+    add, mul = B.add_table, B.mul_table
+    n = B.size
+    e = group_table_identity(add)
+    full = tuple(range(n))
+    neg = _brute_force_negatives(add, e)
+    for a in range(n):
+        row = mul[a]
+        if tuple(sorted(row)) != full:
+            return False
+        shift = neg[row[e]]
+        alpha = tuple(add[shift][row[x]] for x in range(n))
+        if tuple(sorted(alpha)) != full:
+            return False
+        for x in range(n):
+            ax = alpha[x]
+            for y in range(n):
+                if alpha[add[x][y]] != add[ax][alpha[y]]:
+                    return False
+    return True

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgalois import (
     Cyclic,
@@ -20,10 +22,17 @@ from hopfgalois import (
     trivial_brace,
     verify_brace,
 )
+from hopfgalois import brace
 from hopfgalois.brace import group_table_identity, is_group_table
-from hopfgalois.errors import PreconditionError
+from hopfgalois.errors import PreconditionError, UnsupportedOrderError
 
-from conftest import C, D
+from conftest import (
+    C,
+    D,
+    brute_force_is_group_table,
+    brute_force_lambda_circ_in_hol,
+    brute_force_verify_brace,
+)
 
 
 def table_of(G):
@@ -203,3 +212,196 @@ def test_every_brace_at_order_10_verifies():
             B = brace_from_regular(rec.subgroup, entry.group)
             assert verify_brace(B)
             assert lambda_circ_in_hol(B)
+
+
+# The generating-set checks against the O(n^3) oracles in conftest.
+
+# A loop of order 5 (the smallest order with a non-associative loop) on
+# which 36 of the 125 triples fail associativity.
+LOOP5 = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
+
+
+def disagreements(B):
+    """The checks whose verdict on B differs from their O(n^3) oracle."""
+    out = []
+    for name, table in (("add", B.add_table), ("mul", B.mul_table)):
+        if is_group_table(table) != brute_force_is_group_table(table):
+            out.append(f"is_group_table({name})")
+    if verify_brace(B) != brute_force_verify_brace(B):
+        out.append("verify_brace")
+    if brute_force_is_group_table(B.add_table):
+        if lambda_circ_in_hol(B) != brute_force_lambda_circ_in_hol(B):
+            out.append("lambda_circ_in_hol")
+    return out
+
+
+def isotope_loop(table, rows, cols, symbols):
+    """A Latin square isotopic to ``table``, renormalised to identity 0.
+
+    (x, y) -> symbols[table[rows[x]][cols[y]]] is a Latin square L; the
+    principal isotope x * y = L(R^-1 x, C^-1 y), with R x = L(x, 0) and
+    C y = L(0, y), has identity L(0, 0), which a transposition of the
+    carrier then moves to 0.
+    """
+    n = len(table)
+    L = [[symbols[table[rows[x]][cols[y]]] for y in range(n)] for x in range(n)]
+    r_inv, c_inv = [0] * n, [0] * n
+    for x in range(n):
+        r_inv[L[x][0]] = x
+        c_inv[L[0][x]] = x
+    loop = [[L[r_inv[x]][c_inv[y]] for y in range(n)] for x in range(n)]
+    swap = list(range(n))
+    swap[0], swap[L[0][0]] = L[0][0], 0
+    return relabel_table(loop, swap)
+
+
+def random_isotope_cases(rng, orders):
+    """Latin squares with identity 0 from catalog tables, each paired with
+    a group table of its order in both brace slots."""
+    cases = []
+    for order in orders:
+        tables = [table_of(e.group) for e in catalog(order)]
+        for table in tables:
+            perms = []
+            for _ in range(3):
+                p = list(range(order))
+                rng.shuffle(p)
+                perms.append(p)
+            loop = isotope_loop(table, *perms)
+            group = rng.choice(tables)
+            cases.append(SkewBrace(order, group, loop))
+            cases.append(SkewBrace(order, loop, group))
+    return cases
+
+
+def row_latin_table(rng, n):
+    """Identity 0 and every row a permutation; columns mostly not."""
+    table = [list(range(n))]
+    for a in range(1, n):
+        rest = [x for x in range(n) if x != a]
+        rng.shuffle(rest)
+        table.append([a] + rest)
+    return table
+
+
+def oracle_cases():
+    rng = random.Random(20261018)
+    z5 = table_of(C(5))
+    cases = [SkewBrace(5, z5, LOOP5), SkewBrace(5, LOOP5, z5)]
+    cases += random_isotope_cases(rng, (5, 6, 10, 12, 14, 15, 30))
+    for n in (3, 4, 6, 12):
+        group = table_of(catalog(n)[0].group)
+        for _ in range(3):
+            cases.append(SkewBrace(n, group, row_latin_table(rng, n)))
+    cases += [random_pair(rng) for _ in range(60)]
+    return cases
+
+
+def test_loop5_fails_on_some_triples_only():
+    n = len(LOOP5)
+    assert group_table_identity(LOOP5) == 0
+    assert all(sorted(row) == list(range(n)) for row in LOOP5)
+    bad = sum(
+        LOOP5[LOOP5[a][b]][c] != LOOP5[a][LOOP5[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+    assert 0 < bad < n**3
+    assert not is_group_table(LOOP5)
+
+
+def test_isotopes_are_latin_squares_with_identity_zero():
+    rng = random.Random(7)
+    for B in random_isotope_cases(rng, (6, 12)):
+        loop = B.mul_table if brute_force_is_group_table(B.add_table) else B.add_table
+        assert group_table_identity(loop) == 0
+        assert all(sorted(row) == list(range(B.size)) for row in loop)
+        assert all(sorted(col) == list(range(B.size)) for col in zip(*loop))
+
+
+def test_checks_match_oracles_on_loops_and_random_pairs():
+    cases = oracle_cases()
+    assert [d for B in cases if (d := disagreements(B))] == []
+    # both verdicts are exercised, and rows that are permutations while
+    # the columns are not
+    assert any(
+        any(sorted(col) != list(range(B.size)) for col in zip(*B.mul_table))
+        for B in cases
+    )
+    assert any(is_group_table(B.mul_table) for B in cases)
+    assert any(not is_group_table(B.mul_table) for B in cases)
+    assert any(verify_brace(B) for B in cases)
+    assert any(not verify_brace(B) for B in cases)
+
+
+def test_checks_match_oracles_on_every_brace_up_to_order_30():
+    checked = 0
+    for order in range(1, 31):
+        try:
+            entries = catalog(order)
+        except UnsupportedOrderError:
+            continue
+        for entry in entries:
+            N = entry.group
+            for rec in regular_subgroups(holomorph(N)):
+                B = brace_from_regular(rec.subgroup, N)
+                assert brute_force_verify_brace(B)
+                assert brute_force_lambda_circ_in_hol(B)
+                assert lambda_circ_in_hol(B)
+                checked += 1
+    assert checked == 405
+
+
+def test_dropping_a_generator_is_caught(monkeypatch):
+    # mutation check: a generating set short of its last element must
+    # make the comparison against the oracles fail somewhere
+    full = brace._generating_set
+    monkeypatch.setattr(brace, "_generating_set", lambda table, e: full(table, e)[:-1])
+    assert any(disagreements(B) for B in oracle_cases())
+
+
+@st.composite
+def loop_and_group(draw):
+    order = draw(st.sampled_from((4, 5, 6, 8, 9, 10)))
+    spec = draw(st.sampled_from(STOCK_SPECS.get(order) or [Cyclic(order)]))
+    table = table_of(build(spec))
+    perms = [draw(st.permutations(range(order))) for _ in range(3)]
+    relabel = [0] + draw(st.permutations(range(1, order)))
+    return table, isotope_loop(table, *perms), relabel_table(table, relabel)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(loop_and_group())
+def test_checks_match_oracles_on_random_loops(case):
+    group, loop, relabelled = case
+    n = len(group)
+    assert disagreements(SkewBrace(n, group, loop)) == []
+    assert disagreements(SkewBrace(n, loop, group)) == []
+    assert disagreements(SkewBrace(n, group, relabelled)) == []
+
+
+@pytest.mark.parametrize(
+    "add,mul,size",
+    [
+        ("Z4", "Z6", 4),  # more multiplicative rows than size
+        ("Z4", "Z4", 5),  # size larger than both tables
+        ("Z4", "Z4", 3),  # size smaller than both tables
+        ("Z6", "Z4", 4),  # more additive rows than size
+    ],
+)
+def test_size_disagreeing_with_tables(add, mul, size):
+    tables = {"Z4": table_of(C(4)), "Z6": table_of(C(6))}
+    B = SkewBrace(size, tables[add], tables[mul])
+    assert verify_brace(B) is False
+    if len(B.add_table) != size:
+        with pytest.raises(PreconditionError):
+            lambda_circ_in_hol(B)
+    else:
+        assert lambda_circ_in_hol(B) is False

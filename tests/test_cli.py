@@ -139,6 +139,7 @@ def test_catalog_table_and_csv():
         (["catalog", "--order", "6", "--format", "json"], "catalog_order6.json"),
         (["count-dihedral", "--n", "3", "--format", "json"], "count_dihedral_n3.json"),
         (["realizable", "--g", "C6", "--n", "D6", "--format", "json"], "realizable_c6_d6.json"),
+        (["braces", "--order", "30", "--format", "json"], "braces_order30.json"),
     ],
 )
 def test_golden_files(argv, golden):
