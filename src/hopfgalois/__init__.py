@@ -57,7 +57,6 @@ from .groups import (
     are_isomorphic,
     characteristic_subgroups,
     closure,
-    element_order,
     homomorphisms,
     is_almost_sylow_cyclic,
     is_c_group,
@@ -65,7 +64,6 @@ from .groups import (
     is_regular,
     is_solvable,
     regular_representation,
-    sylow_subgroup,
     unique_odd_part,
 )
 from .audit import AuditReport, run_audit

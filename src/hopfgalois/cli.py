@@ -37,6 +37,9 @@ EXIT_NOT_REALIZABLE = 3
 EXIT_AUDIT_FAIL = 4
 EXIT_AUDIT_VACUOUS = 5
 
+# Result keys shown under a table and kept in a store record's outcome.
+_SUMMARY_KEYS = ("verdict", "realizable", "e_formula", "agreement", "total", "count")
+
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
@@ -259,9 +262,7 @@ def _render(command: str, inputs: dict, result: dict, fmt: str) -> str:
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(cols, widths)))
         for r in rows:
             lines.append("  ".join(str(r[c]).ljust(w) for c, w in zip(cols, widths)))
-    for key in ("verdict", "realizable", "e_formula", "agreement", "total", "count"):
-        if key in result:
-            lines.append(f"{key}: {result[key]}")
+    lines.extend(f"{key}: {result[key]}" for key in _SUMMARY_KEYS if key in result)
     return "\n".join(lines) + "\n"
 
 
@@ -277,9 +278,7 @@ def main(argv=None) -> int:
         if store is not None:
             elapsed_ms = int((time.monotonic() - started) * 1000)
             outcome = {"exit_code": code}
-            for key in ("realizable", "verdict", "e_formula", "agreement", "total", "count"):
-                if key in result:
-                    outcome[key] = result[key]
+            outcome.update((key, result[key]) for key in _SUMMARY_KEYS if key in result)
             store.record(args.command, inputs, outcome, elapsed_ms)
     except HopfGaloisError as exc:
         print(f"error: {exc}", file=sys.stderr)

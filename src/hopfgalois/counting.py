@@ -136,13 +136,14 @@ def count_hgs_dihedral(n: int, with_direct=False, budget_seconds=None) -> CountR
 
 
 def _semiregular_symmetric(m: int, check_budget):
-    ident = perm.identity(m)
+    """(p, order of p) for every non-identity semiregular p in Sym(m)."""
     out = []
     for i, p in enumerate(itertools.permutations(range(m))):
         if i % 4096 == 0:
             check_budget()
-        if p != ident and perm.is_semiregular(p):
-            out.append(p)
+        k = perm.semiregular_order(p)
+        if k > 1:
+            out.append((p, k))
     return out
 
 
@@ -180,9 +181,8 @@ def direct_normalized_count(G: PermGroup, budget_seconds=None) -> int:
                 f"direct count for order {m} ran past its budget"
             )
 
-    semis = _semiregular_symmetric(m, check_budget)
-    orders = {p: perm.order(p) for p in semis}
-    semis.sort(key=lambda p: (-orders[p], p))
+    orders = dict(_semiregular_symmetric(m, check_budget))
+    semis = sorted(orders, key=lambda p: (-orders[p], p))
     pool = set(semis)
     pool.add(ident)
 

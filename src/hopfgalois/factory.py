@@ -45,21 +45,15 @@ class Cyclic:
     def text(self):
         return f"C{self.n}"
 
-    def order(self):
-        return self.n
-
 
 @dataclass(frozen=True)
 class Dihedral:
-    """Dihedral group of total order 2n (the ``order`` field)."""
+    """Dihedral group of total order 2n (the ``order2n`` field)."""
 
     order2n: int
 
     def text(self):
         return f"D{self.order2n}"
-
-    def order(self):
-        return self.order2n
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,6 @@ class SemidirectCC:
     def text(self):
         return f"SD({self.k},{self.l};{self.t})"
 
-    def order(self):
-        return self.k * self.l
-
 
 @dataclass(frozen=True)
 class SemidirectZ2:
@@ -87,9 +78,6 @@ class SemidirectZ2:
     def text(self):
         return f"SDZ2({self.n};{self.s})"
 
-    def order(self):
-        return 2 * self.n
-
 
 @dataclass(frozen=True)
 class DirectProduct:
@@ -99,9 +87,6 @@ class DirectProduct:
     def text(self):
         return f"{self.left.text()}x{self.right.text()}"
 
-    def order(self):
-        return self.left.order() * self.right.order()
-
 
 @dataclass(frozen=True)
 class Holomorph:
@@ -110,17 +95,11 @@ class Holomorph:
     def text(self):
         return f"Hol({self.inner.text()})"
 
-    def order(self):
-        raise PreconditionError("holomorph order depends on Aut; build it")
-
 
 @dataclass(frozen=True)
 class Alternating4:
     def text(self):
         return "A4"
-
-    def order(self):
-        return 12
 
 
 GroupSpec = (

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 
-SUBGROUP_BOUND = 400   # default |G| cap for full subgroup enumeration
+SUBGROUP_BOUND = 400   # |G| cap for the subgroup lattice walk
 TABLE_LIMIT = 1200     # larger groups have no table; their products compose
 
 
@@ -159,7 +159,7 @@ class PermGroup:
         e = self.identity_index
         for size in (2, 3):
             for combo in itertools.combinations(by_order, size):
-                if len(_closure_idx(self, (e,), combo, n)) == n:
+                if len(_closure_idx(self, (e,), combo)) == n:
                     self._min_gens = tuple(self.elements[i] for i in combo)
                     return self._min_gens
         raise BoundExceededError(f"no generating set of size <= 3 for order {n}")
@@ -196,13 +196,6 @@ def closure(generators, cap=20000, label=None) -> PermGroup:
     return PermGroup(degree, seen, generators=tuple(generators), label=label)
 
 
-def element_order(G: PermGroup, a) -> int:
-    """Least k >= 1 with a^k = identity; ``a`` is an index or image tuple."""
-    if isinstance(a, int):
-        return G.order_of(a)
-    return G.order_of(G.index_of(a))
-
-
 def is_regular(H: PermGroup) -> bool:
     """True iff H acts regularly: transitive with order equal to degree."""
     if len(H) != H.degree:
@@ -210,15 +203,11 @@ def is_regular(H: PermGroup) -> bool:
     return len({p[0] for p in H.elements}) == H.degree
 
 
-def _closure_idx(G, seed, gen_idxs, cap):
-    """Index-level closure of ``seed`` (a subgroup) extended by ``gen_idxs``.
-
-    Returns a frozenset, or None once the closure passes ``cap``.
-    """
+def _closure_idx(G, seed, gen_idxs):
+    """Index-level closure of ``seed`` (a subgroup) extended by ``gen_idxs``,
+    as a frozenset."""
     elems = set(seed)
     elems.update(gen_idxs)
-    if len(elems) > cap:
-        return None
     frontier = list(elems)
     mul = G.mul
     while frontier:
@@ -228,25 +217,22 @@ def _closure_idx(G, seed, gen_idxs, cap):
                 y = mul(x, g)
                 if y not in elems:
                     elems.add(y)
-                    if len(elems) > cap:
-                        return None
                     nxt.append(y)
         frontier = nxt
     return frozenset(elems)
 
 
-def _subgroup_sets(G, bound, max_order):
-    """All subgroup index sets of order <= max_order, by cyclic extension.
+def _subgroup_sets(G):
+    """All subgroup index sets, by cyclic extension.
 
     Grows subgroups by adjoining one element of prime-power order at a
-    time; every subgroup is reached through a chain of proper extensions,
-    so capping the order still yields every subgroup below the cap.
+    time; every subgroup is reached through a chain of proper extensions.
+    Above ``SUBGROUP_BOUND`` elements it raises BoundExceededError.
     """
-    if len(G) > bound:
+    if len(G) > SUBGROUP_BOUND:
         raise BoundExceededError(
-            f"subgroup enumeration bound {bound} exceeded by order {len(G)}"
+            f"subgroup enumeration bound {SUBGROUP_BOUND} exceeded by order {len(G)}"
         )
-    cap = len(G) if max_order is None else max_order
     e = G.identity_index
     atoms = [
         i
@@ -262,8 +248,8 @@ def _subgroup_sets(G, bound, max_order):
         for a in atoms:
             if a in S:
                 continue
-            T = _closure_idx(G, S, gens + (a,), cap)
-            if T is not None and T not in found:
+            T = _closure_idx(G, S, gens + (a,))
+            if T not in found:
                 found[T] = gens + (a,)
                 work.append(T)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
@@ -274,12 +260,6 @@ class Factorization:
     """Prime factorization as (prime, exponent) pairs sorted by prime."""
 
     pairs: tuple
-
-    def value(self) -> int:
-        out = 1
-        for p, a in self.pairs:
-            out *= p**a
-        return out
 
 
 def factorize(n: int) -> Factorization:
@@ -305,17 +285,19 @@ def _is_prime_power(n: int) -> bool:
 
 
 def all_subgroups(G: PermGroup) -> list[PermGroup]:
-    """Every subgroup of G exactly once, ascending by order then element list."""
+    """Every subgroup of G exactly once, ascending by order then element list.
+
+    The one lattice walk; memoized on G, and above ``SUBGROUP_BOUND``
+    elements it raises BoundExceededError.
+    """
     if G._subgroups is None:
-        sets = _subgroup_sets(G, SUBGROUP_BOUND, None)
-        G._subgroups = [G.subgroup_from_indices(s) for s in sets]
+        G._subgroups = [G.subgroup_from_indices(s) for s in _subgroup_sets(G)]
     return list(G._subgroups)
 
 
-def subgroups_of_order(G: PermGroup, order: int, bound=SUBGROUP_BOUND):
-    """Subgroups of one fixed order, via the capped lattice walk."""
-    sets = _subgroup_sets(G, bound, order)
-    return [G.subgroup_from_indices(s) for s in sets if len(s) == order]
+def subgroups_of_order(G: PermGroup, order: int) -> list[PermGroup]:
+    """The subgroups of one order, in ``all_subgroups`` order."""
+    return [S for S in all_subgroups(G) if len(S) == order]
 
 
 @dataclass(frozen=True)
@@ -325,12 +307,6 @@ class Homomorphism:
     domain: PermGroup
     codomain: PermGroup
     images: tuple
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def is_bijective(self) -> bool:
-        return len(set(self.images)) == len(self.codomain)
 
     def image_perm(self, i: int):
         """The codomain permutation assigned to domain element i."""
@@ -477,7 +453,7 @@ def derived_subgroup(G: PermGroup) -> PermGroup:
         ia = G.inv(a)
         for b in range(n):
             comms.add(G.mul(G.mul(G.mul(ia, G.inv(b)), a), b))
-    S = _closure_idx(G, {G.identity_index}, tuple(sorted(comms)), n)
+    S = _closure_idx(G, {G.identity_index}, tuple(sorted(comms)))
     return G.subgroup_from_indices(S)
 
 
@@ -497,44 +473,28 @@ def is_cyclic(G: PermGroup) -> bool:
     return any(G.order_of(i) == n for i in range(n))
 
 
-def sylow_subgroup(G: PermGroup, p: int) -> PermGroup:
-    """One maximal p-subgroup, taken from the full subgroup list."""
-    n = len(G)
-    if n % p != 0:
-        raise PreconditionError(f"{p} does not divide group order {n}")
-    target = 1
-    while n % p == 0:
-        target *= p
-        n //= p
-    for S in all_subgroups(G):
-        if len(S) == target:
-            return S
-    raise PreconditionError(f"no subgroup of order {target} found")  # pragma: no cover
-
-
-def _prime_divisors(n: int):
-    return [p for p, _ in factorize(n).pairs]
-
-
 def is_c_group(G: PermGroup) -> bool:
-    """True iff every Sylow subgroup is cyclic."""
-    return all(is_cyclic(sylow_subgroup(G, p)) for p in _prime_divisors(len(G)))
+    """True iff every Sylow subgroup is cyclic.
+
+    The Sylow p-subgroups are conjugate, so they are cyclic iff some
+    element has order p^a, the full power of p dividing |G|.
+    """
+    orders = set(map(G.order_of, range(len(G))))
+    return all(p**a in orders for p, a in factorize(len(G)).pairs)
 
 
 def is_almost_sylow_cyclic(G: PermGroup) -> bool:
-    """Odd Sylows cyclic; Sylow-2 trivial or with a cyclic index-2 subgroup."""
-    for p in _prime_divisors(len(G)):
-        S = sylow_subgroup(G, p)
-        if p != 2:
-            if not is_cyclic(S):
-                return False
-        else:
-            half = len(S) // 2
-            if not any(
-                len(T) == half and is_cyclic(T) for T in all_subgroups(S)
-            ):
-                return False
-    return True
+    """Odd Sylows cyclic; Sylow-2 trivial or with a cyclic index-2 subgroup.
+
+    Read from element orders as in ``is_c_group``: a Sylow 2-subgroup of
+    order 2^a has a cyclic subgroup of index 2 iff some element has order
+    2^(a-1).
+    """
+    orders = set(map(G.order_of, range(len(G))))
+    return all(
+        (p ** (a - 1) if p == 2 else p**a) in orders
+        for p, a in factorize(len(G)).pairs
+    )
 
 
 def is_normal(G: PermGroup, sub: PermGroup) -> bool:
@@ -580,7 +540,7 @@ def unique_odd_part(G: PermGroup) -> PermGroup:
         )  # pragma: no cover
     H = G.subgroup_from_indices(kernel)
     if size <= SUBGROUP_BOUND:
-        others = [S for S in all_subgroups(G) if len(S) == n]
+        others = subgroups_of_order(G, n)
         if len(others) != 1 or others[0].elements != H.elements:
             raise PreconditionError("order-n subgroup is not unique")  # pragma: no cover
     return H

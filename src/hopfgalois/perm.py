@@ -60,29 +60,13 @@ def sign(p: Perm) -> int:
     return -1 if (len(p) - len(cycles(p))) % 2 else 1
 
 
-def order(p: Perm) -> int:
-    k = 1
-    q = p
-    ident = identity(len(p))
-    while q != ident:
-        q = compose(q, p)
-        k += 1
-    return k
+def semiregular_order(p: Perm) -> int:
+    """The order of p if all its cycles have one length, else 0.
 
-
-def is_semiregular(p: Perm) -> bool:
-    """True iff every cycle of p has the same length (free action of <p>).
-
-    Every non-identity element of a regular permutation group is
-    semiregular, which makes this the cheap membership filter for
-    regular-subgroup searches.
+    Equal cycle lengths mean <p> acts freely (p is semiregular), and the
+    common length is then p's order.  Every non-identity element of a
+    regular permutation group is semiregular, which makes this the cheap
+    membership filter for regular-subgroup searches.
     """
-    cycs = cycles(p)
-    length = len(cycs[0])
-    return all(len(c) == length for c in cycs)
-
-
-def cycle_text(p: Perm) -> str:
-    """Readable cycle form, e.g. ``(0 1 2)(3 4)``; ``()`` for the identity."""
-    parts = ["(" + " ".join(map(str, c)) + ")" for c in cycles(p) if len(c) > 1]
-    return "".join(parts) if parts else "()"
+    lengths = {len(c) for c in cycles(p)}
+    return lengths.pop() if len(lengths) == 1 else 0

@@ -228,11 +228,6 @@ def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
 # Direct search for regular subgroups.
 
 
-def _semiregular_elements(H: PermGroup):
-    ident = perm.identity(H.degree)
-    return [p for p in H.elements if p != ident and perm.is_semiregular(p)]
-
-
 def _pair_search(hol: HolomorphGroup):
     """All regular subgroups of Hol(N) closed from <= 2 semiregular elements.
 
@@ -251,13 +246,19 @@ def _pair_search(hol: HolomorphGroup):
     orders give metacyclic groups, the classes at orders 4 and 12 are
     small, and the tests check each class.
     """
-    N, aut, G = hol.n_group, hol.aut, hol.group
+    N, aut = hol.n_group, hol.aut
     m, size = len(N), len(aut)
     ntab, atab, iota = N.table(), aut.table(), hol.iota
     e_t, e_a = N.identity_index, aut.identity_index
-    semis = sorted((-G.order_of(G.index_of(p)), p) for p in _semiregular_elements(G))
-    orders = [-k for k, _ in semis]
-    gens = [hol.tags[p] for _, p in semis]
+    # The pool, by descending order then permutation: (-order, p, (t, a)).
+    pool = []
+    for p, tag in hol.tags.items():
+        k = perm.semiregular_order(p)
+        if k > 1:
+            pool.append((-k, p, tag))
+    pool.sort()
+    orders = [-k for k, _, _ in pool]
+    gens = [tag for _, _, tag in pool]
     codes = [t * size + a for t, a in gens]
     in_pool = bytearray(m * size)
     for c in codes:

@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the library's generator-word
 machinery: homomorphisms are found by backtracking over full element
 image tables, automorphisms by filtering all bijections, and crossed
-homomorphisms by filtering all identity-fixing bijections, and group
+homomorphisms by filtering all identity-fixing bijections, group
 tables, the brace law and holomorph membership by scanning all n^3
-triples.  They exist so the fast engines can be checked against something
-slow and obviously correct.
+triples, and subgroups (with the Sylow predicates read off them) by
+adjoining one element at a time under ``G.mul``.  They exist so the fast
+engines can be checked against something slow and obviously correct.
 """
 
 import itertools
@@ -190,4 +191,96 @@ def brute_force_lambda_circ_in_hol(B):
             for y in range(n):
                 if alpha[add[x][y]] != add[ax][alpha[y]]:
                     return False
+    return True
+
+
+def _closure_within(G, gens, cap):
+    """Index set generated by ``gens`` under ``G.mul``, or None once it
+    passes ``cap`` elements."""
+    e = G.identity_index
+    elems = {e}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = G.mul(x, g)
+                if y not in elems:
+                    if len(elems) == cap:
+                        return None
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def brute_force_subgroups(G, max_order):
+    """Every subgroup of G of order <= max_order, as index frozensets sorted
+    by (order, sorted indices).
+
+    Starts from the trivial group and adjoins every element to every
+    subgroup found, closing under ``G.mul``.  A subgroup H is reached along
+    a chain of proper extensions by elements of H, each of order <= |H|,
+    so dropping closures past ``max_order`` loses none below it.
+    """
+    trivial = frozenset({G.identity_index})
+    found = {trivial: ()}
+    work = [trivial]
+    while work:
+        S = work.pop()
+        for a in range(len(G)):
+            if a in S:
+                continue
+            gens = found[S] + (a,)
+            T = _closure_within(G, gens, max_order)
+            if T is not None and T not in found:
+                found[T] = gens
+                work.append(T)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def _prime_power_parts(n):
+    """(p, p^a) for each prime p dividing n, p^a the full power of p."""
+    out = []
+    p = 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def _is_cyclic_set(G, S):
+    return any(_closure_within(G, (x,), len(S)) == S for x in S)
+
+
+def lattice_is_c_group(G):
+    """Every Sylow subgroup cyclic: one Sylow p-subgroup per prime, taken
+    from the brute-force subgroup list and checked for a generator."""
+    for _, q in _prime_power_parts(len(G)):
+        sylow = next(S for S in brute_force_subgroups(G, q) if len(S) == q)
+        if not _is_cyclic_set(G, sylow):
+            return False
+    return True
+
+
+def lattice_is_almost_sylow_cyclic(G):
+    """Odd Sylows cyclic, and a Sylow 2-subgroup holding a cyclic subgroup
+    of index 2, read off the brute-force subgroup list."""
+    for p, q in _prime_power_parts(len(G)):
+        subs = brute_force_subgroups(G, q)
+        sylow = next(S for S in subs if len(S) == q)
+        if p != 2:
+            ok = _is_cyclic_set(G, sylow)
+        else:
+            ok = any(
+                len(T) == q // 2 and T <= sylow and _is_cyclic_set(G, T)
+                for T in subs
+            )
+        if not ok:
+            return False
     return True

@@ -165,6 +165,14 @@ def test_report_records_domain():
     assert report.to_dict()["scope_note"]
 
 
+def test_theorem_ids_keep_their_order():
+    # the order of ``audit --theorem`` choices in --help and usage errors
+    assert THEOREM_IDS == (
+        "p001", "c001", "t001", "t002", "t003", "t004",
+        "p005", "ses_final", "r002", "p003", "p004",
+    )
+
+
 GOLDEN_AUDITS = Path(__file__).parent / "golden" / "audits.json"
 
 

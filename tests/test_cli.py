@@ -103,6 +103,14 @@ def test_audit_exit_codes():
     assert code == 5
 
 
+def test_audit_p004_above_subgroup_bound():
+    # 455 = 5 * 7 * 13 is above the lattice bound of 400; element orders
+    # decide the Sylow conditions, so the audit lists no subgroups
+    code, out = run_cli(["audit", "--theorem", "p004", "--n", "455"])
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: pass"
+
+
 @pytest.mark.parametrize(
     "theorem, n",
     [("p001", "-3"), ("c001", "-6"), ("c001", "0"), ("ses_final", "-2")],

@@ -27,7 +27,7 @@ def test_factorize():
     assert factorize(12).pairs == ((2, 2), (3, 1))
     assert factorize(1).pairs == ()
     assert factorize(97).pairs == ((97, 1),)
-    assert factorize(360).value() == 360
+    assert factorize(360).pairs == ((2, 3), (3, 2), (5, 1))
 
 
 def test_euler_phi():

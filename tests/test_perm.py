@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hopfgalois import perm
@@ -35,23 +37,28 @@ def test_sign():
     assert perm.sign((1, 0, 3, 2)) == 1
 
 
-def test_order():
-    assert perm.order((0, 1, 2)) == 1
-    assert perm.order((1, 2, 3, 4, 5, 0)) == 6
-    assert perm.order((1, 0, 3, 2)) == 2
-
-
 def test_cycles():
     assert perm.cycles((1, 2, 0, 3)) == [(0, 1, 2), (3,)]
-    assert perm.cycle_text((1, 2, 0, 3)) == "(0 1 2)"
-    assert perm.cycle_text((0, 1)) == "()"
 
 
-def test_is_semiregular():
-    assert perm.is_semiregular((1, 0, 3, 2))
-    assert perm.is_semiregular((1, 2, 3, 0))
-    assert not perm.is_semiregular((1, 0, 2, 3))
-    assert perm.is_semiregular((0, 1, 2))  # identity: all cycles length 1
+def test_semiregular_order():
+    assert perm.semiregular_order((0, 1, 2)) == 1  # identity: all cycles length 1
+    assert perm.semiregular_order((1, 0, 3, 2)) == 2
+    assert perm.semiregular_order((1, 2, 3, 0)) == 4
+    assert perm.semiregular_order((1, 0, 2, 3)) == 0  # cycle lengths 2, 1, 1
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_semiregular_order_against_powers(degree):
+    # semiregular: no power below the order fixes a point
+    ident = perm.identity(degree)
+    for p in itertools.permutations(range(degree)):
+        powers = [ident, p]
+        while powers[-1] != ident:
+            powers.append(perm.compose(powers[-1], p))
+        order = len(powers) - 1
+        free = all(q[x] != x for q in powers[1:order] for x in range(degree))
+        assert perm.semiregular_order(p) == (order if free else 0), p
 
 
 def test_is_perm():

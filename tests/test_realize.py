@@ -26,10 +26,9 @@ from hopfgalois import (
 from hopfgalois import realize
 from hopfgalois.errors import BoundExceededError, CountingBugError, PreconditionError
 from hopfgalois.factory import is_squarefree
-from hopfgalois.groups import subgroups_of_order
 from hopfgalois.realize import hom_orbits
 
-from conftest import C, D, brute_force_bijective_crossed_homs
+from conftest import C, D, brute_force_bijective_crossed_homs, brute_force_subgroups
 
 
 def trivial_hom(G, H):
@@ -194,16 +193,17 @@ def test_regular_subgroups_hol_z6_exact_elements():
 
 @pytest.mark.parametrize("order", [4, 6, 10, 12, 14])
 def test_regular_subgroups_match_lattice(order):
-    # the full subgroup lattice is the reference; |Hol(D14)| = 588, so the
-    # walk needs a raised bound; order 12 holds A4, whose generating pairs
-    # all have element orders multiplying to less than 12
+    # the brute-force subgroup walk, capped at |N|, is the reference; it
+    # has no order bound, and |Hol(D14)| = 588; order 12 holds A4, whose
+    # generating pairs all have element orders multiplying to less than 12
     for entry in catalog(order):
         hol = holomorph(entry.group)
-        lattice = [
-            frozenset(S.elements)
-            for S in subgroups_of_order(hol.group, order, bound=600)
-            if is_regular(S)
-        ]
+        subs = (
+            hol.group.subgroup_from_indices(s)
+            for s in brute_force_subgroups(hol.group, order)
+            if len(s) == order
+        )
+        lattice = [frozenset(S.elements) for S in subs if is_regular(S)]
         found = [frozenset(r.subgroup.elements) for r in regular_subgroups(hol)]
         assert found == lattice, entry.spec.text()
 
