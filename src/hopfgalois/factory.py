@@ -334,13 +334,22 @@ def _catalog(order: int) -> tuple[CatalogEntry, ...]:
         # isomorphic class are dropped with their tables.
         for t in _twists(k, l):
             G = _semidirect_pair(k, l, t, _prettify(SemidirectCC(k, l, t)))
-            for i, EG in enumerate(classes):
-                if are_isomorphic(EG, G) is not None:
-                    if G.elements < EG.elements:
-                        classes[i] = G
-                    break
+            if t == 1 and classes:
+                # Z_k x|_1 Z_l is Z_kl: the cyclic class, first in from k = 1.
+                i = 0
             else:
+                i = next(
+                    (
+                        i
+                        for i, EG in enumerate(classes)
+                        if are_isomorphic(EG, G) is not None
+                    ),
+                    None,
+                )
+            if i is None:
                 classes.append(G)
+            elif G.elements < classes[i].elements:
+                classes[i] = G
     classes.sort(key=lambda G: G.elements)
     return tuple(CatalogEntry(G.label, G) for G in classes)
 

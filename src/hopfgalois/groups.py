@@ -411,18 +411,24 @@ def extend_images(
                 yield tuple(m)
 
 
+def hom_candidates(G: PermGroup, H: PermGroup, gen_idxs):
+    """For each generator of G, the elements of H whose order divides its
+    order: the images a homomorphism G -> H may give it."""
+    return [
+        [j for j in range(len(H)) if G.order_of(gi) % H.order_of(j) == 0]
+        for gi in gen_idxs
+    ]
+
+
 def homomorphisms(G: PermGroup, H: PermGroup):
     """All homomorphisms G -> H, in canonical order of their image tables.
 
-    Generator images are filtered by order divisibility and searched with
+    Generator images are filtered by ``hom_candidates`` and searched with
     extend_images.
     """
     frame = generator_frame(G)
     H.table()
-    cands = [
-        [j for j in range(len(H)) if G.order_of(gi) % H.order_of(j) == 0]
-        for gi in frame[0]
-    ]
+    cands = hom_candidates(G, H, frame[0])
     return [Homomorphism(G, H, m) for m in sorted(extend_images(G, H, frame, cands))]
 
 

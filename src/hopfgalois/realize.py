@@ -3,7 +3,9 @@
 Route one enumerates bijective crossed homomorphisms: for f a homomorphism
 G -> Aut(N), a map g: G -> N with g(ab) = g(a) f(a)(g(b)) that is bijective
 pins down a regular subgroup {x -> g(a) * f(a)(x)} of Hol(N) isomorphic
-to G, and every such subgroup arises this way.
+to G, and every such subgroup arises this way.  Only one f per
+Aut(N)-conjugacy orbit of Hom(G, Aut(N)) is scanned, found by a search
+that never builds the rest of Hom.
 
 Route two searches Hol(N) for regular subgroups directly, by closing
 pairs of semiregular elements (|N| capped), and tags each one with its
@@ -31,6 +33,7 @@ from .groups import (
     PermGroup,
     extend_images,
     generator_frame,
+    hom_candidates,
     homomorphisms,
     is_regular,
     are_isomorphic,
@@ -155,17 +158,119 @@ def subgroup_from_cocycle(c: CrossedHom, hol: HolomorphGroup) -> RegularSubgroup
     return RegularSubgroupRecord(sub, idx, entries[idx].spec.text(), c, "cocycle")
 
 
-def hom_orbits(G: PermGroup, aut: PermGroup, homs):
+def _conjugation_orbits(atab, inv, S, cands):
+    """Orbits of S (a list of Aut(N) indices) on ``cands`` by conjugation.
+
+    ``cands`` must be a union of orbits.  Returns one (y, C_S(y)) per
+    orbit, y its first member in ``cands`` and C_S(y) its centralizer in S
+    as a list; the orbit has |S| / |C_S(y)| members.
+    """
+    pairs = [(atab[b], inv[b]) for b in S]
+    seen = set()
+    out = []
+    for x in cands:
+        if x in seen:
+            continue
+        conj = [atab[row[x]][ib] for row, ib in pairs]
+        seen.update(conj)
+        out.append((x, [b for b, y in zip(S, conj) if y == x]))
+    return out
+
+
+def _least_conjugate(atab, inv, m, stab_size):
+    """The least image tuple b * m * b^-1 over b in Aut(N).
+
+    Found image by image: over the b kept so far, keep only those that
+    reach the least image.  The b giving one conjugate form a coset of
+    m's stabilizer, so the kept b are a union of cosets, and once
+    ``stab_size`` of them remain they all give the least conjugate.  If
+    that never happens, ``stab_size`` is not the stabilizer's order and
+    CountingBugError is raised.
+    """
+    kept = range(len(atab))
+    for x in m:
+        images = [atab[atab[b][x]][inv[b]] for b in kept]
+        low = min(images)
+        kept = [b for b, y in zip(kept, images) if y == low]
+        if len(kept) == stab_size:
+            row, ib = atab[kept[0]], inv[kept[0]]
+            return tuple(atab[row[x]][ib] for x in m)
+    raise CountingBugError(
+        f"{len(kept)} automorphisms fix a homomorphism, its stabilizer has {stab_size}"
+    )
+
+
+def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
+    """One (f, orbit size) per Aut(N)-conjugacy orbit of Hom(G, Aut N).
+
+    Each f is the least member of its orbit in ``homomorphisms`` order,
+    and the orbits come in the order of those members; the rest of Hom is
+    never built.  Images are chosen generator by generator along
+    ``generator_frame(G)``, from the ``hom_candidates``: the first ranges
+    over orbit representatives of Aut(N) acting by conjugation, each
+    later one over orbit representatives of the stabilizer of the images
+    chosen so far.  One ``extend_images`` call per choice of the earlier
+    images, over the last generator's representatives, keeps the
+    homomorphisms; the orbit size is |Aut N| over the final stabilizer.
+    This is the usual search for homomorphisms up to conjugacy (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+
+    Conjugation preserves element orders, so each generator's candidates
+    are a union of orbits: at every level the orbit sizes |S| / |C_S(y)|
+    must be whole numbers that sum to the number of candidates, and the
+    final stabilizer must fix every chosen image.  Either failure, like a
+    stabilizer order that ``_least_conjugate`` never reaches, raises
+    CountingBugError.
+    """
+    frame = generator_frame(G)
+    gens = frame[0]
+    cands = hom_candidates(G, aut, gens)
+    atab = aut.table()
+    inv = [aut.inv(b) for b in range(len(aut))]
+
+    def orbits(S, level):
+        reps = _conjugation_orbits(atab, inv, S, cands[level])
+        sizes = [divmod(len(S), len(C)) for _, C in reps]
+        if any(r for _, r in sizes) or sum(q for q, _ in sizes) != len(cands[level]):
+            raise CountingBugError(
+                f"conjugation orbits do not cover the {len(cands[level])} "
+                f"candidate images of generator {level}"
+            )
+        return reps
+
+    # (images of the generators chosen so far, their stabilizer in Aut(N))
+    partial = [((), range(len(aut)))]
+    for level in range(len(gens) - 1):
+        partial = [
+            (chosen + (y,), C) for chosen, S in partial for y, C in orbits(S, level)
+        ]
+    found = []
+    for chosen, S in partial:
+        last = dict(orbits(S, len(gens) - 1))
+        singles = [[y] for y in chosen]
+        for m in extend_images(G, aut, frame, singles + [list(last)]):
+            C = last[m[gens[-1]]]
+            for b in C:
+                row, ib = atab[b], inv[b]
+                if any(atab[row[m[g]]][ib] != m[g] for g in gens):
+                    raise CountingBugError("a stabilizer moves a chosen image")
+            found.append((_least_conjugate(atab, inv, m, len(C)), len(aut) // len(C)))
+    found.sort()
+    return [(Homomorphism(G, aut, m), size) for m, size in found]
+
+
+def hom_orbits(G: PermGroup, aut: PermGroup):
     """Aut(N)-conjugacy orbits of Hom(G, Aut N), one (f, orbit) per orbit.
 
-    ``homs`` is the list from ``homomorphisms(G, aut)``; representatives
-    come in its order, each the first member of its orbit.  An f is keyed
-    by its images of G's frame generators, which determine it, and its
-    orbit is the set of keys of the conjugates b * f * b^-1, read from
-    ``aut.table()``.  Every orbit must lie inside ``homs``, and once the
-    scan is complete the orbit sizes must sum to ``len(homs)``; either
-    failure raises CountingBugError.
+    The brute-force oracle for ``_hom_orbit_reps``: it builds all of
+    ``homomorphisms(G, aut)``; representatives come in its order, each the
+    first member of its orbit.  An f is keyed by its images of G's frame
+    generators, which determine it, and its orbit is the set of keys of
+    the conjugates b * f * b^-1, read from ``aut.table()``.  Every orbit
+    must lie inside Hom, and once the scan is complete the orbit sizes
+    must sum to |Hom|; either failure raises CountingBugError.
     """
+    homs = homomorphisms(G, aut)
     gens = generator_frame(G)[0]
     atab = aut.table()
     pairs = [(atab[b], aut.inv(b)) for b in range(len(aut))]
@@ -191,17 +296,16 @@ def hom_orbits(G: PermGroup, aut: PermGroup, homs):
 def realizable_via_cocycles(G: PermGroup, N: PermGroup):
     """A witness (f, g) if G embeds as a regular subgroup of Hol(N).
 
-    Iterates f over Hom(G, Aut(N)) in canonical order and returns the
-    first bijective crossed homomorphism, or None.  An f conjugate under
-    Aut(N) to an f already scanned empty has none either, since
-    (f, g) -> (b f b^-1, b g) is a bijection of the pairs; so only orbit
-    representatives are scanned, and the witness is the one the full scan
-    would find.
+    Returns the first bijective crossed homomorphism of a scan of f over
+    Hom(G, Aut(N)) in canonical order, or None.  An f conjugate under
+    Aut(N) to an f with none has none either, since
+    (f, g) -> (b f b^-1, b g) is a bijection of the pairs; so only the
+    least member of each orbit is scanned, orbits in the order of those
+    members, and the witness is the one the full scan would find.
     """
     if len(G) != len(N):
         raise PreconditionError("realizability needs |G| = |N|")
-    aut = automorphism_group(N)
-    reps = (f for f, _ in hom_orbits(G, aut, homomorphisms(G, aut)))
+    reps = (f for f, _ in _hom_orbit_reps(G, automorphism_group(N)))
 
     def probe(f):
         found = crossed_homomorphisms(f, G, N, limit=1)
@@ -215,13 +319,14 @@ def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
 
     The count for f is constant on its Aut(N)-conjugacy orbit, because
     (f, g) -> (b f b^-1, b g) is a bijection of the pairs for each b in
-    Aut(N).  So each orbit representative is scanned once and its count
+    Aut(N).  So one member of each orbit is scanned and its count
     weighted by the orbit size.
     """
-    aut = automorphism_group(N)
+    if len(G) != len(N):
+        raise PreconditionError("counting crossed pairs needs |G| = |N|")
     return sum(
-        len(orbit) * len(crossed_homomorphisms(f, G, N))
-        for f, orbit in hom_orbits(G, aut, homomorphisms(G, aut))
+        size * len(crossed_homomorphisms(f, G, N))
+        for f, size in _hom_orbit_reps(G, automorphism_group(N))
     )
 
 

@@ -103,10 +103,11 @@ def test_audit_exit_codes():
     assert code == 5
 
 
-def test_audit_p004_above_subgroup_bound():
+@pytest.mark.parametrize("theorem", ["p003", "p004"])
+def test_audit_p004_above_subgroup_bound(theorem):
     # 455 = 5 * 7 * 13 is above the lattice bound of 400; element orders
     # decide the Sylow conditions, so the audit lists no subgroups
-    code, out = run_cli(["audit", "--theorem", "p004", "--n", "455"])
+    code, out = run_cli(["audit", "--theorem", theorem, "--n", "455"])
     assert code == 0
     assert out.splitlines()[-1] == "verdict: pass"
 

@@ -345,16 +345,28 @@ def test_hom_orbits_partition_hom(order):
     for g, n in catalog_pairs(order):
         aut = automorphism_group(n.group)
         homs = homomorphisms(g.group, aut)
-        orbits = list(hom_orbits(g.group, aut, homs))
+        orbits = list(hom_orbits(g.group, aut))
         assert sum(len(o) for _, o in orbits) == len(homs)
         positions = [homs.index(f) for f, _ in orbits]
         assert positions == sorted(positions) and positions[:1] == [0]
 
 
+@pytest.mark.parametrize(
+    "order", [4, 12] + [n for n in range(1, 43) if is_squarefree(n)]
+)
+def test_hom_orbit_reps_match_oracle(order):
+    # the orbit-by-orbit search never builds Hom; the oracle builds all of it
+    for g, n in catalog_pairs(order):
+        aut = automorphism_group(n.group)
+        found = [(f.images, size) for f, size in realize._hom_orbit_reps(g.group, aut)]
+        oracle = [(f.images, len(o)) for f, o in hom_orbits(g.group, aut)]
+        assert found == oracle, (g.spec.text(), n.spec.text())
+
+
 def _hom_with_big_orbit(G, N):
     aut = automorphism_group(N)
     homs = homomorphisms(G, aut)
-    f, orbit = next((f, o) for f, o in hom_orbits(G, aut, homs) if len(o) > 1)
+    f = next(f for f, o in hom_orbits(G, aut) if len(o) > 1)
     return aut, homs, f
 
 
@@ -362,21 +374,80 @@ def test_orbit_leaving_hom_is_a_bug(monkeypatch):
     G, N = C(6), D(6)
     aut, homs, f = _hom_with_big_orbit(G, N)
     cut = [h for h in homs if h != f]  # an orbit of a later f now leaves Hom
-    with pytest.raises(CountingBugError):
-        list(hom_orbits(G, aut, cut))
     monkeypatch.setattr(realize, "homomorphisms", lambda G, H: cut)
     with pytest.raises(CountingBugError):
-        count_crossed_pairs(G, N)
+        list(hom_orbits(G, aut))
 
 
-def test_orbit_sizes_not_summing_is_a_bug():
+def test_orbit_sizes_not_summing_is_a_bug(monkeypatch):
     G, N = C(6), D(6)
     aut, homs, f = _hom_with_big_orbit(G, N)
+    monkeypatch.setattr(realize, "homomorphisms", lambda G, H: homs + [f])
     with pytest.raises(CountingBugError):
-        list(hom_orbits(G, aut, homs + [f]))
+        list(hom_orbits(G, aut))
 
 
-FIRST_HIT_PAIRS = [p for order in (6, 10, 12, 30) for p in catalog_pairs(order)]
+def _drop_centralizer_element(orbits, S):
+    # the first centralizer with more than one element loses its last one
+    i = next(i for i, (_, C) in enumerate(orbits) if len(C) > 1)
+    y, C = orbits[i]
+    return orbits[:i] + [(y, C[:-1])] + orbits[i + 1 :]
+
+
+def _swap_centralizer_element(orbits, S):
+    # the first proper centralizer trades its last element for one outside
+    # it: the orbit sizes still add up, but it no longer fixes its image
+    i = next(i for i, (_, C) in enumerate(orbits) if len(C) < len(S))
+    y, C = orbits[i]
+    outside = next(b for b in S if b not in C)
+    return orbits[:i] + [(y, C[:-1] + [outside])] + orbits[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _drop_centralizer_element,
+        _swap_centralizer_element,
+        lambda orbits, S: orbits[:-1],
+    ],
+    ids=["drop-centralizer", "swap-centralizer", "drop-orbit"],
+)
+@pytest.mark.parametrize("engine", [count_crossed_pairs, realizable_via_cocycles])
+def test_broken_orbit_helper_is_a_bug(monkeypatch, mutate, engine):
+    helper = realize._conjugation_orbits
+
+    def mutated(atab, inv, S, cands):
+        return mutate(helper(atab, inv, S, cands), S)
+
+    monkeypatch.setattr(realize, "_conjugation_orbits", mutated)
+    with pytest.raises(CountingBugError):
+        engine(C(6), D(6))
+
+
+def test_wrong_stabilizer_size_is_a_bug():
+    N = D(6)
+    aut = automorphism_group(N)
+    f, size = next((f, s) for f, s in realize._hom_orbit_reps(C(6), aut) if s > 1)
+    atab = aut.table()
+    inv = [aut.inv(b) for b in range(len(aut))]
+    stab = len(aut) // size
+    assert realize._least_conjugate(atab, inv, f.images, stab) == f.images
+    with pytest.raises(CountingBugError):
+        realize._least_conjugate(atab, inv, f.images, stab + 1)
+
+
+def test_count_crossed_pairs_checks_orders_first(monkeypatch):
+    def no_aut(N):
+        raise AssertionError("Aut(N) built for a pair of unequal orders")
+
+    monkeypatch.setattr(realize, "automorphism_group", no_aut)
+    with pytest.raises(PreconditionError, match="counting crossed pairs needs"):
+        count_crossed_pairs(C(6), D(10))
+
+
+FIRST_HIT_PAIRS = [
+    p for order in (6, 10, 12, 30) for p in catalog_pairs(order)
+] + catalog_pairs(42, {"SD(14,3;9)", "SD(7,6;3)"})
 
 
 @pytest.mark.parametrize(
