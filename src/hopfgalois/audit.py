@@ -10,12 +10,11 @@ violations appear as explicit skipped instances rather than omissions.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .counting import is_burnside_number, radical
 from .errors import CountingBugError, PreconditionError, UnsupportedOrderError
 from .factory import (
-    Cyclic,
     Dihedral,
     SemidirectZ2,
     automorphism_group,
@@ -30,6 +29,7 @@ from .groups import (
     PermGroup,
     characteristic_subgroups,
     is_c_group,
+    is_cyclic,
     is_normal,
     is_solvable,
     is_almost_sylow_cyclic,
@@ -52,13 +52,7 @@ class AuditInstance:
     note: str = ""
 
     def to_dict(self):
-        return {
-            "subject": self.subject,
-            "hypothesis_held": self.hypothesis_held,
-            "conclusion_held": self.conclusion_held,
-            "witness": self.witness,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -71,15 +65,7 @@ class AuditReport:
     flags: tuple = field(default=())
 
     def to_dict(self):
-        return {
-            "theorem_id": self.theorem_id,
-            "order": self.order,
-            "domain": self.domain,
-            "instances": [i.to_dict() for i in self.instances],
-            "verdict": self.verdict,
-            "flags": list(self.flags),
-            "scope_note": SCOPE_NOTE,
-        }
+        return {**asdict(self), "scope_note": SCOPE_NOTE}
 
 
 def _verdict(instances) -> str:
@@ -88,6 +74,19 @@ def _verdict(instances) -> str:
     if not any(i.hypothesis_held for i in instances):
         return "vacuous"
     return "pass"
+
+
+def _report(theorem_id, order, domain, instances, flags=()) -> AuditReport:
+    """The one report builder: collects ``instances`` and computes the verdict."""
+    instances = tuple(instances)
+    return AuditReport(theorem_id, order, domain, instances, _verdict(instances), flags)
+
+
+def _unsupported(theorem_id, order, flags=()) -> AuditReport:
+    return AuditReport(
+        theorem_id, order, f"order {order}", (), "unsupported",
+        flags + (f"no complete catalog at order {order}",),
+    )
 
 
 @functools.cache
@@ -101,16 +100,16 @@ def _realizability_audit(theorem_id, order, domain, rows, conclude, flags=()):
     """Audit "if (G, N) is realizable then the conclusion holds".
 
     ``rows`` yields (subject, G, N); ``conclude(G, N)`` returns
-    (held, witness text) and runs only where the hypothesis holds.
+    (held, witness text) or (held, witness text, note) and runs only
+    where the hypothesis holds.
     """
-    instances = []
-    for subject, G, N in rows:
+
+    def instance(subject, G, N):
         if cached_realizable(G, N) is None:
-            instances.append(AuditInstance(subject, False, None))
-        else:
-            held, text = conclude(G, N)
-            instances.append(AuditInstance(subject, True, held, witness=text))
-    return AuditReport(theorem_id, order, domain, tuple(instances), _verdict(instances), flags)
+            return AuditInstance(subject, False, None)
+        return AuditInstance(subject, True, *conclude(G, N))
+
+    return _report(theorem_id, order, domain, (instance(*row) for row in rows), flags)
 
 
 def _odd_part_shape(name, H):
@@ -140,6 +139,12 @@ def _catalog_or_none(order):
         return None
 
 
+def _cyclic_class(order):
+    """The catalog's own cyclic group of this order, so its tables and
+    Aut group are the ones every other audit row already uses."""
+    return next(e.group for e in catalog(order) if is_cyclic(e.group))
+
+
 def audit_p001(max_2n: int) -> AuditReport:
     """Unconditional: every group of order 2n (n odd) has exactly one
     subgroup of order n, equal to the sign-of-translation kernel.
@@ -148,24 +153,21 @@ def audit_p001(max_2n: int) -> AuditReport:
     """
     _require_twice_odd(max_2n)
     orders = [o for o in AUDIT_ORDERS if o <= max_2n]
-    instances = []
-    for order in orders:
+
+    def instance(order, entry):
         n = order // 2
-        for entry in catalog(order):
-            G = entry.group
-            H = unique_odd_part(G)
-            count = len(subgroups_of_order(G, n))
-            sign_kernel_ok = len(H) == n
-            instances.append(
-                AuditInstance(
-                    f"{entry.spec.text()} (order {order})",
-                    True,
-                    sign_kernel_ok and count == 1,
-                    witness=f"order-{n} subgroups: {count}; sign kernel order {len(H)}",
-                )
-            )
-    domain = f"all catalog groups of orders {orders}"
-    return AuditReport("p001", max_2n, domain, tuple(instances), _verdict(instances))
+        G = entry.group
+        H = unique_odd_part(G)
+        count = len(subgroups_of_order(G, n))
+        return AuditInstance(
+            f"{entry.spec.text()} (order {order})",
+            True,
+            len(H) == n and count == 1,
+            witness=f"order-{n} subgroups: {count}; sign kernel order {len(H)}",
+        )
+
+    instances = (instance(order, e) for order in orders for e in catalog(order))
+    return _report("p001", max_2n, f"all catalog groups of orders {orders}", instances)
 
 
 def audit_c001(order: int) -> AuditReport:
@@ -174,50 +176,29 @@ def audit_c001(order: int) -> AuditReport:
     the order-12 exception; a documented scope limitation."""
     entries = _catalog_or_none(order)
     if entries is None:
-        return AuditReport(
-            "c001",
-            order,
-            f"order {order}",
-            (),
-            "unsupported",
-            (f"no complete catalog at order {order}",),
-        )
+        return _unsupported("c001", order)
     n_odd = order
     k = 0
     while n_odd % 2 == 0:
         n_odd //= 2
         k += 1
-    instances = []
-    for entry in entries:
+
+    def instance(entry):
         G = entry.group
         # The Sylow 2-subgroups are conjugate, so they are cyclic iff
         # some element has order 2^k (the identity, when k = 0).
-        hyp = any(G.order_of(i) == 2**k for i in range(len(G)))
-        if not hyp:
-            instances.append(
-                AuditInstance(entry.spec.text(), False, None, note="Sylow-2 not cyclic")
-            )
-            continue
-        counts = []
-        ok = True
-        for l in range(k + 1):
-            target = (2**l) * n_odd
-            cnt = len(subgroups_of_order(G, target))
-            counts.append((target, cnt))
-            if cnt != 1:
-                ok = False
-        instances.append(
-            AuditInstance(
-                entry.spec.text(),
-                True,
-                ok,
-                witness="; ".join(f"order {t}: {c}" for t, c in counts),
-            )
+        if not any(G.order_of(i) == 2**k for i in range(len(G))):
+            return AuditInstance(entry.spec.text(), False, None, note="Sylow-2 not cyclic")
+        counts = {t: len(subgroups_of_order(G, t)) for t in (2**l * n_odd for l in range(k + 1))}
+        return AuditInstance(
+            entry.spec.text(),
+            True,
+            all(c == 1 for c in counts.values()),
+            witness="; ".join(f"order {t}: {c}" for t, c in counts.items()),
         )
+
     flags = ("audited only at twice-odd orders and the order-12 exception",)
-    return AuditReport(
-        "c001", order, f"catalog groups of order {order}", tuple(instances), _verdict(instances), flags
-    )
+    return _report("c001", order, f"catalog groups of order {order}", map(instance, entries), flags)
 
 
 def audit_t001(n: int) -> AuditReport:
@@ -268,27 +249,21 @@ def audit_t004(n: int) -> AuditReport:
             ),
         )
     entries = catalog(2 * n)
-    family = set()
-    for s in z2_twists(n):
-        family.add(class_index(build(SemidirectZ2(n, s)), entries))
-    instances = []
-    for gi, ge in enumerate(entries):
-        for ni, ne in enumerate(entries):
-            witness = cached_realizable(ge.group, ne.group)
-            hyp = witness is not None
-            concl = None
-            if hyp:
-                concl = (gi in family) == (ni in family)
-            instances.append(
-                AuditInstance(
-                    f"({ge.spec.text()}, {ne.spec.text()})",
-                    hyp,
-                    concl,
-                    witness=f"G in family: {gi in family}; N in family: {ni in family}",
-                )
-            )
+    family = {class_index(build(SemidirectZ2(n, s)), entries) for s in z2_twists(n)}
+
+    def instance(gi, ni):
+        ge, ne = entries[gi], entries[ni]
+        hyp = cached_realizable(ge.group, ne.group) is not None
+        return AuditInstance(
+            f"({ge.spec.text()}, {ne.spec.text()})",
+            hyp,
+            ((gi in family) == (ni in family)) if hyp else None,
+            witness=f"G in family: {gi in family}; N in family: {ni in family}",
+        )
+
+    pairs = range(len(entries))
     domain = f"catalog({2 * n}) x catalog({2 * n}), family = Z_{n} x| Z_2 twists"
-    return AuditReport("t004", 2 * n, domain, tuple(instances), _verdict(instances))
+    return _report("t004", 2 * n, domain, (instance(g, m) for g in pairs for m in pairs))
 
 
 def audit_r002(n: int) -> AuditReport:
@@ -296,21 +271,18 @@ def audit_r002(n: int) -> AuditReport:
     twist, with the cocycle law verified on all pairs."""
     _require_twice_odd(2 * n)
     G = build(Dihedral(2 * n))
-    instances = []
-    for s in z2_twists(n):
-        N = build(SemidirectZ2(n, s))
-        witness = cached_realizable(G, N)
+
+    def instance(s):
+        witness = cached_realizable(G, build(SemidirectZ2(n, s)))
         ok = witness is not None and witness.verify_law()
-        instances.append(
-            AuditInstance(
-                f"(D{2 * n}, SDZ2({n};{s}))",
-                True,
-                ok,
-                witness="cocycle witness verified on all pairs" if ok else "no witness",
-            )
+        return AuditInstance(
+            f"(D{2 * n}, SDZ2({n};{s}))",
+            True,
+            ok,
+            witness="cocycle witness verified on all pairs" if ok else "no witness",
         )
-    domain = f"twists {z2_twists(n)}"
-    return AuditReport("r002", 2 * n, domain, tuple(instances), _verdict(instances))
+
+    return _report("r002", 2 * n, f"twists {z2_twists(n)}", map(instance, z2_twists(n)))
 
 
 def audit_p005(n: int) -> AuditReport:
@@ -327,29 +299,22 @@ def audit_p005(n: int) -> AuditReport:
 def audit_p003(order: int) -> AuditReport:
     """If (Z_m, N) is realizable for odd m then N is a C-group."""
     _require_odd_squarefree(order)
-    Z = build(Cyclic(order))
-    instances = []
-    for entry in catalog(order):
-        witness = cached_realizable(Z, entry.group)
-        hyp = witness is not None
-        concl = is_c_group(entry.group) if hyp else None
-        note = ""
-        if hyp and is_c_group(entry.group) and all(
-            is_c_group(e.group) for e in catalog(order)
-        ):
-            note = "conclusion cannot fail at this order: every class is a C-group"
-        instances.append(
-            AuditInstance(f"(C{order}, {entry.spec.text()})", hyp, concl, note=note)
-        )
-    return AuditReport(
-        "p003", order, f"catalog({order}) against C{order}", tuple(instances), _verdict(instances)
+    entries = catalog(order)
+    Z = _cyclic_class(order)
+    note = ""
+    if all(is_c_group(e.group) for e in entries):
+        note = "conclusion cannot fail at this order: every class is a C-group"
+    rows = ((f"(C{order}, {e.spec.text()})", Z, e.group) for e in entries)
+    return _realizability_audit(
+        "p003", order, f"catalog({order}) against C{order}", rows,
+        lambda G, N: (is_c_group(N), "", note),
     )
 
 
 def audit_p004(order: int) -> AuditReport:
     """If (G, Z_m) is realizable then G is solvable and almost Sylow-cyclic."""
     _require_odd_squarefree(order)
-    Z = build(Cyclic(order))
+    Z = _cyclic_class(order)
     rows = ((f"({e.spec.text()}, C{order})", e.group, Z) for e in catalog(order))
     return _realizability_audit(
         "p004", order, f"catalog({order}) against C{order}", rows,
@@ -362,33 +327,28 @@ def audit_t002(n: int) -> AuditReport:
     M of N back to a subgroup H of G with (H, M) realizable."""
     _require_twice_odd(2 * n)
     entries = catalog(2 * n)
-    instances = []
-    for ge in entries:
-        for ne in entries:
-            witness = cached_realizable(ge.group, ne.group)
-            hyp = witness is not None
-            pair = f"({ge.spec.text()}, {ne.spec.text()})"
-            if not hyp:
-                instances.append(AuditInstance(pair, False, None))
-                continue
-            aut = automorphism_group(ne.group)
-            for M in characteristic_subgroups(ne.group, aut):
-                try:
-                    H, _ = transport_characteristic(witness, M)
-                    instances.append(
-                        AuditInstance(
-                            f"{pair}, |M| = {len(M)}",
-                            True,
-                            True,
-                            witness=f"H of order {len(H)} realizable with M",
-                        )
-                    )
-                except CountingBugError as exc:
-                    instances.append(
-                        AuditInstance(f"{pair}, |M| = {len(M)}", True, False, note=str(exc))
-                    )
+
+    def instances(ge, ne):
+        witness = cached_realizable(ge.group, ne.group)
+        pair = f"({ge.spec.text()}, {ne.spec.text()})"
+        if witness is None:
+            yield AuditInstance(pair, False, None)
+            return
+        for M in characteristic_subgroups(ne.group, automorphism_group(ne.group)):
+            subject = f"{pair}, |M| = {len(M)}"
+            try:
+                H, _ = transport_characteristic(witness, M)
+            except CountingBugError as exc:
+                yield AuditInstance(subject, True, False, note=str(exc))
+            else:
+                yield AuditInstance(
+                    subject, True, True, witness=f"H of order {len(H)} realizable with M"
+                )
+
     domain = f"realizable catalog pairs of order {2 * n} x characteristic subgroups"
-    return AuditReport("t002", 2 * n, domain, tuple(instances), _verdict(instances))
+    return _report(
+        "t002", 2 * n, domain, (i for ge in entries for ne in entries for i in instances(ge, ne))
+    )
 
 
 def audit_ses_final(n: int) -> AuditReport:
@@ -406,14 +366,7 @@ def audit_ses_final(n: int) -> AuditReport:
     )
     entries = _catalog_or_none(2 * n)
     if entries is None:
-        return AuditReport(
-            "ses_final",
-            2 * n,
-            f"order {2 * n}",
-            (),
-            "unsupported",
-            flags + (f"no complete catalog at order {2 * n}",),
-        )
+        return _unsupported("ses_final", 2 * n, flags)
     N = build(Dihedral(2 * n))
     rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in entries)
 

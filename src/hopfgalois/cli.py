@@ -21,11 +21,12 @@ from .audit import THEOREM_IDS, run_audit
 from .brace import brace_from_regular, lambda_circ_in_hol
 from .counting import count_hgs_dihedral
 from .errors import HopfGaloisError
-from .factory import build, catalog, holomorph
+from .factory import build, catalog
 from .realize import (
     realizable_via_cocycles,
     realizable_via_search,
     regular_subgroups,
+    search_holomorph,
 )
 from .specparse import parse_group_spec
 from .store import SCHEMA_VERSION, ResultsStore
@@ -133,8 +134,7 @@ def _cmd_realizable(args):
 
 def _cmd_regular_subgroups(args):
     n_spec = parse_group_spec(args.hol_of)
-    N = build(n_spec)
-    hol = holomorph(N)
+    hol = search_holomorph(build(n_spec))
     records = regular_subgroups(hol)
     counts = {}
     for r in records:
@@ -153,7 +153,7 @@ def _cmd_braces(args):
     entries = catalog(args.order)
     rows = []
     for entry in entries:
-        hol = holomorph(entry.group)
+        hol = search_holomorph(entry.group)
         for rec in regular_subgroups(hol):
             b = brace_from_regular(rec.subgroup, entry.group)
             rows.append(

@@ -16,9 +16,9 @@ from math import gcd, inf
 
 from . import perm
 from .errors import BudgetExceededError, CountingBugError, PreconditionError
-from .factory import Dihedral, automorphism_group, build, catalog, class_index, holomorph
+from .factory import Dihedral, automorphism_group, build, catalog, class_index
 from .groups import PermGroup, factorize, left_translation
-from .realize import regular_subgroups
+from .realize import regular_subgroups, search_holomorph
 
 
 def euler_phi(n: int) -> int:
@@ -246,7 +246,7 @@ def byott_aggregate(G: PermGroup) -> int:
     target = class_index(G, entries)
     total = 0
     for entry in entries:
-        hol = holomorph(entry.group)
+        hol = search_holomorph(entry.group)
         records = regular_subgroups(hol)
         cnt = sum(1 for r in records if r.iso_index == target)
         num = aut_g * cnt

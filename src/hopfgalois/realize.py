@@ -430,6 +430,19 @@ def _pair_search(hol: HolomorphGroup):
     ]
 
 
+def _check_search_bound(m: int):
+    if m > PAIR_SEARCH_MAX:
+        raise BoundExceededError(
+            f"|N| = {m} exceeds the Hol(N) search bound {PAIR_SEARCH_MAX}"
+        )
+
+
+def search_holomorph(N: PermGroup) -> HolomorphGroup:
+    """Hol(N) for the direct search, checking the bound before building it."""
+    _check_search_bound(len(N))
+    return holomorph(N)
+
+
 @functools.cache
 def regular_subgroups(hol: HolomorphGroup) -> tuple[RegularSubgroupRecord, ...]:
     """Every regular subgroup of Hol(N), tagged with its catalog class.
@@ -438,10 +451,7 @@ def regular_subgroups(hol: HolomorphGroup) -> tuple[RegularSubgroupRecord, ...]:
     once per ``hol``.
     """
     m = len(hol.n_group)
-    if m > PAIR_SEARCH_MAX:
-        raise BoundExceededError(
-            f"|N| = {m} exceeds the Hol(N) search bound {PAIR_SEARCH_MAX}"
-        )
+    _check_search_bound(m)
     entries = catalog(m)
     records = []
     for S in sorted(_pair_search(hol), key=lambda s: tuple(sorted(s))):
@@ -459,7 +469,7 @@ def realizable_via_search(G: PermGroup, N: PermGroup) -> bool:
     """True iff the direct Hol(N) search finds a regular subgroup iso to G."""
     if len(G) != len(N):
         raise PreconditionError("realizability needs |G| = |N|")
-    records = regular_subgroups(holomorph(N))
+    records = regular_subgroups(search_holomorph(N))
     target = class_index(G, catalog(len(N)))
     return any(r.iso_index == target for r in records)
 

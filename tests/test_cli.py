@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hopfgalois
-from hopfgalois import cli
+from hopfgalois import cli, realize
 from hopfgalois.audit import AuditReport
 from hopfgalois.store import ResultsStore
 
@@ -49,9 +49,11 @@ def test_order_mismatch_is_error():
     assert code == 1
 
 
-def test_bad_spec_is_error():
-    code, _ = run_cli(["realizable", "--g", "SD(7,3;3)", "--n", "C21"])
-    assert code == 1
+def test_bad_spec_is_error(capsys):
+    for spec in ("SD(7,3;3)", "C0", "D3", "SD(0,2;1)", "SD(15,2;3)", "SDZ2(0;1)"):
+        code, out = run_cli(["realizable", "--g", spec, "--n", "C21"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {spec}: ")
     code, _ = run_cli(["realizable", "--g", "C6x", "--n", "C6"])
     assert code == 1
 
@@ -73,10 +75,17 @@ def test_regular_subgroups_counts():
     assert payload["result"]["strategy"] == "generator-pairs"
 
 
-def test_regular_subgroups_order_bound_is_error(capsys):
-    code, out = run_cli(["regular-subgroups", "--hol-of", "C31"])
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: ")
+def test_regular_subgroups_order_bound_is_error(monkeypatch, capsys):
+    def boom(N):
+        raise AssertionError("Hol(N) built above the search bound")
+
+    # the bound is checked before Hol(N) is built
+    monkeypatch.setattr(realize, "holomorph", boom)
+    monkeypatch.setattr(cli, "holomorph", boom, raising=False)
+    for argv in (["regular-subgroups", "--hol-of", "C31"], ["braces", "--order", "42"]):
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: |N| = ")
 
 
 def test_braces_order_6():
@@ -101,6 +110,9 @@ def test_audit_exit_codes():
     assert code == 5
     code, _ = run_cli(["audit", "--theorem", "ses_final", "--n", "10"])
     assert code == 5
+    code, out = run_cli(["audit", "--theorem", "c001", "--n", "16"])
+    assert code == 5
+    assert out.splitlines()[-1] == "verdict: unsupported"
 
 
 @pytest.mark.parametrize("theorem", ["p003", "p004"])
@@ -133,13 +145,27 @@ def test_audit_fail_exit_code(monkeypatch):
     assert code == 4
 
 
+TABLE_CASES = [
+    # argv, a line of the table, csv header, csv lines with the header
+    (["catalog", "--order", "12"], "4      A4         12   ", "index,spec,order", 6),
+    (
+        ["braces", "--order", "6"],
+        "count: 10",
+        "additive,multiplicative,verified,translations_in_holomorph",
+        11,
+    ),
+    (["count-dihedral", "--n", "3"], "e_formula: 28", "field,value", 8),
+]
+
+
 def test_catalog_table_and_csv():
-    code, table = run_cli(["catalog", "--order", "12"])
-    assert code == 0 and "A4" in table
-    code, csv_text = run_cli(["catalog", "--order", "12", "--format", "csv"])
-    assert code == 0
-    assert csv_text.splitlines()[0] == "index,spec,order"
-    assert len(csv_text.strip().splitlines()) == 6
+    for argv, line, header, lines in TABLE_CASES:
+        code, table = run_cli(argv)
+        assert code == 0 and line in table.splitlines()
+        code, csv_text = run_cli(argv + ["--format", "csv"])
+        assert code == 0
+        assert csv_text.splitlines()[0] == header
+        assert len(csv_text.strip().splitlines()) == lines
 
 
 @pytest.mark.parametrize(

@@ -222,9 +222,18 @@ def test_regular_subgroups_is_memoized_per_holomorph():
     assert regular_subgroups(hol) is regular_subgroups(hol)
 
 
-def test_regular_subgroups_order_bound():
+def test_regular_subgroups_order_bound(monkeypatch):
+    c31 = build(Cyclic(31))
     with pytest.raises(BoundExceededError):
-        regular_subgroups(holomorph(build(Cyclic(31))))
+        regular_subgroups(holomorph(c31))
+
+    def boom(N):
+        raise AssertionError("Hol(N) built above the search bound")
+
+    # the search checks the bound before it builds Hol(N)
+    monkeypatch.setattr(realize, "holomorph", boom)
+    with pytest.raises(BoundExceededError):
+        realize.realizable_via_search(c31, c31)
 
 
 @pytest.mark.parametrize(

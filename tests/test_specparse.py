@@ -40,9 +40,21 @@ def test_nested_holomorph():
     )
 
 
+SEMANTIC_ERRORS = {
+    "SD(7,3;3)": "SD(7,3;3): twist order does not divide 3 (3^3 != 1 mod 7)",
+    "C0": "C0: order must be positive",
+    "D3": "D3: order must be even and >= 2",
+    "SD(0,2;1)": "SD(0,2;1): factors must be positive",
+    "SD(15,2;3)": "SD(15,2;3): twist 3 is not a unit mod 15",
+    "SDZ2(0;1)": "SDZ2(0;1): n must be positive",
+}
+
+
 def test_semantic_error_distinct_from_syntax():
-    with pytest.raises(SpecSemanticError):
-        parse_group_spec("SD(7,3;3)")
+    for text, message in SEMANTIC_ERRORS.items():
+        with pytest.raises(SpecSemanticError) as info:
+            parse_group_spec(text)
+        assert str(info.value) == message
     with pytest.raises(SpecSyntaxError):
         parse_group_spec("SD(7,3)")
 
