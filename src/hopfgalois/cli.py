@@ -46,11 +46,6 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p.add_argument("--store", default=None, help="append a JSONL record here")
     p.add_argument("--threads", type=int, default=1, help="ignored; both engines run on one thread")
-    p.add_argument(
-        "--seedless",
-        action="store_true",
-        help="reserved; output is deterministic with or without it",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

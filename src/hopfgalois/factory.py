@@ -23,13 +23,13 @@ from .errors import (
 from .groups import (
     PermGroup,
     are_isomorphic,
+    check_size,
     closure,
-    extend_images,
     factorize,
-    generator_frame,
     is_cyclic,
     is_c_group,
     is_normal,
+    isomorphisms,
     all_subgroups,
     left_translation,
     unique_odd_part,
@@ -165,9 +165,7 @@ def build(spec: GroupSpec) -> PermGroup:
 
 def _build(spec: GroupSpec) -> PermGroup:
     if isinstance(spec, Cyclic):
-        n = spec.n
-        gen = tuple((x + 1) % n for x in range(n))
-        return closure([gen], cap=n, label=spec)
+        return _semidirect_pair(1, spec.n, 1, spec)
     if isinstance(spec, Dihedral):
         n = spec.order2n // 2
         return _semidirect_pair(n, 2, (n - 1) % n if n > 1 else 1, spec)
@@ -222,20 +220,9 @@ def automorphism_group(N: PermGroup) -> PermGroup:
     """All automorphisms of N, as permutations of N's element indices,
     computed once per group object.
 
-    Generator-image search over order-matched candidates; every candidate
-    map is verified multiplicative and bijective, so the returned list is
-    the complete automorphism group.
+    The automorphisms are ``isomorphisms(N, N)``, the complete list.
     """
-    return PermGroup(len(N), _automorphism_perms(N))
-
-
-def _automorphism_perms(N: PermGroup):
-    frame = generator_frame(N)
-    cands = [
-        [j for j in range(len(N)) if N.order_of(j) == N.order_of(gi)]
-        for gi in frame[0]
-    ]
-    return list(extend_images(N, N, frame, cands, injective=True))
+    return PermGroup(len(N), isomorphisms(N, N))
 
 
 @dataclass(eq=False)
@@ -262,8 +249,10 @@ class HolomorphGroup:
 @functools.cache
 def holomorph(N: PermGroup) -> HolomorphGroup:
     """The permutations of N generated by translations and automorphisms,
-    built once per group object."""
+    built once per group object.  Raises BoundExceededError before any
+    is built when |N|·|Aut N| of them would pass ``SIZE_LIMIT``."""
     aut = automorphism_group(N)
+    check_size(len(N) * len(aut), len(N))
     lam = tuple(left_translation(N, t) for t in range(len(N)))
     iota = tuple(aut.elements)
     tags = {}
@@ -334,18 +323,8 @@ def _catalog(order: int) -> tuple[CatalogEntry, ...]:
         # isomorphic class are dropped with their tables.
         for t in _twists(k, l):
             G = _semidirect_pair(k, l, t, _prettify(SemidirectCC(k, l, t)))
-            if t == 1 and classes:
-                # Z_k x|_1 Z_l is Z_kl: the cyclic class, first in from k = 1.
-                i = 0
-            else:
-                i = next(
-                    (
-                        i
-                        for i, EG in enumerate(classes)
-                        if are_isomorphic(EG, G) is not None
-                    ),
-                    None,
-                )
+            # Z_k x|_1 Z_l is Z_kl: the cyclic class, first in from k = 1.
+            i = 0 if t == 1 and classes else _first_isomorphic(G, classes)
             if i is None:
                 classes.append(G)
             elif G.elements < classes[i].elements:
@@ -369,14 +348,22 @@ def _prettify(spec: GroupSpec) -> GroupSpec:
     return spec
 
 
+def _first_isomorphic(G: PermGroup, groups) -> int | None:
+    """Index of the first of ``groups`` isomorphic to G, or None."""
+    return next(
+        (i for i, H in enumerate(groups) if are_isomorphic(H, G) is not None),
+        None,
+    )
+
+
 def class_index(G: PermGroup, entries: list[CatalogEntry]) -> int:
     """Index of the catalog class isomorphic to G; raises if none matches."""
-    for i, entry in enumerate(entries):
-        if are_isomorphic(entry.group, G) is not None:
-            return i
-    raise PreconditionError(
-        f"group of order {len(G)} matches no catalog class"
-    )
+    i = _first_isomorphic(G, (entry.group for entry in entries))
+    if i is None:
+        raise PreconditionError(
+            f"group of order {len(G)} matches no catalog class"
+        )
+    return i
 
 
 # Structure recognition.

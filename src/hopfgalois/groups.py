@@ -23,6 +23,7 @@ from .errors import (
 
 SUBGROUP_BOUND = 400   # |G| cap for the subgroup lattice walk
 TABLE_LIMIT = 1200     # larger groups have no table; their products compose
+SIZE_LIMIT = 4_000_000  # |G| x degree cap on one group's list of image tuples
 
 
 class PermGroup:
@@ -48,7 +49,6 @@ class PermGroup:
         self._inverse_table = None
         self._order_table = None
         self._min_gens = None
-        self._is_abelian = None
         self._subgroups = None
 
     def _default_generators(self):
@@ -127,15 +127,6 @@ class PermGroup:
             )
         return self._order_table[i]
 
-    def is_abelian(self) -> bool:
-        if self._is_abelian is None:
-            gens = self.minimal_generating_set()
-            g = [self._index[p] for p in gens]
-            self._is_abelian = all(
-                self.mul(a, b) == self.mul(b, a) for a in g for b in g
-            )
-        return self._is_abelian
-
     def order_profile(self):
         """Sorted multiset of element orders; cheap isomorphism invariant."""
         return tuple(sorted(self.order_of(i) for i in range(len(self))))
@@ -169,7 +160,9 @@ def closure(generators, cap=20000, label=None) -> PermGroup:
     """Close a generator list under composition into a PermGroup.
 
     Raises CapExceededError if the generated group would exceed ``cap``;
-    that signals a mis-sized search rather than a bug.
+    that signals a mis-sized search rather than a bug.  A ``cap`` whose
+    elements would hold more than ``SIZE_LIMIT`` image entries raises
+    BoundExceededError before any element is made.
     """
     if not generators:
         raise PreconditionError("closure needs at least one generator")
@@ -179,6 +172,7 @@ def closure(generators, cap=20000, label=None) -> PermGroup:
             raise DegreeMismatchError(f"degree {len(g)} vs {degree}")
         if not perm.is_perm(g):
             raise PreconditionError(f"not a permutation: {g}")
+    check_size(cap, degree)
     ident = perm.identity(degree)
     seen = {ident}
     frontier = [ident]
@@ -194,6 +188,16 @@ def closure(generators, cap=20000, label=None) -> PermGroup:
                     nxt.append(q)
         frontier = nxt
     return PermGroup(degree, seen, generators=tuple(generators), label=label)
+
+
+def check_size(order: int, degree: int):
+    """Raise BoundExceededError when ``order`` permutations of ``degree``
+    points would hold more than ``SIZE_LIMIT`` image entries."""
+    if order * degree > SIZE_LIMIT:
+        raise BoundExceededError(
+            f"{order} permutations of degree {degree} exceed the size bound "
+            f"{SIZE_LIMIT} (elements x degree)"
+        )
 
 
 def is_regular(H: PermGroup) -> bool:
@@ -432,23 +436,30 @@ def homomorphisms(G: PermGroup, H: PermGroup):
     return [Homomorphism(G, H, m) for m in sorted(extend_images(G, H, frame, cands))]
 
 
-def are_isomorphic(G: PermGroup, H: PermGroup):
-    """An explicit isomorphism G -> H if one exists, else None.
+def isomorphisms(G: PermGroup, H: PermGroup):
+    """Every isomorphism G -> H as an image tuple, in ``itertools.product``
+    order of the generator images: the one isomorphism search.
 
-    Generator-image search pruned by order profile and abelianness.
+    Each generator of a smallest generating set of G may go to any element
+    of H of its order; extend_images keeps the injective homomorphisms,
+    which between groups of one order are the isomorphisms.
     """
     if len(G) != len(H):
-        return None
-    if G.order_profile() != H.order_profile():
-        return None
-    if G.is_abelian() != H.is_abelian():
-        return None
+        return
     frame = generator_frame(G)
     cands = [
         [j for j in range(len(H)) if H.order_of(j) == G.order_of(gi)]
         for gi in frame[0]
     ]
-    m = next(extend_images(G, H, frame, cands, injective=True), None)
+    yield from extend_images(G, H, frame, cands, injective=True)
+
+
+def are_isomorphic(G: PermGroup, H: PermGroup):
+    """An explicit isomorphism G -> H if one exists, else None: the first
+    of ``isomorphisms``, after the order-profile check."""
+    if len(G) != len(H) or G.order_profile() != H.order_profile():
+        return None
+    m = next(isomorphisms(G, H), None)
     return None if m is None else Homomorphism(G, H, m)
 
 

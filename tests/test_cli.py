@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,9 +218,29 @@ def test_four_generator_group_is_error(capsys):
     assert "Traceback" not in err
 
 
-def test_seedless_flag_accepted():
-    code, _ = run_cli(["catalog", "--order", "6", "--seedless"])
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realizable", "--g", "C20000", "--n", "C20000", "--method", "cocycle"],
+        ["catalog", "--order", "20003"],
+    ],
+)
+def test_oversized_group_is_error(argv):
+    # in a child capped at 1 GB of address space, so a group built without
+    # the size bound ends in a MemoryError there, not in the test runner
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfgalois", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
+    )
+    elapsed = time.monotonic() - started
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "size bound" in proc.stderr
+    assert elapsed < 2
 
 
 def test_store_records_and_replays(tmp_path):

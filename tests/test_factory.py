@@ -33,6 +33,11 @@ from hopfgalois.groups import PermGroup, closure
 from conftest import C, D, brute_force_automorphisms
 
 
+def commutative(G):
+    n = len(G)
+    return all(G.mul(a, b) == G.mul(b, a) for a in range(n) for b in range(n))
+
+
 def test_build_cyclic():
     G = C(6)
     assert len(G) == 6 and len(G.generators) == 1
@@ -40,7 +45,7 @@ def test_build_cyclic():
 
 def test_build_semidirect_cc():
     G = build(SemidirectCC(7, 3, 2))
-    assert len(G) == 21 and not G.is_abelian()
+    assert len(G) == 21 and not commutative(G)
 
 
 def test_build_semidirect_z2():
@@ -52,12 +57,12 @@ def test_build_semidirect_z2():
 
 def test_build_a4():
     G = build(Alternating4())
-    assert len(G) == 12 and not G.is_abelian()
+    assert len(G) == 12 and not commutative(G)
 
 
 def test_build_direct_product():
     G = build(DirectProduct(Cyclic(2), Cyclic(6)))
-    assert len(G) == 12 and G.is_abelian() and not is_cyclic(G)
+    assert len(G) == 12 and commutative(G) and not is_cyclic(G)
 
 
 def test_build_regularity():

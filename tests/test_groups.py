@@ -28,6 +28,7 @@ from hopfgalois import (
     Dihedral,
     DirectProduct,
     SemidirectCC,
+    SemidirectZ2,
 )
 from hopfgalois import perm
 from hopfgalois.errors import (
@@ -38,8 +39,10 @@ from hopfgalois.errors import (
 from hopfgalois.factory import is_squarefree
 from hopfgalois.groups import (
     TABLE_LIMIT,
+    Homomorphism,
     PermGroup,
     is_normal,
+    isomorphisms,
     left_translation,
     subgroups_of_order,
 )
@@ -227,6 +230,46 @@ def test_are_isomorphic_rejects(s3):
 def test_are_isomorphic_finds(s3):
     iso = are_isomorphic(s3, D(6))
     assert iso is not None and len(set(iso.images)) == len(s3) and iso.verify()
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_isomorphisms_order_12_against_brute_force(i):
+    # catalog classes are pairwise non-isomorphic: maps exist only for i == j
+    entries = catalog(12)
+    G = entries[i].group
+    for j, entry in enumerate(entries):
+        H = entry.group
+        maps = list(isomorphisms(G, H))
+        assert all(Homomorphism(G, H, m).verify() for m in maps)
+        assert sorted(maps) == [
+            m for m in brute_force_homomorphisms(G, H) if len(set(m)) == len(G)
+        ]
+        assert len(maps) == (len(automorphism_group(G)) if i == j else 0)
+
+
+@pytest.mark.parametrize("s, aut_order", [(1, 8), (4, 40), (11, 24), (14, 120)])
+def test_isomorphisms_semidirect_z2_15(s, aut_order):
+    # C30, C3 x D10, C5 x S3, D30: |Aut| = 8, 2*20, 4*6 and 15*8
+    G = build(SemidirectZ2(15, s))
+    counts = []
+    for entry in catalog(30):
+        maps = list(isomorphisms(G, entry.group))
+        assert all(Homomorphism(G, entry.group, m).verify() for m in maps)
+        counts.append(len(maps))
+    assert sorted(counts) == [0, 0, 0, aut_order]
+
+
+def test_are_isomorphic_equal_order_profiles():
+    # the Heisenberg group mod 3 on Z3 x Z3, (a, b) -> (a + u, b + w*a + v),
+    # and C3 x C3 x C3: both have 26 elements of order 3
+    shift = tuple(((a + 1) % 3) * 3 + b for a in range(3) for b in range(3))
+    shear = tuple(a * 3 + (b + a) % 3 for a in range(3) for b in range(3))
+    heis = closure([shift, shear])
+    c3_3 = build(DirectProduct(Cyclic(3), DirectProduct(Cyclic(3), Cyclic(3))))
+    assert len(heis) == len(c3_3) == 27
+    assert heis.order_profile() == c3_3.order_profile()
+    assert are_isomorphic(heis, c3_3) is None
+    assert are_isomorphic(c3_3, heis) is None
 
 
 def test_is_solvable():
