@@ -2,7 +2,10 @@
 
 Every group in this library is a PermGroup: a full, canonically ordered
 list of image tuples.  Orders stay small (a few thousand at most), so
-explicit enumeration is used throughout instead of stabilizer chains.
+elements are enumerated explicitly instead of held as stabilizer chains;
+only the base idea is borrowed from those: a multiplication table looks
+each product up by its images of a base, a few points that tell every
+element apart, instead of by a composed tuple of ``degree`` points.
 """
 
 from __future__ import annotations
@@ -96,21 +99,41 @@ class PermGroup:
         Entry [i][j] is the index of compose(elements[i], elements[j]).
         Above ``TABLE_LIMIT`` elements it raises BoundExceededError, so a
         caller that indexes the table itself, or must fail before doing
-        work, calls it first.  Composing with q is ``itemgetter(*q)``, one
-        C call per entry, so a row is one lookup per column.  Below degree
-        2 the group is trivial, and ``itemgetter`` of one index would
-        return a scalar, so that case is written out.
+        work, calls it first.  An element is fixed by its images of a base
+        (``_base``), so entry [i][j] is looked up by
+        ``p_i[p_j[b]] for b in base`` instead of a composed tuple of
+        ``degree`` points.  One ``itemgetter`` over the base images of
+        every column gives all of a row's keys in one C call; with a
+        one-point base the key is a list indexed by the point, otherwise a
+        dict of tuples.  A one-element group has an empty base.
         """
         if self._mul_table is None:
             if len(self) > TABLE_LIMIT:
                 raise BoundExceededError(f"no table above {TABLE_LIMIT} elements")
             els = self.elements
-            idx = self._index
-            if self.degree < 2:
+            base = _base(els, self.degree)
+            key = {tuple(p[b] for b in base): i for i, p in enumerate(els)}
+            if len(key) != len(els):
+                raise PreconditionError(
+                    f"base {base} does not tell {len(els)} elements apart"
+                )
+            if not base:
                 self._mul_table = [(0,)]
+                return self._mul_table
+            row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
+            if len(base) == 1:
+                point_key = [None] * self.degree
+                for (point,), i in key.items():
+                    point_key[point] = i
+                lookup, keys_of = point_key.__getitem__, row_keys
             else:
-                cols = [operator.itemgetter(*q) for q in els]
-                self._mul_table = [tuple(idx[col(p)] for col in cols) for p in els]
+                width = len(base)
+                lookup = key.__getitem__
+
+                def keys_of(p):
+                    return zip(*[iter(row_keys(p))] * width)
+
+            self._mul_table = [tuple(map(lookup, keys_of(p))) for p in els]
         return self._mul_table
 
     def inv(self, i: int) -> int:
@@ -154,6 +177,39 @@ class PermGroup:
                     self._min_gens = tuple(self.elements[i] for i in combo)
                     return self._min_gens
         raise BoundExceededError(f"no generating set of size <= 3 for order {n}")
+
+
+def _base(elements, degree):
+    """A base for the group with these elements: points whose images tell
+    every element apart (Sims 1970; Seress 2003, ch. 4).
+
+    Chosen greedily: each round takes the point whose images split the
+    classes of elements that agree on the base so far into the most
+    classes, until every class is a singleton.  A round stops scanning
+    points at the first one that separates all elements, which is point 0
+    for a regular group.  A one-element group has the empty base.
+    """
+    n = len(elements)
+    base = []
+    classes = [0] * n
+    count = 1
+    while count < n:
+        best, best_count = None, count
+        for b in range(degree):
+            split = len(set(zip(classes, map(operator.itemgetter(b), elements))))
+            if split > best_count:
+                best, best_count = b, split
+                if split == n:
+                    break
+        if best is None:
+            raise PreconditionError("elements are not distinct permutations")
+        ids = {}
+        classes = [
+            ids.setdefault((c, p[best]), len(ids)) for c, p in zip(classes, elements)
+        ]
+        base.append(best)
+        count = best_count
+    return base
 
 
 def closure(generators, cap=20000, label=None) -> PermGroup:

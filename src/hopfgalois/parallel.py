@@ -1,5 +1,5 @@
 """Unused by the library; kept only because perfbench/tracing.py names it
-(it goes with ROADMAP item 2)."""
+(it goes with ROADMAP item 1)."""
 
 from __future__ import annotations
 

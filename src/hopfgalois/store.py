@@ -19,7 +19,7 @@ ENGINE_VERSION = "0.1.0"
 
 class AutCache:
     """Unused by the library; kept only because perfbench/tracing.py names it
-    (it goes with ROADMAP item 2)."""
+    (it goes with ROADMAP item 1)."""
 
     def __init__(self, path: Path):
         self.path = Path(path)

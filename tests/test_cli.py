@@ -218,6 +218,20 @@ def test_four_generator_group_is_error(capsys):
     assert "Traceback" not in err
 
 
+def test_aut_above_table_limit_is_error():
+    # a fresh process, so no memo from another test holds a table;
+    # |Aut(D102)| = 1632 is above TABLE_LIMIT
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfgalois", "realizable", "--g", "C102", "--n", "D102",
+         "--method", "cocycle"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: no table above 1200 elements\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -41,6 +41,7 @@ from hopfgalois.groups import (
     TABLE_LIMIT,
     Homomorphism,
     PermGroup,
+    _base,
     is_normal,
     isomorphisms,
     left_translation,
@@ -411,15 +412,6 @@ def test_identity_is_index_zero():
         assert G.elements[0] == perm.identity(G.degree)
 
 
-def test_order_profile_and_table_consistency():
-    G = D(12)
-    table = G.table()
-    for i, j in itertools.product(range(len(G)), repeat=2):
-        assert table[i][j] == G.index_of(
-            perm.compose(G.elements[i], G.elements[j])
-        )
-
-
 def compose_table(G):
     # the table straight from the definition, one perm.compose per entry
     return [
@@ -433,21 +425,94 @@ def fresh_copy(G):
     return PermGroup(G.degree, G.elements)
 
 
+def intransitive_c3_c3_c2():
+    # C3 x C3 x C2 on the orbits {0,1,2}, {3,4,5}, {6,7}: no one point
+    # separates its elements, so a base needs a point from each orbit
+    return closure(
+        [(1, 2, 0, 3, 4, 5, 6, 7), (0, 1, 2, 4, 5, 3, 6, 7), (0, 1, 2, 3, 4, 5, 7, 6)]
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda: C(1),
+        lambda: PermGroup(3, [perm.identity(3)]),
         lambda: C(2),
         lambda: D(6),
+        lambda: D(12),
         lambda: next(e.group for e in catalog(12) if e.spec.text() == "A4"),
+        intransitive_c3_c3_c2,
         lambda: holomorph(C(6)).group,
         lambda: automorphism_group(D(42)),
+        lambda: automorphism_group(D(66)),
     ],
-    ids=["C1", "C2", "D6", "A4", "Hol(C6)", "Aut(D42)"],
+    ids=[
+        "C1",
+        "trivial-on-3",
+        "C2",
+        "D6",
+        "D12",
+        "A4",
+        "C3xC3xC2-intransitive",
+        "Hol(C6)",
+        "Aut(D42)",
+        "Aut(D66)",
+    ],
 )
 def test_table_matches_compose(make):
     G = fresh_copy(make())
     assert G.table() == compose_table(G)
+
+
+@pytest.mark.parametrize(
+    "make, size",
+    [
+        (lambda: PermGroup(3, [perm.identity(3)]), 0),
+        (lambda: C(30), 1),
+        # C6 on the orbits {0,1} and {2..7}: point 0 splits it in two, but
+        # the greedy choice takes point 2, which alone tells all six apart
+        (lambda: closure([(1, 0, 3, 4, 5, 6, 7, 2)]), 1),
+        (lambda: holomorph(C(6)).group, 2),
+        (lambda: automorphism_group(D(66)), 2),
+        (intransitive_c3_c3_c2, 3),
+    ],
+    ids=[
+        "trivial-on-3",
+        "C30",
+        "C6-two-orbits",
+        "Hol(C6)",
+        "Aut(D66)",
+        "C3xC3xC2-intransitive",
+    ],
+)
+def test_base_tells_elements_apart(make, size):
+    G = make()
+    base = _base(G.elements, G.degree)
+    assert len(set(base)) == len(base) == size
+    assert len({tuple(p[b] for b in base) for p in G.elements}) == len(G)
+    # the base stops growing as soon as it tells the elements apart
+    shorter = base[:-1]
+    assert not base or len({tuple(p[b] for b in shorter) for p in G.elements}) < len(G)
+
+
+def test_base_refuses_repeated_elements():
+    # no point splits two equal permutations, so no base exists
+    with pytest.raises(PreconditionError, match="not distinct"):
+        _base((perm.identity(3),) * 2, 3)
+
+
+@pytest.mark.parametrize(
+    "make, base",
+    [(lambda: D(6), []), (intransitive_c3_c3_c2, [0, 3])],
+    ids=["empty", "two-of-three-orbits"],
+)
+def test_table_refuses_a_base_that_does_not_tell_elements_apart(monkeypatch, make, base):
+    G = fresh_copy(make())
+    monkeypatch.setattr("hopfgalois.groups._base", lambda elements, degree: base)
+    with pytest.raises(PreconditionError, match="does not tell"):
+        G.table()
+    assert G._mul_table is None
 
 
 def test_products_below_table_limit_never_compose(monkeypatch):
