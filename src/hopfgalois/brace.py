@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import PreconditionError
-from .groups import PermGroup, is_regular
+from .groups import PermGroup, _generating_set, is_regular
 
 
 @dataclass(frozen=True)
@@ -29,32 +29,6 @@ def group_table_identity(table):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
             return e
     return None
-
-
-def _generating_set(table, e):
-    """Elements whose left-to-right products reach every element of a loop.
-
-    Greedy: an element not reached yet joins the set, and the reached
-    elements are then closed again under right multiplication by the set.
-    ``table`` must hold entries in range(n) and have two-sided identity
-    ``e``.  For a group this takes at most log2(n) elements.
-    """
-    gens = []
-    reached = {e}
-    for x in range(len(table)):
-        if x in reached:
-            continue
-        gens.append(x)
-        reached = {e}
-        stack = [e]
-        while stack:
-            row = table[stack.pop()]
-            for s in gens:
-                y = row[s]
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-    return gens
 
 
 def _is_additive(f, cols, gens):
@@ -93,15 +67,6 @@ def _group_generators(table):
         if list(map(itemgetter(*rows[s]), rows)) != list(map(rows.__getitem__, cols[s])):
             return None
     return e, gens
-
-
-def is_group_table(table) -> bool:
-    """Latin square with identity and full associativity.
-
-    Associativity is checked on a generating set only (Light's test, see
-    ``_group_generators``): O(n^2 |S|) instead of all n^3 triples.
-    """
-    return _group_generators(table) is not None
 
 
 def brace_from_regular(R: PermGroup, N: PermGroup) -> SkewBrace:

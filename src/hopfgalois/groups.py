@@ -35,7 +35,8 @@ class PermGroup:
     Elements are sorted lexicographically by image tuple, so two
     generating sets of the same subgroup produce identical lists and the
     identity always sits at index 0.  The element list is fixed at
-    construction; the multiplication table fills in on the first product
+    construction, and a repeated element raises PreconditionError; the
+    multiplication table fills in on the first product
     (``mul``), and the inverse and order tables, the generating set and
     the subgroup list on first use.  No other module sets attributes on
     an instance; automorphism groups, holomorphs and regular subgroups
@@ -48,6 +49,8 @@ class PermGroup:
         self.generators = tuple(generators) if generators else self._default_generators()
         self.label = label
         self._index = {p: i for i, p in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
+            raise PreconditionError("group elements are not distinct")
         self._mul_table = None
         self._inverse_table = None
         self._order_table = None
@@ -261,6 +264,32 @@ def is_regular(H: PermGroup) -> bool:
     if len(H) != H.degree:
         return False
     return len({p[0] for p in H.elements}) == H.degree
+
+
+def _generating_set(table, e):
+    """Elements whose left-to-right products reach every element of a loop.
+
+    Greedy: an element not reached yet joins the set, and the reached
+    elements are then closed again under right multiplication by the set.
+    ``table`` must hold entries in range(n) and have two-sided identity
+    ``e``.  For a group this takes at most log2(n) elements.
+    """
+    gens = []
+    reached = {e}
+    for x in range(len(table)):
+        if x in reached:
+            continue
+        gens.append(x)
+        reached = {e}
+        stack = [e]
+        while stack:
+            row = table[stack.pop()]
+            for s in gens:
+                y = row[s]
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    return gens
 
 
 def _closure_idx(G, seed, gen_idxs):

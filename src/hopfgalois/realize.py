@@ -7,10 +7,15 @@ to G, and every such subgroup arises this way.  Only one f per
 Aut(N)-conjugacy orbit of Hom(G, Aut(N)) is scanned, found by a search
 that never builds the rest of Hom.
 
-Route two searches Hol(N) for regular subgroups directly, by closing
-pairs of semiregular elements (|N| capped), and tags each one with its
-isomorphism class.  The two routes must agree; tests hold them against
-each other.
+Route two searches Hol(N) for regular subgroups directly (|N| capped),
+up to Hol(N)-conjugacy.  It closes pairs of semiregular elements whose
+first member is one representative per conjugacy class, and expands each
+subgroup found to its conjugacy orbit.  That misses nothing: conjugating
+any 2-generated regular subgroup <x, y>, x from the earlier class, so
+that x becomes its class representative gives a subgroup the search
+closes, in the same orbit.  Conjugate subgroups are isomorphic, so one
+subgroup per orbit is tagged with its isomorphism class.  The two routes
+must agree; tests hold them against each other.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .factory import (
 from .groups import (
     Homomorphism,
     PermGroup,
+    _generating_set,
     extend_images,
     generator_frame,
     hom_candidates,
@@ -333,8 +339,84 @@ def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
 # Direct search for regular subgroups.
 
 
+def _conjugators(hol: HolomorphGroup):
+    """Conjugation h * (t, a) * h^-1 by each h of a generating set of Hol(N).
+
+    Each map takes the pair (t, a) of ``_pair_search`` to the pair of its
+    conjugate in two table lookups, so Hol(N) is never multiplied: by
+    lam_s, (t, a) -> (s * t * alpha_a(s^-1), a); by iota_b,
+    (t, a) -> (beta_b(t), b * a * b^-1).  The s and b come from greedy
+    generating sets of N's and Aut(N)'s tables, each of at most log2 of
+    the order; ``aut.generators`` would be every automorphism.
+    """
+    N, aut = hol.n_group, hol.aut
+    ntab, atab, iota = N.table(), aut.table(), hol.iota
+
+    def by_translation(s):
+        row, s_inv = ntab[s], N.inv(s)
+        return lambda t, a: (ntab[row[t]][iota[a][s_inv]], a)
+
+    def by_automorphism(b):
+        beta, row, b_inv = iota[b], atab[b], aut.inv(b)
+        return lambda t, a: (beta[t], atab[row[a]][b_inv])
+
+    return [by_translation(s) for s in _generating_set(ntab, N.identity_index)] + [
+        by_automorphism(b) for b in _generating_set(atab, aut.identity_index)
+    ]
+
+
+def _semiregular_classes(hol: HolomorphGroup):
+    """The pool of ``_pair_search``, split into Hol(N)-conjugacy classes.
+
+    The pool is the non-identity semiregular elements of Hol(N), as codes
+    t * |Aut N| + a of their (t, a) pairs, ordered by descending element
+    order, then by permutation.  Returns (classes, conj, in_pool): one
+    (order, codes) per class, its codes led by the class's first member
+    in pool order, classes in the order of those members; conj[k][c] is
+    the code of the conjugate of c by the k-th map of ``_conjugators``;
+    in_pool[c] is 1 for the codes in the pool.
+    Conjugation preserves semiregularity, so a conjugate outside the pool
+    raises CountingBugError.
+    """
+    m, size = len(hol.n_group), len(hol.aut)
+    pool = []
+    for p, (t, a) in hol.tags.items():
+        k = perm.semiregular_order(p)
+        if k > 1:
+            pool.append((-k, p, t * size + a))
+    pool.sort()
+    in_pool = bytearray(m * size)
+    for _, _, c in pool:
+        in_pool[c] = 1
+    conj = []
+    for f in _conjugators(hol):
+        image = [-1] * (m * size)
+        for _, _, c in pool:
+            t, a = f(*divmod(c, size))
+            image[c] = t * size + a
+            if not in_pool[image[c]]:
+                raise CountingBugError("a conjugate of a semiregular element is not one")
+        conj.append(image)
+    classes = []
+    seen = bytearray(m * size)
+    for k, _, c in pool:
+        if seen[c]:
+            continue
+        seen[c] = 1
+        codes = [c]
+        for x in codes:
+            for image in conj:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    codes.append(y)
+        classes.append((-k, codes))
+    return classes, conj, in_pool
+
+
 def _pair_search(hol: HolomorphGroup):
-    """All regular subgroups of Hol(N) closed from <= 2 semiregular elements.
+    """The regular subgroups of Hol(N) closed from <= 2 semiregular
+    elements, as lists of frozensets, one list per Hol(N)-conjugacy orbit.
 
     Works in (translation, automorphism) coordinates: lam[t] * iota[a] is
     the pair (t, a), and (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2).
@@ -343,33 +425,31 @@ def _pair_search(hol: HolomorphGroup):
     closure therefore stops at the first repeated t-part (which also caps
     it at |N| elements), and one that finishes with |N| elements is
     regular.  Non-identity elements of a regular subgroup are
-    semiregular, so only those are tried as generators, and a closure
-    also stops at the first element outside that pool.  Every pair of
-    pool elements is tried unless both lie in one subgroup already found,
-    so the search is complete when every regular subgroup of order |N| is
-    generated by at most two elements.  Every catalog class is: squarefree
-    orders give metacyclic groups, the classes at orders 4 and 12 are
-    small, and the tests check each class.
+    semiregular, so only those (the pool) are tried as generators, and a
+    closure also stops at the first element outside the pool.
+
+    Hol(N) acts by conjugation on the pool and on the regular subgroups.
+    So the first generator x is only the representative of each pool
+    class (``_semiregular_classes``), and the second y ranges over x's
+    class and the classes after it; every subgroup found is expanded at
+    once to its orbit.  That is complete: take R = <x', y'> with the class
+    of x' not after that of y', and h that conjugates x' to its
+    representative x; then hRh^-1 = <x, hy'h^-1> is closed from a pair
+    the search tries, and R lies in its orbit.  So the search finds every
+    regular subgroup generated by at most two elements, which every
+    catalog class is: squarefree orders give metacyclic groups, the
+    classes at orders 4 and 12 are small, and the tests check each class.
+    A conjugate subgroup without |N| distinct t-parts raises
+    CountingBugError.
     """
     N, aut = hol.n_group, hol.aut
     m, size = len(N), len(aut)
     ntab, atab, iota = N.table(), aut.table(), hol.iota
     e_t, e_a = N.identity_index, aut.identity_index
-    # The pool, by descending order then permutation: (-order, p, (t, a)).
-    pool = []
-    for p, tag in hol.tags.items():
-        k = perm.semiregular_order(p)
-        if k > 1:
-            pool.append((-k, p, tag))
-    pool.sort()
-    orders = [-k for k, _, _ in pool]
-    gens = [tag for _, _, tag in pool]
-    codes = [t * size + a for t, a in gens]
-    in_pool = bytearray(m * size)
-    for c in codes:
-        in_pool[c] = 1
+    classes, conj, in_pool = _semiregular_classes(hol)
     found: dict = {}  # subgroup as parts (see close) -> subgroup id
     member: dict = {}  # element code -> ids of the subgroups holding it
+    orbits = []
 
     def close(pair):
         # parts[t] is the a-part of the element with t-part t, or -1.
@@ -395,15 +475,32 @@ def _pair_search(hol: HolomorphGroup):
         return tuple(parts) if count == m else None
 
     def record(parts):
+        # A new subgroup brings its whole orbit into the skip index.
         if parts in found:
             return
-        gid = found[parts] = len(found)
-        for t, a in enumerate(parts):
-            if t != e_t:
-                member.setdefault(t * size + a, set()).add(gid)
+        found[parts] = len(found)
+        orbit = [parts]
+        for sub in orbit:
+            held = [t * size + a for t, a in enumerate(sub) if t != e_t]
+            for c in held:
+                member.setdefault(c, set()).add(found[sub])
+            for image in conj:
+                moved = [-1] * m
+                moved[e_t] = e_a
+                for c in held:
+                    t, a = divmod(image[c], size)
+                    moved[t] = a
+                if -1 in moved:
+                    raise CountingBugError("a conjugate subgroup repeats a t-part")
+                moved = tuple(moved)
+                if moved not in found:
+                    found[moved] = len(found)
+                    orbit.append(moved)
+        orbits.append(orbit)
 
     # The trivial group is generated by no element, a cyclic one by one.
-    for pair in [()] + [(g,) for i, g in enumerate(gens) if orders[i] == m]:
+    cyclic = [(divmod(codes[0], size),) for k, codes in classes if k == m]
+    for pair in [()] + cyclic:
         parts = close(pair)
         if parts is not None:
             record(parts)
@@ -412,21 +509,24 @@ def _pair_search(hol: HolomorphGroup):
     # The skip index grows after every hit; the result does not depend on
     # the scan order, because skips only drop pairs that rediscover a
     # known subgroup.
-    for i, x in enumerate(gens):
-        cx = codes[i]
-        for j in range(i + 1, len(gens)):
+    for i, (_, codes) in enumerate(classes):
+        cx = codes[0]
+        x = divmod(cx, size)
+        for cy in itertools.chain.from_iterable(codes for _, codes in classes[i:]):
+            if cy == cx:
+                continue
             groups_x = member.get(cx)
             if groups_x:
-                groups_y = member.get(codes[j])
+                groups_y = member.get(cy)
                 if groups_y and not groups_x.isdisjoint(groups_y):
                     continue
-            parts = close((x, gens[j]))
+            parts = close((x, divmod(cy, size)))
             if parts is not None:
                 record(parts)
     lam = hol.lam
     return [
-        frozenset(perm.compose(lam[t], iota[a]) for t, a in enumerate(parts))
-        for parts in found
+        [frozenset(perm.compose(lam[t], iota[a]) for t, a in enumerate(p)) for p in orbit]
+        for orbit in orbits
     ]
 
 
@@ -448,20 +548,22 @@ def regular_subgroups(hol: HolomorphGroup) -> tuple[RegularSubgroupRecord, ...]:
     """Every regular subgroup of Hol(N), tagged with its catalog class.
 
     Runs the generator-pair search, for |N| up to ``PAIR_SEARCH_MAX``,
-    once per ``hol``.
+    once per ``hol``.  Conjugate subgroups are isomorphic, so
+    ``class_index`` runs once per conjugacy orbit; records are sorted by
+    their elements.
     """
     m = len(hol.n_group)
     _check_search_bound(m)
     entries = catalog(m)
     records = []
-    for S in sorted(_pair_search(hol), key=lambda s: tuple(sorted(s))):
-        sub = PermGroup(hol.group.degree, S)
-        idx = class_index(sub, entries)
-        records.append(
-            RegularSubgroupRecord(
-                sub, idx, entries[idx].spec.text(), None, "generator-pairs"
-            )
-        )
+    for orbit in _pair_search(hol):
+        subs = [PermGroup(hol.group.degree, S) for S in orbit]
+        idx = class_index(subs[0], entries)
+        text = entries[idx].spec.text()
+        records += [
+            RegularSubgroupRecord(sub, idx, text, None, "generator-pairs") for sub in subs
+        ]
+    records.sort(key=lambda r: r.subgroup.elements)
     return tuple(records)
 
 

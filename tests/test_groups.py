@@ -496,6 +496,14 @@ def test_base_tells_elements_apart(make, size):
     assert not base or len({tuple(p[b] for b in shorter) for p in G.elements}) < len(G)
 
 
+def test_permgroup_refuses_repeated_elements():
+    e = perm.identity(3)
+    with pytest.raises(PreconditionError, match="not distinct"):
+        PermGroup(3, [e, e])
+    with pytest.raises(PreconditionError, match="not distinct"):
+        PermGroup(3, [e, (1, 2, 0), (1, 2, 0), (2, 0, 1)])
+
+
 def test_base_refuses_repeated_elements():
     # no point splits two equal permutations, so no base exists
     with pytest.raises(PreconditionError, match="not distinct"):

@@ -23,12 +23,15 @@ from hopfgalois import (
     transport_characteristic,
     unique_odd_part,
 )
-from hopfgalois import realize
+from hopfgalois import perm, realize
 from hopfgalois.errors import BoundExceededError, CountingBugError, PreconditionError
 from hopfgalois.factory import is_squarefree
 from hopfgalois.realize import hom_orbits
 
 from conftest import C, D, brute_force_bijective_crossed_homs, brute_force_subgroups
+
+# every catalog order up to the Hol(N) search bound
+CATALOG_ORDERS = [4, 12] + [n for n in range(1, 31) if is_squarefree(n)]
 
 
 def trivial_hom(G, H):
@@ -208,13 +211,97 @@ def test_regular_subgroups_match_lattice(order):
         assert found == lattice, entry.spec.text()
 
 
-@pytest.mark.parametrize(
-    "order", [4, 12] + [n for n in range(1, 31) if is_squarefree(n)]
-)
+@pytest.mark.parametrize("order", CATALOG_ORDERS)
 def test_catalog_classes_are_two_generated(order):
     # the generator-pair search is complete only under this condition
     for entry in catalog(order):
         assert len(entry.group.minimal_generating_set()) <= 2, entry.spec.text()
+
+
+def _pool_key(p):
+    return (-perm.semiregular_order(p), p)
+
+
+@pytest.mark.parametrize("order", CATALOG_ORDERS)
+def test_pool_classes_are_conjugacy_classes(order):
+    # on permutations: the classes partition the non-identity semiregular
+    # elements, each is the orbit of its first pool member under
+    # conjugation by the generators of Hol(N), and the classes come in
+    # the pool order of those members
+    for entry in catalog(order):
+        hol = holomorph(entry.group)
+        size = len(hol.aut)
+        gens = [(h, perm.inverse(h)) for h in hol.group.generators]
+        classes = [
+            (k, [perm.compose(hol.lam[c // size], hol.iota[c % size]) for c in codes])
+            for k, codes in realize._semiregular_classes(hol)[0]
+        ]
+        pool = [p for p in hol.group.elements if perm.semiregular_order(p) > 1]
+        assert sorted(p for _, ps in classes for p in ps) == pool, entry.spec.text()
+        firsts = [ps[0] for _, ps in classes]
+        assert firsts == sorted(firsts, key=_pool_key), entry.spec.text()
+        for k, ps in classes:
+            assert ps[0] == min(ps, key=_pool_key), entry.spec.text()
+            assert {perm.semiregular_order(p) for p in ps} == {k}, entry.spec.text()
+            orbit = {ps[0]}
+            frontier = [ps[0]]
+            while frontier:
+                p = frontier.pop()
+                for h, h_inv in gens:
+                    q = perm.compose(perm.compose(h, p), h_inv)
+                    if q not in orbit:
+                        orbit.add(q)
+                        frontier.append(q)
+            assert orbit == set(ps), entry.spec.text()
+
+
+@pytest.mark.parametrize("order", CATALOG_ORDERS)
+def test_search_orbits_are_conjugacy_orbits(order):
+    # on permutations: each orbit the search returns is closed under
+    # conjugation by every generator of Hol(N), the orbits partition the
+    # records, and tagging one subgroup per orbit agrees with tagging each
+    entries = catalog(order)
+    for entry in entries:
+        hol = holomorph(entry.group)
+        records = regular_subgroups(hol)
+        orbits = [set(orbit) for orbit in realize._pair_search(hol)]
+        assert sum(map(len, orbits)) == len(records), entry.spec.text()
+        assert set().union(*orbits) == {frozenset(r.subgroup.elements) for r in records}
+        for h in hol.group.generators:
+            h_inv = perm.inverse(h)
+            for orbit in orbits:
+                for S in orbit:
+                    moved = frozenset(perm.compose(perm.compose(h, p), h_inv) for p in S)
+                    assert moved in orbit, entry.spec.text()
+        for r in records:
+            assert r.iso_index == class_index(r.subgroup, entries), entry.spec.text()
+
+
+def _leave_the_pool(hol):
+    # a map onto elements that fix N's identity, none of them semiregular
+    e_t = hol.n_group.identity_index
+    return [lambda t, a: (e_t, a)]
+
+
+def _repeat_a_t_part(hol):
+    # every pool element goes to one pool element, so a conjugate
+    # subgroup has a single non-identity t-part
+    x = next(tag for p, tag in hol.tags.items() if perm.semiregular_order(p) > 1)
+    return [lambda t, a: x]
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [(_leave_the_pool, "semiregular"), (_repeat_a_t_part, "t-part")],
+    ids=["pool", "t-parts"],
+)
+def test_broken_conjugation_is_a_bug(monkeypatch, broken, message):
+    conjugators = realize._conjugators
+    monkeypatch.setattr(
+        realize, "_conjugators", lambda hol: conjugators(hol) + broken(hol)
+    )
+    with pytest.raises(CountingBugError, match=message):
+        realize._pair_search(holomorph(D(6)))
 
 
 def test_regular_subgroups_is_memoized_per_holomorph():
@@ -264,7 +351,7 @@ def test_oracle_equivalence(order):
             assert cocycle == search, (g.spec.text(), n.spec.text())
 
 
-@pytest.mark.parametrize("order", [4, 6, 10, 12, 14])
+@pytest.mark.parametrize("order", CATALOG_ORDERS)
 def test_count_equivalence(order):
     # each regular subgroup isomorphic to G arises from |Aut(G)| pairs
     entries = catalog(order)
