@@ -22,6 +22,7 @@ from .errors import (
 )
 from .groups import (
     PermGroup,
+    _generating_set,
     are_isomorphic,
     check_size,
     closure,
@@ -246,11 +247,25 @@ class HolomorphGroup:
     tags: dict
 
 
+class _Row:
+    """Row x of G's multiplication table, read through ``G.mul``, so a
+    group above ``TABLE_LIMIT`` composes its products instead."""
+
+    def __init__(self, G: PermGroup, x: int):
+        self.G, self.x = G, x
+
+    def __getitem__(self, s: int) -> int:
+        return self.G.mul(self.x, s)
+
+
 @functools.cache
 def holomorph(N: PermGroup) -> HolomorphGroup:
     """The permutations of N generated by translations and automorphisms,
     built once per group object.  Raises BoundExceededError before any
-    is built when |N|·|Aut N| of them would pass ``SIZE_LIMIT``."""
+    is built when |N|·|Aut N| of them would pass ``SIZE_LIMIT``.  The
+    generators are the translations by N's generators and a greedy
+    generating set of Aut(N), at most log2 |Aut N| automorphisms.
+    """
     aut = automorphism_group(N)
     check_size(len(N) * len(aut), len(N))
     lam = tuple(left_translation(N, t) for t in range(len(N)))
@@ -262,7 +277,10 @@ def holomorph(N: PermGroup) -> HolomorphGroup:
             if h in tags:
                 raise PreconditionError("holomorph pair collision")  # pragma: no cover
             tags[h] = (t, a)
-    gens = [lam[N.index_of(g)] for g in N.generators] + list(aut.generators)
+    rows = [_Row(aut, b) for b in range(len(aut))]
+    gens = [lam[N.index_of(g)] for g in N.generators] + [
+        iota[b] for b in _generating_set(rows, aut.identity_index)
+    ]
     label = Holomorph(N.label) if N.label is not None else None
     group = PermGroup(len(N), tags, generators=gens, label=label)
     return HolomorphGroup(group, N, aut, lam, iota, tags)

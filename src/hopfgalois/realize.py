@@ -3,9 +3,12 @@
 Route one enumerates bijective crossed homomorphisms: for f a homomorphism
 G -> Aut(N), a map g: G -> N with g(ab) = g(a) f(a)(g(b)) that is bijective
 pins down a regular subgroup {x -> g(a) * f(a)(x)} of Hol(N) isomorphic
-to G, and every such subgroup arises this way.  Only one f per
-Aut(N)-conjugacy orbit of Hom(G, Aut(N)) is scanned, found by a search
-that never builds the rest of Hom.
+to G, and every such subgroup arises this way.  Aut(N) acts freely on
+the pairs (f, g) by (f, g) -> (b f b^-1, b o g) (Byott, Comm. Algebra 24,
+1996), so only one pair per orbit is built: one f per Aut(N)-conjugacy
+orbit of Hom(G, Aut(N)), and for it one g per orbit of its centralizer
+C(f), both found by one level-by-level orbit walk (``_orbit_walk``).
+The number of pairs found is e(G, N) = #pairs / |Aut N|.
 
 Route two searches Hol(N) for regular subgroups directly (|N| capped),
 up to Hol(N)-conjugacy.  It closes pairs of semiregular elements whose
@@ -90,20 +93,15 @@ class RegularSubgroupRecord:
 def crossed_homomorphisms(f: Homomorphism, G: PermGroup, N: PermGroup, limit=None):
     """All bijective crossed homomorphisms G -> N with respect to f.
 
-    Candidate generator images are filtered by consistency along each
-    generator's cyclic subgroup, extended over a fixed breadth-first
-    factorization of G, and kept only when the cocycle law holds on every
-    (element, generator) product, which forces it on all pairs.  The empty
-    list is a valid result.  ``limit`` stops the scan early once that many
-    witnesses exist.
+    The plain scan: ``_crossed_hom_reps`` with the trivial group acting,
+    so every g is its own orbit, in ``itertools.product`` order of the
+    generator images; the result is sorted.  The empty list is a valid
+    result.  ``limit`` stops the scan early once that many witnesses
+    exist.
     """
     if len(G) != len(N):
         raise PreconditionError("crossed homomorphisms need |G| = |N|")
-    frame = generator_frame(G)
-    N.table()
-    f_perms = [f.image_perm(a) for a in range(len(G))]
-    cands = [_cyclic_consistent_images(G, N, f_perms, gi) for gi in frame[0]]
-    found = extend_images(G, N, frame, cands, twist=f_perms, injective=True)
+    found = _crossed_hom_reps(f, [f.codomain.identity_index], N, generator_frame(G))
     return [CrossedHom(f, g, N, True) for g in sorted(itertools.islice(found, limit))]
 
 
@@ -111,26 +109,22 @@ def _cyclic_consistent_images(G, N, f_perms, gen_idx):
     """Images x = g(a) whose forced orbit along <a> returns to the identity.
 
     The cocycle law determines g on powers of a from g(a) alone:
-    g(a^(j+1)) = g(a) * f(a)(g(a^j)).  The orbit must be injective and
-    close up at a's order, so everything else is pruned before the
+    g(a^(j+1)) = g(a) * f(a)(g(a^j)).  That step is a permutation of N,
+    so the values g(a^j) run round a cycle through the identity, and
+    they are distinct and close up at a's order exactly when that cycle
+    has a's order as its length.  Everything else is pruned before the
     product scan.
     """
     r = G.order_of(gen_idx)
     fa = f_perms[gen_idx]
-    mul_n = N.mul
     e_n = N.identity_index
     good = []
-    for x in range(len(N)):
-        v = e_n
-        seen = set()
-        ok = True
-        for _ in range(r):
-            v = mul_n(x, fa[v])
-            if v in seen:
-                ok = False
-                break
-            seen.add(v)
-        if ok and v == e_n:
+    for x, row in enumerate(N.table()):
+        v, j = x, 1  # v = g(a^j)
+        while v != e_n and j < r:
+            v = row[fa[v]]
+            j += 1
+        if v == e_n and j == r:
             good.append(x)
     return good
 
@@ -164,33 +158,79 @@ def subgroup_from_cocycle(c: CrossedHom, hol: HolomorphGroup) -> RegularSubgroup
     return RegularSubgroupRecord(sub, idx, entries[idx].spec.text(), c, "cocycle")
 
 
-def _conjugation_orbits(atab, inv, S, cands):
-    """Orbits of S (a list of Aut(N) indices) on ``cands`` by conjugation.
+def _orbits(S, cands, act):
+    """Orbits of S (a list of Aut(N) indices) on ``cands``.
 
-    ``cands`` must be a union of orbits.  Returns one (y, C_S(y)) per
-    orbit, y its first member in ``cands`` and C_S(y) its centralizer in S
-    as a list; the orbit has |S| / |C_S(y)| members.
+    ``act(x)`` lists the images b.x for b in S, in S's order.  Returns one
+    (y, S_y) per orbit, y its first member in ``cands`` and S_y its
+    stabilizer in S as a list; the orbit has |S| / |S_y| members.
     """
-    pairs = [(atab[b], inv[b]) for b in S]
     seen = set()
     out = []
     for x in cands:
         if x in seen:
             continue
-        conj = [atab[row[x]][ib] for row, ib in pairs]
-        seen.update(conj)
-        out.append((x, [b for b, y in zip(S, conj) if y == x]))
+        images = act(x)
+        seen.update(images)
+        out.append((x, [b for b, y in zip(S, images) if y == x]))
     return out
 
 
+def _orbit_walk(G, H, frame, cands, S, action, twist=None, injective=False):
+    """Image tuples m: G -> H, one per orbit of the group S, with stabilizers.
+
+    The level-by-level search for ``extend_images`` solutions up to the
+    action of S (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005): the first generator's image ranges over orbit
+    representatives of S, each later one over orbit representatives of
+    the stabilizer of the images chosen so far, and one ``extend_images``
+    call per choice of the earlier images, over the last generator's
+    representatives, keeps the solutions.  Yields (m, stabilizer of all
+    of m's generator images) in ``itertools.product`` order of the
+    representatives.  ``action(T)`` is the ``act`` of ``_orbits`` for a
+    subset T of S.
+
+    S must map each ``cands[level]`` onto itself, so at every level the
+    orbit sizes |T| / |T_y| must be whole numbers that sum to the number
+    of candidates; otherwise CountingBugError is raised.
+    """
+    gens = frame[0]
+
+    def orbits(T, level):
+        reps = _orbits(T, cands[level], action(T))
+        sizes = [divmod(len(T), len(C)) for _, C in reps]
+        if any(r for _, r in sizes) or sum(q for q, _ in sizes) != len(cands[level]):
+            raise CountingBugError(
+                f"orbits do not cover the {len(cands[level])} "
+                f"candidate images of generator {level}"
+            )
+        return reps
+
+    # (images of the generators chosen so far, their stabilizer in S)
+    partial = [((), S)]
+    for level in range(len(gens) - 1):
+        partial = [
+            (chosen + (y,), C) for chosen, T in partial for y, C in orbits(T, level)
+        ]
+    for chosen, T in partial:
+        last = dict(orbits(T, len(gens) - 1))
+        singles = [[y] for y in chosen]
+        for m in extend_images(
+            G, H, frame, singles + [list(last)], twist=twist, injective=injective
+        ):
+            yield m, last[m[gens[-1]]]
+
+
 def _least_conjugate(atab, inv, m, stab_size):
-    """The least image tuple b * m * b^-1 over b in Aut(N).
+    """The least image tuple b * m * b^-1 over b in Aut(N), and its
+    centralizer.
 
     Found image by image: over the b kept so far, keep only those that
     reach the least image.  The b giving one conjugate form a coset of
     m's stabilizer, so the kept b are a union of cosets, and once
-    ``stab_size`` of them remain they all give the least conjugate.  If
-    that never happens, ``stab_size`` is not the stabilizer's order and
+    ``stab_size`` of them remain they are the coset b0 * C(m) that gives
+    the least conjugate, whose centralizer is then kept * b0^-1.  If that
+    never happens, ``stab_size`` is not the stabilizer's order and
     CountingBugError is raised.
     """
     kept = range(len(atab))
@@ -200,69 +240,49 @@ def _least_conjugate(atab, inv, m, stab_size):
         kept = [b for b, y in zip(kept, images) if y == low]
         if len(kept) == stab_size:
             row, ib = atab[kept[0]], inv[kept[0]]
-            return tuple(atab[row[x]][ib] for x in m)
+            return tuple(atab[row[x]][ib] for x in m), [atab[b][ib] for b in kept]
     raise CountingBugError(
         f"{len(kept)} automorphisms fix a homomorphism, its stabilizer has {stab_size}"
     )
 
 
 def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
-    """One (f, orbit size) per Aut(N)-conjugacy orbit of Hom(G, Aut N).
+    """One (f, orbit size, centralizer) per Aut(N)-conjugacy orbit of
+    Hom(G, Aut N).
 
     Each f is the least member of its orbit in ``homomorphisms`` order,
     and the orbits come in the order of those members; the rest of Hom is
-    never built.  Images are chosen generator by generator along
-    ``generator_frame(G)``, from the ``hom_candidates``: the first ranges
-    over orbit representatives of Aut(N) acting by conjugation, each
-    later one over orbit representatives of the stabilizer of the images
-    chosen so far.  One ``extend_images`` call per choice of the earlier
-    images, over the last generator's representatives, keeps the
-    homomorphisms; the orbit size is |Aut N| over the final stabilizer.
-    This is the usual search for homomorphisms up to conjugacy (Holt,
-    Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    never built.  ``_orbit_walk`` runs Aut(N) by conjugation over the
+    ``hom_candidates`` of ``generator_frame(G)``; the final stabilizer of
+    a homomorphism m it finds is m's centralizer, and the orbit size is
+    |Aut N| over it.  The centralizer handed on is that of the least
+    conjugate, as a list of Aut(N) indices, from ``_least_conjugate``.
 
     Conjugation preserves element orders, so each generator's candidates
-    are a union of orbits: at every level the orbit sizes |S| / |C_S(y)|
-    must be whole numbers that sum to the number of candidates, and the
-    final stabilizer must fix every chosen image.  Either failure, like a
-    stabilizer order that ``_least_conjugate`` never reaches, raises
-    CountingBugError.
+    are a union of orbits, as the walk requires.  A final stabilizer that
+    moves a chosen image, like a stabilizer order that
+    ``_least_conjugate`` never reaches, raises CountingBugError.
     """
     frame = generator_frame(G)
     gens = frame[0]
-    cands = hom_candidates(G, aut, gens)
     atab = aut.table()
     inv = [aut.inv(b) for b in range(len(aut))]
 
-    def orbits(S, level):
-        reps = _conjugation_orbits(atab, inv, S, cands[level])
-        sizes = [divmod(len(S), len(C)) for _, C in reps]
-        if any(r for _, r in sizes) or sum(q for q, _ in sizes) != len(cands[level]):
-            raise CountingBugError(
-                f"conjugation orbits do not cover the {len(cands[level])} "
-                f"candidate images of generator {level}"
-            )
-        return reps
+    def conjugation(S):
+        pairs = [(atab[b], inv[b]) for b in S]
+        return lambda x: [atab[row[x]][ib] for row, ib in pairs]
 
-    # (images of the generators chosen so far, their stabilizer in Aut(N))
-    partial = [((), range(len(aut)))]
-    for level in range(len(gens) - 1):
-        partial = [
-            (chosen + (y,), C) for chosen, S in partial for y, C in orbits(S, level)
-        ]
     found = []
-    for chosen, S in partial:
-        last = dict(orbits(S, len(gens) - 1))
-        singles = [[y] for y in chosen]
-        for m in extend_images(G, aut, frame, singles + [list(last)]):
-            C = last[m[gens[-1]]]
-            for b in C:
-                row, ib = atab[b], inv[b]
-                if any(atab[row[m[g]]][ib] != m[g] for g in gens):
-                    raise CountingBugError("a stabilizer moves a chosen image")
-            found.append((_least_conjugate(atab, inv, m, len(C)), len(aut) // len(C)))
-    found.sort()
-    return [(Homomorphism(G, aut, m), size) for m, size in found]
+    cands = hom_candidates(G, aut, gens)
+    for m, C in _orbit_walk(G, aut, frame, cands, range(len(aut)), conjugation):
+        for b in C:
+            row, ib = atab[b], inv[b]
+            if any(atab[row[m[g]]][ib] != m[g] for g in gens):
+                raise CountingBugError("a stabilizer moves a chosen image")
+        least, centralizer = _least_conjugate(atab, inv, m, len(C))
+        found.append((least, len(aut) // len(C), centralizer))
+    found.sort(key=lambda item: item[0])
+    return [(Homomorphism(G, aut, m), size, C) for m, size, C in found]
 
 
 def hom_orbits(G: PermGroup, aut: PermGroup):
@@ -299,6 +319,72 @@ def hom_orbits(G: PermGroup, aut: PermGroup):
         )
 
 
+def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
+    """The bijective crossed homomorphisms for f, one per C-orbit.
+
+    ``frame`` is ``generator_frame`` of G, f's domain, and C lists the
+    indices of a subgroup of f's centralizer in Aut(N), f's codomain.  C
+    acts on the crossed homomorphisms for f by g -> b o g, and preserves
+    each generator's ``_cyclic_consistent_images``, since b commutes with
+    every f(a).
+    ``_orbit_walk`` runs it over those candidates, and ``extend_images``
+    keeps the bijective crossed homomorphisms, extended over a fixed
+    breadth-first factorization of G and checked on every (element,
+    generator) product, which forces the law on all pairs.  A
+    representative is the first member of its orbit in candidate order.
+    So the first g yielded is the first of the full scan: at each level
+    the least image that has an extension is the first of its orbit, or
+    b o g would be an earlier witness.  With C = {1} this is the full
+    scan, in ``itertools.product`` order of the generator images.
+
+    b o g = g forces b = 1 for a bijective g, so C acts freely: every g
+    found must have a trivial final stabilizer, and an element of C that
+    does not commute with f's generator images breaks the action.
+    Either failure raises CountingBugError.
+    """
+    G, aut = f.domain, f.codomain
+    gens = frame[0]
+    for b in C:
+        if any(aut.mul(b, f.images[a]) != aut.mul(f.images[a], b) for a in gens):
+            raise CountingBugError("a centralizer element does not commute with f")
+    f_perms = [f.image_perm(a) for a in range(len(G))]
+    cands = [_cyclic_consistent_images(G, N, f_perms, a) for a in gens]
+
+    def automorphisms(S):
+        perms = [aut.elements[b] for b in S]
+        return lambda x: [p[x] for p in perms]
+
+    walk = _orbit_walk(G, N, frame, cands, C, automorphisms, f_perms, injective=True)
+    for g, stabilizer in walk:
+        if len(stabilizer) != 1:
+            raise CountingBugError(
+                f"{len(stabilizer)} automorphisms fix a bijective crossed homomorphism"
+            )
+        yield g
+
+
+def _pair_orbit_reps(G: PermGroup, aut: PermGroup, N: PermGroup):
+    """One (f, g) per Aut(N)-orbit of the bijective pairs, in scan order.
+
+    Aut(N) acts on the pairs by (f, g) -> (b f b^-1, b o g), freely,
+    since b o g = g forces b = 1.  So the pairs over an orbit of f are
+    the orbit of f times those over f, and those split into free orbits
+    of f's centralizer C(f): one g per C(f)-orbit, for one f per
+    conjugacy orbit, is one pair per Aut(N)-orbit, and there are
+    #pairs / |Aut N| of them.  Each f comes with its centralizer, which
+    must have |Aut N| / (orbit size) elements, or CountingBugError is
+    raised.
+    """
+    frame = generator_frame(G)
+    for f, size, C in _hom_orbit_reps(G, aut):
+        if len(C) * size != len(aut):
+            raise CountingBugError(
+                f"a centralizer of {len(C)} for an orbit of {size} in |Aut N| = {len(aut)}"
+            )
+        for g in _crossed_hom_reps(f, C, N, frame):
+            yield f, g
+
+
 def realizable_via_cocycles(G: PermGroup, N: PermGroup):
     """A witness (f, g) if G embeds as a regular subgroup of Hol(N).
 
@@ -307,33 +393,28 @@ def realizable_via_cocycles(G: PermGroup, N: PermGroup):
     Aut(N) to an f with none has none either, since
     (f, g) -> (b f b^-1, b g) is a bijection of the pairs; so only the
     least member of each orbit is scanned, orbits in the order of those
-    members, and the witness is the one the full scan would find.
+    members, and for it only one g per orbit of its centralizer.  The
+    witness is the one the full scan would find.
     """
     if len(G) != len(N):
         raise PreconditionError("realizability needs |G| = |N|")
-    reps = (f for f, _ in _hom_orbit_reps(G, automorphism_group(N)))
-
-    def probe(f):
-        found = crossed_homomorphisms(f, G, N, limit=1)
-        return found[0] if found else None
-
-    return next(filter(None, map(probe, reps)), None)
+    pairs = _pair_orbit_reps(G, automorphism_group(N), N)
+    return next((CrossedHom(f, g, N, True) for f, g in pairs), None)
 
 
 def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
     """Total number of (f, g) pairs over every f in Hom(G, Aut(N)).
 
-    The count for f is constant on its Aut(N)-conjugacy orbit, because
-    (f, g) -> (b f b^-1, b g) is a bijection of the pairs for each b in
-    Aut(N).  So one member of each orbit is scanned and its count
-    weighted by the orbit size.
+    Aut(N) acts freely on the pairs (``_pair_orbit_reps``), so the count
+    is |Aut N| times the number of orbit representatives, and that number
+    is e(G, N) = #pairs / |Aut N|, the number of Hopf-Galois structures
+    of type N on a Galois extension with group G (Byott, Comm. Algebra
+    24, 1996).
     """
     if len(G) != len(N):
         raise PreconditionError("counting crossed pairs needs |G| = |N|")
-    return sum(
-        size * len(crossed_homomorphisms(f, G, N))
-        for f, size in _hom_orbit_reps(G, automorphism_group(N))
-    )
+    aut = automorphism_group(N)
+    return len(aut) * sum(1 for _ in _pair_orbit_reps(G, aut, N))
 
 
 # Direct search for regular subgroups.

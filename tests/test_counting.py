@@ -4,9 +4,12 @@ from hopfgalois import (
     Cyclic,
     Dihedral,
     DirectProduct,
-    byott_aggregate,
+    automorphism_group,
     build,
+    byott_aggregate,
+    catalog,
     chi,
+    count_crossed_pairs,
     count_hgs_dihedral,
     direct_normalized_count,
     euler_phi,
@@ -165,3 +168,27 @@ def test_budget_overrun_reported_not_counted():
     assert rep.e_direct is None
     assert rep.agreement == "direct-not-run"
     assert rep.direct_method and rep.direct_method.startswith("not-run")
+
+
+# Sum over N in catalog(2n) of #pairs(D_2n, N) / |Aut N|, the number of
+# Hopf-Galois structures on a D_2n-extension, from the cocycle engine.
+# Each value is the product of p + 2 over the primes p dividing n; the
+# pinned e_formula values above are a different reading and stay as they are.
+DIHEDRAL_AGGREGATES = {
+    3: 5, 5: 7, 7: 9, 11: 13, 13: 15, 15: 35, 21: 45, 33: 65, 35: 63, 39: 75,
+}
+
+
+@pytest.mark.parametrize("n, expected", DIHEDRAL_AGGREGATES.items())
+def test_cocycle_aggregate_matches_hol_side(n, expected):
+    G = build(Dihedral(2 * n))
+    total = 0
+    for entry in catalog(2 * n):
+        pairs = count_crossed_pairs(G, entry.group)
+        aut_n = len(automorphism_group(entry.group))
+        assert pairs % aut_n == 0, entry.spec.text()
+        total += pairs // aut_n
+    assert total == expected
+    if 2 * n <= 30:
+        # the Hol(N) search is the independent engine
+        assert total == byott_aggregate(G)

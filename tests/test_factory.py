@@ -170,6 +170,26 @@ def test_holomorph_takes_any_generating_set(monkeypatch):
     assert closure(list(hol.group.generators)).elements == hol.group.elements
 
 
+@pytest.mark.parametrize("table_limit", [None, 4], ids=["aut-table", "no-aut-table"])
+def test_holomorph_generators_are_a_greedy_set(monkeypatch, table_limit):
+    # translations by N's generators and at most log2 |Aut N| automorphisms,
+    # whether or not Aut(N) has a table (above TABLE_LIMIT it has none)
+    base = D(30)
+    N = PermGroup(base.degree, base.elements, generators=base.generators)
+    if table_limit is not None:
+        monkeypatch.setattr("hopfgalois.groups.TABLE_LIMIT", table_limit)
+    hol = holomorph(N)
+    lam, iota = set(hol.lam), set(hol.iota)
+    gens = hol.group.generators
+    assert [g for g in gens if g in lam] == [hol.lam[N.index_of(g)] for g in N.generators]
+    automorphisms = [g for g in gens if g in iota]
+    assert len(gens) == len(N.generators) + len(automorphisms)
+    assert 2 ** len(automorphisms) <= len(hol.aut) == 120
+    assert len(automorphisms) == 3
+    assert closure(automorphisms).elements == hol.aut.elements
+    assert (hol.aut._mul_table is None) == (table_limit is not None)
+
+
 @pytest.mark.parametrize("order", [6, 10, 12])
 def test_holomorph_invariants_across_catalog(order):
     for entry in catalog(order):

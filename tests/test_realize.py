@@ -451,12 +451,19 @@ def test_hom_orbits_partition_hom(order):
     "order", [4, 12] + [n for n in range(1, 43) if is_squarefree(n)]
 )
 def test_hom_orbit_reps_match_oracle(order):
-    # the orbit-by-orbit search never builds Hom; the oracle builds all of it
+    # the orbit-by-orbit search never builds Hom; the oracle builds all of it.
+    # Each f carries its centralizer: |Aut N| / size automorphisms, each
+    # commuting with every image of f
     for g, n in catalog_pairs(order):
         aut = automorphism_group(n.group)
-        found = [(f.images, size) for f, size in realize._hom_orbit_reps(g.group, aut)]
+        reps = realize._hom_orbit_reps(g.group, aut)
+        found = [(f.images, size) for f, size, _ in reps]
         oracle = [(f.images, len(o)) for f, o in hom_orbits(g.group, aut)]
         assert found == oracle, (g.spec.text(), n.spec.text())
+        for f, size, centralizer in reps:
+            assert len(set(centralizer)) == len(centralizer) == len(aut) // size
+            for b in centralizer:
+                assert all(aut.mul(b, x) == aut.mul(x, b) for x in set(f.images))
 
 
 def _hom_with_big_orbit(G, N):
@@ -510,24 +517,82 @@ def _swap_centralizer_element(orbits, S):
 )
 @pytest.mark.parametrize("engine", [count_crossed_pairs, realizable_via_cocycles])
 def test_broken_orbit_helper_is_a_bug(monkeypatch, mutate, engine):
-    helper = realize._conjugation_orbits
+    helper = realize._orbits
 
-    def mutated(atab, inv, S, cands):
-        return mutate(helper(atab, inv, S, cands), S)
+    def mutated(S, cands, act):
+        return mutate(helper(S, cands, act), S)
 
-    monkeypatch.setattr(realize, "_conjugation_orbits", mutated)
+    monkeypatch.setattr(realize, "_orbits", mutated)
     with pytest.raises(CountingBugError):
         engine(C(6), D(6))
+
+
+def _drop_from_centralizer(reps, aut):
+    # the first centralizer with more than one element loses its last one
+    i = next(i for i, (_, _, C) in enumerate(reps) if len(C) > 1)
+    f, size, C = reps[i]
+    return reps[:i] + [(f, size, C[:-1])] + reps[i + 1 :]
+
+
+def _swap_into_centralizer(reps, aut):
+    # the first proper centralizer trades its last element for one that
+    # does not commute with f: its size still matches the orbit
+    i = next(i for i, (_, _, C) in enumerate(reps) if len(C) < len(aut))
+    f, size, C = reps[i]
+    outside = next(b for b in range(len(aut)) if b not in C)
+    return reps[:i] + [(f, size, C[:-1] + [outside])] + reps[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_drop_from_centralizer, "a centralizer of 5 for an orbit of 1"),
+        (_swap_into_centralizer, "does not commute with f"),
+        (None, "orbits do not cover"),
+    ],
+    ids=["drop-centralizer", "swap-centralizer", "drop-orbit"],
+)
+@pytest.mark.parametrize("engine", [count_crossed_pairs, realizable_via_cocycles])
+def test_broken_centralizer_walk_is_a_bug(monkeypatch, mutate, message, engine):
+    # (C6, D6): the trivial f has no witness and centralizer Aut(D6); the
+    # next f has centralizer {0, 1} and the first witness
+    G, N = C(6), D(6)
+    aut = automorphism_group(N)
+    reps = realize._hom_orbit_reps(G, aut)
+    if mutate is None:
+        # the centralizer walk loses the last orbit of every level
+        helper = realize._orbits
+        monkeypatch.setattr(realize, "_orbits", lambda S, cands, act: helper(S, cands, act)[:-1])
+    else:
+        reps = mutate(reps, aut)
+    monkeypatch.setattr(realize, "_hom_orbit_reps", lambda G, aut: reps)
+    with pytest.raises(CountingBugError, match=message):
+        engine(G, N)
+
+
+def test_nontrivial_final_stabilizer_is_a_bug():
+    # a repeated identity passes every orbit check but fixes every g
+    G, N = C(6), D(6)
+    aut = automorphism_group(N)
+    f, _, centralizer = realize._hom_orbit_reps(G, aut)[1]
+    frame = realize.generator_frame(G)
+    assert len(list(realize._crossed_hom_reps(f, centralizer, N, frame))) == 1
+    twice = [aut.identity_index] * 2
+    with pytest.raises(CountingBugError, match="fix a bijective crossed homomorphism"):
+        list(realize._crossed_hom_reps(f, twice, N, frame))
 
 
 def test_wrong_stabilizer_size_is_a_bug():
     N = D(6)
     aut = automorphism_group(N)
-    f, size = next((f, s) for f, s in realize._hom_orbit_reps(C(6), aut) if s > 1)
+    f, size, centralizer = next(
+        rep for rep in realize._hom_orbit_reps(C(6), aut) if rep[1] > 1
+    )
     atab = aut.table()
     inv = [aut.inv(b) for b in range(len(aut))]
     stab = len(aut) // size
-    assert realize._least_conjugate(atab, inv, f.images, stab) == f.images
+    least, least_centralizer = realize._least_conjugate(atab, inv, f.images, stab)
+    assert least == f.images and sorted(least_centralizer) == sorted(centralizer)
     with pytest.raises(CountingBugError):
         realize._least_conjugate(atab, inv, f.images, stab + 1)
 
@@ -539,6 +604,38 @@ def test_count_crossed_pairs_checks_orders_first(monkeypatch):
     monkeypatch.setattr(realize, "automorphism_group", no_aut)
     with pytest.raises(PreconditionError, match="counting crossed pairs needs"):
         count_crossed_pairs(C(6), D(10))
+
+
+# The counts the benchmark's cocycle-counts workload leaves out for cost:
+# the D66 row and COUNT_LEFT_OUT in perfbench/workloads.py.
+LEFT_OUT_COUNTS = {
+    ("D66", "SD(33,2;10)"): 1320,
+    ("SD(33,2;10)", "SD(33,2;10)"): 440,
+    ("D66", "SD(33,2;23)"): 1320,
+    ("SD(7,6;3)", "D42"): 7056,
+    ("SD(14,3;9)", "D42"): 7056,
+    ("D42", "D42"): 1008,
+    ("SD(21,2;13)", "D42"): 1008,
+    ("SD(7,6;3)", "SD(14,3;9)"): 1176,
+    ("SD(7,6;3)", "SD(21,2;13)"): 1176,
+    ("C66", "D66"): 2640,
+    ("SD(33,2;10)", "D66"): 2640,
+    ("SD(33,2;23)", "D66"): 2640,
+    ("D66", "D66"): 2640,
+}
+
+
+@pytest.mark.parametrize(
+    "g_text, n_text", LEFT_OUT_COUNTS, ids=[f"{g}-{n}" for g, n in LEFT_OUT_COUNTS]
+)
+def test_left_out_counts(g_text, n_text):
+    groups = {e.spec.text(): e.group for k in (42, 66) for e in catalog(k)}
+    G, N = groups[g_text], groups[n_text]
+    pairs = count_crossed_pairs(G, N)
+    assert pairs == LEFT_OUT_COUNTS[g_text, n_text]
+    # each regular subgroup comes from |Aut G| pairs, each structure from |Aut N|
+    assert pairs % len(automorphism_group(G)) == 0
+    assert pairs % len(automorphism_group(N)) == 0
 
 
 FIRST_HIT_PAIRS = [
