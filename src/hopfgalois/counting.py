@@ -10,12 +10,18 @@ count at desk scale.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 from dataclasses import dataclass, field
 from math import gcd, inf
 
 from . import perm
-from .errors import BudgetExceededError, CountingBugError, PreconditionError
+from .errors import (
+    BoundExceededError,
+    BudgetExceededError,
+    CountingBugError,
+    PreconditionError,
+)
 from .factory import Dihedral, automorphism_group, build, catalog, class_index
 from .groups import PermGroup, factorize, left_translation
 from .realize import regular_subgroups, search_holomorph
@@ -102,10 +108,18 @@ def count_hgs_dihedral(n: int, with_direct=False, budget_seconds=None) -> CountR
 
     ``with_direct`` also runs the exhaustive normalized-regular-subgroup
     count and records agreement; a formula/direct mismatch is reported as
-    a finding, never raised.
+    a finding, never raised.  An e_formula too long for Python to print
+    (``sys.get_int_max_str_digits``) raises BoundExceededError first.
     """
     if n < 1 or n % 2 == 0:
         raise PreconditionError(f"n must be odd and positive, got {n}")
+    # e_formula, the sum of chi(w) * 2^(n - w), is at least 2^n, so past
+    # 10^digits once n >= 4 * digits; below that, add its nonzero terms
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    if digits and (
+        n >= 4 * digits or sum(c << (n - w) for w, c in chi(n).items()) >= 10**digits
+    ):
+        raise BoundExceededError(f"e_formula for n = {n} has more than {digits} digits")
     warnings = []
     if not is_burnside_number(radical(n)):
         warnings.append(

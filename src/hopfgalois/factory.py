@@ -247,17 +247,6 @@ class HolomorphGroup:
     tags: dict
 
 
-class _Row:
-    """Row x of G's multiplication table, read through ``G.mul``, so a
-    group above ``TABLE_LIMIT`` composes its products instead."""
-
-    def __init__(self, G: PermGroup, x: int):
-        self.G, self.x = G, x
-
-    def __getitem__(self, s: int) -> int:
-        return self.G.mul(self.x, s)
-
-
 @functools.cache
 def holomorph(N: PermGroup) -> HolomorphGroup:
     """The permutations of N generated by translations and automorphisms,
@@ -277,9 +266,8 @@ def holomorph(N: PermGroup) -> HolomorphGroup:
             if h in tags:
                 raise PreconditionError("holomorph pair collision")  # pragma: no cover
             tags[h] = (t, a)
-    rows = [_Row(aut, b) for b in range(len(aut))]
     gens = [lam[N.index_of(g)] for g in N.generators] + [
-        iota[b] for b in _generating_set(rows, aut.identity_index)
+        iota[b] for b in _generating_set(aut.rows(), aut.identity_index)
     ]
     label = Holomorph(N.label) if N.label is not None else None
     group = PermGroup(len(N), tags, generators=gens, label=label)

@@ -6,6 +6,8 @@ elements are enumerated explicitly instead of held as stabilizer chains;
 only the base idea is borrowed from those: a multiplication table looks
 each product up by its images of a base, a few points that tell every
 element apart, instead of by a composed tuple of ``degree`` points.
+Every product is read from ``PermGroup.rows()``; every closure under
+generators is the one breadth-first walk ``_reach``.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ class PermGroup:
     Elements are sorted lexicographically by image tuple, so two
     generating sets of the same subgroup produce identical lists and the
     identity always sits at index 0.  The element list is fixed at
-    construction, and a repeated element raises PreconditionError; the
-    multiplication table fills in on the first product
-    (``mul``), and the inverse and order tables, the generating set and
-    the subgroup list on first use.  No other module sets attributes on
-    an instance; automorphism groups, holomorphs and regular subgroups
-    are memoized by ``functools.cache`` with the group as key.
+    construction, and a repeated element raises PreconditionError.  Every
+    product is read from ``rows``: the multiplication table, filled in on
+    the first product, or above ``TABLE_LIMIT`` rows that compose.  The
+    inverse and order tables, the generating set and the subgroup list
+    fill in on first use.  No other module sets attributes on an
+    instance; automorphism groups, holomorphs and regular subgroups are
+    memoized by ``functools.cache`` with the group as key.
     """
 
     def __init__(self, degree, elements, generators=None, label=None):
@@ -85,24 +88,25 @@ class PermGroup:
     # Index arithmetic.
 
     def mul(self, i: int, j: int) -> int:
-        """Index of compose(elements[i], elements[j]), from the table.
+        """Index of compose(elements[i], elements[j]), for one-off products."""
+        return self.rows()[i][j]
 
-        The first product builds the table; above ``TABLE_LIMIT`` there
-        is none and the permutations are composed.
-        """
-        if self._mul_table is None:
-            if len(self) > TABLE_LIMIT:
-                return self._index[perm.compose(self.elements[i], self.elements[j])]
-            self.table()
-        return self._mul_table[i][j]
+    def rows(self):
+        """Rows whose entry [i][j] is the index of compose(elements[i],
+        elements[j]): the one way a product is taken.  They are the table
+        up to ``TABLE_LIMIT`` elements; above it each entry composes."""
+        if self._mul_table is not None:
+            return self._mul_table
+        if len(self) > TABLE_LIMIT:
+            return [_Row(self, i) for i in range(len(self))]
+        return self.table()
 
     def table(self):
-        """Full index multiplication table, the only place one is built.
+        """The whole of ``rows``, the only place a table is built.
 
-        Entry [i][j] is the index of compose(elements[i], elements[j]).
         Above ``TABLE_LIMIT`` elements it raises BoundExceededError, so a
-        caller that indexes the table itself, or must fail before doing
-        work, calls it first.  An element is fixed by its images of a base
+        caller that needs every row, or must fail before doing work, calls
+        it first.  An element is fixed by its images of a base
         (``_base``), so entry [i][j] is looked up by
         ``p_i[p_j[b]] for b in base`` instead of a composed tuple of
         ``degree`` points.  One ``itemgetter`` over the base images of
@@ -165,21 +169,27 @@ class PermGroup:
         if self._min_gens is not None:
             return self._min_gens
         n = len(self)
-        if n == 1:
-            self._min_gens = (perm.identity(self.degree),)
-            return self._min_gens
         by_order = sorted(range(n), key=lambda i: (-self.order_of(i), i))
-        for i in by_order:
-            if self.order_of(i) == n:
-                self._min_gens = (self.elements[i],)
-                return self._min_gens
-        e = self.identity_index
+        if self.order_of(by_order[0]) == n:  # cyclic, or trivial
+            self._min_gens = (self.elements[by_order[0]],)
+            return self._min_gens
+        start, rows = (self.identity_index,), self.rows()
         for size in (2, 3):
             for combo in itertools.combinations(by_order, size):
-                if len(_closure_idx(self, (e,), combo)) == n:
+                if len(_reach(rows, start, combo)[0]) == n:
                     self._min_gens = tuple(self.elements[i] for i in combo)
                     return self._min_gens
         raise BoundExceededError(f"no generating set of size <= 3 for order {n}")
+
+
+class _Row:
+    """Row i of a group above ``TABLE_LIMIT``, which has no table."""
+
+    def __init__(self, G: PermGroup, i: int):
+        self.G, self.p = G, G.elements[i]
+
+    def __getitem__(self, j: int) -> int:
+        return self.G._index[perm.compose(self.p, self.G.elements[j])]
 
 
 def _base(elements, degree):
@@ -232,20 +242,16 @@ def closure(generators, cap=20000, label=None) -> PermGroup:
         if not perm.is_perm(g):
             raise PreconditionError(f"not a permutation: {g}")
     check_size(cap, degree)
-    ident = perm.identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = perm.compose(p, g)
-                if q not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(f"closure exceeded cap {cap}")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    order = [perm.identity(degree)]
+    seen = set(order)
+    for p in order:  # breadth first, as in ``_reach``
+        for g in generators:
+            q = perm.compose(p, g)
+            if q not in seen:
+                if len(seen) >= cap:
+                    raise CapExceededError(f"closure exceeded cap {cap}")
+                seen.add(q)
+                order.append(q)
     return PermGroup(degree, seen, generators=tuple(generators), label=label)
 
 
@@ -292,23 +298,21 @@ def _generating_set(table, e):
     return gens
 
 
-def _closure_idx(G, seed, gen_idxs):
-    """Index-level closure of ``seed`` (a subgroup) extended by ``gen_idxs``,
-    as a frozenset."""
-    elems = set(seed)
-    elems.update(gen_idxs)
-    frontier = list(elems)
-    mul = G.mul
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_idxs:
-                y = mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(elems)
+def _reach(rows, start, gens):
+    """(order, parent) of the breadth-first walk from ``start`` by right
+    multiplication by ``gens``: ``order`` lists ``start``, then each
+    element as first reached, at y = x * gens[pos] with parent[y] = (x,
+    pos), None on ``start``.  From a subset of <gens> it reaches <gens>."""
+    order = list(start)
+    parent = dict.fromkeys(order)
+    for x in order:  # a FIFO queue: the loop also visits what it appends
+        row = rows[x]
+        for pos, g in enumerate(gens):
+            y = row[g]
+            if y not in parent:
+                parent[y] = (x, pos)
+                order.append(y)
+    return order, parent
 
 
 def _subgroup_sets(G):
@@ -328,6 +332,7 @@ def _subgroup_sets(G):
         for i in range(len(G))
         if i != e and _is_prime_power(G.order_of(i))
     ]
+    rows = G.rows()
     trivial = frozenset({e})
     found = {trivial: ()}
     work = deque([trivial])
@@ -337,7 +342,7 @@ def _subgroup_sets(G):
         for a in atoms:
             if a in S:
                 continue
-            T = _closure_idx(G, S, gens + (a,))
+            T = frozenset(_reach(rows, S, gens + (a,))[0])
             if T not in found:
                 found[T] = gens + (a,)
                 work.append(T)
@@ -402,11 +407,11 @@ class Homomorphism:
         return self.codomain.elements[self.images[i]]
 
     def verify(self) -> bool:
-        mul_d, mul_c = self.domain.mul, self.codomain.mul
+        rows_d, rows_c = self.domain.rows(), self.codomain.rows()
         n = len(self.domain)
         im = self.images
         return all(
-            im[mul_d(a, b)] == mul_c(im[a], im[b])
+            im[rows_d[a][b]] == rows_c[im[a]][im[b]]
             for a in range(n)
             for b in range(n)
         )
@@ -419,20 +424,7 @@ def bfs_order(G: PermGroup, gen_idxs):
     the identity and parent[i] = (previous index, generator position) with
     elements[i] = elements[prev] * gens[pos].
     """
-    e = G.identity_index
-    order = [e]
-    parent = {e: None}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for pos, g in enumerate(gen_idxs):
-                y = G.mul(x, g)
-                if y not in parent:
-                    parent[y] = (x, pos)
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    order, parent = _reach(G.rows(), (G.identity_index,), gen_idxs)
     if len(order) != len(G):
         raise PreconditionError("generators do not generate the group")
     return order, parent
@@ -467,13 +459,13 @@ def extend_images(
     n = len(G)
     if twist is None:
         twist = (tuple(range(len(H))),) * n
-    mul_g, mul_h = G.mul, H.mul
+    rows_g, rows_h = G.rows(), H.rows()
     steps = []
     for i in order[1:]:
         prev, pos = parent[i]
         steps.append((i, prev, twist[prev], pos))
     checks = [
-        (x, mul_g(x, s), twist[x], pos)
+        (x, rows_g[x][s], twist[x], pos)
         for x in range(n)
         for pos, s in enumerate(gen_idxs)
     ]
@@ -486,7 +478,7 @@ def extend_images(
             used = bytearray(len(H))
             used[e_h] = 1
         for i, prev, tw, pos in steps:
-            v = mul_h(m[prev], tw[choice[pos]])
+            v = rows_h[m[prev]][tw[choice[pos]]]
             if used is not None:
                 if used[v]:
                     break
@@ -494,7 +486,7 @@ def extend_images(
             m[i] = v
         else:
             for x, xs, tw, pos in checks:
-                if m[xs] != mul_h(m[x], tw[choice[pos]]):
+                if m[xs] != rows_h[m[x]][tw[choice[pos]]]:
                     break
             else:
                 yield tuple(m)
@@ -549,14 +541,10 @@ def are_isomorphic(G: PermGroup, H: PermGroup):
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
-    n = len(G)
-    comms = set()
-    for a in range(n):
-        ia = G.inv(a)
-        for b in range(n):
-            comms.add(G.mul(G.mul(G.mul(ia, G.inv(b)), a), b))
-    S = _closure_idx(G, {G.identity_index}, tuple(sorted(comms)))
-    return G.subgroup_from_indices(S)
+    rows, inv, n = G.rows(), G.inv, range(len(G))
+    comms = {rows[rows[rows[inv(a)][inv(b)]][a]][b] for a in n for b in n}
+    order, _ = _reach(rows, (G.identity_index,), sorted(comms))
+    return G.subgroup_from_indices(order)
 
 
 def is_solvable(G: PermGroup) -> bool:
@@ -601,19 +589,14 @@ def is_almost_sylow_cyclic(G: PermGroup) -> bool:
 
 def is_normal(G: PermGroup, sub: PermGroup) -> bool:
     """True iff the subgroup is stable under conjugation by G's generators."""
-    idxs = frozenset(G.index_of(p) for p in sub.elements)
-    gens = [G.index_of(g) for g in G.minimal_generating_set()]
-    for g in gens:
-        ig = G.inv(g)
-        for x in idxs:
-            if G.mul(G.mul(g, x), ig) not in idxs:
-                return False
-    return True
+    idxs, rows = frozenset(map(G.index_of, sub.elements)), G.rows()
+    gens = map(G.index_of, G.minimal_generating_set())
+    return all(rows[rows[g][x]][G.inv(g)] in idxs for g in gens for x in idxs)
 
 
 def left_translation(G: PermGroup, a: int):
     """The permutation of element indices given by left multiplication by a."""
-    return tuple(G.mul(a, x) for x in range(len(G)))
+    return tuple(map(G.rows()[a].__getitem__, range(len(G))))
 
 
 def regular_representation(G: PermGroup) -> PermGroup:

@@ -73,9 +73,9 @@ class CrossedHom:
         G, N = self.domain, self.n_group
         g = self.g
         f_perms = [self.f.image_perm(a) for a in range(len(G))]
-        mul_g, mul_n = G.mul, N.mul
+        rows_g, rows_n = G.rows(), N.rows()
         return all(
-            g[mul_g(a, b)] == mul_n(g[a], f_perms[a][g[b]])
+            g[rows_g[a][b]] == rows_n[g[a]][f_perms[a][g[b]]]
             for a in range(len(G))
             for b in range(len(G))
         )
@@ -344,8 +344,9 @@ def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
     """
     G, aut = f.domain, f.codomain
     gens = frame[0]
+    rows = aut.rows()
     for b in C:
-        if any(aut.mul(b, f.images[a]) != aut.mul(f.images[a], b) for a in gens):
+        if any(rows[b][f.images[a]] != rows[f.images[a]][b] for a in gens):
             raise CountingBugError("a centralizer element does not commute with f")
     f_perms = [f.image_perm(a) for a in range(len(G))]
     cands = [_cyclic_consistent_images(G, N, f_perms, a) for a in gens]
@@ -674,11 +675,10 @@ def transport_characteristic(c: CrossedHom, M: PermGroup):
         raise CountingBugError(
             f"preimage has {len(h_idxs)} elements, expected {len(M)}"
         )
-    h_set = set(h_idxs)
+    h_set, rows = set(h_idxs), G.rows()
     for a in h_idxs:
-        for b in h_idxs:
-            if G.mul(a, b) not in h_set:
-                raise CountingBugError("preimage of a characteristic subgroup is not closed")
+        if any(rows[a][b] not in h_set for b in h_idxs):
+            raise CountingBugError("preimage of a characteristic subgroup is not closed")
     H = G.subgroup_from_indices(h_idxs)
     witness = realizable_via_cocycles(H, M)
     if witness is None:

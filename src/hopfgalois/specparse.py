@@ -8,7 +8,8 @@ Whitespace-insensitive.  Product chains are canonically left-associated,
 and ``canonical_text`` of a parsed spec parses back to an identical spec.
 Syntax errors carry position and expected-token information; parameter
 problems (e.g. a twist that is not a unit) raise SpecSemanticError
-instead.
+instead.  The bounds below are syntax errors too, so no recipe meets
+Python's limits on integer text or recursion.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .factory import (
     SemidirectZ2,
     validate_spec,
 )
+
+MAX_DIGITS = 100   # digits in one integer
+MAX_NESTING = 8    # "Hol(" levels open at once
+MAX_FACTORS = 16   # atoms in one "x" chain
 
 _TOKEN_RE = re.compile(r"(SDZ2|SD|Hol|A4|C|D|x|\(|\)|,|;|\d+)")
 
@@ -80,6 +85,8 @@ class _Parser:
                 pos,
                 expected="integer",
             )
+        if len(tok) > MAX_DIGITS:
+            raise SpecSyntaxError(f"integer of more than {MAX_DIGITS} digits", pos)
         self._advance()
         return int(tok)
 
@@ -90,16 +97,20 @@ class _Parser:
             raise SpecSyntaxError(f"trailing input {tok!r}", pos, expected="end of input")
         return spec
 
-    def _product(self) -> GroupSpec:
-        spec = self._atom()
+    def _product(self, nesting=0) -> GroupSpec:
+        """A chain of atoms inside ``nesting`` open ``Hol(``."""
+        spec, factors = self._atom(nesting), 1
         while True:
-            tok, _ = self._peek()
+            tok, pos = self._peek()
             if tok != "x":
                 return spec
+            if factors == MAX_FACTORS:
+                raise SpecSyntaxError(f"more than {MAX_FACTORS} factors", pos)
             self._advance()
-            spec = DirectProduct(spec, self._atom())
+            spec = DirectProduct(spec, self._atom(nesting))
+            factors += 1
 
-    def _atom(self) -> GroupSpec:
+    def _atom(self, nesting) -> GroupSpec:
         tok, pos = self._peek()
         if tok == "C":
             self._advance()
@@ -126,9 +137,11 @@ class _Parser:
             self._expect(")")
             return SemidirectZ2(n, s)
         if tok == "Hol":
+            if nesting == MAX_NESTING:
+                raise SpecSyntaxError(f"Hol nested more than {MAX_NESTING} deep", pos)
             self._advance()
             self._expect("(")
-            inner = self._product()
+            inner = self._product(nesting + 1)
             self._expect(")")
             return Holomorph(inner)
         if tok == "A4":

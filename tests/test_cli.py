@@ -210,6 +210,32 @@ def test_count_dihedral_nan_budget_is_not_run():
     assert result["direct_method"].startswith("not-run")
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_count_dihedral_past_the_int_text_limit_is_error(capsys, fmt):
+    code, out = run_cli(["count-dihedral", "--n", "13001", "--format", fmt])
+    assert code == 0 and "e_formula" in out
+    code, out = run_cli(["count-dihedral", "--n", "15001", "--format", fmt])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    digits = sys.get_int_max_str_digits()
+    assert err == f"error: e_formula for n = 15001 has more than {digits} digits\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("C" + "9" * 4301, "at position 1: integer of more than 100 digits"),
+        ("Hol(" * 400 + "C1" + ")" * 400, "at position 32: Hol nested more than 8 deep"),
+        ("x".join(["C1"] * 400), "at position 47: more than 16 factors"),
+    ],
+    ids=["4301-digits", "hol-400-deep", "chain-400"],
+)
+def test_spec_past_the_parser_bounds_is_error(capsys, spec, message):
+    code, out = run_cli(["realizable", "--g", spec, "--n", "C3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_four_generator_group_is_error(capsys):
     code, _ = run_cli(["realizable", "--g", "C2xC2xC2xC2", "--n", "C16"])
     err = capsys.readouterr().err

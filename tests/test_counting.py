@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from hopfgalois import (
@@ -19,6 +21,7 @@ from hopfgalois import (
     radical,
 )
 from hopfgalois.errors import (
+    BoundExceededError,
     BudgetExceededError,
     PreconditionError,
 )
@@ -156,6 +159,19 @@ def test_count_report_warnings():
     rep1 = count_hgs_dihedral(1)
     assert any("convention" in w for w in rep1.warnings)
     assert rep1.e_formula == 2
+
+
+def test_e_formula_past_the_int_text_limit_is_refused(monkeypatch):
+    # at 4300 digits, Python's default limit, 14269 is the largest odd n
+    # whose e_formula can be printed
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    assert len(str(count_hgs_dihedral(14269).e_formula)) == 4300
+    for n in (14271, 15001, 10**30 + 1):
+        with pytest.raises(BoundExceededError, match="more than 4300 digits"):
+            count_hgs_dihedral(n)
+    # 0 means no limit
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert count_hgs_dihedral(14271).e_formula >= 10**4300
 
 
 def test_count_report_rejects_even():

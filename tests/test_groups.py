@@ -42,6 +42,8 @@ from hopfgalois.groups import (
     Homomorphism,
     PermGroup,
     _base,
+    _reach,
+    bfs_order,
     is_normal,
     isomorphisms,
     left_translation,
@@ -51,6 +53,7 @@ from hopfgalois.groups import (
 from conftest import (
     C,
     D,
+    _closure_within,
     brute_force_homomorphisms,
     lattice_is_almost_sylow_cyclic,
     lattice_is_c_group,
@@ -539,14 +542,28 @@ def test_products_below_table_limit_never_compose(monkeypatch):
     assert are_isomorphic(A, B) is not None
 
 
-def test_products_above_table_limit_compose():
+def test_products_above_table_limit_compose(monkeypatch):
     G = build(Cyclic(1201))
     assert len(G) > TABLE_LIMIT
-    for i, j in [(0, 7), (5, 1000), (1200, 1200), (613, 2)]:
-        assert G.mul(i, j) == G.index_of(perm.compose(G.elements[i], G.elements[j]))
+    rows = G.rows()
+    rng = random.Random(1201)
+    samples = [(0, 7), (5, 1000), (1200, 1200), (613, 2)]
+    samples += [(rng.randrange(len(G)), rng.randrange(len(G))) for _ in range(50)]
+    for i, j in samples:
+        product = G.index_of(perm.compose(G.elements[i], G.elements[j]))
+        assert rows[i][j] == G.mul(i, j) == product
     with pytest.raises(BoundExceededError):
         G.table()
     assert are_isomorphic(G, fresh_copy(G)) is not None
+    # below the limit the rows are the table, built on the first call
+    for H in (fresh_copy(D(30)), fresh_copy(holomorph(C(6)).group)):
+        assert H.rows() is H.table()
+        assert H.rows() == compose_table(H)
+    # and above a lowered limit a non-abelian group's rows compose in order
+    monkeypatch.setattr("hopfgalois.groups.TABLE_LIMIT", 10)
+    H = fresh_copy(D(30))
+    rows = [tuple(row[j] for j in range(len(H))) for row in H.rows()]
+    assert rows == compose_table(H) and H._mul_table is None
 
 
 @st.composite
@@ -563,3 +580,33 @@ def small_closures(draw):
 @given(small_closures())
 def test_table_matches_compose_on_random_closures(G):
     assert G.table() == compose_table(G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_closures(), st.data())
+def test_bfs_order_is_the_first_reach_in_scan_order(G, data):
+    gens = [G.index_of(g) for g in G.generators]
+    order, parent = bfs_order(G, gens)
+    assert order[0] == G.identity_index and parent[order[0]] is None
+    assert sorted(order) == list(range(len(G)))
+
+    def times(x, pos):
+        return G.index_of(perm.compose(G.elements[x], G.elements[gens[pos]]))
+
+    # the first (x, pos) in scan order, x along ``order``, that reaches y
+    first = {}
+    for x in order:
+        for pos in range(len(gens)):
+            first.setdefault(times(x, pos), (x, pos))
+    place = {x: k for k, x in enumerate(order)}
+    for y in order[1:]:
+        x, pos = parent[y]
+        assert place[x] < place[y]
+        assert times(x, pos) == y
+        assert parent[y] == first[y]
+    # from a subgroup of <A + B>, here <A>, the walk reaches <A + B>
+    indices = st.lists(st.integers(0, len(G) - 1), max_size=3)
+    a, b = data.draw(indices), data.draw(indices)
+    seed = _closure_within(G, a, len(G))
+    reached, _ = _reach(G.rows(), seed, a + b)
+    assert frozenset(reached) == _closure_within(G, a + b, len(G))

@@ -13,6 +13,16 @@ from hopfgalois import (
     parse_group_spec,
 )
 from hopfgalois.errors import SpecSemanticError, SpecSyntaxError
+from hopfgalois.factory import build
+from hopfgalois.specparse import MAX_DIGITS, MAX_FACTORS, MAX_NESTING
+
+
+def chain(first, factors):
+    return "x".join([first] + ["C1"] * (factors - 1))
+
+
+def nested_hol(depth):
+    return "Hol(" * depth + "C1" + ")" * depth
 
 
 def test_atoms():
@@ -96,3 +106,42 @@ def test_parse_then_print_idempotent():
         spec = parse_group_spec(text)
         again = parse_group_spec(canonical_text(spec))
         assert canonical_text(again) == canonical_text(spec)
+
+
+def test_bounds_admit_the_deepest_recipe():
+    # a full chain at every nesting level: the deepest spec tree the bounds
+    # admit still parses, prints and builds
+    text = "C1"
+    for _ in range(MAX_NESTING):
+        text = "Hol(" + chain(text, MAX_FACTORS) + ")"
+    spec = parse_group_spec(chain(text, MAX_FACTORS))
+    assert parse_group_spec(canonical_text(spec)) == spec
+    assert len(build(spec)) == 1
+    assert parse_group_spec("C" + "9" * MAX_DIGITS) == Cyclic(10**MAX_DIGITS - 1)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("C" + "9" * 4301, 1),
+        ("C" + "9" * (MAX_DIGITS + 1), 1),
+        (nested_hol(400), 4 * MAX_NESTING),
+        (nested_hol(MAX_NESTING + 1), 4 * MAX_NESTING),
+        (chain("C1", 400), 3 * MAX_FACTORS - 1),
+        (chain("C1", MAX_FACTORS + 1), 3 * MAX_FACTORS - 1),
+        ("Hol(" + chain("C1", MAX_FACTORS + 1) + ")", 4 + 3 * MAX_FACTORS - 1),
+    ],
+    ids=[
+        "4301-digits",
+        "one-digit-over",
+        "hol-400-deep",
+        "hol-one-over",
+        "chain-400",
+        "chain-one-over",
+        "chain-inside-hol",
+    ],
+)
+def test_bounds_are_syntax_errors(text, position):
+    with pytest.raises(SpecSyntaxError) as info:
+        parse_group_spec(text)
+    assert info.value.position == position
