@@ -28,6 +28,7 @@ from .factory import (
 from .groups import (
     PermGroup,
     characteristic_subgroups,
+    check_size,
     is_c_group,
     is_cyclic,
     is_normal,
@@ -128,11 +129,15 @@ def _require_twice_odd(order: int):
 def _require_odd_squarefree(order: int):
     if order % 2 == 0:
         raise PreconditionError(f"odd order required, got {order}")
+    check_size(order, order)
     if not is_squarefree(order):
         raise PreconditionError(f"odd squarefree order required, got {order}")
 
 
 def _catalog_or_none(order):
+    # No size check comes first: above the bound, an order that is not
+    # squarefree still gets its "unsupported" report, which needs the
+    # factorization.
     try:
         return catalog(order)
     except UnsupportedOrderError:
@@ -205,6 +210,9 @@ def audit_t001(n: int) -> AuditReport:
     """If (Z_n x| Z_2 twist, N) is realizable then N splits as
     (Z_k x| Z_l) x| Z_2 over its odd part."""
     _require_twice_odd(2 * n)
+    # a group of order 2n has 2n points: the bound comes before the n-long
+    # twist scan and the factorization in catalog
+    check_size(2 * n, 2 * n)
     rows = (
         (f"(SDZ2({n};{s}), {entry.spec.text()})", build(SemidirectZ2(n, s)), entry.group)
         for s in z2_twists(n)
@@ -220,6 +228,7 @@ def audit_t003(n: int) -> AuditReport:
     """Mirror of t001: realizable partners G of Z_n x| Z_2 split the same
     way.  The stated conclusion's trailing factor is read as Z_2."""
     _require_twice_odd(2 * n)
+    check_size(2 * n, 2 * n)
     rows = (
         (f"({entry.spec.text()}, SDZ2({n};{s}))", entry.group, build(SemidirectZ2(n, s)))
         for entry in catalog(2 * n)
@@ -326,6 +335,7 @@ def audit_t002(n: int) -> AuditReport:
     """Transport: a witness for (G, N) pulls every characteristic subgroup
     M of N back to a subgroup H of G with (H, M) realizable."""
     _require_twice_odd(2 * n)
+    check_size(2 * n, 2 * n)
     entries = catalog(2 * n)
 
     def instances(ge, ne):

@@ -22,6 +22,7 @@ from .brace import brace_from_regular, lambda_circ_in_hol
 from .counting import count_hgs_dihedral
 from .errors import HopfGaloisError
 from .factory import build, catalog
+from .groups import check_size
 from .realize import (
     realizable_via_cocycles,
     realizable_via_search,
@@ -124,7 +125,8 @@ def _cmd_realizable(args):
     result["verdicts"] = verdicts
     result["realizable"] = realizable
     code = EXIT_OK if realizable else EXIT_NOT_REALIZABLE
-    return {"g": args.g, "n": args.n, "method": args.method}, result, code
+    row = {"g": result["g"], "n": result["n"], "method": args.method, "realizable": realizable}
+    return {"g": args.g, "n": args.n, "method": args.method}, result, [row], code
 
 
 def _cmd_regular_subgroups(args):
@@ -141,10 +143,15 @@ def _cmd_regular_subgroups(args):
         "total": len(records),
         "counts": dict(sorted(counts.items())),
     }
-    return {"hol_of": args.hol_of}, result, EXIT_OK
+    rows = [
+        {"iso_type": k, "count": v, "strategy": result["strategy"]}
+        for k, v in result["counts"].items()
+    ]
+    return {"hol_of": args.hol_of}, result, rows, EXIT_OK
 
 
 def _cmd_braces(args):
+    check_size(args.order, args.order)
     entries = catalog(args.order)
     rows = []
     for entry in entries:
@@ -161,14 +168,18 @@ def _cmd_braces(args):
                 }
             )
     result = {"order": args.order, "count": len(rows), "braces": rows}
-    return {"order": args.order}, result, EXIT_OK
+    return {"order": args.order}, result, rows, EXIT_OK
 
 
 def _cmd_count_dihedral(args):
     report = count_hgs_dihedral(
         args.n, with_direct=args.direct, budget_seconds=args.budget
     )
-    return {"n": args.n, "direct": args.direct}, report.to_dict(), EXIT_OK
+    result = report.to_dict()
+    rows = [
+        {"field": k, "value": json.dumps(v, sort_keys=True)} for k, v in sorted(result.items())
+    ]
+    return {"n": args.n, "direct": args.direct}, result, rows, EXIT_OK
 
 
 def _cmd_audit(args):
@@ -179,17 +190,19 @@ def _cmd_audit(args):
         "vacuous": EXIT_AUDIT_VACUOUS,
         "unsupported": EXIT_AUDIT_VACUOUS,
     }[report.verdict]
-    return {"theorem": args.theorem, "n": args.n}, report.to_dict(), code
+    result = report.to_dict()
+    return {"theorem": args.theorem, "n": args.n}, result, result["instances"], code
 
 
 def _cmd_catalog(args):
+    check_size(args.order, args.order)
     entries = catalog(args.order)
     rows = [
         {"index": i, "spec": e.spec.text(), "order": len(e.group)}
         for i, e in enumerate(entries)
     ]
     result = {"order": args.order, "classes": rows}
-    return {"order": args.order}, result, EXIT_OK
+    return {"order": args.order}, result, rows, EXIT_OK
 
 
 _COMMANDS = {
@@ -202,36 +215,7 @@ _COMMANDS = {
 }
 
 
-def _rows(command: str, result: dict):
-    if command == "realizable":
-        return [
-            {
-                "g": result["g"],
-                "n": result["n"],
-                "method": result["method"],
-                "realizable": result["realizable"],
-            }
-        ]
-    if command == "regular-subgroups":
-        return [
-            {"iso_type": k, "count": v, "strategy": result["strategy"]}
-            for k, v in result["counts"].items()
-        ]
-    if command == "braces":
-        return result["braces"]
-    if command == "count-dihedral":
-        return [
-            {"field": k, "value": json.dumps(v, sort_keys=True)}
-            for k, v in sorted(result.items())
-        ]
-    if command == "audit":
-        return result["instances"]
-    if command == "catalog":
-        return result["classes"]
-    raise AssertionError(command)  # pragma: no cover
-
-
-def _render(command: str, inputs: dict, result: dict, fmt: str) -> str:
+def _render(command: str, inputs: dict, result: dict, rows: list, fmt: str) -> str:
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -240,7 +224,6 @@ def _render(command: str, inputs: dict, result: dict, fmt: str) -> str:
             "result": result,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    rows = _rows(command, result)
     if fmt == "csv":
         buf = io.StringIO()
         if rows:
@@ -269,7 +252,7 @@ def main(argv=None) -> int:
     try:
         if args.store:
             store = ResultsStore(args.store)
-        inputs, result, code = _COMMANDS[args.command](args)
+        inputs, result, rows, code = _COMMANDS[args.command](args)
         if store is not None:
             elapsed_ms = int((time.monotonic() - started) * 1000)
             outcome = {"exit_code": code}
@@ -278,7 +261,7 @@ def main(argv=None) -> int:
     except HopfGaloisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    sys.stdout.write(_render(args.command, inputs, result, args.format))
+    sys.stdout.write(_render(args.command, inputs, result, rows, args.format))
     return code
 
 

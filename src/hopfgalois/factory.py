@@ -177,6 +177,7 @@ def _build(spec: GroupSpec) -> PermGroup:
     if isinstance(spec, DirectProduct):
         A, B = build(spec.left), build(spec.right)
         da, db = A.degree, B.degree
+        check_size(len(A) * len(B), da * db)
         gens = [
             tuple(p[i // db] * db + i % db for i in range(da * db))
             for p in A.generators
@@ -198,9 +199,11 @@ def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
     """Left regular action of Z_k x| Z_l on its kl-point carrier.
 
     Point (c, d) is index c*l + d; element (a, b) sends it to
-    (a + t^b * c, b + d).
+    (a + t^b * c, b + d).  The size bound is checked before any generator
+    is made.
     """
     size = k * l
+    check_size(size, size)
     gens = []
     if k > 1:
         gens.append(tuple(((c + 1) % k) * l + d for c in range(k) for d in range(l)))

@@ -422,29 +422,47 @@ def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
 
 
 def _conjugators(hol: HolomorphGroup):
-    """Conjugation h * (t, a) * h^-1 by each h of a generating set of Hol(N).
+    """Conjugation c -> h * c * h^-1 by each h of a generating set of Hol(N),
+    as code tables.
 
-    Each map takes the pair (t, a) of ``_pair_search`` to the pair of its
-    conjugate in two table lookups, so Hol(N) is never multiplied: by
-    lam_s, (t, a) -> (s * t * alpha_a(s^-1), a); by iota_b,
-    (t, a) -> (beta_b(t), b * a * b^-1).  The s and b come from greedy
-    generating sets of N's and Aut(N)'s tables, each of at most log2 of
-    the order; ``aut.generators`` would be every automorphism.
+    The code of lam[t] * iota[a] is t * |Aut N| + a, the pair (t, a) of
+    ``_pair_search``, and each table maps every code to the code of its
+    conjugate.  The entries are table lookups, so Hol(N) is never
+    multiplied: by lam_s, (t, a) -> (s * t * alpha_a(s^-1), a); by
+    iota_b, (t, a) -> (beta_b(t), b * a * b^-1).  The s and b come from
+    greedy generating sets of N's and Aut(N)'s tables, each of at most
+    log2 of the order; ``aut.generators`` would be every automorphism.
     """
     N, aut = hol.n_group, hol.aut
     ntab, atab, iota = N.table(), aut.table(), hol.iota
-
-    def by_translation(s):
+    ts, size = range(len(N)), len(aut)
+    tables = []
+    for s in _generating_set(ntab, N.identity_index):
         row, s_inv = ntab[s], N.inv(s)
-        return lambda t, a: (ntab[row[t]][iota[a][s_inv]], a)
-
-    def by_automorphism(b):
+        moved = [alpha[s_inv] for alpha in iota]
+        tables.append([ntab[row[t]][u] * size + a for t in ts for a, u in enumerate(moved)])
+    for b in _generating_set(atab, aut.identity_index):
         beta, row, b_inv = iota[b], atab[b], aut.inv(b)
-        return lambda t, a: (beta[t], atab[row[a]][b_inv])
+        moved = [atab[row[a]][b_inv] for a in range(size)]
+        tables.append([beta[t] * size + a for t in ts for a in moved])
+    return tables
 
-    return [by_translation(s) for s in _generating_set(ntab, N.identity_index)] + [
-        by_automorphism(b) for b in _generating_set(atab, aut.identity_index)
-    ]
+
+def _orbit(x, images):
+    """The orbit of x, walked first in, first out from x.
+
+    ``images(y)`` lists the images of y under the generators of the
+    acting group; each new member is appended as it is first met.  Unlike
+    ``groups._reach``, which walks a group table by element index, x may
+    be any hashable value: a code, or a subgroup as a set of codes.
+    """
+    orbit, seen = [x], {x}
+    for y in orbit:
+        for z in images(y):
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return orbit
 
 
 def _semiregular_classes(hol: HolomorphGroup):
@@ -453,10 +471,9 @@ def _semiregular_classes(hol: HolomorphGroup):
     The pool is the non-identity semiregular elements of Hol(N), as codes
     t * |Aut N| + a of their (t, a) pairs, ordered by descending element
     order, then by permutation.  Returns (classes, conj, in_pool): one
-    (order, codes) per class, its codes led by the class's first member
-    in pool order, classes in the order of those members; conj[k][c] is
-    the code of the conjugate of c by the k-th map of ``_conjugators``;
-    in_pool[c] is 1 for the codes in the pool.
+    (order, codes) per class, the ``_orbit`` of the class's first member
+    in pool order under the tables conj of ``_conjugators``, classes in
+    the order of those members; in_pool[c] is 1 for the codes in the pool.
     Conjugation preserves semiregularity, so a conjugate outside the pool
     raises CountingBugError.
     """
@@ -470,29 +487,16 @@ def _semiregular_classes(hol: HolomorphGroup):
     in_pool = bytearray(m * size)
     for _, _, c in pool:
         in_pool[c] = 1
-    conj = []
-    for f in _conjugators(hol):
-        image = [-1] * (m * size)
-        for _, _, c in pool:
-            t, a = f(*divmod(c, size))
-            image[c] = t * size + a
-            if not in_pool[image[c]]:
-                raise CountingBugError("a conjugate of a semiregular element is not one")
-        conj.append(image)
+    conj = _conjugators(hol)
+    if not all(in_pool[image[c]] for image in conj for _, _, c in pool):
+        raise CountingBugError("a conjugate of a semiregular element is not one")
     classes = []
-    seen = bytearray(m * size)
+    seen = set()
     for k, _, c in pool:
-        if seen[c]:
-            continue
-        seen[c] = 1
-        codes = [c]
-        for x in codes:
-            for image in conj:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    codes.append(y)
-        classes.append((-k, codes))
+        if c not in seen:
+            codes = _orbit(c, lambda x: [image[x] for image in conj])
+            seen.update(codes)
+            classes.append((-k, codes))
     return classes, conj, in_pool
 
 
@@ -529,7 +533,7 @@ def _pair_search(hol: HolomorphGroup):
     ntab, atab, iota = N.table(), aut.table(), hol.iota
     e_t, e_a = N.identity_index, aut.identity_index
     classes, conj, in_pool = _semiregular_classes(hol)
-    found: dict = {}  # subgroup as parts (see close) -> subgroup id
+    found: dict = {}  # subgroup as a frozenset of element codes -> subgroup id
     member: dict = {}  # element code -> ids of the subgroups holding it
     orbits = []
 
@@ -554,38 +558,33 @@ def _pair_search(hol: HolomorphGroup):
                         nxt.append((ty, ay))
             count += len(nxt)
             frontier = nxt
-        return tuple(parts) if count == m else None
+        if count < m:
+            return None
+        return frozenset(t * size + a for t, a in enumerate(parts))
 
-    def record(parts):
+    def conjugates(sub):
+        images = [frozenset(image[c] for c in sub) for image in conj]
+        if any(len({c // size for c in moved}) < m for moved in images):
+            raise CountingBugError("a conjugate subgroup repeats a t-part")
+        return images
+
+    def record(sub):
         # A new subgroup brings its whole orbit into the skip index.
-        if parts in found:
+        if sub in found:
             return
-        found[parts] = len(found)
-        orbit = [parts]
-        for sub in orbit:
-            held = [t * size + a for t, a in enumerate(sub) if t != e_t]
-            for c in held:
-                member.setdefault(c, set()).add(found[sub])
-            for image in conj:
-                moved = [-1] * m
-                moved[e_t] = e_a
-                for c in held:
-                    t, a = divmod(image[c], size)
-                    moved[t] = a
-                if -1 in moved:
-                    raise CountingBugError("a conjugate subgroup repeats a t-part")
-                moved = tuple(moved)
-                if moved not in found:
-                    found[moved] = len(found)
-                    orbit.append(moved)
+        orbit = _orbit(sub, conjugates)
+        for conjugate in orbit:
+            found[conjugate] = len(found)
+            for c in conjugate:
+                member.setdefault(c, set()).add(found[conjugate])
         orbits.append(orbit)
 
     # The trivial group is generated by no element, a cyclic one by one.
     cyclic = [(divmod(codes[0], size),) for k, codes in classes if k == m]
     for pair in [()] + cyclic:
-        parts = close(pair)
-        if parts is not None:
-            record(parts)
+        sub = close(pair)
+        if sub is not None:
+            record(sub)
     # A pair lying inside a known regular subgroup closes to that subgroup
     # or to a proper (hence non-regular) piece of it, so it is skipped.
     # The skip index grows after every hit; the result does not depend on
@@ -602,12 +601,12 @@ def _pair_search(hol: HolomorphGroup):
                 groups_y = member.get(cy)
                 if groups_y and not groups_x.isdisjoint(groups_y):
                     continue
-            parts = close((x, divmod(cy, size)))
-            if parts is not None:
-                record(parts)
+            sub = close((x, divmod(cy, size)))
+            if sub is not None:
+                record(sub)
     lam = hol.lam
     return [
-        [frozenset(perm.compose(lam[t], iota[a]) for t, a in enumerate(p)) for p in orbit]
+        [frozenset(perm.compose(lam[c // size], iota[c % size]) for c in sub) for sub in orbit]
         for orbit in orbits
     ]
 

@@ -35,6 +35,16 @@ MAX_FACTORS = 16   # atoms in one "x" chain
 
 _TOKEN_RE = re.compile(r"(SDZ2|SD|Hol|A4|C|D|x|\(|\)|,|;|\d+)")
 
+# The atoms other than "Hol(": each keyword's spec class and the tokens
+# after the keyword, "n" standing for an integer, as in the grammar above.
+_ATOMS = {
+    "C": (Cyclic, "n"),
+    "D": (Dihedral, "n"),
+    "SD": (SemidirectCC, "(n,n;n)"),
+    "SDZ2": (SemidirectZ2, "(n;n)"),
+    "A4": (Alternating4, ""),
+}
+
 
 def _tokenize(text: str):
     tokens = []
@@ -112,30 +122,16 @@ class _Parser:
 
     def _atom(self, nesting) -> GroupSpec:
         tok, pos = self._peek()
-        if tok == "C":
+        if tok in _ATOMS:
             self._advance()
-            return Cyclic(self._int())
-        if tok == "D":
-            self._advance()
-            return Dihedral(self._int())
-        if tok == "SD":
-            self._advance()
-            self._expect("(")
-            k = self._int()
-            self._expect(",")
-            l = self._int()
-            self._expect(";")
-            t = self._int()
-            self._expect(")")
-            return SemidirectCC(k, l, t)
-        if tok == "SDZ2":
-            self._advance()
-            self._expect("(")
-            n = self._int()
-            self._expect(";")
-            s = self._int()
-            self._expect(")")
-            return SemidirectZ2(n, s)
+            make, shape = _ATOMS[tok]
+            args = []
+            for part in shape:
+                if part == "n":
+                    args.append(self._int())
+                else:
+                    self._expect(part)
+            return make(*args)
         if tok == "Hol":
             if nesting == MAX_NESTING:
                 raise SpecSyntaxError(f"Hol nested more than {MAX_NESTING} deep", pos)
@@ -144,9 +140,6 @@ class _Parser:
             inner = self._product(nesting + 1)
             self._expect(")")
             return Holomorph(inner)
-        if tok == "A4":
-            self._advance()
-            return Alternating4()
         raise SpecSyntaxError(
             f"found {tok!r}" if tok else "unexpected end of input",
             pos,

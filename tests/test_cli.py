@@ -157,6 +157,24 @@ TABLE_CASES = [
         11,
     ),
     (["count-dihedral", "--n", "3"], "e_formula: 28", "field,value", 8),
+    (
+        ["realizable", "--g", "C2 x C3", "--n", "D6", "--method", "cocycle"],
+        "C2xC3  D6  cocycle  True      ",
+        "g,n,method,realizable",
+        2,
+    ),
+    (
+        ["regular-subgroups", "--hol-of", "D6"],
+        "D6        2      generator-pairs",
+        "iso_type,count,strategy",
+        3,
+    ),
+    (
+        ["audit", "--theorem", "t001", "--n", "3"],
+        "(SDZ2(3;2), D6)  True             True             N odd part = SD(3,1;1)      ",
+        "subject,hypothesis_held,conclusion_held,witness,note",
+        5,
+    ),
 ]
 
 
@@ -258,11 +276,21 @@ def test_aut_above_table_limit_is_error():
     assert proc.stderr == "error: no table above 1200 elements\n"
 
 
+# A 19-digit order: factoring it or listing its twists takes far longer
+# than the size-bound check that must come first.
+BIG = "1000000000000000003"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["realizable", "--g", "C20000", "--n", "C20000", "--method", "cocycle"],
         ["catalog", "--order", "20003"],
+        ["realizable", "--g", "C100000000", "--n", "C3", "--method", "cocycle"],
+        ["realizable", "--g", "C2000xC2000", "--n", "C3"],
+        ["catalog", "--order", BIG],
+        ["braces", "--order", BIG],
+        *(["audit", "--theorem", t, "--n", BIG] for t in ("t001", "t002", "t003", "p003", "p004")),
     ],
 )
 def test_oversized_group_is_error(argv):
@@ -280,6 +308,7 @@ def test_oversized_group_is_error(argv):
     elapsed = time.monotonic() - started
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and "size bound" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
     assert elapsed < 2
 
 

@@ -278,16 +278,18 @@ def test_search_orbits_are_conjugacy_orbits(order):
 
 
 def _leave_the_pool(hol):
-    # a map onto elements that fix N's identity, none of them semiregular
+    # a table onto elements that fix N's identity, none of them semiregular
+    size = len(hol.aut)
     e_t = hol.n_group.identity_index
-    return [lambda t, a: (e_t, a)]
+    return [[e_t * size + c % size for c in range(len(hol.n_group) * size)]]
 
 
 def _repeat_a_t_part(hol):
     # every pool element goes to one pool element, so a conjugate
     # subgroup has a single non-identity t-part
-    x = next(tag for p, tag in hol.tags.items() if perm.semiregular_order(p) > 1)
-    return [lambda t, a: x]
+    size = len(hol.aut)
+    t, a = next(tag for p, tag in hol.tags.items() if perm.semiregular_order(p) > 1)
+    return [[t * size + a] * (len(hol.n_group) * size)]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,9 @@
+import functools
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgalois import (
     Alternating4,
@@ -145,3 +150,54 @@ def test_bounds_are_syntax_errors(text, position):
     with pytest.raises(SpecSyntaxError) as info:
         parse_group_spec(text)
     assert info.value.position == position
+
+
+def _twists(k, l):
+    # the units t in 1..k with t^l = 1 mod k
+    return [t for t in range(1, k + 1) if gcd(t, k) == 1 and pow(t, l, k) == 1 % k]
+
+
+@st.composite
+def _semidirect_cc(draw):
+    k = draw(st.integers(1, 60))
+    l = draw(st.sampled_from([l for l in range(1, 61) if gcd(k, l) == 1]))
+    return SemidirectCC(k, l, draw(st.sampled_from(_twists(k, l))))
+
+
+@st.composite
+def _semidirect_z2(draw):
+    n = draw(st.integers(1, 200))
+    return SemidirectZ2(n, draw(st.sampled_from(_twists(n, 2))))
+
+
+def _atoms():
+    big = 10**MAX_DIGITS - 1
+    return st.one_of(
+        st.integers(1, big).map(Cyclic),
+        st.integers(1, big // 2).map(lambda n: Dihedral(2 * n)),
+        _semidirect_cc(),
+        _semidirect_z2(),
+        st.just(Alternating4()),
+    )
+
+
+@st.composite
+def _recipes(draw):
+    """A valid recipe in canonical form: left-associated chains of at most
+    MAX_FACTORS atoms, with Hol( nested up to MAX_NESTING deep."""
+    spec = None
+    for _ in range(draw(st.integers(0, MAX_NESTING)) + 1):
+        if spec is None:
+            factors = draw(st.lists(_atoms(), min_size=1, max_size=MAX_FACTORS))
+        else:
+            factors = draw(st.lists(_atoms(), max_size=MAX_FACTORS - 1))
+            factors.insert(draw(st.integers(0, len(factors))), Holomorph(spec))
+        spec = functools.reduce(DirectProduct, factors)
+    return spec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_recipes())
+def test_round_trip_random_recipes(spec):
+    # builds no group: only the parser and the printer run
+    assert parse_group_spec(spec.text()) == spec
