@@ -1,10 +1,11 @@
 """Group families, automorphism groups, holomorphs, and the order catalog.
 
 GroupSpec is the abstract recipe; ``build`` turns a recipe into a faithful
-PermGroup acting on its natural carrier.  ``catalog`` enumerates one group
-per isomorphism class for squarefree orders (complete by Burnside: such
-groups are exactly semidirect products of coprime cyclic groups) plus a
-hard-coded exception table for a few non-squarefree orders the audits and
+PermGroup acting on its natural carrier.  ``catalog`` builds one group
+per isomorphism class for squarefree orders, keyed by Hölder's
+classification (1895): such a group is Z_m x| Z_(n/m) with m = |G'|, fixed
+by m and the subgroup of (Z/m)^x that the action generates.  A hard-coded
+exception table covers a few non-squarefree orders the audits and
 cross-checks need.
 """
 
@@ -306,9 +307,10 @@ def catalog(order: int) -> list[CatalogEntry]:
     """One entry per isomorphism class of groups of the given order.
 
     Complete for squarefree orders and for the hard-coded exception
-    orders; any other positive order raises UnsupportedOrderError, and an
-    order below 1 raises PreconditionError.  The list is the caller's
-    own; the entries are shared.
+    orders; any other positive order raises UnsupportedOrderError, an
+    order past the size bound BoundExceededError, and an order below 1
+    PreconditionError.  The list is the caller's own; the entries are
+    shared.
     """
     return list(_catalog(order))
 
@@ -323,23 +325,35 @@ def _catalog(order: int) -> tuple[CatalogEntry, ...]:
         raise UnsupportedOrderError(
             f"order {order} is not squarefree and has no exception entry"
         )
-    classes: list[PermGroup] = []
-    for k in sorted(d for d in range(1, order + 1) if order % d == 0):
+    check_size(order, order)
+    # One twist per Hölder class, built outside the ``build`` memo: the first
+    # of each key with k descending, and (order/p, p, 1) for the cyclic class,
+    # p the least prime.  This picks each class's least element list (the
+    # tests check it against an isomorphism search).
+    p = min((q for q, _ in factorize(order).pairs), default=1)
+    picks = {_holder_key(1, 1, 1): (order // p, p, 1)}
+    for k in sorted((d for d in range(1, order + 1) if order % d == 0), reverse=True):
         l = order // k
-        if gcd(k, l) != 1:
-            continue
-        # Built outside the ``build`` memo, so candidates that lose to an
-        # isomorphic class are dropped with their tables.
         for t in _twists(k, l):
-            G = _semidirect_pair(k, l, t, _prettify(SemidirectCC(k, l, t)))
-            # Z_k x|_1 Z_l is Z_kl: the cyclic class, first in from k = 1.
-            i = 0 if t == 1 and classes else _first_isomorphic(G, classes)
-            if i is None:
-                classes.append(G)
-            elif G.elements < classes[i].elements:
-                classes[i] = G
+            picks.setdefault(_holder_key(k, l, t), (k, l, t))
+    classes = [
+        _semidirect_pair(k, l, t, _prettify(SemidirectCC(k, l, t)))
+        for k, l, t in picks.values()
+    ]
     classes.sort(key=lambda G: G.elements)
     return tuple(CatalogEntry(G.label, G) for G in classes)
+
+
+def _holder_key(k: int, l: int, t: int):
+    """Isomorphism invariant of Z_k x|_t Z_l at squarefree order kl: m = |G'|,
+    the product of the primes of k that t moves, and the subgroup <t> of
+    (Z/m)^x.  Complete by Hölder's classification: G = Z_m x| Z_(kl/m), and
+    twists generating one subgroup differ by a change of generator."""
+    m = 1
+    for p, _ in factorize(k).pairs:
+        if (t - 1) % p:
+            m *= p
+    return m, frozenset(pow(t, j, m) for j in range(l))
 
 
 def _prettify(spec: GroupSpec) -> GroupSpec:
@@ -357,22 +371,12 @@ def _prettify(spec: GroupSpec) -> GroupSpec:
     return spec
 
 
-def _first_isomorphic(G: PermGroup, groups) -> int | None:
-    """Index of the first of ``groups`` isomorphic to G, or None."""
-    return next(
-        (i for i, H in enumerate(groups) if are_isomorphic(H, G) is not None),
-        None,
-    )
-
-
 def class_index(G: PermGroup, entries: list[CatalogEntry]) -> int:
     """Index of the catalog class isomorphic to G; raises if none matches."""
-    i = _first_isomorphic(G, (entry.group for entry in entries))
-    if i is None:
-        raise PreconditionError(
-            f"group of order {len(G)} matches no catalog class"
-        )
-    return i
+    for i, entry in enumerate(entries):
+        if are_isomorphic(entry.group, G) is not None:
+            return i
+    raise PreconditionError(f"group of order {len(G)} matches no catalog class")
 
 
 # Structure recognition.

@@ -16,7 +16,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from . import perm
 from .errors import (
@@ -356,22 +356,86 @@ class Factorization:
     pairs: tuple
 
 
+_TRIAL_END = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the 13 bases above is deterministic below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017), itself a strong pseudoprime
+# to all of them.
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+RHO_BUDGET = 1 << 18  # Pollard-Brent steps per cofactor split
+
+
 def factorize(n: int) -> Factorization:
+    """Trial division below 1000, then Miller-Rabin and Pollard-Brent rho
+    on the cofactor left.
+
+    Never guesses: a cofactor that Miller-Rabin cannot certify (at or above
+    ``MR_LIMIT``) or that rho cannot split within ``RHO_BUDGET`` steps
+    raises BoundExceededError.
+    """
     if n < 1:
         raise PreconditionError(f"cannot factor {n}")
-    pairs = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            pairs.append((p, a))
-        p += 1
-    if n > 1:
-        pairs.append((n, 1))
-    return Factorization(tuple(pairs))
+    counts = {}
+    for p in range(2, _TRIAL_END):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
+    # every prime factor of what is left is at least _TRIAL_END
+    work = [n] if n > 1 else []
+    while work:
+        c = work.pop()
+        if c < _TRIAL_END**2 or _probable_prime(c):
+            if c >= MR_LIMIT:
+                raise BoundExceededError(f"cannot certify {c} prime below {MR_LIMIT}")
+            counts[c] = counts.get(c, 0) + 1
+        else:
+            d = _rho_divisor(c)
+            work += [d, c // d]
+    return Factorization(tuple(sorted(counts.items())))
+
+
+def _probable_prime(n: int) -> bool:
+    """Strong-probable-prime test of an odd n > 41 to every base in
+    ``_MR_BASES``; False proves n composite."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n: Pollard's rho on x -> x^2 + c
+    with Brent's cycle finding, c = 1, 2, ... until a split; raises
+    BoundExceededError after ``RHO_BUDGET`` steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            steps += r
+            if steps > RHO_BUDGET:
+                raise BoundExceededError(f"no factor of {n} in {RHO_BUDGET} rho steps")
+            r *= 2
+        if g != n:
+            return g
 
 
 def _is_prime_power(n: int) -> bool:

@@ -5,9 +5,11 @@ machinery: homomorphisms are found by backtracking over full element
 image tables, automorphisms by filtering all bijections, and crossed
 homomorphisms by filtering all identity-fixing bijections, group
 tables, the brace law and holomorph membership by scanning all n^3
-triples, and subgroups (with the Sylow predicates read off them) by
-adjoining one element at a time under ``G.mul``.  They exist so the fast
-engines can be checked against something slow and obviously correct.
+triples, subgroups (with the Sylow predicates read off them) by
+adjoining one element at a time under ``G.mul``, factorizations by trial
+division, and catalogs by testing every twist against the classes found
+so far.  They exist so the fast engines can be checked against something
+slow and obviously correct.
 """
 
 import itertools
@@ -19,9 +21,11 @@ from hopfgalois import (
     Dihedral,
     DirectProduct,
     SemidirectCC,
+    are_isomorphic,
     build,
 )
 from hopfgalois.brace import group_table_identity
+from hopfgalois.factory import _prettify, _semidirect_pair, _twists, is_squarefree
 
 
 def C(n):
@@ -284,3 +288,41 @@ def lattice_is_almost_sylow_cyclic(G):
         if not ok:
             return False
     return True
+
+
+def trial_division_pairs(n):
+    """(prime, exponent) pairs of n >= 1 by dividing by every p with p^2 <= n."""
+    pairs = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            pairs.append((p, a))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+def iso_catalog(order):
+    """(spec, elements) per class at a squarefree order: every twist
+    Z_k x|_t Z_l is built and kept unless isomorphic to a class found
+    so far, each class keeping its least element list."""
+    assert is_squarefree(order)
+    classes = []
+    for k in (d for d in range(1, order + 1) if order % d == 0):
+        l = order // k
+        for t in _twists(k, l):
+            G = _semidirect_pair(k, l, t, _prettify(SemidirectCC(k, l, t)))
+            i = next(
+                (i for i, H in enumerate(classes) if are_isomorphic(H, G) is not None),
+                None,
+            )
+            if i is None:
+                classes.append(G)
+            elif G.elements < classes[i].elements:
+                classes[i] = G
+    return [(G.label, G.elements) for G in sorted(classes, key=lambda G: G.elements)]

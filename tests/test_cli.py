@@ -115,6 +115,10 @@ def test_audit_exit_codes():
     code, out = run_cli(["audit", "--theorem", "c001", "--n", "16"])
     assert code == 5
     assert out.splitlines()[-1] == "verdict: unsupported"
+    # order 4 * 1000000000000000003 is not squarefree, and factoring it is quick
+    code, out = run_cli(["audit", "--theorem", "ses_final", "--n", "2000000000000000006"])
+    assert code == 5
+    assert out.splitlines()[-1] == "verdict: unsupported"
 
 
 @pytest.mark.parametrize("theorem", ["p003", "p004"])
@@ -276,8 +280,9 @@ def test_aut_above_table_limit_is_error():
     assert proc.stderr == "error: no table above 1200 elements\n"
 
 
-# A 19-digit order: factoring it or listing its twists takes far longer
-# than the size-bound check that must come first.
+# A 19-digit prime order: listing its divisors or twists takes far longer
+# than the size-bound check that must come first.  c001 and t004 factor it
+# before the check, which Miller-Rabin makes quick.
 BIG = "1000000000000000003"
 
 
@@ -290,7 +295,10 @@ BIG = "1000000000000000003"
         ["realizable", "--g", "C2000xC2000", "--n", "C3"],
         ["catalog", "--order", BIG],
         ["braces", "--order", BIG],
-        *(["audit", "--theorem", t, "--n", BIG] for t in ("t001", "t002", "t003", "p003", "p004")),
+        *(
+            ["audit", "--theorem", t, "--n", BIG]
+            for t in ("t001", "t002", "t003", "p003", "p004", "c001", "t004")
+        ),
     ],
 )
 def test_oversized_group_is_error(argv):

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -26,7 +27,9 @@ from hopfgalois.errors import (
     PreconditionError,
 )
 
-from conftest import C, D
+from hopfgalois.groups import MR_LIMIT, _probable_prime
+
+from conftest import C, D, trial_division_pairs
 
 
 def test_factorize():
@@ -34,6 +37,56 @@ def test_factorize():
     assert factorize(1).pairs == ()
     assert factorize(97).pairs == ((97, 1),)
     assert factorize(360).pairs == ((2, 3), (3, 2), (5, 1))
+    big = 1000000000000000003  # prime
+    assert factorize(big).pairs == ((big, 1),)
+    assert factorize(4 * big).pairs == ((2, 2), (big, 1))
+    # a strong pseudoprime to the bases 2 .. 23, split by rho
+    assert factorize(3825123056546413051).pairs == (
+        (149491, 1), (747451, 1), (34233211, 1),
+    )
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 10**5 + 1):
+        assert factorize(n).pairs == trial_division_pairs(n), n
+
+
+def test_factorize_smooth_numbers_up_to_1e30():
+    # products of primes below 10^4: the cofactors past trial division are
+    # split by rho and certified by Miller-Rabin
+    rng = random.Random(1)
+    primes = [p for p in range(2, 10**4) if trial_division_pairs(p) == ((p, 1),)]
+    for _ in range(200):
+        n = 1
+        while n * primes[-1] <= 10**30:
+            n *= rng.choice(primes)
+        assert factorize(n).pairs == trial_division_pairs(n), n
+
+
+def test_miller_rabin_sees_through_strong_pseudoprimes():
+    # the least strong pseudoprime to each prefix of the bases 2, 3, 5, ...
+    for n in (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051, 318665857834031151167461,
+    ):
+        assert not _probable_prime(n), n
+    assert all(
+        _probable_prime(n) == (trial_division_pairs(n) == ((n, 1),))
+        for n in range(43, 20001, 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        MR_LIMIT,  # composite, yet a strong pseudoprime to all 13 bases
+        10**30 + 57,  # past MR_LIMIT
+        (10**12 + 39) * (10**12 + 61),  # two 13-digit primes: past the rho budget
+    ],
+)
+def test_factorize_never_guesses(n):
+    with pytest.raises(BoundExceededError):
+        factorize(n)
 
 
 def test_euler_phi():

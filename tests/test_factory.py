@@ -27,10 +27,10 @@ from hopfgalois.errors import (
     SpecSemanticError,
     UnsupportedOrderError,
 )
-from hopfgalois.factory import is_squarefree
+from hopfgalois.factory import _holder_key, _semidirect_pair, _twists, is_squarefree
 from hopfgalois.groups import PermGroup, closure
 
-from conftest import C, D, brute_force_automorphisms
+from conftest import C, D, brute_force_automorphisms, iso_catalog
 
 
 def commutative(G):
@@ -233,6 +233,11 @@ def test_catalog_counts():
         (78, 6),
         (105, 2),
         (110, 6),
+        # Hölder's count: the sum over m | n of the product over p | m of
+        # (p^c(p) - 1)/(p - 1), c(p) the number of primes q | n/m with p | q - 1
+        (546, 24),
+        (570, 12),
+        (1155, 4),
     ],
 )
 def test_catalog_class_counts_squarefree(order, classes):
@@ -261,6 +266,25 @@ def test_catalog_closure_under_semidirects():
                 continue
             idx = class_index(build(SemidirectCC(k, l, t)), entries)
             assert 0 <= idx < len(entries)
+    # and the Hölder key splits the twists exactly as isomorphism does
+    for order in (30, 42, 66, 78, 102, 110, 210):
+        entries = catalog(order)
+        by_key, by_class = {}, {}
+        for k in (d for d in range(1, order + 1) if order % d == 0):
+            l = order // k
+            for t in _twists(k, l):
+                by_key.setdefault(_holder_key(k, l, t), set()).add((k, t))
+                G = _semidirect_pair(k, l, t, None)
+                by_class.setdefault(class_index(G, entries), set()).add((k, t))
+        assert set(map(frozenset, by_key.values())) == set(map(frozenset, by_class.values()))
+
+
+def test_catalog_matches_iso_catalog():
+    # byte-identical to the isomorphism-search oracle: specs and elements
+    for order in range(1, 211):
+        if is_squarefree(order):
+            entries = [(e.spec, e.group.elements) for e in catalog(order)]
+            assert entries == iso_catalog(order), order
 
 
 def test_catalog_unsupported():
