@@ -42,6 +42,7 @@ from .factory import (
     SemidirectCC,
     SemidirectZ2,
     automorphism_group,
+    automorphism_order,
     build,
     catalog,
     class_index,

@@ -22,7 +22,7 @@ from .errors import (
     CountingBugError,
     PreconditionError,
 )
-from .factory import Dihedral, automorphism_group, build, catalog, class_index
+from .factory import Dihedral, automorphism_order, build, catalog, class_index
 from .groups import PermGroup, factorize, left_translation
 from .realize import regular_subgroups, search_holomorph
 
@@ -256,7 +256,7 @@ def byott_aggregate(G: PermGroup) -> int:
     term must divide exactly (a non-integer term signals a counting bug).
     """
     entries = catalog(len(G))
-    aut_g = len(automorphism_group(G))
+    aut_g = automorphism_order(G)
     target = class_index(G, entries)
     total = 0
     for entry in entries:

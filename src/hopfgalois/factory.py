@@ -12,11 +12,13 @@ cross-checks need.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from math import gcd
 
 from . import perm
 from .errors import (
+    CountingBugError,
     PreconditionError,
     SpecSemanticError,
     UnsupportedOrderError,
@@ -27,11 +29,13 @@ from .groups import (
     are_isomorphic,
     check_size,
     closure,
+    extend_images,
     factorize,
+    generator_frame,
     is_cyclic,
     is_c_group,
     is_normal,
-    isomorphisms,
+    iso_candidates,
     all_subgroups,
     left_translation,
     unique_odd_part,
@@ -221,13 +225,81 @@ def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
 
 
 @functools.cache
+def _aut_chain(N: PermGroup):
+    """Aut(N) as a two-level stabilizer chain (transversal, stabilizer),
+    built once per group object.
+
+    a is the first generator of ``generator_frame(N)``, and every
+    generator may go to any element of its order (``iso_candidates``).
+    The stabilizer lists the automorphisms fixing a: the ``extend_images``
+    solutions with a -> a.  The transversal maps each point c of a's
+    orbit to one automorphism t_c with t_c(a) = c.  The orbit is walked
+    first in, first out under the stabilizer and the movers found so far,
+    t_(g(x)) = g o t_x; a candidate the walk has not reached gets one scan
+    with a -> c, whose first solution is a new mover, and a scan with no
+    solution proves c outside the orbit.  So |Aut N| = |orbit| x
+    |stabilizer|, and Aut(N) = {t_c o s} (Sims 1970; Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
+    """
+    frame = generator_frame(N)
+    cands = iso_candidates(N, N, frame[0])
+    a = frame[0][0]
+
+    def scan(c):
+        return extend_images(N, N, frame, [[c], *cands[1:]], injective=True)
+
+    stabilizer = tuple(scan(a))
+    walkers = list(stabilizer)
+    transversal = {a: perm.identity(len(N))}
+    orbit = [a]
+
+    def walk():
+        for x in orbit:  # a FIFO queue: the loop also visits what it appends
+            t = transversal[x]
+            for g in walkers:
+                y = g[x]
+                if y not in transversal:
+                    transversal[y] = tuple(map(g.__getitem__, t))
+                    orbit.append(y)
+
+    for c in cands[0]:
+        if c not in transversal:
+            mover = next(scan(c), None)
+            if mover is not None:
+                transversal[c] = mover
+                orbit.append(c)
+                walkers.append(mover)
+                walk()
+    return transversal, stabilizer
+
+
+def automorphism_order(N: PermGroup) -> int:
+    """|Aut N|, read off ``_aut_chain`` without listing Aut(N)."""
+    transversal, stabilizer = _aut_chain(N)
+    return len(transversal) * len(stabilizer)
+
+
+@functools.cache
 def automorphism_group(N: PermGroup) -> PermGroup:
     """All automorphisms of N, as permutations of N's element indices,
     computed once per group object.
 
-    The automorphisms are ``isomorphisms(N, N)``, the complete list.
+    They are t_c o s over the transversal and stabilizer of ``_aut_chain``,
+    and each must map the chain's point a to c, or CountingBugError is
+    raised; a repeated automorphism fails in PermGroup.
     """
-    return PermGroup(len(N), isomorphisms(N, N))
+    transversal, stabilizer = _aut_chain(N)
+    a = next(iter(transversal))
+    # itemgetter(*s)(t) is t o s in one C call; on one point it is tuple
+    composers = [operator.itemgetter(*s) for s in stabilizer] if len(N) > 1 else [tuple]
+    elements = []
+    for c, t in transversal.items():
+        for compose_s in composers:
+            alpha = compose_s(t)
+            if alpha[a] != c:
+                raise CountingBugError("a transversal element misses its orbit point")
+            elements.append(alpha)
+    return PermGroup(len(N), elements)
 
 
 @dataclass(eq=False)
@@ -255,12 +327,13 @@ class HolomorphGroup:
 def holomorph(N: PermGroup) -> HolomorphGroup:
     """The permutations of N generated by translations and automorphisms,
     built once per group object.  Raises BoundExceededError before any
-    is built when |N|·|Aut N| of them would pass ``SIZE_LIMIT``.  The
+    is built, and before Aut(N) is listed, when |N|·|Aut N| of them would
+    pass ``SIZE_LIMIT``; ``automorphism_order`` gives |Aut N|.  The
     generators are the translations by N's generators and a greedy
     generating set of Aut(N), at most log2 |Aut N| automorphisms.
     """
+    check_size(len(N) * automorphism_order(N), len(N))
     aut = automorphism_group(N)
-    check_size(len(N) * len(aut), len(N))
     lam = tuple(left_translation(N, t) for t in range(len(N)))
     iota = tuple(aut.elements)
     tags = {}

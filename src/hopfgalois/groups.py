@@ -3,9 +3,11 @@
 Every group in this library is a PermGroup: a full, canonically ordered
 list of image tuples.  Orders stay small (a few thousand at most), so
 elements are enumerated explicitly instead of held as stabilizer chains;
-only the base idea is borrowed from those: a multiplication table looks
+only two ideas are borrowed from those: a multiplication table looks
 each product up by its images of a base, a few points that tell every
-element apart, instead of by a composed tuple of ``degree`` points.
+element apart, instead of by a composed tuple of ``degree`` points; and
+Aut(N) is first found as a two-level chain (``factory._aut_chain``), so
+its order is known before its elements are listed.
 Every product is read from ``PermGroup.rows()``; every closure under
 generators is the one breadth-first walk ``_reach``.
 """
@@ -61,7 +63,8 @@ class PermGroup:
         self._subgroups = None
 
     def _default_generators(self):
-        return tuple(p for p in self.elements if p != perm.identity(self.degree))
+        e = perm.identity(self.degree)
+        return tuple(p for p in self.elements if p != e)
 
     # Basic protocol.
 
@@ -115,8 +118,7 @@ class PermGroup:
         dict of tuples.  A one-element group has an empty base.
         """
         if self._mul_table is None:
-            if len(self) > TABLE_LIMIT:
-                raise BoundExceededError(f"no table above {TABLE_LIMIT} elements")
+            check_table(len(self))
             els = self.elements
             base = _base(els, self.degree)
             key = {tuple(p[b] for b in base): i for i, p in enumerate(els)}
@@ -263,6 +265,13 @@ def check_size(order: int, degree: int):
             f"{order} permutations of degree {degree} exceed the size bound "
             f"{SIZE_LIMIT} (elements x degree)"
         )
+
+
+def check_table(order: int):
+    """Raise BoundExceededError when a group of ``order`` elements is past
+    ``TABLE_LIMIT`` and so can have no multiplication table."""
+    if order > TABLE_LIMIT:
+        raise BoundExceededError(f"no table above {TABLE_LIMIT} elements")
 
 
 def is_regular(H: PermGroup) -> bool:
@@ -565,6 +574,15 @@ def hom_candidates(G: PermGroup, H: PermGroup, gen_idxs):
     ]
 
 
+def iso_candidates(G: PermGroup, H: PermGroup, gen_idxs):
+    """For each generator of G, the elements of H of its order: the images
+    an isomorphism G -> H may give it."""
+    return [
+        [j for j in range(len(H)) if H.order_of(j) == G.order_of(gi)]
+        for gi in gen_idxs
+    ]
+
+
 def homomorphisms(G: PermGroup, H: PermGroup):
     """All homomorphisms G -> H, in canonical order of their image tables.
 
@@ -579,19 +597,19 @@ def homomorphisms(G: PermGroup, H: PermGroup):
 
 def isomorphisms(G: PermGroup, H: PermGroup):
     """Every isomorphism G -> H as an image tuple, in ``itertools.product``
-    order of the generator images: the one isomorphism search.
+    order of the generator images: the search behind ``are_isomorphic``.
 
     Each generator of a smallest generating set of G may go to any element
-    of H of its order; extend_images keeps the injective homomorphisms,
-    which between groups of one order are the isomorphisms.
+    of H of its order (``iso_candidates``); extend_images keeps the
+    injective homomorphisms, which between groups of one order are the
+    isomorphisms.  Aut(N) does not list ``isomorphisms(N, N)``:
+    ``factory._aut_chain`` runs the same scan one image of the first
+    generator at a time, and the tests hold the two equal.
     """
     if len(G) != len(H):
         return
     frame = generator_frame(G)
-    cands = [
-        [j for j in range(len(H)) if H.order_of(j) == G.order_of(gi)]
-        for gi in frame[0]
-    ]
+    cands = iso_candidates(G, H, frame[0])
     yield from extend_images(G, H, frame, cands, injective=True)
 
 

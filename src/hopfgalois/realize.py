@@ -32,6 +32,7 @@ from .errors import BoundExceededError, CountingBugError, PreconditionError
 from .factory import (
     HolomorphGroup,
     automorphism_group,
+    automorphism_order,
     catalog,
     class_index,
     holomorph,
@@ -40,6 +41,7 @@ from .groups import (
     Homomorphism,
     PermGroup,
     _generating_set,
+    check_table,
     extend_images,
     generator_frame,
     hom_candidates,
@@ -386,6 +388,13 @@ def _pair_orbit_reps(G: PermGroup, aut: PermGroup, N: PermGroup):
             yield f, g
 
 
+def _check_tables(N: PermGroup):
+    """Raise the TABLE_LIMIT error before any search when N or Aut(N) is
+    too big for the tables the scan reads; Aut(N) is counted, not listed."""
+    check_table(len(N))
+    check_table(automorphism_order(N))
+
+
 def realizable_via_cocycles(G: PermGroup, N: PermGroup):
     """A witness (f, g) if G embeds as a regular subgroup of Hol(N).
 
@@ -399,6 +408,7 @@ def realizable_via_cocycles(G: PermGroup, N: PermGroup):
     """
     if len(G) != len(N):
         raise PreconditionError("realizability needs |G| = |N|")
+    _check_tables(N)
     pairs = _pair_orbit_reps(G, automorphism_group(N), N)
     return next((CrossedHom(f, g, N, True) for f, g in pairs), None)
 
@@ -414,6 +424,7 @@ def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
     """
     if len(G) != len(N):
         raise PreconditionError("counting crossed pairs needs |G| = |N|")
+    _check_tables(N)
     aut = automorphism_group(N)
     return len(aut) * sum(1 for _ in _pair_orbit_reps(G, aut, N))
 

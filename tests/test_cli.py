@@ -268,16 +268,17 @@ def test_four_generator_group_is_error(capsys):
 
 def test_aut_above_table_limit_is_error():
     # a fresh process, so no memo from another test holds a table;
-    # |Aut(D102)| = 1632 is above TABLE_LIMIT
+    # |Aut(D102)| = 1632 and |Aut(C2xC2xC2xC11)| = 1680 are above TABLE_LIMIT
     env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfgalois", "realizable", "--g", "C102", "--n", "D102",
-         "--method", "cocycle"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "error: no table above 1200 elements\n"
+    for g, n in (("C102", "D102"), ("C2xC2xC2xC11", "C2xC2xC2xC11")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfgalois", "realizable", "--g", g, "--n", n,
+             "--method", "cocycle"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: no table above 1200 elements\n"
 
 
 # A 19-digit prime order: listing its divisors or twists takes far longer

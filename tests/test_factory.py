@@ -10,6 +10,7 @@ from hopfgalois import (
     SemidirectZ2,
     are_isomorphic,
     automorphism_group,
+    automorphism_order,
     build,
     catalog,
     class_index,
@@ -20,15 +21,16 @@ from hopfgalois import (
     shape_check_semidirect_z2,
     z2_twists,
 )
-from hopfgalois import perm
+from hopfgalois import factory, parse_group_spec, perm
 from hopfgalois.errors import (
     BoundExceededError,
+    CountingBugError,
     PreconditionError,
     SpecSemanticError,
     UnsupportedOrderError,
 )
 from hopfgalois.factory import _holder_key, _semidirect_pair, _twists, is_squarefree
-from hopfgalois.groups import PermGroup, closure
+from hopfgalois.groups import PermGroup, closure, isomorphisms
 
 from conftest import C, D, brute_force_automorphisms, iso_catalog
 
@@ -107,6 +109,61 @@ def test_automorphisms_against_brute_force(spec):
     N = build(spec)
     fast = sorted(automorphism_group(N).elements)
     assert fast == brute_force_automorphisms(N)
+
+
+def test_automorphism_group_matches_isomorphisms():
+    # the chain's t_c o s against the full isomorphisms(N, N) scan: every
+    # catalog N at orders up to 110 (4 and 12 included) and five others
+    orders = [n for n in range(1, 111) if n in (4, 12) or is_squarefree(n)]
+    groups = [e.group for n in orders for e in catalog(n)]
+    groups += [build(parse_group_spec(t)) for t in ("C2xC2xC2", "C2xC4", "D8", "A4", "D30xC7")]
+    for N in groups:
+        aut = automorphism_group(N)
+        assert aut.elements == tuple(sorted(isomorphisms(N, N))), N
+        assert automorphism_order(N) == len(aut)
+
+
+@pytest.mark.parametrize(
+    "text", ["D102", "SD(55,2;21)", "D30xC7", "C2xC2xC2", "C2xC2xC2xC3", "C2xC2xC2xC11"]
+)
+def test_aut_chain_scans_once_per_candidate_and_doubles_the_orbit(monkeypatch, text):
+    # one scan fixes a, one goes to each candidate the walk has not reached,
+    # and as the stabilizer walks with the movers, each mover at least
+    # doubles the orbit: it grows from [H : S] to [H' : S] for H < H'
+    base = build(parse_group_spec(text))
+    N = PermGroup(base.degree, base.elements)  # an unshared copy has no chain yet
+    scanned = []
+    real = factory.extend_images
+
+    def counting(G, H, frame, cands, **kwargs):
+        scanned.append(cands[0])
+        return real(G, H, frame, cands, **kwargs)
+
+    monkeypatch.setattr(factory, "extend_images", counting)
+    transversal, stabilizer = factory._aut_chain(N)
+    a = next(iter(transversal))
+    assert scanned[0] == [a] and all(s[a] == a for s in stabilizer)
+    images = [c for (c,) in scanned[1:]]
+    assert len(set(images)) == len(images) and a not in images
+    same_order = {c for c in range(len(N)) if N.order_of(c) == N.order_of(a)}
+    assert same_order - set(transversal) <= set(images)
+    movers = [c for c in images if c in transversal]
+    assert 2 ** len(movers) <= len(transversal)
+    assert len(transversal) * len(stabilizer) == len(automorphism_group(N))
+
+
+def test_automorphism_group_checks_the_transversal(monkeypatch):
+    N = PermGroup(D(10).degree, D(10).elements)
+    transversal, stabilizer = factory._aut_chain(N)
+    (c1, t1), (c2, t2) = list(transversal.items())[1:3]
+    swapped = {**transversal, c1: t2, c2: t1}
+    monkeypatch.setattr(factory, "_aut_chain", lambda G: (swapped, stabilizer))
+    with pytest.raises(CountingBugError, match="misses its orbit point"):
+        automorphism_group(N)
+    repeated = stabilizer + stabilizer[:1]
+    monkeypatch.setattr(factory, "_aut_chain", lambda G: (transversal, repeated))
+    with pytest.raises(PreconditionError, match="not distinct"):
+        automorphism_group(PermGroup(N.degree, N.elements))
 
 
 def test_automorphism_group_generator_bound():

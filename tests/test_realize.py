@@ -23,7 +23,7 @@ from hopfgalois import (
     transport_characteristic,
     unique_odd_part,
 )
-from hopfgalois import perm, realize
+from hopfgalois import factory, perm, realize
 from hopfgalois.errors import BoundExceededError, CountingBugError, PreconditionError
 from hopfgalois.factory import is_squarefree
 from hopfgalois.realize import hom_orbits
@@ -323,6 +323,27 @@ def test_regular_subgroups_order_bound(monkeypatch):
     monkeypatch.setattr(realize, "holomorph", boom)
     with pytest.raises(BoundExceededError):
         realize.realizable_via_search(c31, c31)
+
+
+def test_cocycle_engine_and_holomorph_refuse_before_listing_aut(monkeypatch):
+    def boom(N):
+        raise AssertionError("Aut(N) listed past a bound")
+
+    monkeypatch.setattr(factory, "automorphism_group", boom)
+    monkeypatch.setattr(realize, "automorphism_group", boom)
+    # |Aut D102| = 1632 is past TABLE_LIMIT, and Hol(D102) past SIZE_LIMIT:
+    # each is refused on |Aut N| alone, read off the chain
+    N = D(102)
+    for engine in (realizable_via_cocycles, count_crossed_pairs):
+        with pytest.raises(BoundExceededError, match="^no table above 1200 elements$"):
+            engine(C(102), N)
+    with pytest.raises(BoundExceededError, match="exceed the size bound"):
+        factory.holomorph(N)
+    # |N| = 1201 is refused before Aut(N) is even counted
+    monkeypatch.setattr(factory, "_aut_chain", boom)
+    for engine in (realizable_via_cocycles, count_crossed_pairs):
+        with pytest.raises(BoundExceededError, match="^no table above 1200 elements$"):
+            engine(C(1201), C(1201))
 
 
 @pytest.mark.parametrize(
