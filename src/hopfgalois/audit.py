@@ -29,6 +29,7 @@ from .groups import (
     PermGroup,
     characteristic_subgroups,
     check_size,
+    check_table,
     is_c_group,
     is_cyclic,
     is_normal,
@@ -132,6 +133,9 @@ def _require_odd_squarefree(order: int):
     check_size(order, order)
     if not is_squarefree(order):
         raise PreconditionError(f"odd squarefree order required, got {order}")
+    # p003 and p004 run the cocycle engine on C_order, which needs a table:
+    # refuse before the catalog is built
+    check_table(order)
 
 
 def _catalog_or_none(order):
@@ -258,6 +262,9 @@ def audit_t004(n: int) -> AuditReport:
             ),
         )
     entries = catalog(2 * n)
+    # the first pair runs the cocycle engine, which needs a table: refuse
+    # before the isomorphism search for the family classes
+    check_table(2 * n)
     family = {class_index(build(SemidirectZ2(n, s)), entries) for s in z2_twists(n)}
 
     def instance(gi, ni):

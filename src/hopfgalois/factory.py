@@ -26,17 +26,14 @@ from .errors import (
 from .groups import (
     PermGroup,
     _generating_set,
+    _reach,
     are_isomorphic,
     check_size,
     closure,
     extend_images,
     factorize,
     generator_frame,
-    is_cyclic,
-    is_c_group,
-    is_normal,
     iso_candidates,
-    all_subgroups,
     left_translation,
     unique_odd_part,
 )
@@ -328,10 +325,15 @@ def holomorph(N: PermGroup) -> HolomorphGroup:
     """The permutations of N generated by translations and automorphisms,
     built once per group object.  Raises BoundExceededError before any
     is built, and before Aut(N) is listed, when |N|·|Aut N| of them would
-    pass ``SIZE_LIMIT``; ``automorphism_order`` gives |Aut N|.  The
-    generators are the translations by N's generators and a greedy
-    generating set of Aut(N), at most log2 |Aut N| automorphisms.
+    pass ``SIZE_LIMIT``; ``automorphism_order`` gives |Aut N|.  It first
+    refuses on |N| alone, before Aut(N) is searched, when even 3|N| of
+    them would pass: a group of order above 6 has at least 3
+    automorphisms, and below that the check cannot fail.  So every N
+    above ``TABLE_LIMIT`` is refused at once.  The generators are the
+    translations by N's generators and a greedy generating set of
+    Aut(N), at most log2 |Aut N| automorphisms.
     """
+    check_size(3 * len(N), len(N))
     check_size(len(N) * automorphism_order(N), len(N))
     aut = automorphism_group(N)
     lam = tuple(left_translation(N, t) for t in range(len(N)))
@@ -456,59 +458,52 @@ def class_index(G: PermGroup, entries: list[CatalogEntry]) -> int:
 
 
 def decompose_burnside(G: PermGroup):
-    """Coprime cyclic semidirect parameters (k, l, t) for a C-group.
+    """Coprime cyclic semidirect parameters (k, l, t) of a C-group, read
+    off element orders; None when some Sylow subgroup is non-cyclic.
 
-    Returns None when some Sylow subgroup is non-cyclic.  Cyclic groups
-    canonically decompose as (|G|, 1, 1); otherwise the decomposition with
-    the largest normal cyclic factor k (then least twist) is returned.
+    k runs down the divisors of |G| coprime to l = |G|/k.  The elements
+    whose order divides k form a normal cyclic Hall subgroup K exactly
+    when there are k of them and one has order k: a normal Hall subgroup
+    holds every element whose order divides its order, and a set defined
+    by orders is characteristic.  The first such k for which G also has an
+    element of order l is the answer, and G = K x| L for a cyclic L of
+    order l.  Such a split makes every Sylow subgroup cyclic, and every
+    C-group has one (Hölder, Burnside, Zassenhaus), so no such k means
+    None; a cyclic group gives (|G|, 1, 1).
+
+    t is fixed by tie-breaks, not minimized: L is the cyclic subgroup of
+    order l with the least sorted index tuple, u is the least-index
+    element of order k, v the least-index element of order l in L, and t
+    is the least t >= 1 with v u v^-1 = u^t.  A smaller twist may
+    decompose G too: the odd part of SD(11,10;2) gives (11, 5, 4) though
+    t = 3 also fits, and SD(7,3;2)xC5 gives (35, 3, 16), not 11.
     """
-    if len(G) == 1:
-        return (1, 1, 1)
-    if not is_c_group(G):
-        return None
-    if is_cyclic(G):
-        return (len(G), 1, 1)
-    subs = all_subgroups(G)
     n = len(G)
-    candidates = []
-    for K in subs:
-        k = len(K)
-        if k == 1 or n % k or gcd(k, n // k) != 1 or not is_cyclic(K):
-            continue
-        if not is_normal(G, K):
-            continue
-        k_idxs = frozenset(G.index_of(p) for p in K.elements)
+    orders = [G.order_of(i) for i in range(n)]
+    present = set(orders)
+    halls = [1]
+    for p, a in factorize(n).pairs:
+        halls += [h * p**a for h in halls]
+    for k in sorted(halls, reverse=True):
         l = n // k
-        for L in subs:
-            if len(L) != l or not is_cyclic(L):
-                continue
-            l_idxs = frozenset(G.index_of(p) for p in L.elements)
-            if len(k_idxs & l_idxs) != 1:
-                continue
-            t = _conjugation_exponent(G, k_idxs, l_idxs, k, l)
-            candidates.append((k, l, t))
+        if k in present and l in present and sum(k % o == 0 for o in orders) == k:
             break
-    if not candidates:
-        return None  # pragma: no cover (C-groups always decompose)
-    candidates.sort(key=lambda c: (-c[0], c[2]))
-    return candidates[0]
-
-
-def _conjugation_exponent(G, k_idxs, l_idxs, k, l):
-    """The exponent t with v u v^-1 = u^t for generators u of K, v of L."""
-    u = min(i for i in k_idxs if G.order_of(i) == k)
-    if l == 1:
-        return 1
-    v = min(i for i in l_idxs if G.order_of(i) == l)
-    w = G.mul(G.mul(v, u), G.inv(v))
-    power = u
-    t = 1
-    while power != w:
-        power = G.mul(power, u)
-        t += 1
-        if t > k:
-            raise PreconditionError("conjugate left the cyclic factor")  # pragma: no cover
-    return t
+    else:
+        return None
+    rows, e = G.rows(), G.identity_index
+    seen, cyclic = set(), []
+    for x in range(n):
+        if orders[x] == l and x not in seen:
+            S = tuple(sorted(_reach(rows, (e,), (x,))[0]))
+            seen.update(S)
+            cyclic.append(S)
+    u = orders.index(k)
+    v = next(i for i in min(cyclic) if orders[i] == l)
+    w = rows[rows[v][u]][G.inv(v)]
+    powers = _reach(rows, (u,), (u,))[0]  # u, u^2, ..., u^k = e
+    if w not in powers:
+        raise PreconditionError("conjugate left the cyclic factor")  # pragma: no cover
+    return k, l, powers.index(w) + 1
 
 
 @dataclass(frozen=True)
@@ -529,7 +524,5 @@ def shape_check_semidirect_z2(N: PermGroup):
     decomposes as a coprime cyclic semidirect product.
     """
     H = unique_odd_part(N)
-    if not is_c_group(H):
-        return None
-    k, l, t = decompose_burnside(H)
-    return ShapeWitness(k, l, t, H)
+    shape = decompose_burnside(H)
+    return None if shape is None else ShapeWitness(*shape, H)

@@ -8,11 +8,13 @@ tables, the brace law and holomorph membership by scanning all n^3
 triples, subgroups (with the Sylow predicates read off them) by
 adjoining one element at a time under ``G.mul``, factorizations by trial
 division, and catalogs by testing every twist against the classes found
-so far.  They exist so the fast engines can be checked against something
-slow and obviously correct.
+so far, and coprime cyclic splittings by testing every pair of subgroups
+from ``all_subgroups``.  They exist so the fast engines can be checked
+against something slow and obviously correct.
 """
 
 import itertools
+from math import gcd
 
 import pytest
 
@@ -25,7 +27,21 @@ from hopfgalois import (
     build,
 )
 from hopfgalois.brace import group_table_identity
-from hopfgalois.factory import _prettify, _semidirect_pair, _twists, is_squarefree
+from hopfgalois.errors import PreconditionError, UnsupportedOrderError
+from hopfgalois.factory import (
+    _prettify,
+    _semidirect_pair,
+    _twists,
+    catalog,
+    is_squarefree,
+)
+from hopfgalois.groups import (
+    all_subgroups,
+    is_c_group,
+    is_cyclic,
+    is_normal,
+    unique_odd_part,
+)
 
 
 def C(n):
@@ -326,3 +342,69 @@ def iso_catalog(order):
             elif G.elements < classes[i].elements:
                 classes[i] = G
     return [(G.label, G.elements) for G in sorted(classes, key=lambda G: G.elements)]
+
+
+def lattice_decompose_burnside(G):
+    """(k, l, t) of a C-group from its subgroup lattice, None otherwise:
+    every normal cyclic Hall subgroup K, with the first cyclic L of the
+    complementary order, gives a candidate, and the largest k wins.  t is
+    the least t >= 1 with v u v^-1 = u^t, for u and v the least-index
+    generators of K and L.  Stops at ``SUBGROUP_BOUND``."""
+    if len(G) == 1:
+        return (1, 1, 1)
+    if not is_c_group(G):
+        return None
+    if is_cyclic(G):
+        return (len(G), 1, 1)
+    subs = all_subgroups(G)
+    n = len(G)
+    candidates = []
+    for K in subs:
+        k = len(K)
+        if k == 1 or n % k or gcd(k, n // k) != 1 or not is_cyclic(K):
+            continue
+        if not is_normal(G, K):
+            continue
+        k_idxs = frozenset(G.index_of(p) for p in K.elements)
+        l = n // k
+        for L in subs:
+            if len(L) != l or not is_cyclic(L):
+                continue
+            l_idxs = frozenset(G.index_of(p) for p in L.elements)
+            if len(k_idxs & l_idxs) != 1:
+                continue
+            candidates.append((k, l, _conjugation_exponent(G, k_idxs, l_idxs, k, l)))
+            break
+    candidates.sort(key=lambda c: (-c[0], c[2]))
+    return candidates[0] if candidates else None
+
+
+def _conjugation_exponent(G, k_idxs, l_idxs, k, l):
+    """The exponent t with v u v^-1 = u^t for generators u of K, v of L."""
+    u = min(i for i in k_idxs if G.order_of(i) == k)
+    if l == 1:
+        return 1
+    v = min(i for i in l_idxs if G.order_of(i) == l)
+    w = G.mul(G.mul(v, u), G.inv(v))
+    power = u
+    t = 1
+    while power != w:
+        power = G.mul(power, u)
+        t += 1
+        if t > k:
+            raise PreconditionError("conjugate left the cyclic factor")
+    return t
+
+
+def decompose_cases(top):
+    """(name, group) for every catalog group of order <= top, and for the
+    odd part of each one of twice-odd order."""
+    for order in range(1, top + 1):
+        try:
+            entries = catalog(order)
+        except UnsupportedOrderError:
+            continue
+        for e in entries:
+            yield e.spec.text(), e.group
+            if order % 4 == 2:
+                yield f"{e.spec.text()} odd part", unique_odd_part(e.group)

@@ -188,3 +188,12 @@ def test_audit_golden():
     cases = [(t, n) for t in THEOREM_IDS for n in ((6, 10) if t == "ses_final" else (3, 15))]
     reports = {f"{t} {n}": run_audit(t, n).to_dict() for t, n in cases}
     assert json.dumps(reports, sort_keys=True, indent=2) + "\n" == GOLDEN_AUDITS.read_text()
+
+
+GOLDEN_SHAPE_AUDITS = Path(__file__).parent / "golden" / "shape_audits.json"
+
+
+def test_shape_audit_golden():
+    """t001 and t003 where the odd part is not cyclic (SD(7,3;2), SD(13,3;3))."""
+    reports = {f"{t} {n}": run_audit(t, n).to_dict() for t in ("t001", "t003") for n in (21, 39)}
+    assert json.dumps(reports, sort_keys=True, indent=2) + "\n" == GOLDEN_SHAPE_AUDITS.read_text()

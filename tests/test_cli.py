@@ -286,6 +286,14 @@ def test_aut_above_table_limit_is_error():
 # before the check, which Miller-Rabin makes quick.
 BIG = "1000000000000000003"
 
+# Audits refused on the order before a catalog's Sylow tests or an
+# isomorphism search over composing rows, which took from 3 s to 46 s.
+PAST_TABLE_LIMIT = [
+    ["audit", "--theorem", "t004", "--n", "601"],
+    ["audit", "--theorem", "p003", "--n", "1995"],
+    ["audit", "--theorem", "p004", "--n", "1995"],
+]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -300,6 +308,10 @@ BIG = "1000000000000000003"
             ["audit", "--theorem", t, "--n", BIG]
             for t in ("t001", "t002", "t003", "p003", "p004", "c001", "t004")
         ),
+        # refused on |N| before Aut(N) is searched over composing rows
+        ["realizable", "--g", "Hol(D1202)", "--n", "C3", "--method", "cocycle"],
+        ["realizable", "--g", "Hol(C2xC2xC2xC151)", "--n", "C3", "--method", "cocycle"],
+        *PAST_TABLE_LIMIT,
     ],
 )
 def test_oversized_group_is_error(argv):
@@ -316,7 +328,8 @@ def test_oversized_group_is_error(argv):
     )
     elapsed = time.monotonic() - started
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error: ") and "size bound" in proc.stderr
+    bound = "no table above 1200 elements" if argv in PAST_TABLE_LIMIT else "size bound"
+    assert proc.stderr.startswith("error: ") and bound in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
     assert elapsed < 2
 

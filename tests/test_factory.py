@@ -30,9 +30,16 @@ from hopfgalois.errors import (
     UnsupportedOrderError,
 )
 from hopfgalois.factory import _holder_key, _semidirect_pair, _twists, is_squarefree
-from hopfgalois.groups import PermGroup, closure, isomorphisms
+from hopfgalois.groups import PermGroup, closure, isomorphisms, unique_odd_part
 
-from conftest import C, D, brute_force_automorphisms, iso_catalog
+from conftest import (
+    C,
+    D,
+    brute_force_automorphisms,
+    decompose_cases,
+    iso_catalog,
+    lattice_decompose_burnside,
+)
 
 
 def commutative(G):
@@ -376,6 +383,38 @@ def test_decompose_rebuilds_isomorphic():
         G = build(spec)
         k, l, t = decompose_burnside(G)
         assert are_isomorphic(build(SemidirectCC(k, l, t)), G) is not None
+
+
+def test_decompose_burnside_matches_lattice():
+    # catalog groups and twice-odd odd parts up to order 100; catalog(12)
+    # holds SD(3,4;2), whose Sylow 2-subgroup is Z_4
+    bad = [
+        name for name, G in decompose_cases(100)
+        if decompose_burnside(G) != lattice_decompose_burnside(G)
+    ]
+    assert bad == []
+
+
+def test_decompose_burnside_keeps_its_twist():
+    # the tie-breaks fix t, which need not be the least twist: t = 3 also
+    # rebuilds the odd part of SD(11,10;2), and t = 11 SD(7,3;2)xC5
+    odd = unique_odd_part(build(SemidirectCC(11, 10, 2)))
+    assert decompose_burnside(odd) == (11, 5, 4)
+    assert are_isomorphic(build(SemidirectCC(11, 5, 3)), odd) is not None
+    G = build(DirectProduct(SemidirectCC(7, 3, 2), Cyclic(5)))
+    assert decompose_burnside(G) == (35, 3, 16)
+    assert are_isomorphic(build(SemidirectCC(35, 3, 11)), G) is not None
+
+
+def test_decompose_burnside_above_the_lattice_bound():
+    # every group of order 455 = 5 * 7 * 13 is cyclic, so the non-cyclic
+    # case is Z_31 x| Z_15 of order 465, where the lattice walk stops
+    G = build(SemidirectCC(31, 15, 2))
+    with pytest.raises(BoundExceededError):
+        lattice_decompose_burnside(G)
+    k, l, t = decompose_burnside(G)
+    assert (k, l) == (93, 5)
+    assert are_isomorphic(build(SemidirectCC(k, l, t)), G) is not None
 
 
 def test_shape_check_d30():
