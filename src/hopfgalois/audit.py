@@ -10,10 +10,9 @@ violations appear as explicit skipped instances rather than omissions.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
 
 from .counting import is_burnside_number, radical
-from .errors import CountingBugError, PreconditionError, UnsupportedOrderError
+from .errors import CountingBugError, PreconditionError, Record, UnsupportedOrderError
 from .factory import (
     Dihedral,
     SemidirectZ2,
@@ -26,8 +25,10 @@ from .factory import (
     z2_twists,
 )
 from .groups import (
+    SUBGROUP_BOUND,
     PermGroup,
     characteristic_subgroups,
+    check_lattice,
     check_size,
     check_table,
     is_c_group,
@@ -45,8 +46,7 @@ AUDIT_ORDERS = (6, 10, 14, 22, 26, 30, 34, 38, 46, 58, 62)
 SCOPE_NOTE = "pass means the implication held on every listed instance"
 
 
-@dataclass(frozen=True)
-class AuditInstance:
+class AuditInstance(Record):
     subject: str
     hypothesis_held: bool
     conclusion_held: "bool | None"
@@ -54,20 +54,21 @@ class AuditInstance:
     note: str = ""
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     theorem_id: str
     order: int
     domain: str
     instances: tuple
     verdict: str  # pass | fail | vacuous | unsupported
-    flags: tuple = field(default=())
+    flags: tuple = ()
 
     def to_dict(self):
-        return {**asdict(self), "scope_note": SCOPE_NOTE}
+        # the fields in field order, each instance as its own dict
+        instances = tuple(i.to_dict() for i in self.instances)
+        return {**self._asdict(), "instances": instances, "scope_note": SCOPE_NOTE}
 
 
 def _verdict(instances) -> str:
@@ -138,6 +139,16 @@ def _require_odd_squarefree(order: int):
     check_table(order)
 
 
+def _refuse_on_order(order, check):
+    """Raise, before the catalog is built, the error its first row would
+    end in: ``check`` is the bound that row meets.  Only a squarefree
+    order has a catalog, and ``catalog`` checks its size first; any other
+    order must reach ``catalog`` for its own outcome."""
+    if is_squarefree(order):
+        check_size(order, order)
+        check(order)
+
+
 def _catalog_or_none(order):
     # No size check comes first: above the bound, an order that is not
     # squarefree still gets its "unsupported" report, which needs the
@@ -183,6 +194,10 @@ def audit_c001(order: int) -> AuditReport:
     """Groups with cyclic Sylow-2: unique subgroup of order 2^l * n_odd
     for every l up to the full 2-part.  Audited at twice-odd orders and
     the order-12 exception; a documented scope limitation."""
+    if order > SUBGROUP_BOUND:
+        # at a squarefree order every class has a cyclic Sylow-2, so the
+        # first one walks the lattice
+        _refuse_on_order(order, check_lattice)
     entries = _catalog_or_none(order)
     if entries is None:
         return _unsupported("c001", order)
@@ -217,6 +232,8 @@ def audit_t001(n: int) -> AuditReport:
     # a group of order 2n has 2n points: the bound comes before the n-long
     # twist scan and the factorization in catalog
     check_size(2 * n, 2 * n)
+    # every row runs the cocycle engine, which needs a table
+    _refuse_on_order(2 * n, check_table)
     rows = (
         (f"(SDZ2({n};{s}), {entry.spec.text()})", build(SemidirectZ2(n, s)), entry.group)
         for s in z2_twists(n)
@@ -233,6 +250,7 @@ def audit_t003(n: int) -> AuditReport:
     way.  The stated conclusion's trailing factor is read as Z_2."""
     _require_twice_odd(2 * n)
     check_size(2 * n, 2 * n)
+    _refuse_on_order(2 * n, check_table)
     rows = (
         (f"({entry.spec.text()}, SDZ2({n};{s}))", entry.group, build(SemidirectZ2(n, s)))
         for entry in catalog(2 * n)
@@ -261,10 +279,9 @@ def audit_t004(n: int) -> AuditReport:
                 "Burnside number (gcd with its totient exceeds 1)",
             ),
         )
+    # the first pair runs the cocycle engine, which needs a table
+    _refuse_on_order(2 * n, check_table)
     entries = catalog(2 * n)
-    # the first pair runs the cocycle engine, which needs a table: refuse
-    # before the isomorphism search for the family classes
-    check_table(2 * n)
     family = {class_index(build(SemidirectZ2(n, s)), entries) for s in z2_twists(n)}
 
     def instance(gi, ni):
@@ -305,6 +322,7 @@ def audit_p005(n: int) -> AuditReport:
     """Realizable partners of a dihedral group are solvable."""
     _require_twice_odd(2 * n)
     N = build(Dihedral(2 * n))
+    _refuse_on_order(2 * n, check_table)
     rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in catalog(2 * n))
     return _realizability_audit(
         "p005", 2 * n, f"catalog({2 * n}) against D{2 * n}", rows,
@@ -343,6 +361,7 @@ def audit_t002(n: int) -> AuditReport:
     M of N back to a subgroup H of G with (H, M) realizable."""
     _require_twice_odd(2 * n)
     check_size(2 * n, 2 * n)
+    _refuse_on_order(2 * n, check_table)
     entries = catalog(2 * n)
 
     def instances(ge, ne):

@@ -8,15 +8,13 @@ additive identity to a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import PreconditionError
+from .errors import PreconditionError, Record
 from .groups import PermGroup, _generating_set, is_regular
 
 
-@dataclass(frozen=True)
-class SkewBrace:
+class SkewBrace(Record):
     size: int
     add_table: tuple
     mul_table: tuple

@@ -11,7 +11,6 @@ and byte-identical across runs; timings go only to the results store.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -225,6 +224,8 @@ def _render(command: str, inputs: dict, result: dict, rows: list, fmt: str) -> s
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
+        import csv  # here, so that every other command skips loading it
+
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))

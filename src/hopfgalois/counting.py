@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import sys
 import time
-from dataclasses import dataclass, field
 from math import gcd, inf
 
 from . import perm
@@ -21,6 +20,7 @@ from .errors import (
     BudgetExceededError,
     CountingBugError,
     PreconditionError,
+    Record,
 )
 from .factory import Dihedral, automorphism_order, build, catalog, class_index
 from .groups import PermGroup, factorize, left_translation
@@ -67,15 +67,14 @@ def chi(n: int) -> dict:
     return {w: c for w, c in enumerate(coeffs) if c}
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Record):
     n: int
     chi_coefficients: dict
     e_formula: int
     e_direct: "int | None"
     direct_method: "str | None"
     agreement: str  # match | mismatch | direct-not-run
-    warnings: tuple = field(default=())
+    warnings: tuple = ()
 
     def to_dict(self):
         return {

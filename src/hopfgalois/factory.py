@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from math import gcd
 
 from . import perm
 from .errors import (
     CountingBugError,
     PreconditionError,
+    Record,
     SpecSemanticError,
     UnsupportedOrderError,
 )
@@ -41,16 +41,14 @@ from .groups import (
 # Group specs.
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class Cyclic(Record):
     n: int
 
     def text(self):
         return f"C{self.n}"
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(Record):
     """Dihedral group of total order 2n (the ``order2n`` field)."""
 
     order2n: int
@@ -59,8 +57,7 @@ class Dihedral:
         return f"D{self.order2n}"
 
 
-@dataclass(frozen=True)
-class SemidirectCC:
+class SemidirectCC(Record):
     """Z_k x| Z_l with the Z_l generator acting as x -> t*x mod k."""
 
     k: int
@@ -71,8 +68,7 @@ class SemidirectCC:
         return f"SD({self.k},{self.l};{self.t})"
 
 
-@dataclass(frozen=True)
-class SemidirectZ2:
+class SemidirectZ2(Record):
     """Z_n x| Z_2 with the involution acting as x -> s*x mod n."""
 
     n: int
@@ -82,8 +78,7 @@ class SemidirectZ2:
         return f"SDZ2({self.n};{self.s})"
 
 
-@dataclass(frozen=True)
-class DirectProduct:
+class DirectProduct(Record):
     left: "GroupSpec"
     right: "GroupSpec"
 
@@ -91,16 +86,14 @@ class DirectProduct:
         return f"{self.left.text()}x{self.right.text()}"
 
 
-@dataclass(frozen=True)
-class Holomorph:
+class Holomorph(Record):
     inner: "GroupSpec"
 
     def text(self):
         return f"Hol({self.inner.text()})"
 
 
-@dataclass(frozen=True)
-class Alternating4:
+class Alternating4(Record):
     def text(self):
         return "A4"
 
@@ -299,8 +292,7 @@ def automorphism_group(N: PermGroup) -> PermGroup:
     return PermGroup(len(N), elements)
 
 
-@dataclass(eq=False)
-class HolomorphGroup:
+class HolomorphGroup(Record, frozen=False):
     """Hol(N) on N's element indices, with tagged embeddings.
 
     ``lam[t]`` is the left translation by element t, ``iota[a]`` the
@@ -356,8 +348,7 @@ def holomorph(N: PermGroup) -> HolomorphGroup:
 # The small-order catalog.
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     spec: GroupSpec
     group: PermGroup
 
@@ -506,8 +497,7 @@ def decompose_burnside(G: PermGroup):
     return k, l, powers.index(w) + 1
 
 
-@dataclass(frozen=True)
-class ShapeWitness:
+class ShapeWitness(Record):
     """Witness that a group of order 2n splits as (Z_k x| Z_l) x| Z_2."""
 
     k: int

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import perm
@@ -26,6 +25,7 @@ from .errors import (
     CapExceededError,
     DegreeMismatchError,
     PreconditionError,
+    Record,
 )
 
 SUBGROUP_BOUND = 400   # |G| cap for the subgroup lattice walk
@@ -274,6 +274,15 @@ def check_table(order: int):
         raise BoundExceededError(f"no table above {TABLE_LIMIT} elements")
 
 
+def check_lattice(order: int):
+    """Raise BoundExceededError when a group of ``order`` elements is past
+    ``SUBGROUP_BOUND`` and so has no subgroup lattice walk."""
+    if order > SUBGROUP_BOUND:
+        raise BoundExceededError(
+            f"subgroup enumeration bound {SUBGROUP_BOUND} exceeded by order {order}"
+        )
+
+
 def is_regular(H: PermGroup) -> bool:
     """True iff H acts regularly: transitive with order equal to degree."""
     if len(H) != H.degree:
@@ -331,10 +340,7 @@ def _subgroup_sets(G):
     time; every subgroup is reached through a chain of proper extensions.
     Above ``SUBGROUP_BOUND`` elements it raises BoundExceededError.
     """
-    if len(G) > SUBGROUP_BOUND:
-        raise BoundExceededError(
-            f"subgroup enumeration bound {SUBGROUP_BOUND} exceeded by order {len(G)}"
-        )
+    check_lattice(len(G))
     e = G.identity_index
     atoms = [
         i
@@ -358,8 +364,7 @@ def _subgroup_sets(G):
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Prime factorization as (prime, exponent) pairs sorted by prime."""
 
     pairs: tuple
@@ -467,13 +472,16 @@ def subgroups_of_order(G: PermGroup, order: int) -> list[PermGroup]:
     return [S for S in all_subgroups(G) if len(S) == order]
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """A group homomorphism recorded as an index map domain -> codomain."""
 
     domain: PermGroup
     codomain: PermGroup
     images: tuple
+
+    def __init__(self, domain, codomain, images):
+        # written out, as on every hot constructor: one dict update
+        self.__dict__.update(domain=domain, codomain=codomain, images=images)
 
     def image_perm(self, i: int):
         """The codomain permutation assigned to domain element i."""
@@ -690,27 +698,33 @@ def regular_representation(G: PermGroup) -> PermGroup:
 def unique_odd_part(G: PermGroup) -> PermGroup:
     """The unique index-2 subgroup of a group of order 2n, n odd.
 
-    Computed as the kernel of the sign of the left regular action; the
-    result is asserted to have order n, and (within enumeration bounds) a
-    full subgroup scan double-checks that no other order-n subgroup exists.
+    Computed as the kernel of the sign of the left regular action, a
+    homomorphism, so it is read off the signs of the generators along one
+    breadth-first walk; the result is asserted to have order n and to be
+    exactly the elements of odd order.  An order-n subgroup has only
+    elements of odd order, so it lies in that set and, being as large, is
+    the kernel: the check proves uniqueness at every order in one pass
+    over the element orders.
     """
     size = len(G)
     n, r = divmod(size, 2)
     if r != 0 or n % 2 == 0:
         raise PreconditionError(f"order {size} is not twice an odd number")
-    kernel = [
-        a for a in range(size) if perm.sign(left_translation(G, a)) == 1
-    ]
+    gens = [G.index_of(g) for g in G.generators]
+    gen_signs = [perm.sign(left_translation(G, g)) for g in gens]
+    walk, parent = bfs_order(G, gens)
+    signs = {walk[0]: 1}
+    for y in walk[1:]:
+        x, pos = parent[y]
+        signs[y] = signs[x] * gen_signs[pos]
+    kernel = sorted(a for a, s in signs.items() if s == 1)
     if len(kernel) != n:
         raise PreconditionError(
             f"sign kernel has order {len(kernel)}, expected {n}"
         )  # pragma: no cover
-    H = G.subgroup_from_indices(kernel)
-    if size <= SUBGROUP_BOUND:
-        others = subgroups_of_order(G, n)
-        if len(others) != 1 or others[0].elements != H.elements:
-            raise PreconditionError("order-n subgroup is not unique")  # pragma: no cover
-    return H
+    if [a for a in range(size) if G.order_of(a) % 2] != kernel:
+        raise PreconditionError("order-n subgroup is not unique")  # pragma: no cover
+    return G.subgroup_from_indices(kernel)
 
 
 def characteristic_subgroups(N: PermGroup, autN: PermGroup):

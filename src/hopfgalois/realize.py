@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import perm
-from .errors import BoundExceededError, CountingBugError, PreconditionError
+from .errors import BoundExceededError, CountingBugError, PreconditionError, Record
 from .factory import (
     HolomorphGroup,
     automorphism_group,
@@ -53,8 +52,7 @@ from .groups import (
 PAIR_SEARCH_MAX = 30   # max |N| for the direct Hol(N) search
 
 
-@dataclass(frozen=True)
-class CrossedHom:
+class CrossedHom(Record):
     """A pair (f, g): f in Hom(G, Aut(N)), g a crossed homomorphism.
 
     ``g`` maps G element indices to N element indices; ``f.codomain`` is
@@ -65,6 +63,9 @@ class CrossedHom:
     g: tuple
     n_group: PermGroup
     bijective: bool
+
+    def __init__(self, f, g, n_group, bijective):
+        self.__dict__.update(f=f, g=g, n_group=n_group, bijective=bijective)
 
     @property
     def domain(self) -> PermGroup:
@@ -83,13 +84,18 @@ class CrossedHom:
         )
 
 
-@dataclass(frozen=True)
-class RegularSubgroupRecord:
+class RegularSubgroupRecord(Record):
     subgroup: PermGroup
     iso_index: int
     iso_text: str
     witness: "CrossedHom | None"
     strategy: str
+
+    def __init__(self, subgroup, iso_index, iso_text, witness, strategy):
+        self.__dict__.update(
+            subgroup=subgroup, iso_index=iso_index, iso_text=iso_text,
+            witness=witness, strategy=strategy,
+        )
 
 
 def crossed_homomorphisms(f: Homomorphism, G: PermGroup, N: PermGroup, limit=None):

@@ -286,13 +286,18 @@ def test_aut_above_table_limit_is_error():
 # before the check, which Miller-Rabin makes quick.
 BIG = "1000000000000000003"
 
-# Audits refused on the order before a catalog's Sylow tests or an
-# isomorphism search over composing rows, which took from 3 s to 46 s.
+# Audits refused on the order before their catalog, or its Sylow tests or
+# an isomorphism search over composing rows, which took from 3 s to 46 s.
 PAST_TABLE_LIMIT = [
     ["audit", "--theorem", "t004", "--n", "601"],
     ["audit", "--theorem", "p003", "--n", "1995"],
     ["audit", "--theorem", "p004", "--n", "1995"],
+    ["audit", "--theorem", "t001", "--n", "903"],
+    ["audit", "--theorem", "p005", "--n", "651"],
 ]
+# c001 at a squarefree order past the lattice bound, refused before the
+# catalog is built (it took 11-14 s)
+PAST_SUBGROUP_BOUND = [["audit", "--theorem", "c001", "--n", "1806"]]
 
 
 @pytest.mark.parametrize(
@@ -312,6 +317,7 @@ PAST_TABLE_LIMIT = [
         ["realizable", "--g", "Hol(D1202)", "--n", "C3", "--method", "cocycle"],
         ["realizable", "--g", "Hol(C2xC2xC2xC151)", "--n", "C3", "--method", "cocycle"],
         *PAST_TABLE_LIMIT,
+        *PAST_SUBGROUP_BOUND,
     ],
 )
 def test_oversized_group_is_error(argv):
@@ -328,10 +334,27 @@ def test_oversized_group_is_error(argv):
     )
     elapsed = time.monotonic() - started
     assert proc.returncode == 1, proc.stderr
-    bound = "no table above 1200 elements" if argv in PAST_TABLE_LIMIT else "size bound"
+    if argv in PAST_TABLE_LIMIT:
+        bound = "no table above 1200 elements"
+    elif argv in PAST_SUBGROUP_BOUND:
+        bound = "subgroup enumeration bound 400 exceeded by order 1806"
+    else:
+        bound = "size bound"
     assert proc.stderr.startswith("error: ") and bound in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
     assert elapsed < 2
+
+
+def test_cli_import_skips_dataclasses_inspect_and_csv():
+    # -S leaves out site, which may import any of them itself
+    src = str(Path(hopfgalois.__file__).parents[1])
+    code = "import hopfgalois.cli, sys; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_store_records_and_replays(tmp_path):

@@ -367,6 +367,22 @@ def test_unique_odd_part_d30():
     assert len(H) == 15 and is_cyclic(H)
 
 
+@pytest.mark.parametrize("order", [o for o in range(6, 111, 4) if is_squarefree(o)])
+def test_unique_odd_part_matches_lattice(order):
+    # the subgroup lattice as oracle: one subgroup of order n, the one returned
+    for entry in catalog(order):
+        G = PermGroup(entry.group.degree, entry.group.elements, entry.group.generators)
+        H = unique_odd_part(G)
+        assert G._subgroups is None  # the lattice was not walked
+        assert [S.elements for S in subgroups_of_order(G, order // 2)] == [H.elements]
+
+
+def test_unique_odd_part_above_the_lattice_bound():
+    G = D(802)
+    H = unique_odd_part(G)
+    assert len(H) == 401 and is_cyclic(H) and G._subgroups is None
+
+
 def test_unique_odd_part_precondition(z3xz3):
     with pytest.raises(PreconditionError):
         unique_odd_part(build(Cyclic(4)))
