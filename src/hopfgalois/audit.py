@@ -39,7 +39,7 @@ from .groups import (
     subgroups_of_order,
     unique_odd_part,
 )
-from .realize import realizable_via_cocycles, transport_characteristic
+from .realize import _check_tables, realizable_via_cocycles, transport_characteristic
 
 AUDIT_ORDERS = (6, 10, 14, 22, 26, 30, 34, 38, 46, 58, 62)
 
@@ -149,6 +149,17 @@ def _refuse_on_order(order, check):
         check(order)
 
 
+def _refuse_on_aut(groups):
+    """Raise, before the first row, the TABLE_LIMIT error the rows would
+    end in: ``groups`` yields the rows' N in row order, every row runs the
+    cocycle engine on its N, and no row stops the audit early, so the
+    first N past the bound decides.  Each N is checked as the engine
+    checks it, so the Aut(N) chains built here are the rows' own, and a
+    repeated N reads its chain again."""
+    for N in groups:
+        _check_tables(N)
+
+
 def _catalog_or_none(order):
     # No size check comes first: above the bound, an order that is not
     # squarefree still gets its "unsupported" report, which needs the
@@ -234,10 +245,12 @@ def audit_t001(n: int) -> AuditReport:
     check_size(2 * n, 2 * n)
     # every row runs the cocycle engine, which needs a table
     _refuse_on_order(2 * n, check_table)
+    entries = catalog(2 * n)
+    _refuse_on_aut(entry.group for entry in entries)
     rows = (
         (f"(SDZ2({n};{s}), {entry.spec.text()})", build(SemidirectZ2(n, s)), entry.group)
         for s in z2_twists(n)
-        for entry in catalog(2 * n)
+        for entry in entries
     )
     domain = f"twists {z2_twists(n)} x catalog({2 * n})"
     return _realizability_audit(
@@ -251,9 +264,11 @@ def audit_t003(n: int) -> AuditReport:
     _require_twice_odd(2 * n)
     check_size(2 * n, 2 * n)
     _refuse_on_order(2 * n, check_table)
+    entries = catalog(2 * n)
+    _refuse_on_aut(build(SemidirectZ2(n, s)) for s in z2_twists(n))
     rows = (
         (f"({entry.spec.text()}, SDZ2({n};{s}))", entry.group, build(SemidirectZ2(n, s)))
-        for entry in catalog(2 * n)
+        for entry in entries
         for s in z2_twists(n)
     )
     flags = ("conclusion audited as (Z_k x| Z_l) x| Z_2; the stated trailing Z_l is read as a typo for Z_2",)
@@ -282,6 +297,7 @@ def audit_t004(n: int) -> AuditReport:
     # the first pair runs the cocycle engine, which needs a table
     _refuse_on_order(2 * n, check_table)
     entries = catalog(2 * n)
+    _refuse_on_aut(e.group for e in entries)
     family = {class_index(build(SemidirectZ2(n, s)), entries) for s in z2_twists(n)}
 
     def instance(gi, ni):
@@ -304,6 +320,7 @@ def audit_r002(n: int) -> AuditReport:
     twist, with the cocycle law verified on all pairs."""
     _require_twice_odd(2 * n)
     G = build(Dihedral(2 * n))
+    _refuse_on_aut(build(SemidirectZ2(n, s)) for s in z2_twists(n))
 
     def instance(s):
         witness = cached_realizable(G, build(SemidirectZ2(n, s)))
@@ -323,7 +340,9 @@ def audit_p005(n: int) -> AuditReport:
     _require_twice_odd(2 * n)
     N = build(Dihedral(2 * n))
     _refuse_on_order(2 * n, check_table)
-    rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in catalog(2 * n))
+    entries = catalog(2 * n)
+    _refuse_on_aut([N])
+    rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in entries)
     return _realizability_audit(
         "p005", 2 * n, f"catalog({2 * n}) against D{2 * n}", rows,
         lambda G, N: (is_solvable(G), ""),
@@ -363,6 +382,12 @@ def audit_t002(n: int) -> AuditReport:
     check_size(2 * n, 2 * n)
     _refuse_on_order(2 * n, check_table)
     entries = catalog(2 * n)
+    groups = [e.group for e in entries]
+    if 2 * n > SUBGROUP_BOUND:
+        # the first row pairs the first class with itself, which is
+        # realizable, and walks that class's lattice past the bound
+        groups = groups[:1]
+    _refuse_on_aut(groups)
 
     def instances(ge, ne):
         witness = cached_realizable(ge.group, ne.group)
@@ -404,6 +429,7 @@ def audit_ses_final(n: int) -> AuditReport:
     if entries is None:
         return _unsupported("ses_final", 2 * n, flags)
     N = build(Dihedral(2 * n))
+    _refuse_on_aut([N])
     rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in entries)
 
     def conclude(G, N):

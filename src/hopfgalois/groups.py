@@ -8,8 +8,10 @@ each product up by its images of a base, a few points that tell every
 element apart, instead of by a composed tuple of ``degree`` points; and
 Aut(N) is first found as a two-level chain (``factory._aut_chain``), so
 its order is known before its elements are listed.
-Every product is read from ``PermGroup.rows()``; every closure under
-generators is the one breadth-first walk ``_reach``.
+Every product is read from ``PermGroup.rows()``, but for the power walk
+behind the order and inverse tables, which composes when no table is
+built rather than build one; every closure under generators is the one
+breadth-first walk ``_reach``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from math import gcd, lcm
+from math import gcd
 
 from . import perm
 from .errors import (
@@ -42,10 +44,11 @@ class PermGroup:
     construction, and a repeated element raises PreconditionError.  Every
     product is read from ``rows``: the multiplication table, filled in on
     the first product, or above ``TABLE_LIMIT`` rows that compose.  The
-    inverse and order tables, the generating set and the subgroup list
-    fill in on first use.  No other module sets attributes on an
-    instance; automorphism groups, holomorphs and regular subgroups are
-    memoized by ``functools.cache`` with the group as key.
+    inverse and order tables (one ``_power_walk``), the generating set,
+    the extension plan of ``generator_frame`` and the subgroup list fill
+    in on first use.  No other module sets attributes on an instance;
+    automorphism groups, holomorphs and regular subgroups are memoized by
+    ``functools.cache`` with the group as key.
     """
 
     def __init__(self, degree, elements, generators=None, label=None):
@@ -60,6 +63,7 @@ class PermGroup:
         self._inverse_table = None
         self._order_table = None
         self._min_gens = None
+        self._frame = None
         self._subgroups = None
 
     def _default_generators(self):
@@ -146,22 +150,63 @@ class PermGroup:
         return self._mul_table
 
     def inv(self, i: int) -> int:
-        if self._inverse_table is None:
-            self._inverse_table = tuple(
-                self._index[perm.inverse(p)] for p in self.elements
-            )
-        return self._inverse_table[i]
+        return self.inverses()[i]
 
     def order_of(self, i: int) -> int:
+        return self.orders()[i]
+
+    def inverses(self):
+        """Index of each element's inverse, by index, from ``_power_walk``."""
+        if self._inverse_table is None:
+            self._power_walk()
+        return self._inverse_table
+
+    def orders(self):
+        """Order of each element, by index, from ``_power_walk``."""
         if self._order_table is None:
-            self._order_table = tuple(
-                lcm(*(len(c) for c in perm.cycles(p))) for p in self.elements
-            )
-        return self._order_table[i]
+            self._power_walk()
+        return self._order_table
+
+    def _power_walk(self):
+        """Fill the order and inverse tables in one walk.
+
+        From each element x not reached yet it steps through x, x^2, ...
+        to the identity, which gives k = ord x; then x^i has order
+        k / gcd(i, k) and inverse x^(k - i).  A step reads the
+        multiplication table if it is built; otherwise it composes with
+        one ``itemgetter`` of x's images.  No table is built.
+        """
+        n, e = len(self), self.identity_index
+        orders, inverses = [0] * n, [0] * n
+        orders[e], inverses[e] = 1, e
+        table, els, index = self._mul_table, self.elements, self._index
+        ident = els[e]
+        for x in range(n):
+            if orders[x]:
+                continue
+            if table is not None:
+                row, y, powers = table[x], x, [x]
+                while y != e:
+                    y = row[y]
+                    powers.append(y)
+            else:
+                # x is not the identity, so it moves two points or more
+                # and the itemgetter returns tuples
+                p = els[x]
+                step, cycle = operator.itemgetter(*p), [p]
+                while p != ident:
+                    p = step(p)
+                    cycle.append(p)
+                powers = list(map(index.__getitem__, cycle))
+            k = len(powers)
+            for j, y in enumerate(powers, 1):
+                orders[y] = k // gcd(j, k)
+                inverses[y] = powers[k - j - 1]
+        self._order_table, self._inverse_table = tuple(orders), tuple(inverses)
 
     def order_profile(self):
         """Sorted multiset of element orders; cheap isomorphism invariant."""
-        return tuple(sorted(self.order_of(i) for i in range(len(self))))
+        return tuple(sorted(self.orders()))
 
     def subgroup_from_indices(self, idxs) -> "PermGroup":
         return PermGroup(self.degree, [self.elements[i] for i in sorted(idxs)])
@@ -170,9 +215,9 @@ class PermGroup:
         """A smallest generating set, found by size-1, then 2, then 3 search."""
         if self._min_gens is not None:
             return self._min_gens
-        n = len(self)
-        by_order = sorted(range(n), key=lambda i: (-self.order_of(i), i))
-        if self.order_of(by_order[0]) == n:  # cyclic, or trivial
+        n, orders = len(self), self.orders()
+        by_order = sorted(range(n), key=lambda i: (-orders[i], i))
+        if orders[by_order[0]] == n:  # cyclic, or trivial
             self._min_gens = (self.elements[by_order[0]],)
             return self._min_gens
         start, rows = (self.identity_index,), self.rows()
@@ -342,11 +387,7 @@ def _subgroup_sets(G):
     """
     check_lattice(len(G))
     e = G.identity_index
-    atoms = [
-        i
-        for i in range(len(G))
-        if i != e and _is_prime_power(G.order_of(i))
-    ]
+    atoms = [i for i, k in enumerate(G.orders()) if i != e and _is_prime_power(k)]
     rows = G.rows()
     trivial = frozenset({e})
     found = {trivial: ()}
@@ -512,13 +553,38 @@ def bfs_order(G: PermGroup, gen_idxs):
 
 
 def generator_frame(G: PermGroup):
-    """Generator indices of a smallest generating set, with its bfs_order.
+    """A smallest generating set of G with its twist-free extension plan,
+    built once per group object by ``_extension_plan``.
 
-    Returns (gen_idxs, order, parent); minimal_generating_set raises
-    BoundExceededError when G needs more than three generators.
+    Returns (gen_idxs, steps, checks) as ``_extension_plan`` does;
+    minimal_generating_set raises BoundExceededError when G needs more
+    than three generators.
     """
-    gen_idxs = [G.index_of(g) for g in G.minimal_generating_set()]
-    return (gen_idxs,) + bfs_order(G, gen_idxs)
+    if G._frame is None:
+        G._frame = _extension_plan(G)
+    return G._frame
+
+
+def _extension_plan(G: PermGroup):
+    """(gen_idxs, steps, checks) for ``extend_images``, each plan a tuple
+    of columns.
+
+    gen_idxs index a smallest generating set.  steps = (i, prev, pos)
+    follow ``bfs_order`` past the identity, with elements[i] =
+    elements[prev] * gens[pos]; checks = (x, xs, pos) cover every element
+    x and generator position, with xs the index of x * gens[pos].
+    """
+    gen_idxs = tuple(G.index_of(g) for g in G.minimal_generating_set())
+    order, parent = bfs_order(G, gen_idxs)
+    links = [parent[i] for i in order[1:]]
+    steps = (tuple(order[1:]), tuple(x for x, _ in links), tuple(pos for _, pos in links))
+    rows, span = G.rows(), range(len(gen_idxs))
+    checks = (
+        tuple(x for x in range(len(G)) for _ in span),
+        tuple(rows[x][s] for x in range(len(G)) for s in gen_idxs),
+        tuple(pos for _ in range(len(G)) for pos in span),
+    )
+    return gen_idxs, steps, checks
 
 
 def extend_images(
@@ -534,22 +600,17 @@ def extend_images(
     ``twist[x]`` is a permutation of H's indices (an automorphism for
     crossed homomorphisms); ``None`` means the identity, so the law is the
     plain homomorphism law.  With ``injective``, a choice is dropped as
-    soon as an image repeats.
+    soon as an image repeats.  The frame's plan is twist-free, so a call
+    only zips each step and check with its twist, in C.
     """
-    gen_idxs, order, parent = frame
+    _, (step_i, step_prev, step_pos), (check_x, check_xs, check_pos) = frame
     n = len(G)
     if twist is None:
         twist = (tuple(range(len(H))),) * n
-    rows_g, rows_h = G.rows(), H.rows()
-    steps = []
-    for i in order[1:]:
-        prev, pos = parent[i]
-        steps.append((i, prev, twist[prev], pos))
-    checks = [
-        (x, rows_g[x][s], twist[x], pos)
-        for x in range(n)
-        for pos, s in enumerate(gen_idxs)
-    ]
+    twist_of = twist.__getitem__
+    steps = list(zip(step_i, step_prev, map(twist_of, step_prev), step_pos))
+    checks = list(zip(check_x, check_xs, map(twist_of, check_x), check_pos))
+    rows_h = H.rows()
     e_g, e_h = G.identity_index, H.identity_index
     for choice in itertools.product(*cands):
         m = [None] * n
@@ -576,8 +637,9 @@ def extend_images(
 def hom_candidates(G: PermGroup, H: PermGroup, gen_idxs):
     """For each generator of G, the elements of H whose order divides its
     order: the images a homomorphism G -> H may give it."""
+    g_orders, h_orders = G.orders(), H.orders()
     return [
-        [j for j in range(len(H)) if G.order_of(gi) % H.order_of(j) == 0]
+        [j for j, k in enumerate(h_orders) if g_orders[gi] % k == 0]
         for gi in gen_idxs
     ]
 
@@ -585,8 +647,9 @@ def hom_candidates(G: PermGroup, H: PermGroup, gen_idxs):
 def iso_candidates(G: PermGroup, H: PermGroup, gen_idxs):
     """For each generator of G, the elements of H of its order: the images
     an isomorphism G -> H may give it."""
+    g_orders, h_orders = G.orders(), H.orders()
     return [
-        [j for j in range(len(H)) if H.order_of(j) == G.order_of(gi)]
+        [j for j, k in enumerate(h_orders) if k == g_orders[gi]]
         for gi in gen_idxs
     ]
 
@@ -631,8 +694,8 @@ def are_isomorphic(G: PermGroup, H: PermGroup):
 
 
 def derived_subgroup(G: PermGroup) -> PermGroup:
-    rows, inv, n = G.rows(), G.inv, range(len(G))
-    comms = {rows[rows[rows[inv(a)][inv(b)]][a]][b] for a in n for b in n}
+    rows, inv, n = G.rows(), G.inverses(), range(len(G))
+    comms = {rows[rows[rows[inv[a]][inv[b]]][a]][b] for a in n for b in n}
     order, _ = _reach(rows, (G.identity_index,), sorted(comms))
     return G.subgroup_from_indices(order)
 
@@ -649,8 +712,7 @@ def is_solvable(G: PermGroup) -> bool:
 
 
 def is_cyclic(G: PermGroup) -> bool:
-    n = len(G)
-    return any(G.order_of(i) == n for i in range(n))
+    return len(G) in G.orders()
 
 
 def is_c_group(G: PermGroup) -> bool:
@@ -659,7 +721,7 @@ def is_c_group(G: PermGroup) -> bool:
     The Sylow p-subgroups are conjugate, so they are cyclic iff some
     element has order p^a, the full power of p dividing |G|.
     """
-    orders = set(map(G.order_of, range(len(G))))
+    orders = set(G.orders())
     return all(p**a in orders for p, a in factorize(len(G)).pairs)
 
 
@@ -670,7 +732,7 @@ def is_almost_sylow_cyclic(G: PermGroup) -> bool:
     order 2^a has a cyclic subgroup of index 2 iff some element has order
     2^(a-1).
     """
-    orders = set(map(G.order_of, range(len(G))))
+    orders = set(G.orders())
     return all(
         (p ** (a - 1) if p == 2 else p**a) in orders
         for p, a in factorize(len(G)).pairs
@@ -722,7 +784,7 @@ def unique_odd_part(G: PermGroup) -> PermGroup:
         raise PreconditionError(
             f"sign kernel has order {len(kernel)}, expected {n}"
         )  # pragma: no cover
-    if [a for a in range(size) if G.order_of(a) % 2] != kernel:
+    if [a for a, k in enumerate(G.orders()) if k % 2] != kernel:
         raise PreconditionError("order-n subgroup is not unique")  # pragma: no cover
     return G.subgroup_from_indices(kernel)
 

@@ -66,7 +66,21 @@ def semiregular_order(p: Perm) -> int:
     Equal cycle lengths mean <p> acts freely (p is semiregular), and the
     common length is then p's order.  Every non-identity element of a
     regular permutation group is semiregular, which makes this the cheap
-    membership filter for regular-subgroup searches.
+    membership filter for regular-subgroup searches.  It stops with 0 at
+    the first cycle whose length differs.
     """
-    lengths = {len(c) for c in cycles(p)}
-    return lengths.pop() if len(lengths) == 1 else 0
+    seen = bytearray(len(p))
+    length = 0
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        x, k = p[start], 1
+        while x != start:
+            seen[x] = 1
+            x = p[x]
+            k += 1
+        if k != length and length:
+            return 0
+        length = k
+    return length

@@ -9,12 +9,13 @@ triples, subgroups (with the Sylow predicates read off them) by
 adjoining one element at a time under ``G.mul``, factorizations by trial
 division, and catalogs by testing every twist against the classes found
 so far, and coprime cyclic splittings by testing every pair of subgroups
-from ``all_subgroups``.  They exist so the fast engines can be checked
-against something slow and obviously correct.
+from ``all_subgroups``; element orders are read off cycle lengths and
+inverses off ``perm.inverse``.  They exist so the fast engines can be
+checked against something slow and obviously correct.
 """
 
 import itertools
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -25,6 +26,7 @@ from hopfgalois import (
     SemidirectCC,
     are_isomorphic,
     build,
+    perm,
 )
 from hopfgalois.brace import group_table_identity
 from hopfgalois.errors import PreconditionError, UnsupportedOrderError
@@ -304,6 +306,16 @@ def lattice_is_almost_sylow_cyclic(G):
         if not ok:
             return False
     return True
+
+
+def cycle_orders(G):
+    """Each element's order, by index, as the lcm of its cycle lengths."""
+    return tuple(lcm(*(len(c) for c in perm.cycles(p))) for p in G.elements)
+
+
+def inverse_lookup(G):
+    """Each element's inverse, by index, looked up from ``perm.inverse``."""
+    return tuple(G.index_of(perm.inverse(p)) for p in G.elements)
 
 
 def trial_division_pairs(n):

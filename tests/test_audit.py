@@ -21,7 +21,8 @@ from hopfgalois.audit import (
     audit_t004,
     cached_realizable,
 )
-from hopfgalois.errors import PreconditionError
+from hopfgalois.errors import BoundExceededError, PreconditionError
+from hopfgalois.groups import TABLE_LIMIT
 
 
 def test_verdict_logic():
@@ -151,6 +152,19 @@ def test_cached_realizable_keys_on_group_objects(order):
     cached_realizable(cat, z)
     witness = cached_realizable(z, cat)
     assert witness.domain is z and witness.n_group is cat
+
+
+@pytest.mark.parametrize("theorem", ["t001", "t002", "t003", "t004", "r002", "p005"])
+def test_audits_refuse_on_aut_before_the_first_row(monkeypatch, theorem):
+    # at order 102 D102 is the N of some row and |Aut D102| = 1632, so the
+    # audit must refuse before any row runs the cocycle engine
+    def no_rows(G, N):
+        raise AssertionError(f"a row ran on ({G}, {N})")
+
+    monkeypatch.setattr(audit, "realizable_via_cocycles", no_rows)
+    monkeypatch.setattr(audit, "cached_realizable", no_rows)
+    with pytest.raises(BoundExceededError, match=f"^no table above {TABLE_LIMIT} elements$"):
+        run_audit(theorem, 51)
 
 
 def test_run_audit_dispatch():

@@ -298,6 +298,9 @@ PAST_TABLE_LIMIT = [
 # c001 at a squarefree order past the lattice bound, refused before the
 # catalog is built (it took 11-14 s)
 PAST_SUBGROUP_BOUND = [["audit", "--theorem", "c001", "--n", "1806"]]
+# t001 at order 102: every N fits a table but Aut(D102) does not, which is
+# checked before the first row
+PAST_AUT_LIMIT = [["audit", "--theorem", "t001", "--n", "51"]]
 
 
 @pytest.mark.parametrize(
@@ -318,6 +321,7 @@ PAST_SUBGROUP_BOUND = [["audit", "--theorem", "c001", "--n", "1806"]]
         ["realizable", "--g", "Hol(C2xC2xC2xC151)", "--n", "C3", "--method", "cocycle"],
         *PAST_TABLE_LIMIT,
         *PAST_SUBGROUP_BOUND,
+        *PAST_AUT_LIMIT,
     ],
 )
 def test_oversized_group_is_error(argv):
@@ -334,7 +338,7 @@ def test_oversized_group_is_error(argv):
     )
     elapsed = time.monotonic() - started
     assert proc.returncode == 1, proc.stderr
-    if argv in PAST_TABLE_LIMIT:
+    if argv in PAST_TABLE_LIMIT + PAST_AUT_LIMIT:
         bound = "no table above 1200 elements"
     elif argv in PAST_SUBGROUP_BOUND:
         bound = "subgroup enumeration bound 400 exceeded by order 1806"

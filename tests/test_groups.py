@@ -30,11 +30,12 @@ from hopfgalois import (
     SemidirectCC,
     SemidirectZ2,
 )
-from hopfgalois import perm
+from hopfgalois import factory, groups, perm
 from hopfgalois.errors import (
     BoundExceededError,
     CapExceededError,
     PreconditionError,
+    UnsupportedOrderError,
 )
 from hopfgalois.factory import is_squarefree
 from hopfgalois.groups import (
@@ -44,6 +45,7 @@ from hopfgalois.groups import (
     _base,
     _reach,
     bfs_order,
+    generator_frame,
     is_normal,
     isomorphisms,
     left_translation,
@@ -55,6 +57,8 @@ from conftest import (
     D,
     _closure_within,
     brute_force_homomorphisms,
+    cycle_orders,
+    inverse_lookup,
     lattice_is_almost_sylow_cyclic,
     lattice_is_c_group,
 )
@@ -553,9 +557,14 @@ def test_products_below_table_limit_never_compose(monkeypatch):
     def refuse(p, q):
         raise AssertionError("perm.compose called below TABLE_LIMIT")
 
+    fresh = [fresh_copy(H) for H in (sd, d30, A)]
+    oracles = [(cycle_orders(H), inverse_lookup(H)) for H in fresh]
     monkeypatch.setattr(perm, "compose", refuse)
     assert count_crossed_pairs(G, N) == expected
     assert are_isomorphic(A, B) is not None
+    # the power walk composes without perm.compose on untabled copies
+    assert [(H.orders(), H.inverses()) for H in fresh] == oracles
+    assert all(H._mul_table is None for H in fresh)
 
 
 def test_products_above_table_limit_compose(monkeypatch):
@@ -580,6 +589,72 @@ def test_products_above_table_limit_compose(monkeypatch):
     H = fresh_copy(D(30))
     rows = [tuple(row[j] for j in range(len(H))) for row in H.rows()]
     assert rows == compose_table(H) and H._mul_table is None
+
+
+def power_walk_groups():
+    """(name, group): every catalog group up to order 210, Aut(N) for each
+    one up to order 110, A4, C2xC2xC2, Hol(D10), the one-element group and
+    C1201, which is past TABLE_LIMIT."""
+    entries = []
+    for order in range(1, 211):
+        try:
+            entries += catalog(order)
+        except UnsupportedOrderError:
+            continue
+    cases = [(e.spec.text(), e.group) for e in entries]
+    cases += [
+        (f"Aut({e.spec.text()})", automorphism_group(e.group))
+        for e in entries
+        if len(e.group) <= 110
+    ]
+    c2 = Cyclic(2)
+    cases += [
+        ("A4", build(Alternating4())),
+        ("C2xC2xC2", build(DirectProduct(DirectProduct(c2, c2), c2))),
+        ("Hol(D10)", holomorph(D(10)).group),
+        ("C1", build(Cyclic(1))),
+        ("C1201", build(Cyclic(1201))),
+    ]
+    return cases
+
+
+def test_power_walk_matches_oracles():
+    # on a copy with no table the walk composes and builds none; on one
+    # with a table it reads the table
+    bad = []
+    for name, G in power_walk_groups():
+        oracle = (cycle_orders(G), inverse_lookup(G))
+        composing = fresh_copy(G)
+        if (composing.orders(), composing.inverses()) != oracle:
+            bad.append(name)
+        if composing._mul_table is not None:
+            bad.append(f"{name} built a table")
+        if len(G) <= TABLE_LIMIT:
+            tabled = fresh_copy(G)
+            tabled.table()
+            if (tabled.orders(), tabled.inverses()) != oracle:
+                bad.append(f"{name} from its table")
+    assert bad == []
+
+
+def test_extension_plan_is_built_once_per_group(monkeypatch):
+    # Aut(N)'s chain and a full count of crossed pairs share one plan per
+    # group object
+    sd, d30 = build(SemidirectCC(15, 2, 4)), D(30)
+    expected = count_crossed_pairs(sd, d30)
+    G, N = fresh_copy(sd), fresh_copy(d30)
+    planned = []
+    real = groups._extension_plan
+
+    def counting(H):
+        planned.append(H)
+        return real(H)
+
+    monkeypatch.setattr(groups, "_extension_plan", counting)
+    factory._aut_chain(N)
+    assert count_crossed_pairs(G, N) == expected
+    assert generator_frame(G) is generator_frame(G)
+    assert planned == [N, G]
 
 
 @st.composite
