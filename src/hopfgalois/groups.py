@@ -45,10 +45,10 @@ class PermGroup:
     product is read from ``rows``: the multiplication table, filled in on
     the first product, or above ``TABLE_LIMIT`` rows that compose.  The
     inverse and order tables (one ``_power_walk``), the generating set,
-    the extension plan of ``generator_frame`` and the subgroup list fill
-    in on first use.  No other module sets attributes on an instance;
-    automorphism groups, holomorphs and regular subgroups are memoized by
-    ``functools.cache`` with the group as key.
+    the extension plans of ``generator_frame`` and ``greedy_frame`` and
+    the subgroup list fill in on first use.  No other module sets
+    attributes on an instance; automorphism groups, holomorphs and regular
+    subgroups are memoized by ``functools.cache`` with the group as key.
     """
 
     def __init__(self, degree, elements, generators=None, label=None):
@@ -64,6 +64,7 @@ class PermGroup:
         self._order_table = None
         self._min_gens = None
         self._frame = None
+        self._greedy_frame = None
         self._subgroups = None
 
     def _default_generators(self):
@@ -556,25 +557,45 @@ def generator_frame(G: PermGroup):
     """A smallest generating set of G with its twist-free extension plan,
     built once per group object by ``_extension_plan``.
 
-    Returns (gen_idxs, steps, checks) as ``_extension_plan`` does;
-    minimal_generating_set raises BoundExceededError when G needs more
-    than three generators.
+    The isomorphism search, Aut(N)'s chain, ``homomorphisms`` and the
+    crossed-homomorphism scan run over it.  Returns (gen_idxs, steps,
+    checks) as ``_extension_plan`` does; minimal_generating_set raises
+    BoundExceededError when G needs more than three generators.
     """
     if G._frame is None:
-        G._frame = _extension_plan(G)
+        gens = tuple(map(G.index_of, G.minimal_generating_set()))
+        G._frame = _extension_plan(G, gens)
     return G._frame
 
 
-def _extension_plan(G: PermGroup):
+def greedy_frame(G: PermGroup):
+    """The index-greedy generating set of G with its extension plan, built
+    once per group object by ``_extension_plan``.
+
+    Each generator is the least element index outside the span of the
+    ones before it (``_generating_set``), so every index below generator
+    k + 1 lies in the span of generators 0..k.  Image tuples of maps
+    determined by their generator images then compare index by index as
+    their generator images compare level by level; ``_hom_orbit_reps``
+    walks Hom(G, Aut N) over this frame.  A one-element group's frame is
+    its identity, as ``minimal_generating_set`` gives.
+    """
+    if G._greedy_frame is None:
+        e = G.identity_index
+        gens = tuple(_generating_set(G.rows(), e)) or (e,)
+        G._greedy_frame = _extension_plan(G, gens)
+    return G._greedy_frame
+
+
+def _extension_plan(G: PermGroup, gen_idxs):
     """(gen_idxs, steps, checks) for ``extend_images``, each plan a tuple
     of columns.
 
-    gen_idxs index a smallest generating set.  steps = (i, prev, pos)
-    follow ``bfs_order`` past the identity, with elements[i] =
-    elements[prev] * gens[pos]; checks = (x, xs, pos) cover every element
-    x and generator position, with xs the index of x * gens[pos].
+    gen_idxs index a generating set of G.  steps = (i, prev, pos) follow
+    ``bfs_order`` past the identity, with elements[i] = elements[prev] *
+    gens[pos]; checks = (x, xs, pos) cover every element x and generator
+    position, with xs the index of x * gens[pos].
     """
-    gen_idxs = tuple(G.index_of(g) for g in G.minimal_generating_set())
     order, parent = bfs_order(G, gen_idxs)
     links = [parent[i] for i in order[1:]]
     steps = (tuple(order[1:]), tuple(x for x, _ in links), tuple(pos for _, pos in links))

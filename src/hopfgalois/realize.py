@@ -43,6 +43,7 @@ from .groups import (
     check_table,
     extend_images,
     generator_frame,
+    greedy_frame,
     hom_candidates,
     homomorphisms,
     is_regular,
@@ -105,11 +106,23 @@ def crossed_homomorphisms(f: Homomorphism, G: PermGroup, N: PermGroup, limit=Non
     so every g is its own orbit, in ``itertools.product`` order of the
     generator images; the result is sorted.  The empty list is a valid
     result.  ``limit`` stops the scan early once that many witnesses
-    exist.
+    exist.  f's domain must have G's element list, and f must send each
+    generator of G to an automorphism of N, which is checked on N's
+    generators; otherwise PreconditionError is raised.
     """
     if len(G) != len(N):
         raise PreconditionError("crossed homomorphisms need |G| = |N|")
-    found = _crossed_hom_reps(f, [f.codomain.identity_index], N, generator_frame(G))
+    if f.domain.elements != G.elements:
+        raise PreconditionError("f's domain is not G")
+    frame = generator_frame(G)
+    rows = N.rows()
+    n_gens = [N.index_of(s) for s in N.minimal_generating_set()]
+    for p in {f.image_perm(a) for a in frame[0]}:
+        if len(p) != len(N) or any(
+            p[rows[x][s]] != rows[p[x]][p[s]] for x in range(len(N)) for s in n_gens
+        ):
+            raise PreconditionError("f sends a generator of G outside Aut(N)")
+    found = _crossed_hom_reps(f, [f.codomain.identity_index], N, frame)
     return [CrossedHom(f, g, N, True) for g in sorted(itertools.islice(found, limit))]
 
 
@@ -193,10 +206,13 @@ def _orbit_walk(G, H, frame, cands, S, action, twist=None, injective=False):
     representatives of S, each later one over orbit representatives of
     the stabilizer of the images chosen so far, and one ``extend_images``
     call per choice of the earlier images, over the last generator's
-    representatives, keeps the solutions.  Yields (m, stabilizer of all
-    of m's generator images) in ``itertools.product`` order of the
-    representatives.  ``action(T)`` is the ``act`` of ``_orbits`` for a
-    subset T of S.
+    representatives, keeps the solutions.  Each representative is the
+    first member of its orbit in ``cands[level]``.  Yields (m, stabilizer
+    of all of m's generator images) in ``itertools.product`` order of the
+    representatives; with ascending candidates that is increasing order
+    of the generator images, and each m has the least generator images of
+    its S-orbit, level by level.  ``action(T)`` is the ``act`` of
+    ``_orbits`` for a subset T of S.
 
     S must map each ``cands[level]`` onto itself, so at every level the
     orbit sizes |T| / |T_y| must be whole numbers that sum to the number
@@ -229,52 +245,31 @@ def _orbit_walk(G, H, frame, cands, S, action, twist=None, injective=False):
             yield m, last[m[gens[-1]]]
 
 
-def _least_conjugate(atab, inv, m, stab_size):
-    """The least image tuple b * m * b^-1 over b in Aut(N), and its
-    centralizer.
-
-    Found image by image: over the b kept so far, keep only those that
-    reach the least image.  The b giving one conjugate form a coset of
-    m's stabilizer, so the kept b are a union of cosets, and once
-    ``stab_size`` of them remain they are the coset b0 * C(m) that gives
-    the least conjugate, whose centralizer is then kept * b0^-1.  If that
-    never happens, ``stab_size`` is not the stabilizer's order and
-    CountingBugError is raised.
-    """
-    kept = range(len(atab))
-    for x in m:
-        images = [atab[atab[b][x]][inv[b]] for b in kept]
-        low = min(images)
-        kept = [b for b, y in zip(kept, images) if y == low]
-        if len(kept) == stab_size:
-            row, ib = atab[kept[0]], inv[kept[0]]
-            return tuple(atab[row[x]][ib] for x in m), [atab[b][ib] for b in kept]
-    raise CountingBugError(
-        f"{len(kept)} automorphisms fix a homomorphism, its stabilizer has {stab_size}"
-    )
-
-
 def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
     """One (f, orbit size, centralizer) per Aut(N)-conjugacy orbit of
-    Hom(G, Aut N).
+    Hom(G, Aut N), each f the least member of its orbit in
+    ``homomorphisms`` order, orbits in the order of those members.
 
-    Each f is the least member of its orbit in ``homomorphisms`` order,
-    and the orbits come in the order of those members; the rest of Hom is
-    never built.  ``_orbit_walk`` runs Aut(N) by conjugation over the
-    ``hom_candidates`` of ``generator_frame(G)``; the final stabilizer of
-    a homomorphism m it finds is m's centralizer, and the orbit size is
-    |Aut N| over it.  The centralizer handed on is that of the least
-    conjugate, as a list of Aut(N) indices, from ``_least_conjugate``.
+    ``_orbit_walk`` runs Aut(N) by conjugation over the ``hom_candidates``
+    of ``greedy_frame(G)``; the rest of Hom is never built.  That frame's
+    generators are index-greedy, so every element index below generator
+    k + 1 lies in the span of generators 0..k, and f's images there are
+    fixed by its images of those generators: two homomorphisms' image
+    tuples compare as their generator images do, level by level.  The walk
+    takes the least candidate of each stabilizer orbit at every level, so
+    each f it finds is the least member of its orbit, the f's come in
+    increasing order, and the final stabilizer is f's centralizer, handed
+    on as a list of Aut(N) indices; the orbit size is |Aut N| over it.
 
     Conjugation preserves element orders, so each generator's candidates
     are a union of orbits, as the walk requires.  A final stabilizer that
-    moves a chosen image, like a stabilizer order that
-    ``_least_conjugate`` never reaches, raises CountingBugError.
+    moves a chosen image, or an f that does not come after the one before
+    it, raises CountingBugError.
     """
-    frame = generator_frame(G)
+    frame = greedy_frame(G)
     gens = frame[0]
     atab = aut.table()
-    inv = [aut.inv(b) for b in range(len(aut))]
+    inv = aut.inverses()
 
     def conjugation(S):
         pairs = [(atab[b], inv[b]) for b in S]
@@ -287,10 +282,10 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
             row, ib = atab[b], inv[b]
             if any(atab[row[m[g]]][ib] != m[g] for g in gens):
                 raise CountingBugError("a stabilizer moves a chosen image")
-        least, centralizer = _least_conjugate(atab, inv, m, len(C))
-        found.append((least, len(aut) // len(C), centralizer))
-    found.sort(key=lambda item: item[0])
-    return [(Homomorphism(G, aut, m), size, C) for m, size, C in found]
+        if found and m <= found[-1][0].images:
+            raise CountingBugError("orbit representatives are not strictly increasing")
+        found.append((Homomorphism(G, aut, m), len(aut) // len(C), C))
+    return found
 
 
 def hom_orbits(G: PermGroup, aut: PermGroup):

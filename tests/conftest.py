@@ -10,7 +10,8 @@ adjoining one element at a time under ``G.mul``, factorizations by trial
 division, and catalogs by testing every twist against the classes found
 so far, and coprime cyclic splittings by testing every pair of subgroups
 from ``all_subgroups``; element orders are read off cycle lengths and
-inverses off ``perm.inverse``.  They exist so the fast engines can be
+inverses off ``perm.inverse``, and the least conjugate of a homomorphism
+by scanning all of Aut(N).  They exist so the fast engines can be
 checked against something slow and obviously correct.
 """
 
@@ -29,7 +30,7 @@ from hopfgalois import (
     perm,
 )
 from hopfgalois.brace import group_table_identity
-from hopfgalois.errors import PreconditionError, UnsupportedOrderError
+from hopfgalois.errors import CountingBugError, PreconditionError, UnsupportedOrderError
 from hopfgalois.factory import (
     _prettify,
     _semidirect_pair,
@@ -316,6 +317,31 @@ def cycle_orders(G):
 def inverse_lookup(G):
     """Each element's inverse, by index, looked up from ``perm.inverse``."""
     return tuple(G.index_of(perm.inverse(p)) for p in G.elements)
+
+
+def least_conjugate(atab, inv, m, stab_size):
+    """The least image tuple b * m * b^-1 over b in Aut(N), and its
+    centralizer, from the table ``atab`` of Aut(N) and its inverses.
+
+    Found image by image: over the b kept so far, keep only those that
+    reach the least image.  The b giving one conjugate form a coset of
+    m's stabilizer, so the kept b are a union of cosets, and once
+    ``stab_size`` of them remain they are the coset b0 * C(m) that gives
+    the least conjugate, whose centralizer is then kept * b0^-1.  If that
+    never happens, ``stab_size`` is not the stabilizer's order and
+    CountingBugError is raised.
+    """
+    kept = range(len(atab))
+    for x in m:
+        images = [atab[atab[b][x]][inv[b]] for b in kept]
+        low = min(images)
+        kept = [b for b, y in zip(kept, images) if y == low]
+        if len(kept) == stab_size:
+            row, ib = atab[kept[0]], inv[kept[0]]
+            return tuple(atab[row[x]][ib] for x in m), [atab[b][ib] for b in kept]
+    raise CountingBugError(
+        f"{len(kept)} automorphisms fix a homomorphism, its stabilizer has {stab_size}"
+    )
 
 
 def trial_division_pairs(n):

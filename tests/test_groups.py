@@ -46,6 +46,7 @@ from hopfgalois.groups import (
     _reach,
     bfs_order,
     generator_frame,
+    greedy_frame,
     is_normal,
     isomorphisms,
     left_translation,
@@ -638,23 +639,63 @@ def test_power_walk_matches_oracles():
 
 
 def test_extension_plan_is_built_once_per_group(monkeypatch):
-    # Aut(N)'s chain and a full count of crossed pairs share one plan per
-    # group object
+    # Aut(N)'s chain and a full count of crossed pairs build one plan per
+    # group object per frame: N's smallest frame for the chain, G's greedy
+    # frame for the Hom walk and G's smallest frame for the crossed-hom scan
     sd, d30 = build(SemidirectCC(15, 2, 4)), D(30)
     expected = count_crossed_pairs(sd, d30)
     G, N = fresh_copy(sd), fresh_copy(d30)
     planned = []
     real = groups._extension_plan
 
-    def counting(H):
+    def counting(H, gen_idxs):
         planned.append(H)
-        return real(H)
+        return real(H, gen_idxs)
 
     monkeypatch.setattr(groups, "_extension_plan", counting)
     factory._aut_chain(N)
     assert count_crossed_pairs(G, N) == expected
     assert generator_frame(G) is generator_frame(G)
-    assert planned == [N, G]
+    assert greedy_frame(G) is greedy_frame(G)
+    assert planned == [N, G, G]
+
+
+def greedy_frame_is_greedy(G):
+    # every index below generator k + 1 is reached from generators 0..k,
+    # generator k + 1 is not, and the generators generate G
+    gens, rows, start = greedy_frame(G)[0], G.rows(), (G.identity_index,)
+    for k in range(len(gens) - 1):
+        span = set(_reach(rows, start, gens[: k + 1])[0])
+        if gens[k + 1] in span or not span.issuperset(range(gens[k + 1])):
+            return False
+    return len(_reach(rows, start, gens)[0]) == len(G)
+
+
+def test_greedy_frame_spans_every_lower_index():
+    # every catalog group up to order 210, Aut(N) for each one up to order
+    # 66, A4, C2xC2xC2, Hol(C6) and the one-element group, whose frame is
+    # its identity
+    entries = []
+    for order in range(1, 211):
+        try:
+            entries += catalog(order)
+        except UnsupportedOrderError:
+            continue
+    cases = [(e.spec.text(), e.group) for e in entries]
+    cases += [
+        (f"Aut({e.spec.text()})", automorphism_group(e.group))
+        for e in entries
+        if len(e.group) <= 66
+    ]
+    c2, c1 = Cyclic(2), build(Cyclic(1))
+    cases += [
+        ("A4", build(Alternating4())),
+        ("C2xC2xC2", build(DirectProduct(DirectProduct(c2, c2), c2))),
+        ("Hol(C6)", holomorph(C(6)).group),
+        ("C1", c1),
+    ]
+    assert [name for name, G in cases if not greedy_frame_is_greedy(G)] == []
+    assert greedy_frame(c1)[0] == generator_frame(c1)[0] == (c1.identity_index,)
 
 
 @st.composite
@@ -671,6 +712,12 @@ def small_closures(draw):
 @given(small_closures())
 def test_table_matches_compose_on_random_closures(G):
     assert G.table() == compose_table(G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_closures())
+def test_greedy_frame_spans_every_lower_index_on_random_closures(G):
+    assert greedy_frame_is_greedy(G)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -3,8 +3,10 @@ from collections import Counter
 import pytest
 
 from hopfgalois import (
+    Alternating4,
     Cyclic,
     Dihedral,
+    DirectProduct,
     SemidirectCC,
     SemidirectZ2,
     automorphism_group,
@@ -28,7 +30,14 @@ from hopfgalois.errors import BoundExceededError, CountingBugError, Precondition
 from hopfgalois.factory import is_squarefree
 from hopfgalois.realize import hom_orbits
 
-from conftest import C, D, brute_force_bijective_crossed_homs, brute_force_subgroups
+from conftest import (
+    C,
+    D,
+    brute_force_bijective_crossed_homs,
+    brute_force_subgroups,
+    inverse_lookup,
+    least_conjugate,
+)
 
 # every catalog order up to the Hol(N) search bound
 CATALOG_ORDERS = [4, 12] + [n for n in range(1, 31) if is_squarefree(n)]
@@ -44,6 +53,19 @@ def test_crossed_homs_trivial_f_counts():
     f = trivial_hom(G, aut)
     # with trivial f the bijective crossed homomorphisms are isomorphisms
     assert len(crossed_homomorphisms(f, G, G)) == 2
+
+
+def test_crossed_homs_refuse_f_that_does_not_fit_g_and_n():
+    # f's domain must have G's element list, and f must send G's
+    # generators to automorphisms of N; otherwise the scan's answer means
+    # nothing
+    f = trivial_hom(C(6), automorphism_group(C(6)))
+    with pytest.raises(PreconditionError, match="domain is not G"):
+        crossed_homomorphisms(f, D(6), C(6))
+    f = homomorphisms(C(6), automorphism_group(D(6)))[1]
+    assert len(crossed_homomorphisms(f, C(6), D(6))) == 2
+    with pytest.raises(PreconditionError, match="outside Aut"):
+        crossed_homomorphisms(f, C(6), C(6))
 
 
 def test_crossed_homs_no_isomorphism(s3):
@@ -487,6 +509,48 @@ def test_hom_orbit_reps_match_oracle(order):
             assert len(set(centralizer)) == len(centralizer) == len(aut) // size
             for b in centralizer:
                 assert all(aut.mul(b, x) == aut.mul(x, b) for x in set(f.images))
+        assert reps_are_least_conjugates(reps, aut), (g.spec.text(), n.spec.text())
+
+
+def reps_are_least_conjugates(reps, aut):
+    # each representative is its least conjugate by a scan of all of
+    # Aut(N), and its centralizer is that conjugate's, as a set
+    atab, inv = aut.table(), inverse_lookup(aut)
+    for f, size, centralizer in reps:
+        least, oracle = least_conjugate(atab, inv, f.images, len(aut) // size)
+        if least != f.images or set(oracle) != set(centralizer):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Alternating4(),
+        DirectProduct(DirectProduct(Cyclic(2), Cyclic(2)), Cyclic(2)),
+        Cyclic(1),
+    ],
+    ids=["A4", "C2xC2xC2", "C1"],
+)
+def test_hom_orbit_reps_are_least_conjugates(spec):
+    G = build(spec)
+    aut = automorphism_group(G)
+    assert reps_are_least_conjugates(realize._hom_orbit_reps(G, aut), aut)
+
+
+def test_hom_orbit_reps_out_of_order_is_a_bug(monkeypatch):
+    # a walk that yields each representative twice breaks the increasing
+    # order the greedy frame guarantees
+    walk = realize._orbit_walk
+
+    def twice(*args, **kwargs):
+        for item in walk(*args, **kwargs):
+            yield item
+            yield item
+
+    monkeypatch.setattr(realize, "_orbit_walk", twice)
+    with pytest.raises(CountingBugError, match="not strictly increasing"):
+        realize._hom_orbit_reps(C(6), automorphism_group(D(6)))
 
 
 def _hom_with_big_orbit(G, N):
@@ -606,6 +670,8 @@ def test_nontrivial_final_stabilizer_is_a_bug():
 
 
 def test_wrong_stabilizer_size_is_a_bug():
+    # the least-conjugate oracle in conftest raises when told a stabilizer
+    # order that no coset of the centralizer reaches
     N = D(6)
     aut = automorphism_group(N)
     f, size, centralizer = next(
@@ -614,10 +680,10 @@ def test_wrong_stabilizer_size_is_a_bug():
     atab = aut.table()
     inv = [aut.inv(b) for b in range(len(aut))]
     stab = len(aut) // size
-    least, least_centralizer = realize._least_conjugate(atab, inv, f.images, stab)
+    least, least_centralizer = least_conjugate(atab, inv, f.images, stab)
     assert least == f.images and sorted(least_centralizer) == sorted(centralizer)
     with pytest.raises(CountingBugError):
-        realize._least_conjugate(atab, inv, f.images, stab + 1)
+        least_conjugate(atab, inv, f.images, stab + 1)
 
 
 def test_count_crossed_pairs_checks_orders_first(monkeypatch):
