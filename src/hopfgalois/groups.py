@@ -46,9 +46,12 @@ class PermGroup:
     the first product, or above ``TABLE_LIMIT`` rows that compose.  The
     inverse and order tables (one ``_power_walk``), the generating set,
     the extension plans of ``generator_frame`` and ``greedy_frame`` and
-    the subgroup list fill in on first use.  No other module sets
-    attributes on an instance; automorphism groups, holomorphs and regular
-    subgroups are memoized by ``functools.cache`` with the group as key.
+    the subgroup list fill in on first use, and ``_cyclic_images`` holds
+    the crossed-hom scan's candidate images when this group is N, keyed
+    by (f(a), ord a) and filled by ``realize._cyclic_candidates``.  No
+    other module sets attributes on an instance; automorphism groups,
+    holomorphs and regular subgroups are memoized by ``functools.cache``
+    with the group as key.
     """
 
     def __init__(self, degree, elements, generators=None, label=None):
@@ -65,6 +68,7 @@ class PermGroup:
         self._min_gens = None
         self._frame = None
         self._greedy_frame = None
+        self._cyclic_images = {}
         self._subgroups = None
 
     def _default_generators(self):
@@ -213,7 +217,18 @@ class PermGroup:
         return PermGroup(self.degree, [self.elements[i] for i in sorted(idxs)])
 
     def minimal_generating_set(self):
-        """A smallest generating set, found by size-1, then 2, then 3 search."""
+        """A smallest generating set: the first of size 1, then 2, then 3
+        in ``itertools.combinations`` order of the elements sorted by
+        descending order, then index.
+
+        Combinations grow one member at a time.  A candidate in the span
+        of the members before it, or in the span an earlier candidate for
+        the same place reached with them, is skipped with every
+        combination it starts: those span no more than combinations
+        already tried, none of which generate.  So the set found is the
+        one a scan of every combination finds, and no combination with a
+        member in another's cyclic subgroup is closed.
+        """
         if self._min_gens is not None:
             return self._min_gens
         n, orders = len(self), self.orders()
@@ -222,11 +237,32 @@ class PermGroup:
             self._min_gens = (self.elements[by_order[0]],)
             return self._min_gens
         start, rows = (self.identity_index,), self.rows()
+
+        def first(prefix, span, pos, size):
+            # the first generating combination of ``size`` that extends
+            # ``prefix`` (which spans ``span``) by members after by_order[pos]
+            spanned = [span]
+            for q in range(pos + 1, n):
+                y = by_order[q]
+                if any(y in S for S in spanned):
+                    continue
+                combo = prefix + (y,)
+                reached = _reach(rows, start, combo)[0]
+                if len(combo) == size:
+                    if len(reached) == n:
+                        return combo
+                else:
+                    found = first(combo, set(reached), q, size)
+                    if found:
+                        return found
+                spanned.append(set(reached))
+            return None
+
         for size in (2, 3):
-            for combo in itertools.combinations(by_order, size):
-                if len(_reach(rows, start, combo)[0]) == n:
-                    self._min_gens = tuple(self.elements[i] for i in combo)
-                    return self._min_gens
+            combo = first((), set(start), -1, size)
+            if combo:
+                self._min_gens = tuple(self.elements[i] for i in combo)
+                return self._min_gens
         raise BoundExceededError(f"no generating set of size <= 3 for order {n}")
 
 

@@ -126,8 +126,10 @@ def crossed_homomorphisms(f: Homomorphism, G: PermGroup, N: PermGroup, limit=Non
     return [CrossedHom(f, g, N, True) for g in sorted(itertools.islice(found, limit))]
 
 
-def _cyclic_consistent_images(G, N, f_perms, gen_idx):
-    """Images x = g(a) whose forced orbit along <a> returns to the identity.
+def _cyclic_consistent_images(N, fa, r):
+    """Images x = g(a) whose forced orbit along <a> returns to the identity,
+    for a generator a of order r with f(a) = fa, a permutation of N's
+    indices.
 
     The cocycle law determines g on powers of a from g(a) alone:
     g(a^(j+1)) = g(a) * f(a)(g(a^j)).  That step is a permutation of N,
@@ -136,8 +138,6 @@ def _cyclic_consistent_images(G, N, f_perms, gen_idx):
     has a's order as its length.  Everything else is pruned before the
     product scan.
     """
-    r = G.order_of(gen_idx)
-    fa = f_perms[gen_idx]
     e_n = N.identity_index
     good = []
     for x, row in enumerate(N.table()):
@@ -148,6 +148,16 @@ def _cyclic_consistent_images(G, N, f_perms, gen_idx):
         if v == e_n and j == r:
             good.append(x)
     return good
+
+
+def _cyclic_candidates(N, fa, r):
+    """``_cyclic_consistent_images(N, fa, r)``, computed once per key
+    (fa, r) and kept in N's ``_cyclic_images``; callers must not change
+    the list."""
+    memo = N._cyclic_images
+    if (fa, r) not in memo:
+        memo[fa, r] = _cyclic_consistent_images(N, fa, r)
+    return memo[fa, r]
 
 
 def subgroup_from_cocycle(c: CrossedHom, hol: HolomorphGroup) -> RegularSubgroupRecord:
@@ -246,9 +256,10 @@ def _orbit_walk(G, H, frame, cands, S, action, twist=None, injective=False):
 
 
 def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
-    """One (f, orbit size, centralizer) per Aut(N)-conjugacy orbit of
-    Hom(G, Aut N), each f the least member of its orbit in
-    ``homomorphisms`` order, orbits in the order of those members.
+    """Yields one (f, orbit size, centralizer) per Aut(N)-conjugacy orbit
+    of Hom(G, Aut N), each f the least member of its orbit in
+    ``homomorphisms`` order, orbits in the order of those members, each
+    as the walk finds it: a caller that stops early walks no further.
 
     ``_orbit_walk`` runs Aut(N) by conjugation over the ``hom_candidates``
     of ``greedy_frame(G)``; the rest of Hom is never built.  That frame's
@@ -264,7 +275,7 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
     Conjugation preserves element orders, so each generator's candidates
     are a union of orbits, as the walk requires.  A final stabilizer that
     moves a chosen image, or an f that does not come after the one before
-    it, raises CountingBugError.
+    it, raises CountingBugError when that f is reached.
     """
     frame = greedy_frame(G)
     gens = frame[0]
@@ -275,17 +286,17 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
         pairs = [(atab[b], inv[b]) for b in S]
         return lambda x: [atab[row[x]][ib] for row, ib in pairs]
 
-    found = []
+    previous = None
     cands = hom_candidates(G, aut, gens)
     for m, C in _orbit_walk(G, aut, frame, cands, range(len(aut)), conjugation):
         for b in C:
             row, ib = atab[b], inv[b]
             if any(atab[row[m[g]]][ib] != m[g] for g in gens):
                 raise CountingBugError("a stabilizer moves a chosen image")
-        if found and m <= found[-1][0].images:
+        if previous is not None and m <= previous:
             raise CountingBugError("orbit representatives are not strictly increasing")
-        found.append((Homomorphism(G, aut, m), len(aut) // len(C), C))
-    return found
+        previous = m
+        yield Homomorphism(G, aut, m), len(aut) // len(C), C
 
 
 def hom_orbits(G: PermGroup, aut: PermGroup):
@@ -329,7 +340,8 @@ def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
     indices of a subgroup of f's centralizer in Aut(N), f's codomain.  C
     acts on the crossed homomorphisms for f by g -> b o g, and preserves
     each generator's ``_cyclic_consistent_images``, since b commutes with
-    every f(a).
+    every f(a); those are read through ``_cyclic_candidates``, once per
+    (f(a), ord a) for each N.
     ``_orbit_walk`` runs it over those candidates, and ``extend_images``
     keeps the bijective crossed homomorphisms, extended over a fixed
     breadth-first factorization of G and checked on every (element,
@@ -352,7 +364,7 @@ def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
         if any(rows[b][f.images[a]] != rows[f.images[a]][b] for a in gens):
             raise CountingBugError("a centralizer element does not commute with f")
     f_perms = [f.image_perm(a) for a in range(len(G))]
-    cands = [_cyclic_consistent_images(G, N, f_perms, a) for a in gens]
+    cands = [_cyclic_candidates(N, f_perms[a], G.order_of(a)) for a in gens]
 
     def automorphisms(S):
         perms = [aut.elements[b] for b in S]

@@ -10,9 +10,13 @@ adjoining one element at a time under ``G.mul``, factorizations by trial
 division, and catalogs by testing every twist against the classes found
 so far, and coprime cyclic splittings by testing every pair of subgroups
 from ``all_subgroups``; element orders are read off cycle lengths and
-inverses off ``perm.inverse``, and the least conjugate of a homomorphism
-by scanning all of Aut(N).  They exist so the fast engines can be
-checked against something slow and obviously correct.
+inverses off ``perm.inverse``, the least conjugate of a homomorphism
+by scanning all of Aut(N), and a smallest generating set by closing every
+combination of elements in turn.  They exist so the fast engines can be
+checked against something slow and obviously correct.  One is not
+independent: ``canonical_first_witness`` runs the library's own plain
+scan, every f of ``homomorphisms`` in turn, which the orbit engine's
+first witness must equal.
 """
 
 import itertools
@@ -26,7 +30,10 @@ from hopfgalois import (
     DirectProduct,
     SemidirectCC,
     are_isomorphic,
+    automorphism_group,
     build,
+    crossed_homomorphisms,
+    homomorphisms,
     perm,
 )
 from hopfgalois.brace import group_table_identity
@@ -39,6 +46,7 @@ from hopfgalois.factory import (
     is_squarefree,
 )
 from hopfgalois.groups import (
+    _reach,
     all_subgroups,
     is_c_group,
     is_cyclic,
@@ -342,6 +350,33 @@ def least_conjugate(atab, inv, m, stab_size):
     raise CountingBugError(
         f"{len(kept)} automorphisms fix a homomorphism, its stabilizer has {stab_size}"
     )
+
+
+def every_combination_generating_set(G):
+    """The first generating set of size 1, then 2, then 3 in
+    ``itertools.combinations`` order of the elements sorted by descending
+    order, then index, with every combination closed in turn."""
+    n, orders = len(G), G.orders()
+    by_order = sorted(range(n), key=lambda i: (-orders[i], i))
+    if orders[by_order[0]] == n:  # cyclic, or trivial
+        return (G.elements[by_order[0]],)
+    start, rows = (G.identity_index,), G.rows()
+    for size in (2, 3):
+        for combo in itertools.combinations(by_order, size):
+            if len(_reach(rows, start, combo)[0]) == n:
+                return tuple(G.elements[i] for i in combo)
+    return None
+
+
+def canonical_first_witness(G, N):
+    """(f images, g) of the first bijective crossed homomorphism of the
+    plain scan, over every f of ``homomorphisms`` in order, or None."""
+    aut = automorphism_group(N)
+    for f in homomorphisms(G, aut):
+        found = crossed_homomorphisms(f, G, N, limit=1)
+        if found:
+            return f.images, found[0].g
+    return None
 
 
 def trial_division_pairs(n):

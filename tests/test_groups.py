@@ -59,6 +59,7 @@ from conftest import (
     _closure_within,
     brute_force_homomorphisms,
     cycle_orders,
+    every_combination_generating_set,
     inverse_lookup,
     lattice_is_almost_sylow_cyclic,
     lattice_is_c_group,
@@ -660,6 +661,44 @@ def test_extension_plan_is_built_once_per_group(monkeypatch):
     assert planned == [N, G, G]
 
 
+def generating_set_cases(top):
+    # every catalog group up to order ``top``, Aut(N) for each one up to
+    # order 66, A4, C2xC2xC2, Hol(C6) and the one-element group
+    entries = []
+    for order in range(1, top + 1):
+        try:
+            entries += catalog(order)
+        except UnsupportedOrderError:
+            continue
+    cases = [(e.spec.text(), e.group) for e in entries]
+    cases += [
+        (f"Aut({e.spec.text()})", automorphism_group(e.group))
+        for e in entries
+        if len(e.group) <= 66
+    ]
+    c2 = Cyclic(2)
+    cases += [
+        ("A4", build(Alternating4())),
+        ("C2xC2xC2", build(DirectProduct(DirectProduct(c2, c2), c2))),
+        ("Hol(C6)", holomorph(C(6)).group),
+        ("C1", build(Cyclic(1))),
+    ]
+    return cases
+
+
+def test_minimal_generating_set_matches_every_combination_search():
+    # the pruned search finds the set the search over every combination
+    # finds; C2xC2xC2xC11 needs three generators
+    c2 = Cyclic(2)
+    c2c2c2 = DirectProduct(DirectProduct(c2, c2), c2)
+    cases = generating_set_cases(210)
+    cases.append(("C2xC2xC2xC11", build(DirectProduct(c2c2c2, Cyclic(11)))))
+    assert [
+        name for name, G in cases
+        if G.minimal_generating_set() != every_combination_generating_set(G)
+    ] == []
+
+
 def greedy_frame_is_greedy(G):
     # every index below generator k + 1 is reached from generators 0..k,
     # generator k + 1 is not, and the generators generate G
@@ -672,28 +711,10 @@ def greedy_frame_is_greedy(G):
 
 
 def test_greedy_frame_spans_every_lower_index():
-    # every catalog group up to order 210, Aut(N) for each one up to order
-    # 66, A4, C2xC2xC2, Hol(C6) and the one-element group, whose frame is
-    # its identity
-    entries = []
-    for order in range(1, 211):
-        try:
-            entries += catalog(order)
-        except UnsupportedOrderError:
-            continue
-    cases = [(e.spec.text(), e.group) for e in entries]
-    cases += [
-        (f"Aut({e.spec.text()})", automorphism_group(e.group))
-        for e in entries
-        if len(e.group) <= 66
-    ]
-    c2, c1 = Cyclic(2), build(Cyclic(1))
-    cases += [
-        ("A4", build(Alternating4())),
-        ("C2xC2xC2", build(DirectProduct(DirectProduct(c2, c2), c2))),
-        ("Hol(C6)", holomorph(C(6)).group),
-        ("C1", c1),
-    ]
+    # on the generating-set cases up to order 210; the one-element group's
+    # frame is its identity
+    cases = generating_set_cases(210)
+    c1 = build(Cyclic(1))
     assert [name for name, G in cases if not greedy_frame_is_greedy(G)] == []
     assert greedy_frame(c1)[0] == generator_frame(c1)[0] == (c1.identity_index,)
 
@@ -718,6 +739,12 @@ def test_table_matches_compose_on_random_closures(G):
 @given(small_closures())
 def test_greedy_frame_spans_every_lower_index_on_random_closures(G):
     assert greedy_frame_is_greedy(G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_closures())
+def test_minimal_generating_set_matches_every_combination_search_on_random_closures(G):
+    assert G.minimal_generating_set() == every_combination_generating_set(G)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

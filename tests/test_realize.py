@@ -35,6 +35,7 @@ from conftest import (
     D,
     brute_force_bijective_crossed_homs,
     brute_force_subgroups,
+    canonical_first_witness,
     inverse_lookup,
     least_conjugate,
 )
@@ -451,16 +452,6 @@ def per_f_count(G, N):
     return sum(len(crossed_homomorphisms(f, G, N)) for f in homomorphisms(G, aut))
 
 
-def naive_first_witness(G, N):
-    # the plain canonical scan: first f with a bijective crossed hom
-    aut = automorphism_group(N)
-    for f in homomorphisms(G, aut):
-        found = crossed_homomorphisms(f, G, N, limit=1)
-        if found:
-            return f.images, found[0].g
-    return None
-
-
 def catalog_pairs(order, n_texts=None):
     entries = catalog(order)
     return [
@@ -501,7 +492,7 @@ def test_hom_orbit_reps_match_oracle(order):
     # commuting with every image of f
     for g, n in catalog_pairs(order):
         aut = automorphism_group(n.group)
-        reps = realize._hom_orbit_reps(g.group, aut)
+        reps = list(realize._hom_orbit_reps(g.group, aut))
         found = [(f.images, size) for f, size, _ in reps]
         oracle = [(f.images, len(o)) for f, o in hom_orbits(g.group, aut)]
         assert found == oracle, (g.spec.text(), n.spec.text())
@@ -550,7 +541,27 @@ def test_hom_orbit_reps_out_of_order_is_a_bug(monkeypatch):
 
     monkeypatch.setattr(realize, "_orbit_walk", twice)
     with pytest.raises(CountingBugError, match="not strictly increasing"):
-        realize._hom_orbit_reps(C(6), automorphism_group(D(6)))
+        list(realize._hom_orbit_reps(C(6), automorphism_group(D(6))))
+
+
+def test_verdict_draws_hom_representatives_lazily(monkeypatch):
+    # (C6, D6): the trivial f has no witness and the second f holds the
+    # first one, so the verdict draws two of the three representatives
+    G, N = C(6), D(6)
+    aut = automorphism_group(N)
+    assert len(list(realize._hom_orbit_reps(G, aut))) == 3
+    walk = realize._orbit_walk
+    drawn = []
+
+    def counted(domain, H, *args, **kwargs):
+        for item in walk(domain, H, *args, **kwargs):
+            if H is aut:  # the conjugation walk over Hom(G, Aut N)
+                drawn.append(item[0])
+            yield item
+
+    monkeypatch.setattr(realize, "_orbit_walk", counted)
+    w = realizable_via_cocycles(G, N)
+    assert w is not None and len(drawn) == 2 and w.f.images == drawn[1]
 
 
 def _hom_with_big_orbit(G, N):
@@ -586,8 +597,11 @@ def _drop_centralizer_element(orbits, S):
 
 def _swap_centralizer_element(orbits, S):
     # the first proper centralizer trades its last element for one outside
-    # it: the orbit sizes still add up, but it no longer fixes its image
-    i = next(i for i, (_, C) in enumerate(orbits) if len(C) < len(S))
+    # it: the orbit sizes still add up, but it no longer fixes its image.
+    # Orbits of a trivial S have no proper centralizer and stay as they are
+    i = next((i for i, (_, C) in enumerate(orbits) if len(C) < len(S)), None)
+    if i is None:
+        return orbits
     y, C = orbits[i]
     outside = next(b for b in S if b not in C)
     return orbits[:i] + [(y, C[:-1] + [outside])] + orbits[i + 1 :]
@@ -645,7 +659,7 @@ def test_broken_centralizer_walk_is_a_bug(monkeypatch, mutate, message, engine):
     # next f has centralizer {0, 1} and the first witness
     G, N = C(6), D(6)
     aut = automorphism_group(N)
-    reps = realize._hom_orbit_reps(G, aut)
+    reps = list(realize._hom_orbit_reps(G, aut))
     if mutate is None:
         # the centralizer walk loses the last orbit of every level
         helper = realize._orbits
@@ -661,7 +675,7 @@ def test_nontrivial_final_stabilizer_is_a_bug():
     # a repeated identity passes every orbit check but fixes every g
     G, N = C(6), D(6)
     aut = automorphism_group(N)
-    f, _, centralizer = realize._hom_orbit_reps(G, aut)[1]
+    f, _, centralizer = list(realize._hom_orbit_reps(G, aut))[1]
     frame = realize.generator_frame(G)
     assert len(list(realize._crossed_hom_reps(f, centralizer, N, frame))) == 1
     twice = [aut.identity_index] * 2
@@ -739,6 +753,27 @@ FIRST_HIT_PAIRS = [
 )
 def test_first_witness_matches_canonical_scan(g, n):
     w = realizable_via_cocycles(g.group, n.group)
-    assert (None if w is None else (w.f.images, w.g)) == naive_first_witness(
+    assert (None if w is None else (w.f.images, w.g)) == canonical_first_witness(
         g.group, n.group
     )
+
+
+def test_cyclic_candidates_are_kept_per_n():
+    # every generator's candidates, read through N's dict, equal a direct
+    # scan for each f the engine walks on every catalog pair up to order
+    # 66, and so does every entry the engines left in the dict; a repeated
+    # key gives back the same list
+    for order in [4, 12] + [n for n in range(1, 67) if is_squarefree(n)]:
+        for g, n in catalog_pairs(order):
+            G, N = g.group, n.group
+            aut = automorphism_group(N)
+            for f, _, _ in realize._hom_orbit_reps(G, aut):
+                for a in realize.generator_frame(G)[0]:
+                    key = (f.image_perm(a), G.order_of(a))
+                    got = realize._cyclic_candidates(N, *key)
+                    assert got == realize._cyclic_consistent_images(N, *key)
+                    assert realize._cyclic_candidates(N, *key) is got
+        for n in catalog(order):
+            N = n.group
+            for key, got in N._cyclic_images.items():
+                assert got == realize._cyclic_consistent_images(N, *key)
