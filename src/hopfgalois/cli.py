@@ -137,7 +137,7 @@ def _cmd_regular_subgroups(args):
         counts[r.iso_text] = counts.get(r.iso_text, 0) + 1
     result = {
         "hol_of": n_spec.text(),
-        "hol_order": len(hol.group),
+        "hol_order": len(hol.n_group) * len(hol.aut),
         "strategy": records[0].strategy if records else "none",
         "total": len(records),
         "counts": dict(sorted(counts.items())),

@@ -12,7 +12,6 @@ cross-checks need.
 from __future__ import annotations
 
 import functools
-import operator
 from math import gcd
 
 from . import perm
@@ -280,8 +279,7 @@ def automorphism_group(N: PermGroup) -> PermGroup:
     """
     transversal, stabilizer = _aut_chain(N)
     a = next(iter(transversal))
-    # itemgetter(*s)(t) is t o s in one C call; on one point it is tuple
-    composers = [operator.itemgetter(*s) for s in stabilizer] if len(N) > 1 else [tuple]
+    composers = [perm.composer(s) for s in stabilizer]
     elements = []
     for c, t in transversal.items():
         for compose_s in composers:
@@ -293,15 +291,17 @@ def automorphism_group(N: PermGroup) -> PermGroup:
 
 
 class HolomorphGroup(Record, frozen=False):
-    """Hol(N) on N's element indices, with tagged embeddings.
+    """Hol(N) on N's element indices, in coordinates.
 
-    ``lam[t]`` is the left translation by element t, ``iota[a]`` the
-    automorphism with index a, and ``tags`` recovers the (translation,
-    automorphism) pair of any holomorph element: h = lam[t] * iota[a].
+    ``lam[t]`` is the left translation by element t and ``iota[a]`` the
+    automorphism with index a; h = lam[t] * iota[a] is the pair (t, a).
     In these coordinates the product is
     (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2), three table lookups;
-    ``realize`` searches regular subgroups this way.  Hashed by identity,
-    so it can key a memo.
+    ``realize`` searches regular subgroups this way.  ``group`` (Hol(N)
+    as a PermGroup) and ``tags`` (each element's pair) list all
+    |N|·|Aut N| permutations; when both are missing, as ``holomorph``
+    leaves them, the first read of either builds both.  Hashed by
+    identity, so it can key a memo.
     """
 
     group: PermGroup
@@ -311,38 +311,47 @@ class HolomorphGroup(Record, frozen=False):
     iota: tuple
     tags: dict
 
+    def __getattr__(self, name):
+        # reached only for a field missing from __dict__, as ``holomorph``
+        # leaves group and tags
+        if name not in ("group", "tags"):
+            raise AttributeError(name)
+        N, aut, lam, iota = self.n_group, self.aut, self.lam, self.iota
+        pairs = [(t, a) for t in range(len(N)) for a in range(len(aut))]
+        perms = [perm.compose(lam[t], iota[a]) for t, a in pairs]
+        gens = [lam[N.index_of(g)] for g in N.generators]
+        gens += [iota[b] for b in _generating_set(aut.rows(), aut.identity_index)]
+        label = Holomorph(N.label) if N.label is not None else None
+        # PermGroup refuses a repeated element
+        self.__dict__.setdefault("group", PermGroup(len(N), perms, generators=gens, label=label))
+        self.__dict__.setdefault("tags", dict(zip(perms, pairs)))
+        return self.__dict__[name]
+
+    def _values(self):
+        # through getattr, so that repr builds what ``holomorph`` left out
+        return tuple(getattr(self, f) for f in self._fields)
+
 
 @functools.cache
 def holomorph(N: PermGroup) -> HolomorphGroup:
-    """The permutations of N generated by translations and automorphisms,
-    built once per group object.  Raises BoundExceededError before any
-    is built, and before Aut(N) is listed, when |N|·|Aut N| of them would
-    pass ``SIZE_LIMIT``; ``automorphism_order`` gives |Aut N|.  It first
+    """Hol(N) in coordinates, built once per group object; ``group`` and
+    ``tags`` wait for their first read.  Raises BoundExceededError before
+    Aut(N) is listed when the |N|·|Aut N| permutations would pass
+    ``SIZE_LIMIT``; ``automorphism_order`` gives |Aut N|.  It first
     refuses on |N| alone, before Aut(N) is searched, when even 3|N| of
     them would pass: a group of order above 6 has at least 3
     automorphisms, and below that the check cannot fail.  So every N
-    above ``TABLE_LIMIT`` is refused at once.  The generators are the
-    translations by N's generators and a greedy generating set of
-    Aut(N), at most log2 |Aut N| automorphisms.
+    above ``TABLE_LIMIT`` is refused at once.  The generators of
+    ``group`` are the translations by N's generators and a greedy
+    generating set of Aut(N), at most log2 |Aut N| automorphisms.
     """
     check_size(3 * len(N), len(N))
     check_size(len(N) * automorphism_order(N), len(N))
     aut = automorphism_group(N)
     lam = tuple(left_translation(N, t) for t in range(len(N)))
-    iota = tuple(aut.elements)
-    tags = {}
-    for t, lam_t in enumerate(lam):
-        for a, alpha in enumerate(iota):
-            h = perm.compose(lam_t, alpha)
-            if h in tags:
-                raise PreconditionError("holomorph pair collision")  # pragma: no cover
-            tags[h] = (t, a)
-    gens = [lam[N.index_of(g)] for g in N.generators] + [
-        iota[b] for b in _generating_set(aut.rows(), aut.identity_index)
-    ]
-    label = Holomorph(N.label) if N.label is not None else None
-    group = PermGroup(len(N), tags, generators=gens, label=label)
-    return HolomorphGroup(group, N, aut, lam, iota, tags)
+    hol = HolomorphGroup(None, N, aut, lam, aut.elements, None)
+    del hol.group, hol.tags  # built by ``__getattr__`` on their first read
+    return hol
 
 
 # The small-order catalog.

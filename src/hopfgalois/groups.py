@@ -195,10 +195,8 @@ class PermGroup:
                     y = row[y]
                     powers.append(y)
             else:
-                # x is not the identity, so it moves two points or more
-                # and the itemgetter returns tuples
                 p = els[x]
-                step, cycle = operator.itemgetter(*p), [p]
+                step, cycle = perm.composer(p), [p]
                 while p != ident:
                     p = step(p)
                     cycle.append(p)

@@ -170,16 +170,13 @@ def subgroup_from_cocycle(c: CrossedHom, hol: HolomorphGroup) -> RegularSubgroup
     G = c.domain
     if not c.bijective:
         raise PreconditionError("cocycle witness must be bijective")
-    perms = set()
-    for a in range(len(G)):
-        h = perm.compose(hol.lam[c.g[a]], hol.iota[c.f.images[a]])
-        perms.add(h)
+    perms = {perm.compose(hol.lam[c.g[a]], hol.iota[c.f.images[a]]) for a in range(len(G))}
     if len(perms) != len(G):
         raise CountingBugError("cocycle image has repeated holomorph elements")
     for p, q in itertools.product(perms, repeat=2):
         if perm.compose(p, q) not in perms:
             raise CountingBugError("cocycle image is not closed")
-    sub = PermGroup(hol.group.degree, perms)
+    sub = PermGroup(len(hol.n_group), perms)
     if not is_regular(sub):
         raise CountingBugError("cocycle image is not regular")
     if are_isomorphic(sub, G) is None:
@@ -493,35 +490,45 @@ def _semiregular_classes(hol: HolomorphGroup):
     """The pool of ``_pair_search``, split into Hol(N)-conjugacy classes.
 
     The pool is the non-identity semiregular elements of Hol(N), as codes
-    t * |Aut N| + a of their (t, a) pairs, ordered by descending element
-    order, then by permutation.  Returns (classes, conj, in_pool): one
-    (order, codes) per class, the ``_orbit`` of the class's first member
-    in pool order under the tables conj of ``_conjugators``, classes in
-    the order of those members; in_pool[c] is 1 for the codes in the pool.
-    Conjugation preserves semiregularity, so a conjugate outside the pool
-    raises CountingBugError.
+    t * |Aut N| + a of their (t, a) pairs.  Returns (classes, conj,
+    in_pool, element): one (order, codes) per class, the ``_orbit`` of its
+    least permutation under the tables conj of ``_conjugators``, classes
+    ordered by descending order, then by that permutation; in_pool[c] is
+    1 for the codes in the pool; element(c) is the permutation of code c,
+    one ``perm.composer`` call.  Conjugation preserves semiregularity,
+    so the orbits of all codes are walked and each is tested once, on its
+    greatest code.  The least codes, 0 to |Aut N| - 1, have t-part 0, N's
+    identity, and fix that point: a pool class holding one mixes
+    semiregular and other elements.  That, or a conj table that is not a
+    bijection of the codes, raises CountingBugError.
     """
     m, size = len(hol.n_group), len(hol.aut)
-    pool = []
-    for p, (t, a) in hol.tags.items():
-        k = perm.semiregular_order(p)
-        if k > 1:
-            pool.append((-k, p, t * size + a))
-    pool.sort()
-    in_pool = bytearray(m * size)
-    for _, _, c in pool:
-        in_pool[c] = 1
+    lam, composers = hol.lam, [perm.composer(alpha) for alpha in hol.iota]
     conj = _conjugators(hol)
-    if not all(in_pool[image[c]] for image in conj for _, _, c in pool):
-        raise CountingBugError("a conjugate of a semiregular element is not one")
-    classes = []
-    seen = set()
-    for k, _, c in pool:
-        if c not in seen:
-            codes = _orbit(c, lambda x: [image[x] for image in conj])
-            seen.update(codes)
-            classes.append((-k, codes))
-    return classes, conj, in_pool
+    codes = list(range(m * size))
+    if any(sorted(image) != codes for image in conj):
+        raise CountingBugError("a conjugation table is not a bijection, so semiregular classes mix")
+
+    def images(x):
+        return [image[x] for image in conj]
+
+    def element(c):
+        return composers[c % size](lam[c // size])
+
+    seen, leaders = set(), []
+    # the generator reads seen as the loop body fills it
+    for orbit in (_orbit(c, images) for c in codes if c not in seen):
+        seen.update(orbit)
+        k = perm.semiregular_order(element(max(orbit)))
+        if k > 1:
+            leaders.append(min((-k, element(x), x) for x in orbit))
+    classes = [(-k, _orbit(x, images)) for k, _, x in sorted(leaders)]
+    in_pool = bytearray(m * size)
+    for c in itertools.chain.from_iterable(orbit for _, orbit in classes):
+        in_pool[c] = 1
+    if any(in_pool[:size]):
+        raise CountingBugError("a semiregular class holds an element fixing N's identity")
+    return classes, conj, in_pool, element
 
 
 def _pair_search(hol: HolomorphGroup):
@@ -556,7 +563,7 @@ def _pair_search(hol: HolomorphGroup):
     m, size = len(N), len(aut)
     ntab, atab, iota = N.table(), aut.table(), hol.iota
     e_t, e_a = N.identity_index, aut.identity_index
-    classes, conj, in_pool = _semiregular_classes(hol)
+    classes, conj, in_pool, element = _semiregular_classes(hol)
     found: dict = {}  # subgroup as a frozenset of element codes -> subgroup id
     member: dict = {}  # element code -> ids of the subgroups holding it
     orbits = []
@@ -628,11 +635,7 @@ def _pair_search(hol: HolomorphGroup):
             sub = close((x, divmod(cy, size)))
             if sub is not None:
                 record(sub)
-    lam = hol.lam
-    return [
-        [frozenset(perm.compose(lam[c // size], iota[c % size]) for c in sub) for sub in orbit]
-        for orbit in orbits
-    ]
+    return [[frozenset(map(element, sub)) for sub in orbit] for orbit in orbits]
 
 
 def _check_search_bound(m: int):
@@ -662,7 +665,7 @@ def regular_subgroups(hol: HolomorphGroup) -> tuple[RegularSubgroupRecord, ...]:
     entries = catalog(m)
     records = []
     for orbit in _pair_search(hol):
-        subs = [PermGroup(hol.group.degree, S) for S in orbit]
+        subs = [PermGroup(m, S) for S in orbit]
         idx = class_index(subs[0], entries)
         text = entries[idx].spec.text()
         records += [

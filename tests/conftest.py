@@ -11,12 +11,15 @@ division, and catalogs by testing every twist against the classes found
 so far, and coprime cyclic splittings by testing every pair of subgroups
 from ``all_subgroups``; element orders are read off cycle lengths and
 inverses off ``perm.inverse``, the least conjugate of a homomorphism
-by scanning all of Aut(N), and a smallest generating set by closing every
-combination of elements in turn.  They exist so the fast engines can be
-checked against something slow and obviously correct.  One is not
+by scanning all of Aut(N), a smallest generating set by closing every
+combination of elements in turn, compositions by a generator
+expression, and Hol(N) and its semiregular classes by listing and
+testing every element.  They exist so the fast engines can be
+checked against something slow and obviously correct.  Two are not
 independent: ``canonical_first_witness`` runs the library's own plain
 scan, every f of ``homomorphisms`` in turn, which the orbit engine's
-first witness must equal.
+first witness must equal, and ``per_element_semiregular_classes`` walks
+the library's own conjugation tables.
 """
 
 import itertools
@@ -36,9 +39,16 @@ from hopfgalois import (
     homomorphisms,
     perm,
 )
+from hopfgalois import realize
 from hopfgalois.brace import group_table_identity
-from hopfgalois.errors import CountingBugError, PreconditionError, UnsupportedOrderError
+from hopfgalois.errors import (
+    CountingBugError,
+    DegreeMismatchError,
+    PreconditionError,
+    UnsupportedOrderError,
+)
 from hopfgalois.factory import (
+    Holomorph,
     _prettify,
     _semidirect_pair,
     _twists,
@@ -46,6 +56,8 @@ from hopfgalois.factory import (
     is_squarefree,
 )
 from hopfgalois.groups import (
+    PermGroup,
+    _generating_set,
     _reach,
     all_subgroups,
     is_c_group,
@@ -481,3 +493,66 @@ def decompose_cases(top):
             yield e.spec.text(), e.group
             if order % 4 == 2:
                 yield f"{e.spec.text()} odd part", unique_odd_part(e.group)
+
+
+def generator_compose(p, q):
+    """x -> p(q(x)) by a generator expression over q."""
+    if len(p) != len(q):
+        raise DegreeMismatchError(f"degree {len(p)} vs {len(q)}")
+    return tuple(p[x] for x in q)
+
+
+def eager_holomorph(hol):
+    """(group, tags) of Hol(N) from ``hol.lam`` and ``hol.iota``, every
+    element lam[t] * iota[a] listed by ``generator_compose``: the
+    permutation group, generated by the translations by N's generators
+    and a greedy generating set of Aut(N), and the (t, a) pair of each
+    element."""
+    N, aut = hol.n_group, hol.aut
+    tags = {}
+    for t, lam_t in enumerate(hol.lam):
+        for a, alpha in enumerate(hol.iota):
+            h = generator_compose(lam_t, alpha)
+            assert h not in tags
+            tags[h] = (t, a)
+    gens = [hol.lam[N.index_of(g)] for g in N.generators] + [
+        hol.iota[b] for b in _generating_set(aut.rows(), aut.identity_index)
+    ]
+    label = Holomorph(N.label) if N.label is not None else None
+    return PermGroup(len(N), tags, generators=gens, label=label), tags
+
+
+def per_element_semiregular_classes(hol):
+    """(classes, conj, in_pool, element) as ``realize._semiregular_classes``
+    gives them, with every element of ``eager_holomorph`` tested: the pool
+    is each non-identity semiregular element, as the code t * |Aut N| + a,
+    sorted by descending order, then permutation, and each class is the
+    ``realize._orbit`` of its first pool member under the tables of
+    ``realize._conjugators``; element(c) is ``generator_compose`` of the
+    code's pair.  A conjugate of a pool element outside the pool raises
+    CountingBugError."""
+    m, size = len(hol.n_group), len(hol.aut)
+    pool = []
+    for p, (t, a) in eager_holomorph(hol)[1].items():
+        k = perm.semiregular_order(p)
+        if k > 1:
+            pool.append((-k, p, t * size + a))
+    pool.sort()
+    in_pool = bytearray(m * size)
+    for _, _, c in pool:
+        in_pool[c] = 1
+    conj = realize._conjugators(hol)
+    if not all(in_pool[image[c]] for image in conj for _, _, c in pool):
+        raise CountingBugError("a conjugate of a semiregular element is not one")
+    classes = []
+    seen = set()
+    for k, _, c in pool:
+        if c not in seen:
+            codes = realize._orbit(c, lambda x: [image[x] for image in conj])
+            seen.update(codes)
+            classes.append((-k, codes))
+
+    def element(c):
+        return generator_compose(hol.lam[c // size], hol.iota[c % size])
+
+    return classes, conj, in_pool, element

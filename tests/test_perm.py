@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hopfgalois import perm
 from hopfgalois.errors import DegreeMismatchError
+
+from conftest import generator_compose
 
 
 def test_compose_identity():
@@ -28,6 +31,35 @@ def test_compose_pointwise():
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         perm.compose((1, 0), (0, 1, 2))
+
+
+@st.composite
+def _perm_pair(draw):
+    degree = draw(st.integers(0, 40))
+    return tuple(draw(st.permutations(range(degree)))), tuple(draw(st.permutations(range(degree))))
+
+
+@settings(deadline=None, derandomize=True)
+@given(_perm_pair())
+@example(((), ()))
+@example(((0,), (0,)))
+def test_compose_matches_generator_expression(pair):
+    # one itemgetter call, a tuple at every degree, degrees 0 and 1 included
+    p, q = pair
+    assert perm.compose(p, q) == generator_compose(p, q)
+    assert type(perm.compose(p, q)) is tuple
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.integers(0, 40))
+def test_compose_refuses_mixed_degrees(d1, d2):
+    p, q = perm.identity(d1), perm.identity(d2)
+    if d1 == d2:
+        assert perm.compose(p, q) == generator_compose(p, q)
+    else:
+        for f in (perm.compose, generator_compose):
+            with pytest.raises(DegreeMismatchError):
+                f(p, q)
 
 
 def test_sign():

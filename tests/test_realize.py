@@ -18,6 +18,7 @@ from hopfgalois import (
     holomorph,
     homomorphisms,
     is_regular,
+    parse_group_spec,
     realizable_via_cocycles,
     realizable_via_search,
     regular_subgroups,
@@ -28,6 +29,7 @@ from hopfgalois import (
 from hopfgalois import factory, perm, realize
 from hopfgalois.errors import BoundExceededError, CountingBugError, PreconditionError
 from hopfgalois.factory import is_squarefree
+from hopfgalois.groups import PermGroup
 from hopfgalois.realize import hom_orbits
 
 from conftest import (
@@ -36,8 +38,10 @@ from conftest import (
     brute_force_bijective_crossed_homs,
     brute_force_subgroups,
     canonical_first_witness,
+    eager_holomorph,
     inverse_lookup,
     least_conjugate,
+    per_element_semiregular_classes,
 )
 
 # every catalog order up to the Hol(N) search bound
@@ -300,6 +304,45 @@ def test_search_orbits_are_conjugacy_orbits(order):
             assert r.iso_index == class_index(r.subgroup, entries), entry.spec.text()
 
 
+# the catalog orders, and groups built from specs, some not from the catalog
+SEARCH_CASES = CATALOG_ORDERS + ["A4", "C2xC2", "C2xC6", "Hol(C3)", "C1"]
+
+
+def _search_groups(case):
+    if isinstance(case, int):
+        return [(e.spec.text(), e.group) for e in catalog(case)]
+    return [(case, build(parse_group_spec(case)))]
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES)
+def test_semiregular_classes_match_per_element_oracle(case):
+    # the classes, tables and pool equal those found by listing Hol(N) and
+    # testing every element for semiregularity, and each code's permutation
+    # equals the one composed by a generator expression
+    for name, N in _search_groups(case):
+        hol = holomorph(N)
+        *found, element = realize._semiregular_classes(hol)
+        *expected, oracle_element = per_element_semiregular_classes(hol)
+        assert found == expected, name
+        codes = range(len(N) * len(hol.aut))
+        assert list(map(element, codes)) == list(map(oracle_element, codes)), name
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES)
+def test_search_leaves_the_permutations_unbuilt(case):
+    # a fresh copy of N keys a fresh holomorph; the search reads only its
+    # coordinates, and the permutations built on a later read are the
+    # eager build's
+    for name, N in _search_groups(case):
+        hol = holomorph(PermGroup(N.degree, N.elements, generators=N.generators, label=N.label))
+        regular_subgroups(hol)
+        assert "group" not in vars(hol) and "tags" not in vars(hol), name
+        group, tags = eager_holomorph(hol)
+        assert list(hol.tags.items()) == list(tags.items()), name
+        built = (hol.group.degree, hol.group.elements, hol.group.generators, hol.group.label)
+        assert built == (group.degree, group.elements, group.generators, group.label), name
+
+
 def _leave_the_pool(hol):
     # a table onto elements that fix N's identity, none of them semiregular
     size = len(hol.aut)
@@ -307,18 +350,46 @@ def _leave_the_pool(hol):
     return [[e_t * size + c % size for c in range(len(hol.n_group) * size)]]
 
 
-def _repeat_a_t_part(hol):
-    # every pool element goes to one pool element, so a conjugate
-    # subgroup has a single non-identity t-part
+def _collapse_the_codes(hol):
+    # every code goes to one pool element: no bijection, so the classes
+    # it would give are no conjugacy classes
     size = len(hol.aut)
     t, a = next(tag for p, tag in hol.tags.items() if perm.semiregular_order(p) > 1)
     return [[t * size + a] * (len(hol.n_group) * size)]
 
 
+def _repeat_a_t_part(hol):
+    # a bijection that swaps the translation lam[t1] with an involution
+    # (t2, a) outside the translations, t1 != t2: the pool stays the
+    # same, but the translation subgroup goes to a set holding t-part t2
+    # twice
+    N, size = hol.n_group, len(hol.aut)
+    e_a = hol.aut.identity_index
+    t2, a = next(
+        tag for p, tag in hol.tags.items() if perm.semiregular_order(p) == 2 and tag[1] != e_a
+    )
+    t1 = next(t for t in range(len(N)) if N.order_of(t) == 2 and t != t2)
+    table = list(range(len(N) * size))
+    table[t1 * size + e_a], table[t2 * size + a] = t2 * size + a, t1 * size + e_a
+    return [table]
+
+
+def _shift_the_t_parts(hol):
+    # a bijection (t, a) -> (t + 1, a) that is no conjugation: its orbits
+    # mix semiregular elements with ones that fix a point
+    m, size = len(hol.n_group), len(hol.aut)
+    return [[(c // size + 1) % m * size + c % size for c in range(m * size)]]
+
+
 @pytest.mark.parametrize(
     "broken, message",
-    [(_leave_the_pool, "semiregular"), (_repeat_a_t_part, "t-part")],
-    ids=["pool", "t-parts"],
+    [
+        (_leave_the_pool, "semiregular"),
+        (_repeat_a_t_part, "t-part"),
+        (_collapse_the_codes, "not a bijection, so semiregular"),
+        (_shift_the_t_parts, "semiregular class holds an element fixing"),
+    ],
+    ids=["pool", "t-parts", "no-bijection", "fixed-point"],
 )
 def test_broken_conjugation_is_a_bug(monkeypatch, broken, message):
     conjugators = realize._conjugators
