@@ -8,10 +8,12 @@ additive identity to a.
 
 from __future__ import annotations
 
+import functools
 from operator import itemgetter
 
 from .errors import PreconditionError, Record
 from .groups import PermGroup, _generating_set, is_regular
+from .perm import composer
 
 
 class SkewBrace(Record):
@@ -29,15 +31,20 @@ def group_table_identity(table):
     return None
 
 
-def _is_additive(f, cols, gens):
-    """f(x + s) = f(x) + f(s) for every x and every s in ``gens``.
+def _is_additive(f, cols, shifts):
+    """f(x + s) = f(x) + f(s) for every x and every s in S.
 
-    ``cols`` are the columns of the addition table, cols[y][x] = x + y.
+    ``cols`` are the columns of the addition table, cols[y][x] = x + y,
+    and ``shifts`` pairs each s in S with the getter f -> (x -> f(x + s)).
     The s that satisfy this for every x are closed under +, so checking s
     in a generating set proves f additive on the whole group.
     """
-    # itemgetter(*p)(q) is the composite x -> q[p[x]], as a tuple
-    return all(itemgetter(*cols[s])(f) == itemgetter(*f)(cols[f[s]]) for s in gens)
+    # composer(p)(q) is the composite x -> q[p[x]], as a tuple
+    at = composer(f)
+    for s, shift in shifts:
+        if shift(f) != at(cols[f[s]]):
+            return False
+    return True
 
 
 def _group_generators(table):
@@ -67,6 +74,30 @@ def _group_generators(table):
     return e, gens
 
 
+def _additive(add):
+    """(e, negatives, columns, shifts) of an addition table, or None if it
+    is not a group table.
+
+    ``shifts`` pairs each s of the generating set S with the getter
+    f -> (x -> f(x + s)) that ``_is_additive`` applies.  This is structure
+    of ``add`` alone, kept for one table value (rows as tuples, so list
+    rows are accepted too): braces arrive grouped by their additive
+    group, so one entry serves every brace of that N.
+    """
+    return _additive_of(tuple(map(tuple, add)))
+
+
+@functools.lru_cache(maxsize=1)
+def _additive_of(add):
+    found = _group_generators(add)
+    if found is None:
+        return None
+    e, gens = found
+    cols = tuple(zip(*add))
+    shifts = tuple((s, composer(cols[s])) for s in gens)
+    return e, tuple(row.index(e) for row in add), cols, shifts
+
+
 def brace_from_regular(R: PermGroup, N: PermGroup) -> SkewBrace:
     """The brace induced on N's carrier by a regular subgroup of Hol(N).
 
@@ -93,11 +124,6 @@ def trivial_brace(N: PermGroup) -> SkewBrace:
     return SkewBrace(len(N), add, add)
 
 
-def _negatives(add, e):
-    """-a for every a, read off the addition table."""
-    return [row.index(e) for row in add]
-
-
 def verify_brace(B: SkewBrace) -> bool:
     """Both tables groups of order ``size``, shared identity, brace law.
 
@@ -106,23 +132,26 @@ def verify_brace(B: SkewBrace) -> bool:
     lambda_a(b + c) = lambda_a(b) + lambda_a(c) for all b are closed under
     +, so the law is checked for c in a generating set S of (N, +) only:
     O(n^2 |S|) instead of all n^3 triples, with the same verdict.
+
+    The additive structure (identity, S, negatives, columns) is computed
+    once per table value and shared with every later check on an equal
+    table.  The multiplicative table gets Light's test and the law is
+    checked for every a on every call: no verdict is kept.
     """
     add, mul = B.add_table, B.mul_table
     n = B.size
     if len(add) != n or len(mul) != n:
         return False
-    found = _group_generators(add)
+    found = _additive(add)
     if found is None:
         return False
-    e, gens = found
+    e, neg, cols, shifts = found
     mul_found = _group_generators(mul)
     if mul_found is None or mul_found[0] != e:
         return False
-    neg = _negatives(add, e)
-    cols = list(zip(*add))
     for a in range(n):
         # lambda_a as a tuple: x -> -a + a o x
-        if not _is_additive(itemgetter(*mul[a])(add[neg[a]]), cols, gens):
+        if not _is_additive(composer(mul[a])(add[neg[a]]), cols, shifts):
             return False
     return True
 
@@ -134,28 +163,28 @@ def lambda_circ_in_hol(B: SkewBrace) -> bool:
     identity into a translation part and a remainder, and test the
     remainder for additivity on a generating set of (N, +), which the
     closure argument of ``verify_brace`` makes exact.  No precomputed
-    automorphism list is used, and the generating set is derived here
-    from the additive table, which keeps this independent of the brace
-    law check.  Raises ``PreconditionError`` unless the additive table is
-    a group table of order ``size``; a multiplicative table of another
-    size is not in the holomorph.
+    automorphism list is used.  The additive structure comes from the
+    same once-per-table-value memo as ``verify_brace``'s, which holds the
+    output of the ``_group_generators`` kernel on the additive table and
+    nothing else: the two checks share that kernel, never a verdict.
+    Raises ``PreconditionError`` unless the additive table is a group
+    table of order ``size``; a multiplicative table of another size is
+    not in the holomorph.
     """
     add, mul = B.add_table, B.mul_table
     n = B.size
-    found = _group_generators(add) if len(add) == n else None
+    found = _additive(add) if len(add) == n else None
     if found is None:
         raise PreconditionError("additive table is not a group table of order size")
     if len(mul) != n:
         return False
-    e, gens = found
+    e, neg, cols, shifts = found
     full = list(range(n))
-    neg = _negatives(add, e)
-    cols = list(zip(*add))
     for row in mul:
         if sorted(row) != full:
             return False
         # the row after the translation by -(a o e): x -> -(a o e) + a o x
-        if not _is_additive(itemgetter(*row)(add[neg[row[e]]]), cols, gens):
+        if not _is_additive(composer(row)(add[neg[row[e]]]), cols, shifts):
             return False
     return True
 

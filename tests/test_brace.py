@@ -361,10 +361,17 @@ def test_checks_match_oracles_on_every_brace_up_to_order_30():
 
 def test_dropping_a_generator_is_caught(monkeypatch):
     # mutation check: a generating set short of its last element must
-    # make the comparison against the oracles fail somewhere
+    # make the comparison against the oracles fail somewhere.  The
+    # additive memo is emptied on both sides of the patch, so no entry
+    # built with the full set hides the mutation and no mutated entry
+    # outlives it.
     full = brace._generating_set
+    brace._additive_of.cache_clear()
     monkeypatch.setattr(brace, "_generating_set", lambda table, e: full(table, e)[:-1])
-    assert any(disagreements(B) for B in oracle_cases())
+    try:
+        assert any(disagreements(B) for B in oracle_cases())
+    finally:
+        brace._additive_of.cache_clear()
 
 
 @st.composite
@@ -405,3 +412,74 @@ def test_size_disagreeing_with_tables(add, mul, size):
             lambda_circ_in_hol(B)
     else:
         assert lambda_circ_in_hol(B) is False
+
+
+# Orders 0, 1 and 2: at order 1 an itemgetter over a row returns a scalar.
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_checks_at_orders_one_and_two(order):
+    N = C(order)
+    B = trivial_brace(N)
+    assert verify_brace(B) and lambda_circ_in_hol(B)
+    for rec in regular_subgroups(holomorph(N)):
+        B = brace_from_regular(rec.subgroup, N)
+        assert verify_brace(B) is brute_force_verify_brace(B) is True
+        assert lambda_circ_in_hol(B) is brute_force_lambda_circ_in_hol(B) is True
+
+
+def test_checks_at_order_zero():
+    B = SkewBrace(0, (), ())
+    assert verify_brace(B) is False
+    with pytest.raises(PreconditionError):
+        lambda_circ_in_hol(B)
+
+
+# The additive memo: keyed by the table's value, bounded, no verdicts.
+
+
+def swapped_row(mul, a, x, y):
+    """``mul`` with the entries at x and y of row a exchanged."""
+    rows = [list(r) for r in mul]
+    rows[a][x], rows[a][y] = rows[a][y], rows[a][x]
+    return tuple(map(tuple, rows))
+
+
+def test_list_rows_give_the_tuple_verdicts():
+    z4 = table_of(C(4))
+    v4 = table_of(build(DirectProduct(Cyclic(2), Cyclic(2))))
+    relabeled = relabel_table(z4, (0, 1, 3, 2))
+    for mul in (z4, relabeled, v4):
+        B = SkewBrace(4, z4, mul)
+        L = SkewBrace(4, [list(r) for r in z4], [list(r) for r in mul])
+        assert verify_brace(L) == verify_brace(B)
+        assert lambda_circ_in_hol(L) == lambda_circ_in_hol(B)
+    broken = [list(r) for r in z4]
+    broken[1][2], broken[1][3] = broken[1][3], broken[1][2]
+    for add in (broken, tuple(map(tuple, broken))):
+        B = SkewBrace(4, add, z4)
+        assert verify_brace(B) is False
+        with pytest.raises(PreconditionError):
+            lambda_circ_in_hol(B)
+
+
+def test_memo_keeps_no_verdict():
+    for N in (C(6), D(6)):
+        for rec in regular_subgroups(holomorph(N)):
+            B = brace_from_regular(rec.subgroup, N)
+            assert verify_brace(B) and lambda_circ_in_hol(B)
+            bad = SkewBrace(B.size, B.add_table, swapped_row(B.mul_table, 1, 2, 3))
+            assert not verify_brace(bad)
+            assert not brute_force_verify_brace(bad)
+            assert lambda_circ_in_hol(bad) == brute_force_lambda_circ_in_hol(bad)
+
+
+def test_memo_stays_within_its_bound():
+    info = brace._additive_of.cache_info()
+    assert info.maxsize == 1
+    for order in (4, 6, 10, 12):
+        for entry in catalog(order):
+            B = trivial_brace(entry.group)
+            assert verify_brace(B) and lambda_circ_in_hol(B)
+            info = brace._additive_of.cache_info()
+            assert info.currsize <= info.maxsize
