@@ -222,13 +222,15 @@ def _aut_chain(N: PermGroup):
     generator may go to any element of its order (``iso_candidates``).
     The stabilizer lists the automorphisms fixing a: the ``extend_images``
     solutions with a -> a.  The transversal maps each point c of a's
-    orbit to one automorphism t_c with t_c(a) = c.  The orbit is walked
-    first in, first out under the stabilizer and the movers found so far,
-    t_(g(x)) = g o t_x; a candidate the walk has not reached gets one scan
-    with a -> c, whose first solution is a new mover, and a scan with no
-    solution proves c outside the orbit.  So |Aut N| = |orbit| x
-    |stabilizer|, and Aut(N) = {t_c o s} (Sims 1970; Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
+    orbit to one automorphism t_c with t_c(a) = c.  The orbit is grown by
+    ``_reach`` from the points it holds under the stabilizer and the
+    movers found so far, and t_y = g o t_x is read off the parent link
+    (x, g) of each new point y = g(x); a candidate the walk has not
+    reached gets one scan with a -> c, whose first solution is a new
+    mover, and a scan with no solution proves c outside the orbit.  So
+    |Aut N| = |orbit| x |stabilizer|, and Aut(N) = {t_c o s} (Sims 1970;
+    Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+    ch. 4).
     """
     frame = generator_frame(N)
     cands = iso_candidates(N, N, frame[0])
@@ -240,25 +242,20 @@ def _aut_chain(N: PermGroup):
     stabilizer = tuple(scan(a))
     walkers = list(stabilizer)
     transversal = {a: perm.identity(len(N))}
-    orbit = [a]
 
-    def walk():
-        for x in orbit:  # a FIFO queue: the loop also visits what it appends
-            t = transversal[x]
-            for g in walkers:
-                y = g[x]
-                if y not in transversal:
-                    transversal[y] = tuple(map(g.__getitem__, t))
-                    orbit.append(y)
+    def images(x):
+        return [g[x] for g in walkers]
 
     for c in cands[0]:
         if c not in transversal:
             mover = next(scan(c), None)
             if mover is not None:
                 transversal[c] = mover
-                orbit.append(c)
                 walkers.append(mover)
-                walk()
+                order, parent = _reach(images, transversal, range(len(walkers)))
+                for y in order[len(transversal):]:
+                    x, pos = parent[y]
+                    transversal[y] = tuple(map(walkers[pos].__getitem__, transversal[x]))
     return transversal, stabilizer
 
 
@@ -491,16 +488,16 @@ def decompose_burnside(G: PermGroup):
     else:
         return None
     rows, e = G.rows(), G.identity_index
-    seen, cyclic = set(), []
+    step, seen, cyclic = rows.__getitem__, set(), []
     for x in range(n):
         if orders[x] == l and x not in seen:
-            S = tuple(sorted(_reach(rows, (e,), (x,))[0]))
+            S = tuple(sorted(_reach(step, (e,), (x,))[0]))
             seen.update(S)
             cyclic.append(S)
     u = orders.index(k)
     v = next(i for i in min(cyclic) if orders[i] == l)
     w = rows[rows[v][u]][G.inv(v)]
-    powers = _reach(rows, (u,), (u,))[0]  # u, u^2, ..., u^k = e
+    powers = _reach(step, (u,), (u,))[0]  # u, u^2, ..., u^k = e
     if w not in powers:
         raise PreconditionError("conjugate left the cyclic factor")  # pragma: no cover
     return k, l, powers.index(w) + 1

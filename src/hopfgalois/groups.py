@@ -10,8 +10,14 @@ Aut(N) is first found as a two-level chain (``factory._aut_chain``), so
 its order is known before its elements are listed.
 Every product is read from ``PermGroup.rows()``, but for the power walk
 behind the order and inverse tables, which composes when no table is
-built rather than build one; every closure under generators is the one
-breadth-first walk ``_reach``.
+built rather than build one.  Every orbit is walked by the one
+breadth-first walk ``_reach``: spans in a group table, the greedy
+generating set, the orbit of Aut(N)'s chain and realize's Hol(N)
+classes and subgroup orbits.  Only three kinds of walk are written
+apart: ``closure``, which stops at its cap; the subgroup queue of
+``_subgroup_sets``; and the pair closures of realize's search and of
+counting's direct count, which stop at the first element outside the
+pool.
 """
 
 from __future__ import annotations
@@ -234,7 +240,7 @@ class PermGroup:
         if orders[by_order[0]] == n:  # cyclic, or trivial
             self._min_gens = (self.elements[by_order[0]],)
             return self._min_gens
-        start, rows = (self.identity_index,), self.rows()
+        start, step = (self.identity_index,), self.rows().__getitem__
 
         def first(prefix, span, pos, size):
             # the first generating combination of ``size`` that extends
@@ -245,7 +251,7 @@ class PermGroup:
                 if any(y in S for S in spanned):
                     continue
                 combo = prefix + (y,)
-                reached = _reach(rows, start, combo)[0]
+                reached = _reach(step, start, combo)[0]
                 if len(combo) == size:
                     if len(reached) == n:
                         return combo
@@ -373,39 +379,45 @@ def is_regular(H: PermGroup) -> bool:
 def _generating_set(table, e):
     """Elements whose left-to-right products reach every element of a loop.
 
-    Greedy: an element not reached yet joins the set, and the reached
-    elements are then closed again under right multiplication by the set.
-    ``table`` must hold entries in range(n) and have two-sided identity
-    ``e``.  For a group this takes at most log2(n) elements.
+    Greedy: an element not reached yet joins the set, and ``_reach`` then
+    closes the reached elements under right multiplication by the set.
+    They hold e, so that is the closure of {e}, which a walk restarted
+    from e would reach too.  ``table`` must hold entries in range(n) and
+    have two-sided identity ``e``; it need not be associative, since
+    ``brace`` runs this before Light's test.  For a group this takes at
+    most log2(n) elements.
     """
-    gens = []
-    reached = {e}
+    gens, reached, step = [], (e,), table.__getitem__
     for x in range(len(table)):
-        if x in reached:
-            continue
-        gens.append(x)
-        reached = {e}
-        stack = [e]
-        while stack:
-            row = table[stack.pop()]
-            for s in gens:
-                y = row[s]
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
+        if x not in reached:
+            gens.append(x)
+            reached = _reach(step, reached, gens)[1]
     return gens
 
 
-def _reach(rows, start, gens):
-    """(order, parent) of the breadth-first walk from ``start`` by right
-    multiplication by ``gens``: ``order`` lists ``start``, then each
-    element as first reached, at y = x * gens[pos] with parent[y] = (x,
-    pos), None on ``start``.  From a subset of <gens> it reaches <gens>."""
+def _reach(step, start, gens):
+    """(order, parent) of the breadth-first walk from ``start`` by the
+    generators at ``gens``: ``order`` lists ``start``, then each point as
+    first reached, at y = step(x)[gens[pos]] with parent[y] = (x, pos),
+    None on ``start``.
+
+    The one orbit walk (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 2005, ch. 4).  On a group table ``step`` is
+    ``rows.__getitem__``, and from a subset of <gens> the walk reaches
+    <gens>; ``factory._aut_chain`` and ``realize`` walk orbits of N's
+    indices, of Hol(N) codes and of subgroups, where step(x) lists x's
+    images by each generator and ``gens`` is their range.  Other walks
+    stay apart: ``closure`` stops at its cap, before it stores more
+    permutations; ``_subgroup_sets`` queues subgroups, each closed here;
+    and the pair closures of ``realize._pair_search`` and of the direct
+    count in ``counting`` stop at the first element outside the pool.
+    """
     order = list(start)
     parent = dict.fromkeys(order)
+    moves = tuple(enumerate(gens))
     for x in order:  # a FIFO queue: the loop also visits what it appends
-        row = rows[x]
-        for pos, g in enumerate(gens):
+        row = step(x)
+        for pos, g in moves:
             y = row[g]
             if y not in parent:
                 parent[y] = (x, pos)
@@ -423,7 +435,7 @@ def _subgroup_sets(G):
     check_lattice(len(G))
     e = G.identity_index
     atoms = [i for i, k in enumerate(G.orders()) if i != e and _is_prime_power(k)]
-    rows = G.rows()
+    step = G.rows().__getitem__
     trivial = frozenset({e})
     found = {trivial: ()}
     work = deque([trivial])
@@ -433,7 +445,7 @@ def _subgroup_sets(G):
         for a in atoms:
             if a in S:
                 continue
-            T = frozenset(_reach(rows, S, gens + (a,))[0])
+            T = frozenset(_reach(step, S, gens + (a,))[0])
             if T not in found:
                 found[T] = gens + (a,)
                 work.append(T)
@@ -581,7 +593,7 @@ def bfs_order(G: PermGroup, gen_idxs):
     the identity and parent[i] = (previous index, generator position) with
     elements[i] = elements[prev] * gens[pos].
     """
-    order, parent = _reach(G.rows(), (G.identity_index,), gen_idxs)
+    order, parent = _reach(G.rows().__getitem__, (G.identity_index,), gen_idxs)
     if len(order) != len(G):
         raise PreconditionError("generators do not generate the group")
     return order, parent
@@ -751,7 +763,7 @@ def are_isomorphic(G: PermGroup, H: PermGroup):
 def derived_subgroup(G: PermGroup) -> PermGroup:
     rows, inv, n = G.rows(), G.inverses(), range(len(G))
     comms = {rows[rows[rows[inv[a]][inv[b]]][a]][b] for a in n for b in n}
-    order, _ = _reach(rows, (G.identity_index,), sorted(comms))
+    order, _ = _reach(rows.__getitem__, (G.identity_index,), sorted(comms))
     return G.subgroup_from_indices(order)
 
 

@@ -40,6 +40,7 @@ from .groups import (
     Homomorphism,
     PermGroup,
     _generating_set,
+    _reach,
     check_table,
     extend_images,
     generator_frame,
@@ -469,38 +470,23 @@ def _conjugators(hol: HolomorphGroup):
     return tables
 
 
-def _orbit(x, images):
-    """The orbit of x, walked first in, first out from x.
-
-    ``images(y)`` lists the images of y under the generators of the
-    acting group; each new member is appended as it is first met.  Unlike
-    ``groups._reach``, which walks a group table by element index, x may
-    be any hashable value: a code, or a subgroup as a set of codes.
-    """
-    orbit, seen = [x], {x}
-    for y in orbit:
-        for z in images(y):
-            if z not in seen:
-                seen.add(z)
-                orbit.append(z)
-    return orbit
-
-
 def _semiregular_classes(hol: HolomorphGroup):
     """The pool of ``_pair_search``, split into Hol(N)-conjugacy classes.
 
     The pool is the non-identity semiregular elements of Hol(N), as codes
     t * |Aut N| + a of their (t, a) pairs.  Returns (classes, conj,
-    in_pool, element): one (order, codes) per class, the ``_orbit`` of its
-    least permutation under the tables conj of ``_conjugators``, classes
-    ordered by descending order, then by that permutation; in_pool[c] is
-    1 for the codes in the pool; element(c) is the permutation of code c,
-    one ``perm.composer`` call.  Conjugation preserves semiregularity,
-    so the orbits of all codes are walked and each is tested once, on its
-    greatest code.  The least codes, 0 to |Aut N| - 1, have t-part 0, N's
-    identity, and fix that point: a pool class holding one mixes
-    semiregular and other elements.  That, or a conj table that is not a
-    bijection of the codes, raises CountingBugError.
+    in_pool, element): one (order, codes) per class, its orbit walked
+    once by ``groups._reach`` under the tables conj of ``_conjugators``;
+    in_pool[c] is 1 for the codes in the pool; element(c) is the
+    permutation of code c, one ``perm.composer`` call.  Codes are walked in ascending order
+    and orbits are disjoint, so each class starts at its least code, and
+    classes come by descending order, then least code.  Conjugation
+    preserves semiregularity, so each orbit is tested once, on its
+    greatest code, and only that code is made a permutation.  The least
+    codes, 0 to |Aut N| - 1, have t-part 0, N's identity, and fix that
+    point: a pool class holding one mixes semiregular and other elements.
+    That, or a conj table that is not a bijection of the codes, raises
+    CountingBugError.
     """
     m, size = len(hol.n_group), len(hol.aut)
     lam, composers = hol.lam, [perm.composer(alpha) for alpha in hol.iota]
@@ -515,14 +501,15 @@ def _semiregular_classes(hol: HolomorphGroup):
     def element(c):
         return composers[c % size](lam[c // size])
 
-    seen, leaders = set(), []
-    # the generator reads seen as the loop body fills it
-    for orbit in (_orbit(c, images) for c in codes if c not in seen):
-        seen.update(orbit)
-        k = perm.semiregular_order(element(max(orbit)))
-        if k > 1:
-            leaders.append(min((-k, element(x), x) for x in orbit))
-    classes = [(-k, _orbit(x, images)) for k, _, x in sorted(leaders)]
+    seen, classes = set(), []
+    for c in codes:
+        if c not in seen:
+            orbit = _reach(images, (c,), range(len(conj)))[0]
+            seen.update(orbit)
+            k = perm.semiregular_order(element(max(orbit)))
+            if k > 1:
+                classes.append((k, orbit))
+    classes.sort(key=lambda kc: -kc[0])  # stable: ties keep least-code order
     in_pool = bytearray(m * size)
     for c in itertools.chain.from_iterable(orbit for _, orbit in classes):
         in_pool[c] = 1
@@ -547,12 +534,15 @@ def _pair_search(hol: HolomorphGroup):
 
     Hol(N) acts by conjugation on the pool and on the regular subgroups.
     So the first generator x is only the representative of each pool
-    class (``_semiregular_classes``), and the second y ranges over x's
-    class and the classes after it; every subgroup found is expanded at
-    once to its orbit.  That is complete: take R = <x', y'> with the class
-    of x' not after that of y', and h that conjugates x' to its
-    representative x; then hRh^-1 = <x, hy'h^-1> is closed from a pair
-    the search tries, and R lies in its orbit.  So the search finds every
+    class (``_semiregular_classes``: its least code), and the second y
+    ranges over x's class and the classes after it; every subgroup found
+    is expanded at once to its orbit, walked by ``groups._reach``.  That
+    is complete for any class order and any representative: take
+    R = <x', y'> with the class of x' not after that of y', and h that
+    conjugates x' to its representative x; then hRh^-1 = <x, hy'h^-1> is
+    closed from a pair the search tries, and R lies in its orbit.  The
+    pair closure is its own walk, since it stops at the first repeated
+    t-part or element outside the pool.  So the search finds every
     regular subgroup generated by at most two elements, which every
     catalog class is: squarefree orders give metacyclic groups, the
     classes at orders 4 and 12 are small, and the tests check each class.
@@ -603,7 +593,7 @@ def _pair_search(hol: HolomorphGroup):
         # A new subgroup brings its whole orbit into the skip index.
         if sub in found:
             return
-        orbit = _orbit(sub, conjugates)
+        orbit = _reach(conjugates, (sub,), range(len(conj)))[0]
         for conjugate in orbit:
             found[conjugate] = len(found)
             for c in conjugate:

@@ -12,9 +12,10 @@ so far, and coprime cyclic splittings by testing every pair of subgroups
 from ``all_subgroups``; element orders are read off cycle lengths and
 inverses off ``perm.inverse``, the least conjugate of a homomorphism
 by scanning all of Aut(N), a smallest generating set by closing every
-combination of elements in turn, compositions by a generator
-expression, and Hol(N) and its semiregular classes by listing and
-testing every element.  They exist so the fast engines can be
+combination of elements in turn, a greedy generating set by a walk
+restarted from the identity, compositions by a generator expression,
+random loops by backtracking, and Hol(N) and its semiregular classes by
+listing and testing every element.  They exist so the fast engines can be
 checked against something slow and obviously correct.  Two are not
 independent: ``canonical_first_witness`` runs the library's own plain
 scan, every f of ``homomorphisms`` in turn, which the orbit engine's
@@ -372,12 +373,63 @@ def every_combination_generating_set(G):
     by_order = sorted(range(n), key=lambda i: (-orders[i], i))
     if orders[by_order[0]] == n:  # cyclic, or trivial
         return (G.elements[by_order[0]],)
-    start, rows = (G.identity_index,), G.rows()
+    start, step = (G.identity_index,), G.rows().__getitem__
     for size in (2, 3):
         for combo in itertools.combinations(by_order, size):
-            if len(_reach(rows, start, combo)[0]) == n:
+            if len(_reach(step, start, combo)[0]) == n:
                 return tuple(G.elements[i] for i in combo)
     return None
+
+
+def restart_generating_set(table, e):
+    """``groups._generating_set`` as a restart walk: each element not
+    reached yet joins the set, and the reached set is rebuilt from {e}
+    alone by a stack walk under right multiplication by the whole set.
+    Any table with entries in range(n) and two-sided identity e will do;
+    it need not be associative."""
+    gens = []
+    reached = {e}
+    for x in range(len(table)):
+        if x in reached:
+            continue
+        gens.append(x)
+        reached = {e}
+        stack = [e]
+        while stack:
+            row = table[stack.pop()]
+            for s in gens:
+                y = row[s]
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    return gens
+
+
+def random_loop(rng, n):
+    """(table, e): a Latin square of order n with two-sided identity e,
+    filled cell by cell by backtracking over symbols in ``rng``'s order.
+    From order 5 on many such loops are not groups."""
+    e = rng.randrange(n)
+    table = [[None] * n for _ in range(n)]
+    for x in range(n):
+        table[e][x] = table[x][e] = x
+    cells = [(i, j) for i in range(n) for j in range(n) if e not in (i, j)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i]) | {row[j] for row in table}
+        for y in rng.sample(range(n), n):
+            if y not in used:
+                table[i][j] = y
+                if fill(k + 1):
+                    return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    return [tuple(row) for row in table], e
 
 
 def canonical_first_witness(G, N):
@@ -526,30 +578,35 @@ def per_element_semiregular_classes(hol):
     """(classes, conj, in_pool, element) as ``realize._semiregular_classes``
     gives them, with every element of ``eager_holomorph`` tested: the pool
     is each non-identity semiregular element, as the code t * |Aut N| + a,
-    sorted by descending order, then permutation, and each class is the
-    ``realize._orbit`` of its first pool member under the tables of
-    ``realize._conjugators``; element(c) is ``generator_compose`` of the
-    code's pair.  A conjugate of a pool element outside the pool raises
-    CountingBugError."""
+    sorted by descending order, then code, and each class is the orbit of
+    its first pool member, walked first in, first out by a loop of its own
+    under the tables of ``realize._conjugators``; element(c) is
+    ``generator_compose`` of the code's pair.  A conjugate of a pool
+    element outside the pool raises CountingBugError."""
     m, size = len(hol.n_group), len(hol.aut)
     pool = []
     for p, (t, a) in eager_holomorph(hol)[1].items():
         k = perm.semiregular_order(p)
         if k > 1:
-            pool.append((-k, p, t * size + a))
+            pool.append((-k, t * size + a))
     pool.sort()
     in_pool = bytearray(m * size)
-    for _, _, c in pool:
+    for _, c in pool:
         in_pool[c] = 1
     conj = realize._conjugators(hol)
-    if not all(in_pool[image[c]] for image in conj for _, _, c in pool):
+    if not all(in_pool[image[c]] for image in conj for _, c in pool):
         raise CountingBugError("a conjugate of a semiregular element is not one")
     classes = []
     seen = set()
-    for k, _, c in pool:
+    for k, c in pool:
         if c not in seen:
-            codes = realize._orbit(c, lambda x: [image[x] for image in conj])
-            seen.update(codes)
+            codes = [c]
+            seen.add(c)
+            for x in codes:  # first in, first out: visits what it appends
+                for image in conj:
+                    if image[x] not in seen:
+                        seen.add(image[x])
+                        codes.append(image[x])
             classes.append((-k, codes))
 
     def element(c):

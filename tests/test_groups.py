@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,6 +44,7 @@ from hopfgalois.groups import (
     Homomorphism,
     PermGroup,
     _base,
+    _generating_set,
     _reach,
     bfs_order,
     generator_frame,
@@ -63,6 +65,8 @@ from conftest import (
     inverse_lookup,
     lattice_is_almost_sylow_cyclic,
     lattice_is_c_group,
+    random_loop,
+    restart_generating_set,
 )
 
 
@@ -699,15 +703,74 @@ def test_minimal_generating_set_matches_every_combination_search():
     ] == []
 
 
+def test_generating_set_matches_restart_walk():
+    # the walk that resumes from the set reached so far finds the
+    # generators of the walk that restarts from the identity, on every
+    # catalog table up to order 210 and every Aut(N) table up to N = 66
+    assert [
+        name for name, G in generating_set_cases(210)
+        if _generating_set(G.table(), G.identity_index)
+        != restart_generating_set(G.table(), G.identity_index)
+    ] == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.integers(0, 2**32))
+def test_generating_set_matches_restart_walk_on_random_loops(n, seed):
+    # ``brace`` runs _generating_set before Light's associativity test,
+    # so its tables may be loops that are not groups
+    table, e = random_loop(random.Random(seed), n)
+    gens = _generating_set(table, e)
+    assert gens == restart_generating_set(table, e)
+    assert len(_reach(table.__getitem__, (e,), gens)[0]) == n
+
+
+def naive_orbit(step, start, gens):
+    # (order, parent) of a textbook breadth-first search with a deque
+    order, parent = [], {}
+    queue = deque()
+    for x in start:
+        if x not in parent:
+            parent[x] = None
+            order.append(x)
+            queue.append(x)
+    while queue:
+        x = queue.popleft()
+        for pos, g in enumerate(gens):
+            y = step(x)[g]
+            if y not in parent:
+                parent[y] = (x, pos)
+                order.append(y)
+                queue.append(y)
+    return order, parent
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.lists(st.permutations(range(d)), min_size=1, max_size=3),
+    st.lists(st.frozensets(st.integers(0, d - 1)), min_size=1, max_size=3, unique=True),
+)))
+def test_reach_on_frozensets_matches_naive_search(case):
+    # points may be any hashable value: here sets of points moved by
+    # permutations, as realize walks subgroups of Hol(N) under conjugation
+    perms, start = case
+
+    def step(S):
+        return [frozenset(p[x] for x in S) for p in perms]
+
+    found = _reach(step, start, range(len(perms)))
+    assert found == naive_orbit(step, start, range(len(perms)))
+
+
 def greedy_frame_is_greedy(G):
     # every index below generator k + 1 is reached from generators 0..k,
     # generator k + 1 is not, and the generators generate G
-    gens, rows, start = greedy_frame(G)[0], G.rows(), (G.identity_index,)
+    gens, step, start = greedy_frame(G)[0], G.rows().__getitem__, (G.identity_index,)
     for k in range(len(gens) - 1):
-        span = set(_reach(rows, start, gens[: k + 1])[0])
+        span = set(_reach(step, start, gens[: k + 1])[0])
         if gens[k + 1] in span or not span.issuperset(range(gens[k + 1])):
             return False
-    return len(_reach(rows, start, gens)[0]) == len(G)
+    return len(_reach(step, start, gens)[0]) == len(G)
 
 
 def test_greedy_frame_spans_every_lower_index():
@@ -773,5 +836,5 @@ def test_bfs_order_is_the_first_reach_in_scan_order(G, data):
     indices = st.lists(st.integers(0, len(G) - 1), max_size=3)
     a, b = data.draw(indices), data.draw(indices)
     seed = _closure_within(G, a, len(G))
-    reached, _ = _reach(G.rows(), seed, a + b)
+    reached, _ = _reach(G.rows().__getitem__, seed, a + b)
     assert frozenset(reached) == _closure_within(G, a + b, len(G))

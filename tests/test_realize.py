@@ -245,30 +245,27 @@ def test_catalog_classes_are_two_generated(order):
         assert len(entry.group.minimal_generating_set()) <= 2, entry.spec.text()
 
 
-def _pool_key(p):
-    return (-perm.semiregular_order(p), p)
-
-
 @pytest.mark.parametrize("order", CATALOG_ORDERS)
 def test_pool_classes_are_conjugacy_classes(order):
     # on permutations: the classes partition the non-identity semiregular
-    # elements, each is the orbit of its first pool member under
-    # conjugation by the generators of Hol(N), and the classes come in
-    # the pool order of those members
+    # elements, each is the orbit of its first member under conjugation
+    # by the generators of Hol(N); on codes: each class is led by its
+    # least code, and the classes come by descending order, then that code
     for entry in catalog(order):
         hol = holomorph(entry.group)
         size = len(hol.aut)
         gens = [(h, perm.inverse(h)) for h in hol.group.generators]
+        found = realize._semiregular_classes(hol)[0]
+        assert all(codes[0] == min(codes) for _, codes in found), entry.spec.text()
+        keys = [(-k, codes[0]) for k, codes in found]
+        assert keys == sorted(keys), entry.spec.text()
         classes = [
             (k, [perm.compose(hol.lam[c // size], hol.iota[c % size]) for c in codes])
-            for k, codes in realize._semiregular_classes(hol)[0]
+            for k, codes in found
         ]
         pool = [p for p in hol.group.elements if perm.semiregular_order(p) > 1]
         assert sorted(p for _, ps in classes for p in ps) == pool, entry.spec.text()
-        firsts = [ps[0] for _, ps in classes]
-        assert firsts == sorted(firsts, key=_pool_key), entry.spec.text()
         for k, ps in classes:
-            assert ps[0] == min(ps, key=_pool_key), entry.spec.text()
             assert {perm.semiregular_order(p) for p in ps} == {k}, entry.spec.text()
             orbit = {ps[0]}
             frontier = [ps[0]]
