@@ -382,12 +382,13 @@ def audit_t002(n: int) -> AuditReport:
     check_size(2 * n, 2 * n)
     _refuse_on_order(2 * n, check_table)
     entries = catalog(2 * n)
-    groups = [e.group for e in entries]
     if 2 * n > SUBGROUP_BOUND:
         # the first row pairs the first class with itself, which is
-        # realizable, and walks that class's lattice past the bound
-        groups = groups[:1]
-    _refuse_on_aut(groups)
+        # realizable, and would walk that class's lattice past the bound
+        # after the engine runs: refuse as it would, before it runs
+        _check_tables(entries[0].group)
+        check_lattice(2 * n)
+    _refuse_on_aut(e.group for e in entries)
 
     def instances(ge, ne):
         witness = cached_realizable(ge.group, ne.group)

@@ -432,10 +432,6 @@ def _prettify(spec: GroupSpec) -> GroupSpec:
     """Friendlier tags for recognized families; the group is unchanged."""
     if isinstance(spec, SemidirectCC):
         k, l, t = spec.k, spec.l, spec.t
-        if k == 1:
-            return Cyclic(l)
-        if l == 1:
-            return Cyclic(k)
         if t == 1:
             return Cyclic(k * l)
         if l == 2 and t == k - 1:

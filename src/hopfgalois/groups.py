@@ -8,9 +8,8 @@ each product up by its images of a base, a few points that tell every
 element apart, instead of by a composed tuple of ``degree`` points; and
 Aut(N) is first found as a two-level chain (``factory._aut_chain``), so
 its order is known before its elements are listed.
-Every product is read from ``PermGroup.rows()``, but for the power walk
-behind the order and inverse tables, which composes when no table is
-built rather than build one.  Every orbit is walked by the one
+Every product is read from ``PermGroup.rows()``, the power walk behind
+the order and inverse tables included.  Every orbit is walked by the one
 breadth-first walk ``_reach``: spans in a group table, the greedy
 generating set, the orbit of Aut(N)'s chain and realize's Hol(N)
 classes and subgroup orbits.  Only three kinds of walk are written
@@ -50,7 +49,8 @@ class PermGroup:
     construction, and a repeated element raises PreconditionError.  Every
     product is read from ``rows``: the multiplication table, filled in on
     the first product, or above ``TABLE_LIMIT`` rows that compose.  The
-    inverse and order tables (one ``_power_walk``), the generating set,
+    inverse and order tables (one ``_power_walk`` along the rows, so it
+    builds the table if none is built yet), the generating set,
     the extension plans of ``generator_frame`` and ``greedy_frame`` and
     the subgroup list fill in on first use, and ``_cyclic_images`` holds
     the crossed-hom scan's candidate images when this group is N, keyed
@@ -181,32 +181,22 @@ class PermGroup:
     def _power_walk(self):
         """Fill the order and inverse tables in one walk.
 
-        From each element x not reached yet it steps through x, x^2, ...
-        to the identity, which gives k = ord x; then x^i has order
-        k / gcd(i, k) and inverse x^(k - i).  A step reads the
-        multiplication table if it is built; otherwise it composes with
-        one ``itemgetter`` of x's images.  No table is built.
+        From each element x not reached yet it steps along x's row of
+        ``rows`` through x, x^2, ... to the identity, which gives
+        k = ord x; then x^i has order k / gcd(i, k) and inverse x^(k - i).
+        Up to ``TABLE_LIMIT`` the row is the table's, built on first read.
         """
         n, e = len(self), self.identity_index
         orders, inverses = [0] * n, [0] * n
         orders[e], inverses[e] = 1, e
-        table, els, index = self._mul_table, self.elements, self._index
-        ident = els[e]
+        rows = self.rows()
         for x in range(n):
             if orders[x]:
                 continue
-            if table is not None:
-                row, y, powers = table[x], x, [x]
-                while y != e:
-                    y = row[y]
-                    powers.append(y)
-            else:
-                p = els[x]
-                step, cycle = perm.composer(p), [p]
-                while p != ident:
-                    p = step(p)
-                    cycle.append(p)
-                powers = list(map(index.__getitem__, cycle))
+            row, y, powers = rows[x], x, [x]
+            while y != e:
+                y = row[y]
+                powers.append(y)
             k = len(powers)
             for j, y in enumerate(powers, 1):
                 orders[y] = k // gcd(j, k)
@@ -271,13 +261,15 @@ class PermGroup:
 
 
 class _Row:
-    """Row i of a group above ``TABLE_LIMIT``, which has no table."""
+    """Row i of a group above ``TABLE_LIMIT``, which has no table: entry j
+    maps p_j through p_i with one ``itemgetter`` of p_j's images (a
+    degree above 1, since the order is) and looks the image tuple up."""
 
     def __init__(self, G: PermGroup, i: int):
         self.G, self.p = G, G.elements[i]
 
     def __getitem__(self, j: int) -> int:
-        return self.G._index[perm.compose(self.p, self.G.elements[j])]
+        return self.G._index[operator.itemgetter(*self.G.elements[j])(self.p)]
 
 
 def _base(elements, degree):

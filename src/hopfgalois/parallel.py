@@ -1,14 +1,7 @@
-"""Unused by the library; kept only because perfbench/tracing.py names it
-(it goes with ROADMAP item 1)."""
-
-from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
+"""A name only: no command maps in parallel.  perfbench/tracing.py still
+counts calls to ``parallel_map``, and the module goes with it (ROADMAP
+item 1)."""
 
 
-def parallel_map(fn, items, threads=1):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn, items):
+    return [fn(x) for x in items]

@@ -2,13 +2,13 @@
 
 Records go to a line-delimited JSON file (one self-describing object per
 line, schema-versioned) so runs can be grepped and replayed.  The store
-writes that file and nothing else.
+writes that file and nothing else; ``AutCache`` keeps no file and no
+entry.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from .errors import HopfGaloisError
@@ -18,38 +18,18 @@ ENGINE_VERSION = "0.1.0"
 
 
 class AutCache:
-    """Unused by the library; kept only because perfbench/tracing.py names it
-    (it goes with ROADMAP item 1)."""
+    """A name only: nothing reads or writes an Aut cache.  ``get`` finds
+    nothing and ``put`` keeps nothing; perfbench/tracing.py still wraps
+    the three methods, and the class goes with it (ROADMAP item 1)."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self._data = {}
-        if self.path.exists():
-            try:
-                with open(self.path, "r", encoding="utf-8") as fh:
-                    self._data = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise HopfGaloisError(
-                    f"unreadable Aut cache {self.path}: {exc}"
-                ) from exc
-            if not isinstance(self._data, dict):
-                raise HopfGaloisError(f"Aut cache {self.path} is not a JSON object")
-
-    def _key(self, spec_text: str) -> str:
-        return f"{ENGINE_VERSION}:{spec_text}"
 
     def get(self, spec_text: str):
-        return self._data.get(self._key(spec_text))
+        return None
 
     def put(self, spec_text: str, perms):
-        self._data[self._key(spec_text)] = perms
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self._data, fh, sort_keys=True)
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            raise HopfGaloisError(f"cannot write Aut cache {self.path}: {exc}") from exc
+        pass
 
 
 class ResultsStore:

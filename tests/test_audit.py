@@ -22,7 +22,7 @@ from hopfgalois.audit import (
     cached_realizable,
 )
 from hopfgalois.errors import BoundExceededError, PreconditionError
-from hopfgalois.groups import TABLE_LIMIT
+from hopfgalois.groups import SUBGROUP_BOUND, TABLE_LIMIT
 
 
 def test_verdict_logic():
@@ -165,6 +165,20 @@ def test_audits_refuse_on_aut_before_the_first_row(monkeypatch, theorem):
     monkeypatch.setattr(audit, "cached_realizable", no_rows)
     with pytest.raises(BoundExceededError, match=f"^no table above {TABLE_LIMIT} elements$"):
         run_audit(theorem, 51)
+
+
+def test_t002_refuses_on_the_lattice_before_the_first_row(monkeypatch):
+    # at order 402 the first row's pair is realizable and its lattice walk
+    # passes SUBGROUP_BOUND, so the audit must refuse before that row runs
+    # the cocycle engine
+    def no_rows(G, N):
+        raise AssertionError(f"a row ran on ({G}, {N})")
+
+    monkeypatch.setattr(audit, "realizable_via_cocycles", no_rows)
+    monkeypatch.setattr(audit, "cached_realizable", no_rows)
+    message = f"^subgroup enumeration bound {SUBGROUP_BOUND} exceeded by order 402$"
+    with pytest.raises(BoundExceededError, match=message):
+        run_audit("t002", 201)
 
 
 def test_run_audit_dispatch():

@@ -82,6 +82,14 @@ def test_non_group_table_fails():
     assert not verify_brace(B)
 
 
+def test_monoid_multiplication_fails():
+    # associative with identity 0, but row 1 is no bijection: only the
+    # row checks of _group_generators and lambda_circ_in_hol reject it
+    B = SkewBrace(2, ((0, 1), (1, 0)), ((0, 1), (1, 1)))
+    assert verify_brace(B) is False
+    assert lambda_circ_in_hol(B) is False
+
+
 def test_relabelled_z4_leaves_holomorph():
     # identity-fixing bijection that is not an automorphism
     z4 = table_of(C(4))

@@ -568,9 +568,8 @@ def test_products_below_table_limit_never_compose(monkeypatch):
     monkeypatch.setattr(perm, "compose", refuse)
     assert count_crossed_pairs(G, N) == expected
     assert are_isomorphic(A, B) is not None
-    # the power walk composes without perm.compose on untabled copies
+    # the power walk reads the rows, so on untabled copies it builds the table
     assert [(H.orders(), H.inverses()) for H in fresh] == oracles
-    assert all(H._mul_table is None for H in fresh)
 
 
 def test_products_above_table_limit_compose(monkeypatch):
@@ -625,16 +624,15 @@ def power_walk_groups():
 
 
 def test_power_walk_matches_oracles():
-    # on a copy with no table the walk composes and builds none; on one
-    # with a table it reads the table
+    # on a fresh copy the walk reads the rows, a table built on first read
+    # or above TABLE_LIMIT rows that compose; on one whose table is built
+    # first it reads that table
     bad = []
     for name, G in power_walk_groups():
         oracle = (cycle_orders(G), inverse_lookup(G))
-        composing = fresh_copy(G)
-        if (composing.orders(), composing.inverses()) != oracle:
+        fresh = fresh_copy(G)
+        if (fresh.orders(), fresh.inverses()) != oracle:
             bad.append(name)
-        if composing._mul_table is not None:
-            bad.append(f"{name} built a table")
         if len(G) <= TABLE_LIMIT:
             tabled = fresh_copy(G)
             tabled.table()
