@@ -33,7 +33,6 @@ from .groups import (
     factorize,
     generator_frame,
     iso_candidates,
-    left_translation,
     unique_odd_part,
 )
 
@@ -345,7 +344,7 @@ def holomorph(N: PermGroup) -> HolomorphGroup:
     check_size(3 * len(N), len(N))
     check_size(len(N) * automorphism_order(N), len(N))
     aut = automorphism_group(N)
-    lam = tuple(left_translation(N, t) for t in range(len(N)))
+    lam = tuple(map(tuple, N.rows()))  # below TABLE_LIMIT the table's own rows
     hol = HolomorphGroup(None, N, aut, lam, aut.elements, None)
     del hol.group, hol.tags  # built by ``__getattr__`` on their first read
     return hol

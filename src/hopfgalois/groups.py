@@ -3,13 +3,15 @@
 Every group in this library is a PermGroup: a full, canonically ordered
 list of image tuples.  Orders stay small (a few thousand at most), so
 elements are enumerated explicitly instead of held as stabilizer chains;
-only two ideas are borrowed from those: a multiplication table looks
-each product up by its images of a base, a few points that tell every
-element apart, instead of by a composed tuple of ``degree`` points; and
-Aut(N) is first found as a two-level chain (``factory._aut_chain``), so
-its order is known before its elements are listed.
+only two ideas are borrowed from those: every product is looked up by
+its images of a base, a few points that tell every element apart,
+instead of by a composed tuple of ``degree`` points; and Aut(N) is
+first found as a two-level chain (``factory._aut_chain``), so its order
+is known before its elements are listed.
 Every product is read from ``PermGroup.rows()``, the power walk behind
-the order and inverse tables included.  Every orbit is walked by the one
+the order and inverse tables included: the multiplication table up to
+``TABLE_LIMIT`` elements, and above it rows that look each entry up
+from the same base and key.  Every orbit is walked by the one
 breadth-first walk ``_reach``: spans in a group table, the greedy
 generating set, the orbit of Aut(N)'s chain and realize's Hol(N)
 classes and subgroup orbits.  Only three kinds of walk are written
@@ -36,7 +38,7 @@ from .errors import (
 )
 
 SUBGROUP_BOUND = 400   # |G| cap for the subgroup lattice walk
-TABLE_LIMIT = 1200     # larger groups have no table; their products compose
+TABLE_LIMIT = 1200     # larger groups have no table; their rows look entries up
 SIZE_LIMIT = 4_000_000  # |G| x degree cap on one group's list of image tuples
 
 
@@ -48,7 +50,8 @@ class PermGroup:
     identity always sits at index 0.  The element list is fixed at
     construction, and a repeated element raises PreconditionError.  Every
     product is read from ``rows``: the multiplication table, filled in on
-    the first product, or above ``TABLE_LIMIT`` rows that compose.  The
+    the first product, or above ``TABLE_LIMIT`` a kept list of rows that
+    look each entry up by base images, as the table does.  The
     inverse and order tables (one ``_power_walk`` along the rows, so it
     builds the table if none is built yet), the generating set,
     the extension plans of ``generator_frame`` and ``greedy_frame`` and
@@ -69,6 +72,7 @@ class PermGroup:
         if len(self._index) != len(self.elements):
             raise PreconditionError("group elements are not distinct")
         self._mul_table = None
+        self._rows = None
         self._inverse_table = None
         self._order_table = None
         self._min_gens = None
@@ -105,60 +109,63 @@ class PermGroup:
 
     # Index arithmetic.
 
-    def mul(self, i: int, j: int) -> int:
-        """Index of compose(elements[i], elements[j]), for one-off products."""
-        return self.rows()[i][j]
-
     def rows(self):
         """Rows whose entry [i][j] is the index of compose(elements[i],
         elements[j]): the one way a product is taken.  They are the table
-        up to ``TABLE_LIMIT`` elements; above it each entry composes."""
-        if self._mul_table is not None:
-            return self._mul_table
-        if len(self) > TABLE_LIMIT:
-            return [_Row(self, i) for i in range(len(self))]
-        return self.table()
+        up to ``TABLE_LIMIT`` elements; above it one list of ``_Row``s,
+        built on the first call and kept, looks each entry up by base
+        images as the table does."""
+        if self._mul_table is None and len(self) > TABLE_LIMIT:
+            if self._rows is None:
+                base, lookup = self._base_lookup()
+                cols = [operator.itemgetter(*(q[b] for b in base)) for q in self.elements]
+                self._rows = [_Row(p, cols, lookup) for p in self.elements]
+            return self._rows
+        return self._mul_table or self.table()
 
     def table(self):
         """The whole of ``rows``, the only place a table is built.
 
         Above ``TABLE_LIMIT`` elements it raises BoundExceededError, so a
         caller that needs every row, or must fail before doing work, calls
-        it first.  An element is fixed by its images of a base
-        (``_base``), so entry [i][j] is looked up by
-        ``p_i[p_j[b]] for b in base`` instead of a composed tuple of
+        it first.  Entry [i][j] is looked up by p_i's images of p_j's base
+        images (``_base_lookup``) instead of a composed tuple of
         ``degree`` points.  One ``itemgetter`` over the base images of
-        every column gives all of a row's keys in one C call; with a
-        one-point base the key is a list indexed by the point, otherwise a
-        dict of tuples.  A one-element group has an empty base.
+        every column gives all of a row's keys in one C call.
         """
         if self._mul_table is None:
             check_table(len(self))
             els = self.elements
-            base = _base(els, self.degree)
-            key = {tuple(p[b] for b in base): i for i, p in enumerate(els)}
-            if len(key) != len(els):
-                raise PreconditionError(
-                    f"base {base} does not tell {len(els)} elements apart"
-                )
+            base, lookup = self._base_lookup()
             if not base:
                 self._mul_table = [(0,)]
                 return self._mul_table
-            row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
-            if len(base) == 1:
-                point_key = [None] * self.degree
-                for (point,), i in key.items():
-                    point_key[point] = i
-                lookup, keys_of = point_key.__getitem__, row_keys
-            else:
-                width = len(base)
-                lookup = key.__getitem__
+            keys_of = row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
+            if len(base) > 1:
 
                 def keys_of(p):
-                    return zip(*[iter(row_keys(p))] * width)
+                    return zip(*[iter(row_keys(p))] * len(base))
 
             self._mul_table = [tuple(map(lookup, keys_of(p))) for p in els]
         return self._mul_table
+
+    def _base_lookup(self):
+        """(base, lookup) for ``table`` and ``rows``: an element is fixed by
+        its images of a base (``_base``), and ``lookup`` maps those images
+        to its index.  With a one-point base the images are one point and
+        ``lookup`` indexes a list by it, otherwise a dict of tuples.  A
+        one-element group has an empty base."""
+        els = self.elements
+        base = _base(els, self.degree)
+        key = {tuple(p[b] for b in base): i for i, p in enumerate(els)}
+        if len(key) != len(els):
+            raise PreconditionError(f"base {base} does not tell {len(els)} elements apart")
+        if len(base) != 1:
+            return base, key.__getitem__
+        point_key = [None] * self.degree
+        for (point,), i in key.items():
+            point_key[point] = i
+        return base, point_key.__getitem__
 
     def inv(self, i: int) -> int:
         return self.inverses()[i]
@@ -184,7 +191,8 @@ class PermGroup:
         From each element x not reached yet it steps along x's row of
         ``rows`` through x, x^2, ... to the identity, which gives
         k = ord x; then x^i has order k / gcd(i, k) and inverse x^(k - i).
-        Up to ``TABLE_LIMIT`` the row is the table's, built on first read.
+        Up to ``TABLE_LIMIT`` the row is the table's, built on first read;
+        above it a ``_Row``, one base-image lookup per step.
         """
         n, e = len(self), self.identity_index
         orders, inverses = [0] * n, [0] * n
@@ -262,14 +270,15 @@ class PermGroup:
 
 class _Row:
     """Row i of a group above ``TABLE_LIMIT``, which has no table: entry j
-    maps p_j through p_i with one ``itemgetter`` of p_j's images (a
-    degree above 1, since the order is) and looks the image tuple up."""
+    is looked up by p_i's images of p_j's base images, which column j's
+    ``itemgetter`` reads, as in ``table``.  ``tuple(row)`` lists the
+    entries in order: iteration stops where ``cols[j]`` raises IndexError."""
 
-    def __init__(self, G: PermGroup, i: int):
-        self.G, self.p = G, G.elements[i]
+    def __init__(self, p, cols, lookup):
+        self.p, self.cols, self.lookup = p, cols, lookup
 
     def __getitem__(self, j: int) -> int:
-        return self.G._index[operator.itemgetter(*self.G.elements[j])(self.p)]
+        return self.lookup(self.cols[j](self.p))
 
 
 def _base(elements, degree):

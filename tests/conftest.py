@@ -6,7 +6,7 @@ image tables, automorphisms by filtering all bijections, and crossed
 homomorphisms by filtering all identity-fixing bijections, group
 tables, the brace law and holomorph membership by scanning all n^3
 triples, subgroups (with the Sylow predicates read off them) by
-adjoining one element at a time under ``G.mul``, factorizations by trial
+adjoining one element at a time under ``G.rows()``, factorizations by trial
 division, and catalogs by testing every twist against the classes found
 so far, and coprime cyclic splittings by testing every pair of subgroups
 from ``all_subgroups``; element orders are read off cycle lengths and
@@ -88,7 +88,7 @@ def z3xz3():
 
 def brute_force_homomorphisms(G, H):
     """Backtracking over full element-image tables, no generator theory."""
-    n = len(G)
+    n, rows_g, rows_h = len(G), G.rows(), H.rows()
     found = []
 
     def extend(images):
@@ -101,8 +101,8 @@ def brute_force_homomorphisms(G, H):
             ok = True
             for a in range(i + 1):
                 for b in range(i + 1):
-                    c = G.mul(a, b)
-                    if c <= i and images[c] != H.mul(images[a], images[b]):
+                    c = rows_g[a][b]
+                    if c <= i and images[c] != rows_h[images[a]][images[b]]:
                         ok = False
                         break
                 if not ok:
@@ -117,13 +117,13 @@ def brute_force_homomorphisms(G, H):
 
 def brute_force_automorphisms(N):
     """Filter every bijection of the element list for multiplicativity."""
-    n = len(N)
+    n, rows = len(N), N.rows()
     out = []
     for images in itertools.permutations(range(n)):
         if images[N.identity_index] != N.identity_index:
             continue
         if all(
-            images[N.mul(a, b)] == N.mul(images[a], images[b])
+            images[rows[a][b]] == rows[images[a]][images[b]]
             for a in range(n)
             for b in range(n)
         ):
@@ -133,7 +133,7 @@ def brute_force_automorphisms(N):
 
 def brute_force_bijective_crossed_homs(f, G, N):
     """Filter every identity-fixing bijection G -> N against the law."""
-    n = len(G)
+    n, rows_g, rows_n = len(G), G.rows(), N.rows()
     e_g, e_n = G.identity_index, N.identity_index
     others = [i for i in range(n) if i != e_g]
     values = [i for i in range(n) if i != e_n]
@@ -144,7 +144,7 @@ def brute_force_bijective_crossed_homs(f, G, N):
         for slot, val in zip(others, perm_vals):
             g[slot] = val
         if all(
-            g[G.mul(a, b)] == N.mul(g[a], f.image_perm(a)[g[b]])
+            g[rows_g[a][b]] == rows_n[g[a]][f.image_perm(a)[g[b]]]
             for a in range(n)
             for b in range(n)
         ):
@@ -239,16 +239,16 @@ def brute_force_lambda_circ_in_hol(B):
 
 
 def _closure_within(G, gens, cap):
-    """Index set generated by ``gens`` under ``G.mul``, or None once it
+    """Index set generated by ``gens`` under G's products, or None once it
     passes ``cap`` elements."""
-    e = G.identity_index
+    e, rows = G.identity_index, G.rows()
     elems = {e}
     frontier = [e]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
-                y = G.mul(x, g)
+                y = rows[x][g]
                 if y not in elems:
                     if len(elems) == cap:
                         return None
@@ -263,7 +263,7 @@ def brute_force_subgroups(G, max_order):
     by (order, sorted indices).
 
     Starts from the trivial group and adjoins every element to every
-    subgroup found, closing under ``G.mul``.  A subgroup H is reached along
+    subgroup found, closing under ``G.rows()``.  A subgroup H is reached along
     a chain of proper extensions by elements of H, each of order <= |H|,
     so dropping closures past ``max_order`` loses none below it.
     """
@@ -522,11 +522,12 @@ def _conjugation_exponent(G, k_idxs, l_idxs, k, l):
     if l == 1:
         return 1
     v = min(i for i in l_idxs if G.order_of(i) == l)
-    w = G.mul(G.mul(v, u), G.inv(v))
+    rows = G.rows()
+    w = rows[rows[v][u]][G.inv(v)]
     power = u
     t = 1
     while power != w:
-        power = G.mul(power, u)
+        power = rows[power][u]
         t += 1
         if t > k:
             raise PreconditionError("conjugate left the cyclic factor")

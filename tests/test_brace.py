@@ -36,8 +36,8 @@ from conftest import (
 
 
 def table_of(G):
-    n = len(G)
-    return tuple(tuple(G.mul(i, j) for j in range(n)) for i in range(n))
+    n, rows = len(G), G.rows()
+    return tuple(tuple(rows[i][j] for j in range(n)) for i in range(n))
 
 
 def relabel_table(table, images):

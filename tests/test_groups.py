@@ -175,7 +175,7 @@ def test_subgroups_of_order_filters_the_lattice():
 def test_all_subgroups_against_subset_scan(spec):
     # independent oracle: every closed subset containing the identity
     G = build(spec)
-    n = len(G)
+    n, rows = len(G), G.rows()
     closed = set()
     for mask in range(1 << n):
         if not mask & (1 << G.identity_index):
@@ -183,7 +183,7 @@ def test_all_subgroups_against_subset_scan(spec):
         subset = {i for i in range(n) if mask & (1 << i)}
         if n % len(subset):
             continue
-        if all(G.mul(a, b) in subset for a in subset for b in subset):
+        if all(rows[a][b] in subset for a in subset for b in subset):
             closed.add(frozenset(subset))
     fast = {
         frozenset(G.index_of(p) for p in S.elements) for S in all_subgroups(G)
@@ -425,7 +425,7 @@ def test_is_normal(s3):
 def test_left_translation_is_homomorphism():
     G = build(SemidirectCC(3, 2, 2))
     for a, b in itertools.product(range(len(G)), repeat=2):
-        lam_ab = left_translation(G, G.mul(a, b))
+        lam_ab = left_translation(G, G.rows()[a][b])
         composed = perm.compose(left_translation(G, a), left_translation(G, b))
         assert lam_ab == composed
 
@@ -581,7 +581,7 @@ def test_products_above_table_limit_compose(monkeypatch):
     samples += [(rng.randrange(len(G)), rng.randrange(len(G))) for _ in range(50)]
     for i, j in samples:
         product = G.index_of(perm.compose(G.elements[i], G.elements[j]))
-        assert rows[i][j] == G.mul(i, j) == product
+        assert rows[i][j] == G.rows()[i][j] == product
     with pytest.raises(BoundExceededError):
         G.table()
     assert are_isomorphic(G, fresh_copy(G)) is not None
@@ -594,6 +594,26 @@ def test_products_above_table_limit_compose(monkeypatch):
     H = fresh_copy(D(30))
     rows = [tuple(row[j] for j in range(len(H))) for row in H.rows()]
     assert rows == compose_table(H) and H._mul_table is None
+
+
+def test_rows_above_table_limit_look_up_base_images():
+    # Aut(D102), 1632 elements, needs a base of more than one point: its
+    # rows are built once and kept, each entry is the composed product, the
+    # power walk along them meets the oracles, and table() still refuses
+    A = fresh_copy(automorphism_group(D(102)))
+    assert len(A) > TABLE_LIMIT and len(_base(A.elements, A.degree)) > 1
+    rows = A.rows()
+    assert A.rows() is rows and A._mul_table is None
+    rng = random.Random(102)
+    last = len(A) - 1
+    samples = [(0, 0), (0, last), (last, 0), (last, last)]
+    samples += [(rng.randrange(len(A)), rng.randrange(len(A))) for _ in range(300)]
+    for i, j in samples:
+        assert rows[i][j] == A.index_of(perm.compose(A.elements[i], A.elements[j]))
+    assert (A.orders(), A.inverses()) == (cycle_orders(A), inverse_lookup(A))
+    with pytest.raises(BoundExceededError):
+        A.table()
+    assert A.rows() is rows and A._mul_table is None
 
 
 def power_walk_groups():
