@@ -271,7 +271,11 @@ def automorphism_group(N: PermGroup) -> PermGroup:
 
     They are t_c o s over the transversal and stabilizer of ``_aut_chain``,
     and each must map the chain's point a to c, or CountingBugError is
-    raised; a repeated automorphism fails in PermGroup.
+    raised; a repeated automorphism fails in PermGroup.  The group's base
+    is N's frame generators (``generator_frame(N)[0]``), which the chain
+    has built: an automorphism is fixed by its images of a generating
+    set, so no greedy ``_base`` scan runs over Aut(N), and ``PermGroup``
+    still refuses a base that does not tell the elements apart.
     """
     transversal, stabilizer = _aut_chain(N)
     a = next(iter(transversal))
@@ -283,7 +287,7 @@ def automorphism_group(N: PermGroup) -> PermGroup:
             if alpha[a] != c:
                 raise CountingBugError("a transversal element misses its orbit point")
             elements.append(alpha)
-    return PermGroup(len(N), elements)
+    return PermGroup(len(N), elements, base=generator_frame(N)[0])
 
 
 class HolomorphGroup(Record, frozen=False):

@@ -14,11 +14,12 @@ the order and inverse tables included: the multiplication table up to
 from the same base and key.  Every orbit is walked by the one
 breadth-first walk ``_reach``: spans in a group table, the greedy
 generating set, the orbit of Aut(N)'s chain and realize's Hol(N)
-classes and subgroup orbits.  Only three kinds of walk are written
+classes and subgroup orbits.  Only four kinds of walk are written
 apart: ``closure``, which stops at its cap; the subgroup queue of
-``_subgroup_sets``; and the pair closures of realize's search and of
+``_subgroup_sets``; the pair closures of realize's search and of
 counting's direct count, which stop at the first element outside the
-pool.
+pool; and the row walk of ``PermGroup.table``, which composes each row
+as it reaches the element, where ``_reach`` steps along rows that exist.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ class PermGroup:
     construction, and a repeated element raises PreconditionError.  Every
     product is read from ``rows``: the multiplication table, filled in on
     the first product, or above ``TABLE_LIMIT`` a kept list of rows that
-    look each entry up by base images, as the table does.  The
+    look each entry up by base images, as the table's generator rows do.
+    ``base``, if given, is the base both use, points whose images tell
+    the elements apart; without it the greedy ``_base`` is taken.  The
     inverse and order tables (one ``_power_walk`` along the rows, so it
     builds the table if none is built yet), the generating set,
     the extension plans of ``generator_frame`` and ``greedy_frame`` and
@@ -63,7 +66,7 @@ class PermGroup:
     with the group as key.
     """
 
-    def __init__(self, degree, elements, generators=None, label=None):
+    def __init__(self, degree, elements, generators=None, label=None, base=None):
         self.degree = degree
         self.elements = tuple(sorted(elements))
         self.generators = tuple(generators) if generators else self._default_generators()
@@ -71,6 +74,7 @@ class PermGroup:
         self._index = {p: i for i, p in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise PreconditionError("group elements are not distinct")
+        self._base_points = base
         self._mul_table = None
         self._rows = None
         self._inverse_table = None
@@ -114,7 +118,7 @@ class PermGroup:
         elements[j]): the one way a product is taken.  They are the table
         up to ``TABLE_LIMIT`` elements; above it one list of ``_Row``s,
         built on the first call and kept, looks each entry up by base
-        images as the table does."""
+        images as the table's generator rows do."""
         if self._mul_table is None and len(self) > TABLE_LIMIT:
             if self._rows is None:
                 base, lookup = self._base_lookup()
@@ -128,35 +132,66 @@ class PermGroup:
 
         Above ``TABLE_LIMIT`` elements it raises BoundExceededError, so a
         caller that needs every row, or must fail before doing work, calls
-        it first.  Entry [i][j] is looked up by p_i's images of p_j's base
-        images (``_base_lookup``) instead of a composed tuple of
-        ``degree`` points.  One ``itemgetter`` over the base images of
-        every column gives all of a row's keys in one C call.
+        it first.  The rows are built by a walk over a greedy generating
+        set, as ``_generating_set`` picks it: the identity's row is
+        range(n); scanning indices in ascending order, each one not
+        reached yet becomes a generator g, whose row is looked up by base
+        images (``_base_lookup``), entry j by p_g's images of p_j's base
+        images; then every reached x is stepped by every generator, and a
+        new y = rows[x][g] gets row(x) composed with row(g), since
+        (x * g) * p_j = x * (g * p_j), one C call per row.  A generator
+        row that is not a permutation of the indices, or a missing
+        identity, means the elements are not closed under composition
+        and raises PreconditionError; every other row is composed from
+        checked rows.
         """
         if self._mul_table is None:
             check_table(len(self))
-            els = self.elements
+            els, n = self.elements, len(self)
+            if els[0] != perm.identity(self.degree):
+                raise PreconditionError("group elements are not closed: no identity")
             base, lookup = self._base_lookup()
-            if not base:
-                self._mul_table = [(0,)]
-                return self._mul_table
-            keys_of = row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
-            if len(base) > 1:
+            rows = [perm.identity(n)] + [None] * (n - 1)
+            if n > 1:
+                keys_of = row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
+                if len(base) > 1:
 
-                def keys_of(p):
-                    return zip(*[iter(row_keys(p))] * len(base))
+                    def keys_of(p):
+                        return zip(*[iter(row_keys(p))] * len(base))
 
-            self._mul_table = [tuple(map(lookup, keys_of(p))) for p in els]
+                every, order, moves = set(rows[0]), [0], []
+                for x in range(1, n):
+                    if rows[x] is not None:
+                        continue
+                    try:
+                        looked_up = tuple(map(lookup, keys_of(els[x])))
+                    except KeyError:
+                        looked_up = ()
+                    if set(looked_up) != every:
+                        raise PreconditionError("group elements are not closed under composition")
+                    moves.append((x, perm.composer(looked_up)))
+                    for z in order:  # a FIFO queue: the loop also visits what it appends
+                        row = rows[z]
+                        for g, times_g in moves:
+                            y = row[g]
+                            if rows[y] is None:
+                                rows[y] = times_g(row)
+                                order.append(y)
+            self._mul_table = rows
         return self._mul_table
 
     def _base_lookup(self):
         """(base, lookup) for ``table`` and ``rows``: an element is fixed by
-        its images of a base (``_base``), and ``lookup`` maps those images
-        to its index.  With a one-point base the images are one point and
-        ``lookup`` indexes a list by it, otherwise a dict of tuples.  A
-        one-element group has an empty base."""
+        its images of a base, and ``lookup`` maps those images to its
+        index.  The base is the one given to the constructor, as
+        ``factory.automorphism_group`` gives N's frame generators, else
+        the greedy ``_base``; either way a base that does not tell the
+        elements apart raises PreconditionError.  With a one-point base
+        the images are one point and ``lookup`` indexes a list by it,
+        otherwise a dict of tuples.  A one-element group has an empty
+        greedy base."""
         els = self.elements
-        base = _base(els, self.degree)
+        base = _base(els, self.degree) if self._base_points is None else self._base_points
         key = {tuple(p[b] for b in base): i for i, p in enumerate(els)}
         if len(key) != len(els):
             raise PreconditionError(f"base {base} does not tell {len(els)} elements apart")
@@ -271,7 +306,7 @@ class PermGroup:
 class _Row:
     """Row i of a group above ``TABLE_LIMIT``, which has no table: entry j
     is looked up by p_i's images of p_j's base images, which column j's
-    ``itemgetter`` reads, as in ``table``.  ``tuple(row)`` lists the
+    ``itemgetter`` reads, as for a generator row of ``table``.  ``tuple(row)`` lists the
     entries in order: iteration stops where ``cols[j]`` raises IndexError."""
 
     def __init__(self, p, cols, lookup):

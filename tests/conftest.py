@@ -10,20 +10,23 @@ adjoining one element at a time under ``G.rows()``, factorizations by trial
 division, and catalogs by testing every twist against the classes found
 so far, and coprime cyclic splittings by testing every pair of subgroups
 from ``all_subgroups``; element orders are read off cycle lengths and
-inverses off ``perm.inverse``, the least conjugate of a homomorphism
+inverses off ``perm.inverse``, multiplication tables by looking every
+entry up by base images, row by row, the least conjugate of a homomorphism
 by scanning all of Aut(N), a smallest generating set by closing every
 combination of elements in turn, a greedy generating set by a walk
 restarted from the identity, compositions by a generator expression,
 random loops by backtracking, and Hol(N) and its semiregular classes by
 listing and testing every element.  They exist so the fast engines can be
-checked against something slow and obviously correct.  Two are not
+checked against something slow and obviously correct.  Three are not
 independent: ``canonical_first_witness`` runs the library's own plain
 scan, every f of ``homomorphisms`` in turn, which the orbit engine's
-first witness must equal, and ``per_element_semiregular_classes`` walks
-the library's own conjugation tables.
+first witness must equal, ``per_element_semiregular_classes`` walks
+the library's own conjugation tables, and ``lookup_table`` takes the
+library's greedy ``_base``, whatever base the group was given.
 """
 
 import itertools
+import operator
 from math import gcd, lcm
 
 import pytest
@@ -58,6 +61,7 @@ from hopfgalois.factory import (
 )
 from hopfgalois.groups import (
     PermGroup,
+    _base,
     _generating_set,
     _reach,
     all_subgroups,
@@ -338,6 +342,20 @@ def cycle_orders(G):
 def inverse_lookup(G):
     """Each element's inverse, by index, looked up from ``perm.inverse``."""
     return tuple(G.index_of(perm.inverse(p)) for p in G.elements)
+
+
+def lookup_table(G):
+    """G's multiplication table with every entry looked up: entry [i][j]
+    is the index whose images of a greedy base (``groups._base``) are
+    p_i's images of p_j's base images, one ``itemgetter`` over every
+    column's base images per row.  No row is composed from another."""
+    els = G.elements
+    base = _base(els, G.degree)
+    if not base:
+        return [(0,)]
+    key = {tuple(p[b] for b in base): i for i, p in enumerate(els)}
+    row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
+    return [tuple(map(key.__getitem__, zip(*[iter(row_keys(p))] * len(base)))) for p in els]
 
 
 def least_conjugate(atab, inv, m, stab_size):

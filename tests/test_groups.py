@@ -3,7 +3,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfgalois import (
@@ -65,6 +65,7 @@ from conftest import (
     inverse_lookup,
     lattice_is_almost_sylow_cyclic,
     lattice_is_c_group,
+    lookup_table,
     random_loop,
     restart_generating_set,
 )
@@ -494,6 +495,87 @@ def test_table_matches_compose(make):
     assert G.table() == compose_table(G)
 
 
+def table_groups():
+    """(name, group with no table yet): every catalog group up to order
+    210, A4, C2xC2, C2xC6, Hol(C3), C1 and C2xC2xC2, as fresh copies, and
+    Aut(N), built anew with N's frame base, for each catalog N up to
+    order 110 whose Aut(N) has a table."""
+    entries = []
+    for order in range(1, 211):
+        try:
+            entries += catalog(order)
+        except UnsupportedOrderError:
+            continue
+    c2 = Cyclic(2)
+    cases = [(e.spec.text(), e.group) for e in entries] + [
+        ("A4", build(Alternating4())),
+        ("C2xC2", build(DirectProduct(c2, c2))),
+        ("C2xC6", build(DirectProduct(c2, Cyclic(6)))),
+        ("Hol(C3)", holomorph(C(3)).group),
+        ("C1", build(Cyclic(1))),
+        ("C2xC2xC2", build(DirectProduct(DirectProduct(c2, c2), c2))),
+    ]
+    cases = [(name, fresh_copy(G)) for name, G in cases]
+    return cases + [
+        (f"Aut({e.spec.text()})", automorphism_group.__wrapped__(e.group))
+        for e in entries
+        if len(e.group) <= 110 and factory.automorphism_order(e.group) <= TABLE_LIMIT
+    ]
+
+
+def test_table_matches_lookup_oracle():
+    # each table is built by the row walk, and equals the one looked up
+    # entry by entry from the greedy base
+    cases = table_groups()
+    assert len(cases) == 369
+    assert [name for name, G in cases if G.table() != lookup_table(G)] == []
+
+
+@pytest.mark.parametrize(
+    "degree, elements",
+    [
+        (3, [(0, 1, 2), (1, 2, 0)]),
+        (4, [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)]),
+        (4, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1)]),
+        (2, [(1, 0)]),
+    ],
+    ids=["one-point-base", "two-point-base", "klein-four-less-one", "no-identity"],
+)
+def test_table_refuses_elements_not_closed(degree, elements):
+    # a product outside the list has no index: with a one-point base its
+    # lookup reads None, with more points it misses the key
+    G = PermGroup(degree, elements)
+    with pytest.raises(PreconditionError, match="not closed"):
+        G.table()
+    assert G._mul_table is None
+
+
+def test_a_given_base_is_checked_and_used():
+    G = intransitive_c3_c3_c2()
+    with pytest.raises(PreconditionError, match="does not tell"):
+        PermGroup(G.degree, G.elements, base=(0, 3)).table()
+    H = PermGroup(G.degree, G.elements, base=(6, 3, 0))
+    assert H._base_lookup()[0] == (6, 3, 0)
+    assert H.table() == lookup_table(G) == compose_table(G)
+
+
+def test_automorphism_group_takes_the_frame_base():
+    # an automorphism is fixed by its images of N's frame generators;
+    # Aut(D102) and Aut(D110) are above TABLE_LIMIT, where rows take the
+    # same base
+    bad = []
+    for order in range(1, 111):
+        try:
+            entries = catalog(order)
+        except UnsupportedOrderError:
+            continue
+        bad += [
+            e.spec.text() for e in entries
+            if automorphism_group(e.group)._base_lookup()[0] != generator_frame(e.group)[0]
+        ]
+    assert bad == []
+
+
 @pytest.mark.parametrize(
     "make, size",
     [
@@ -812,7 +894,13 @@ def small_closures(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_closures())
+@example(closure([(0,)]))
+@example(closure([(0, 1, 2)]))
+@example(closure([(1, 0)]))
+@example(closure([(0, 2, 1)]))
 def test_table_matches_compose_on_random_closures(G):
+    # orders 1 and 2 given explicitly: there a one-argument itemgetter
+    # would return a scalar
     assert G.table() == compose_table(G)
 
 
