@@ -25,6 +25,7 @@ from hopfgalois import (
 from hopfgalois import brace
 from hopfgalois.brace import _group_generators, group_table_identity
 from hopfgalois.errors import PreconditionError, UnsupportedOrderError
+from hopfgalois.perm import composer
 
 from conftest import (
     C,
@@ -101,6 +102,26 @@ def test_relabelled_z4_leaves_holomorph():
     assert not verify_brace(B)
 
 
+def test_law_fails_at_the_second_multiplicative_generator_only():
+    # the law runs over a generating set T of (N, o) only; here lambda is
+    # additive at T's first element and not at its second, so a check
+    # short of any element of T would accept this pair
+    z4 = table_of(C(4))
+    mul = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1))
+    B = SkewBrace(4, z4, mul)
+    e, neg, cols, shifts = brace._additive(z4)
+    found = _group_generators(mul)
+    assert found is not None and found[0] == e
+    first, second = found[1]
+
+    def additive_at(a):
+        return brace._is_additive(composer(mul[a])(z4[neg[a]]), cols, shifts)
+
+    assert additive_at(first) and not additive_at(second)
+    assert verify_brace(B) is brute_force_verify_brace(B) is False
+    assert lambda_circ_in_hol(B) is brute_force_lambda_circ_in_hol(B) is False
+
+
 def test_brace_from_translations_is_trivial():
     N = C(6)
     hol = holomorph(N)
@@ -150,6 +171,20 @@ def test_middle_term_is_the_additive_inverse():
 
     assert violations(neg) == 0
     assert violations(inv_mul) > 0
+
+
+def test_brace_from_regular_refuses_regular_subgroup_outside_holomorph():
+    # <the 4-cycle 0 -> 1 -> 3 -> 2 -> 0> acts regularly on C4's indices,
+    # but it is not in Hol(C4): its tables are groups with one identity,
+    # and only the brace law refuses them
+    N = C(4)
+    from hopfgalois.groups import closure, is_regular
+
+    R = closure([(1, 3, 0, 2)])
+    assert is_regular(R)
+    assert not frozenset(R.elements) <= frozenset(holomorph(N).group.elements)
+    with pytest.raises(PreconditionError, match="violate the brace law"):
+        brace_from_regular(R, N)
 
 
 def test_brace_from_regular_rejects_non_regular():
@@ -400,6 +435,36 @@ def test_checks_match_oracles_on_random_loops(case):
     assert disagreements(SkewBrace(n, group, loop)) == []
     assert disagreements(SkewBrace(n, loop, group)) == []
     assert disagreements(SkewBrace(n, group, relabelled)) == []
+
+
+def catalog_tables(order):
+    try:
+        return [table_of(e.group) for e in catalog(order)]
+    except UnsupportedOrderError:
+        return []
+
+
+CATALOG_ORDERS = [k for k in range(1, 13) if catalog_tables(k)]
+
+
+@st.composite
+def relabelled_catalog_pair(draw):
+    """Two catalog tables of one order, each relabelled by a bijection
+    fixing the identity 0: groups with a shared identity, brace or not."""
+    order = draw(st.sampled_from(CATALOG_ORDERS))
+    tables = catalog_tables(order)
+    add, mul = (
+        relabel_table(draw(st.sampled_from(tables)), [0] + draw(st.permutations(range(1, order))))
+        for _ in range(2)
+    )
+    return SkewBrace(order, add, mul)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(relabelled_catalog_pair())
+def test_law_matches_oracles_on_relabelled_catalog_pairs(B):
+    assert group_table_identity(B.add_table) == group_table_identity(B.mul_table) == 0
+    assert verify_brace(B) == brute_force_verify_brace(B) == lambda_circ_in_hol(B)
 
 
 @pytest.mark.parametrize(
