@@ -58,7 +58,8 @@ class PermGroup:
     inverse and order tables (one ``_power_walk`` along the rows, so it
     builds the table if none is built yet), the generating set,
     the extension plans of ``generator_frame`` and ``greedy_frame`` and
-    the subgroup list fill in on first use, and ``_cyclic_images`` holds
+    the subgroup list fill in on first use, as does the identity's index,
+    kept so a read builds no identity tuple, and ``_cyclic_images`` holds
     the crossed-hom scan's candidate images when this group is N, keyed
     by (f(a), ord a) and filled by ``realize._cyclic_candidates``.  No
     other module sets attributes on an instance; automorphism groups,
@@ -75,6 +76,7 @@ class PermGroup:
         if len(self._index) != len(self.elements):
             raise PreconditionError("group elements are not distinct")
         self._base_points = base
+        self._identity = None
         self._mul_table = None
         self._rows = None
         self._inverse_table = None
@@ -109,7 +111,15 @@ class PermGroup:
 
     @property
     def identity_index(self) -> int:
-        return self._index[perm.identity(self.degree)]
+        """The identity's index, 0 in a group, looked up on first read and
+        kept; an element list without the identity raises
+        PreconditionError."""
+        if self._identity is None:
+            e = self._index.get(perm.identity(self.degree))
+            if e is None:
+                raise PreconditionError("group elements are not closed: no identity")
+            self._identity = e
+        return self._identity
 
     # Index arithmetic.
 
@@ -148,8 +158,7 @@ class PermGroup:
         if self._mul_table is None:
             check_table(len(self))
             els, n = self.elements, len(self)
-            if els[0] != perm.identity(self.degree):
-                raise PreconditionError("group elements are not closed: no identity")
+            self.identity_index  # raises without the identity, which else sorts first
             base, lookup = self._base_lookup()
             rows = [perm.identity(n)] + [None] * (n - 1)
             if n > 1:
@@ -671,21 +680,24 @@ def greedy_frame(G: PermGroup):
 
 def _extension_plan(G: PermGroup, gen_idxs):
     """(gen_idxs, steps, checks) for ``extend_images``, each plan a tuple
-    of columns.
+    of triples.
 
     gen_idxs index a generating set of G.  steps = (i, prev, pos) follow
     ``bfs_order`` past the identity, with elements[i] = elements[prev] *
-    gens[pos]; checks = (x, xs, pos) cover every element x and generator
-    position, with xs the index of x * gens[pos].
+    gens[pos]; checks = (x, xs, pos), with xs the index of x * gens[pos],
+    cover every element x and generator position but the n - 1 edges of
+    the breadth-first tree, where xs = i and (x, pos) = (prev, pos) for
+    a step: the step has just assigned the value such a check would
+    test.  So n·k - (n - 1) checks remain for k generators.
     """
     order, parent = bfs_order(G, gen_idxs)
-    links = [parent[i] for i in order[1:]]
-    steps = (tuple(order[1:]), tuple(x for x, _ in links), tuple(pos for _, pos in links))
-    rows, span = G.rows(), range(len(gen_idxs))
-    checks = (
-        tuple(x for x in range(len(G)) for _ in span),
-        tuple(rows[x][s] for x in range(len(G)) for s in gen_idxs),
-        tuple(pos for _ in range(len(G)) for pos in span),
+    steps = tuple((i, *parent[i]) for i in order[1:])
+    rows, span = G.rows(), tuple(enumerate(gen_idxs))
+    checks = tuple(
+        (x, xs, pos)
+        for x in range(len(G))
+        for pos, s in span
+        if parent[xs := rows[x][s]] != (x, pos)
     )
     return gen_idxs, steps, checks
 
@@ -699,20 +711,19 @@ def extend_images(
     allowed images of generator ``pos``.  Choices are scanned in
     ``itertools.product`` order; each is extended along the fixed
     breadth-first factorization and yielded when the law holds on every
-    (element, generator) product, which forces it on all pairs.
-    ``twist[x]`` is a permutation of H's indices (an automorphism for
-    crossed homomorphisms); ``None`` means the identity, so the law is the
-    plain homomorphism law.  With ``injective``, a choice is dropped as
-    soon as an image repeats.  The frame's plan is twist-free, so a call
-    only zips each step and check with its twist, in C.
+    (element, generator) product, which forces it on all pairs; the
+    products along the factorization hold by construction, so the plan
+    checks the others only.  ``twist[x]`` is a permutation of H's indices
+    (an automorphism for crossed homomorphisms); ``None`` means the
+    identity, so the law is the plain homomorphism law.  With
+    ``injective``, a choice is dropped as soon as an image repeats.  The
+    frame's plan is twist-free and a call reads ``twist[prev]`` and
+    ``twist[x]`` in place, so it builds nothing per step or check.
     """
-    _, (step_i, step_prev, step_pos), (check_x, check_xs, check_pos) = frame
-    n = len(G)
+    _, steps, checks = frame
+    n, size = len(G), len(H)
     if twist is None:
-        twist = (tuple(range(len(H))),) * n
-    twist_of = twist.__getitem__
-    steps = list(zip(step_i, step_prev, map(twist_of, step_prev), step_pos))
-    checks = list(zip(check_x, check_xs, map(twist_of, check_x), check_pos))
+        twist = (tuple(range(size)),) * n
     rows_h = H.rows()
     e_g, e_h = G.identity_index, H.identity_index
     for choice in itertools.product(*cands):
@@ -720,18 +731,18 @@ def extend_images(
         m[e_g] = e_h
         used = None
         if injective:
-            used = bytearray(len(H))
+            used = bytearray(size)
             used[e_h] = 1
-        for i, prev, tw, pos in steps:
-            v = rows_h[m[prev]][tw[choice[pos]]]
+        for i, prev, pos in steps:
+            v = rows_h[m[prev]][twist[prev][choice[pos]]]
             if used is not None:
                 if used[v]:
                     break
                 used[v] = 1
             m[i] = v
         else:
-            for x, xs, tw, pos in checks:
-                if m[xs] != rows_h[m[x]][tw[choice[pos]]]:
+            for x, xs, pos in checks:
+                if m[xs] != rows_h[m[x]][twist[x][choice[pos]]]:
                     break
             else:
                 yield tuple(m)

@@ -201,7 +201,7 @@ def _orbits(S, cands, act):
             continue
         images = act(x)
         seen.update(images)
-        out.append((x, [b for b, y in zip(S, images) if y == x]))
+        out.append((x, list(itertools.compress(S, map(x.__eq__, images)))))
     return out
 
 
@@ -287,9 +287,9 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
     previous = None
     cands = hom_candidates(G, aut, gens)
     for m, C in _orbit_walk(G, aut, frame, cands, range(len(aut)), conjugation):
-        for b in C:
-            row, ib = atab[b], inv[b]
-            if any(atab[row[m[g]]][ib] != m[g] for g in gens):
+        for g in gens:
+            y, row = m[g], atab[m[g]]
+            if [atab[b][y] for b in C] != [row[b] for b in C]:  # b y = y b
                 raise CountingBugError("a stabilizer moves a chosen image")
         if previous is not None and m <= previous:
             raise CountingBugError("orbit representatives are not strictly increasing")
@@ -358,10 +358,11 @@ def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
     G, aut = f.domain, f.codomain
     gens = frame[0]
     rows = aut.rows()
-    for b in C:
-        if any(rows[b][f.images[a]] != rows[f.images[a]][b] for a in gens):
+    for a in gens:
+        y, row = f.images[a], rows[f.images[a]]
+        if [rows[b][y] for b in C] != [row[b] for b in C]:
             raise CountingBugError("a centralizer element does not commute with f")
-    f_perms = [f.image_perm(a) for a in range(len(G))]
+    f_perms = [aut.elements[b] for b in f.images]
     cands = [_cyclic_candidates(N, f_perms[a], G.order_of(a)) for a in gens]
 
     def automorphisms(S):

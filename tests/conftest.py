@@ -17,12 +17,14 @@ combination of elements in turn, a greedy generating set by a walk
 restarted from the identity, compositions by a generator expression,
 random loops by backtracking, and Hol(N) and its semiregular classes by
 listing and testing every element.  They exist so the fast engines can be
-checked against something slow and obviously correct.  Three are not
+checked against something slow and obviously correct.  Four are not
 independent: ``canonical_first_witness`` runs the library's own plain
 scan, every f of ``homomorphisms`` in turn, which the orbit engine's
 first witness must equal, ``per_element_semiregular_classes`` walks
-the library's own conjugation tables, and ``lookup_table`` takes the
-library's greedy ``_base``, whatever base the group was given.
+the library's own conjugation tables, ``lookup_table`` takes the
+library's greedy ``_base``, whatever base the group was given, and
+``full_check_extend_images`` runs the generator-image scan over the
+library's ``bfs_order``, with every (element, generator) check kept.
 """
 
 import itertools
@@ -65,6 +67,7 @@ from hopfgalois.groups import (
     _generating_set,
     _reach,
     all_subgroups,
+    bfs_order,
     is_c_group,
     is_cyclic,
     is_normal,
@@ -448,6 +451,62 @@ def random_loop(rng, n):
 
     assert fill(0)
     return [tuple(row) for row in table], e
+
+
+def column_plan(G, gen_idxs):
+    """(gen_idxs, steps, checks) for ``full_check_extend_images``, each a
+    tuple of columns: steps (i, prev, pos) along ``bfs_order`` past the
+    identity, and checks (x, xs, pos) on every element x and generator
+    position, the breadth-first tree's edges included."""
+    order, parent = bfs_order(G, gen_idxs)
+    links = [parent[i] for i in order[1:]]
+    steps = (tuple(order[1:]), tuple(x for x, _ in links), tuple(pos for _, pos in links))
+    rows, span = G.rows(), range(len(gen_idxs))
+    checks = (
+        tuple(x for x in range(len(G)) for _ in span),
+        tuple(rows[x][s] for x in range(len(G)) for s in gen_idxs),
+        tuple(pos for _ in range(len(G)) for pos in span),
+    )
+    return gen_idxs, steps, checks
+
+
+def full_check_extend_images(G, H, frame, cands, twist=None, injective=False):
+    """``groups.extend_images`` with the ``column_plan`` of frame[0], built
+    on every call, and all n·k checks: each step and check is zipped with
+    its twist per call, and a choice is yielded when every (element,
+    generator) product holds, tree edges included.  The same tuples in
+    the same order, so it can stand in for the kernel anywhere."""
+    _, (step_i, step_prev, step_pos), (check_x, check_xs, check_pos) = column_plan(
+        G, frame[0]
+    )
+    n = len(G)
+    if twist is None:
+        twist = (tuple(range(len(H))),) * n
+    twist_of = twist.__getitem__
+    steps = list(zip(step_i, step_prev, map(twist_of, step_prev), step_pos))
+    checks = list(zip(check_x, check_xs, map(twist_of, check_x), check_pos))
+    rows_h = H.rows()
+    e_g, e_h = G.identity_index, H.identity_index
+    for choice in itertools.product(*cands):
+        m = [None] * n
+        m[e_g] = e_h
+        used = None
+        if injective:
+            used = bytearray(len(H))
+            used[e_h] = 1
+        for i, prev, tw, pos in steps:
+            v = rows_h[m[prev]][tw[choice[pos]]]
+            if used is not None:
+                if used[v]:
+                    break
+                used[v] = 1
+            m[i] = v
+        else:
+            for x, xs, tw, pos in checks:
+                if m[xs] != rows_h[m[x]][tw[choice[pos]]]:
+                    break
+            else:
+                yield tuple(m)
 
 
 def canonical_first_witness(G, N):

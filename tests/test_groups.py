@@ -31,7 +31,7 @@ from hopfgalois import (
     SemidirectCC,
     SemidirectZ2,
 )
-from hopfgalois import factory, groups, perm
+from hopfgalois import factory, groups, perm, realize
 from hopfgalois.errors import (
     BoundExceededError,
     CapExceededError,
@@ -47,8 +47,10 @@ from hopfgalois.groups import (
     _generating_set,
     _reach,
     bfs_order,
+    extend_images,
     generator_frame,
     greedy_frame,
+    hom_candidates,
     is_normal,
     isomorphisms,
     left_translation,
@@ -62,6 +64,7 @@ from conftest import (
     brute_force_homomorphisms,
     cycle_orders,
     every_combination_generating_set,
+    full_check_extend_images,
     inverse_lookup,
     lattice_is_almost_sylow_cyclic,
     lattice_is_c_group,
@@ -550,6 +553,17 @@ def test_table_refuses_elements_not_closed(degree, elements):
     assert G._mul_table is None
 
 
+def test_identity_index_refuses_elements_without_identity():
+    # the same refusal as table(), which reads identity_index first
+    G = PermGroup(3, [(1, 2, 0), (2, 0, 1)])
+    with pytest.raises(PreconditionError, match="not closed: no identity"):
+        G.identity_index
+    with pytest.raises(PreconditionError, match="not closed: no identity"):
+        G.table()
+    H = PermGroup(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    assert H.identity_index == H.identity_index == 0
+
+
 def test_a_given_base_is_checked_and_used():
     G = intransitive_c3_c3_c2()
     with pytest.raises(PreconditionError, match="does not tell"):
@@ -944,3 +958,63 @@ def test_bfs_order_is_the_first_reach_in_scan_order(G, data):
     seed = _closure_within(G, a, len(G))
     reached, _ = _reach(G.rows().__getitem__, seed, a + b)
     assert frozenset(reached) == _closure_within(G, a + b, len(G))
+
+
+def kernel_pairs():
+    # every catalog pair at orders up to 42 (A4 among them at 12), and
+    # (C2xC2xC2, C2xC2xC2), whose frames have three generators
+    pairs = []
+    for order in range(1, 43):
+        try:
+            entries = catalog(order)
+        except UnsupportedOrderError:
+            continue
+        pairs += [(g.group, n.group) for g in entries for n in entries]
+    c2_cubed = build(DirectProduct(DirectProduct(Cyclic(2), Cyclic(2)), Cyclic(2)))
+    return pairs + [(c2_cubed, c2_cubed)]
+
+
+def scans_differ(G, H, frame, cands, **kwargs):
+    return list(extend_images(G, H, frame, cands, **kwargs)) != list(
+        full_check_extend_images(G, H, frame, cands, **kwargs)
+    )
+
+
+def test_extend_images_matches_full_check_oracle():
+    # the triple plans, without the breadth-first tree's checks and with
+    # the twist read in place, give the tuples of the column plans with
+    # all n·k checks, in the same order: for Hom(G, Aut N) over both of
+    # G's frames, for the crossed homomorphisms of every f over G's
+    # smallest frame, and for every scan of Aut(N)'s chain
+    pairs = kernel_pairs()
+    assert len(pairs) == 135
+    bad = []
+    for G in {G for pair in pairs for G in pair}:
+        for frame in (generator_frame(G), greedy_frame(G)):
+            gens, steps, checks = frame
+            parent = bfs_order(G, gens)[1]
+            n, k = len(G), len(gens)
+            if len(checks) != n * k - (n - 1) or any(
+                parent[xs] == (x, pos) for x, xs, pos in checks
+            ):
+                bad.append(f"plan of {G.label}")
+    for N in {N for _, N in pairs}:
+        frame = generator_frame(N)
+        cands = factory.iso_candidates(N, N, frame[0])
+        for c in cands[0]:
+            if scans_differ(N, N, frame, [[c], *cands[1:]], injective=True):
+                bad.append(f"Aut({N.label}) at {c}")
+    crossed = 0
+    for G, N in pairs:
+        aut = automorphism_group(N)
+        for frame in (generator_frame(G), greedy_frame(G)):
+            if scans_differ(G, aut, frame, hom_candidates(G, aut, frame[0])):
+                bad.append(f"Hom({G.label}, Aut {N.label})")
+        frame = generator_frame(G)
+        for f in homomorphisms(G, aut):
+            twist = [aut.elements[b] for b in f.images]
+            cands = [realize._cyclic_candidates(N, twist[a], G.order_of(a)) for a in frame[0]]
+            crossed += 1
+            if scans_differ(G, N, frame, cands, twist=twist, injective=True):
+                bad.append(f"crossed ({G.label}, {N.label}) at {f.images}")
+    assert bad == [] and crossed > 0

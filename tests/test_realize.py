@@ -697,6 +697,37 @@ def test_broken_orbit_helper_is_a_bug(monkeypatch, mutate, engine):
         engine(C(6), D(6))
 
 
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda G, N: list(realize._hom_orbit_reps(G, automorphism_group(N))),
+        count_crossed_pairs,
+        realizable_via_cocycles,
+    ],
+    ids=["hom-walk", "count", "verdict"],
+)
+def test_stabilizer_moving_a_chosen_image_is_a_bug(monkeypatch, engine):
+    # (C6, D6): C6's greedy frame has one generator, so the Hom(C6, Aut D6)
+    # walk's one level is its last; there the first proper stabilizer
+    # trades its last element for one outside it, so the orbit sizes still
+    # add up and only the final check sees it.  The crossed-hom walks'
+    # candidates leave out the identity and are never swapped
+    G, N = C(6), D(6)
+    aut = automorphism_group(N)
+    gens = realize.greedy_frame(G)[0]
+    assert len(gens) == 1
+    last = realize.hom_candidates(G, aut, gens)[-1]
+    helper = realize._orbits
+
+    def mutated(S, cands, act):
+        orbits = helper(S, cands, act)
+        return _swap_centralizer_element(orbits, S) if list(cands) == last else orbits
+
+    monkeypatch.setattr(realize, "_orbits", mutated)
+    with pytest.raises(CountingBugError, match="a stabilizer moves a chosen image"):
+        engine(G, N)
+
+
 def _drop_from_centralizer(reps, aut):
     # the first centralizer with more than one element loses its last one
     i = next(i for i, (_, _, C) in enumerate(reps) if len(C) > 1)
