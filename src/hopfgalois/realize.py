@@ -297,40 +297,6 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
         yield Homomorphism(G, aut, m), len(aut) // len(C), C
 
 
-def hom_orbits(G: PermGroup, aut: PermGroup):
-    """Aut(N)-conjugacy orbits of Hom(G, Aut N), one (f, orbit) per orbit.
-
-    The brute-force oracle for ``_hom_orbit_reps``: it builds all of
-    ``homomorphisms(G, aut)``; representatives come in its order, each the
-    first member of its orbit.  An f is keyed by its images of G's frame
-    generators, which determine it, and its orbit is the set of keys of
-    the conjugates b * f * b^-1, read from ``aut.table()``.  Every orbit
-    must lie inside Hom, and once the scan is complete the orbit sizes
-    must sum to |Hom|; either failure raises CountingBugError.
-    """
-    homs = homomorphisms(G, aut)
-    gens = generator_frame(G)[0]
-    atab = aut.table()
-    pairs = [(atab[b], aut.inv(b)) for b in range(len(aut))]
-    keyed = [(tuple(f.images[g] for g in gens), f) for f in homs]
-    keys = {key for key, _ in keyed}
-    seen = set()
-    covered = 0
-    for key, f in keyed:
-        if key in seen:
-            continue
-        orbit = {tuple(atab[row[x]][ib] for x in key) for row, ib in pairs}
-        if not orbit <= keys:
-            raise CountingBugError("Aut(N)-orbit leaves Hom(G, Aut N)")
-        seen |= orbit
-        covered += len(orbit)
-        yield f, orbit
-    if covered != len(homs):
-        raise CountingBugError(
-            f"Aut(N)-orbit sizes sum to {covered}, |Hom(G, Aut N)| = {len(homs)}"
-        )
-
-
 def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
     """The bijective crossed homomorphisms for f, one per C-orbit.
 

@@ -1,0 +1,326 @@
+"""CI's cold checks, one function each, run from a checkout:
+
+    PYTHONPATH=src:tests python tests/ci_checks.py <check>|all
+
+A check compares a kernel with an oracle of ``tests/conftest.py`` above
+Tier-1's orders, through the body a Tier-1 test runs at its own orders
+where there is one, or runs the command line, the demos or the benchmark
+as a user would.  It prints its count, its seconds and its peak RSS (this
+process or its largest child) and exits 1 if anything differs.  ``all``
+runs every check cold, each in a child process, and exits 1 if any failed.
+The file name keeps pytest from collecting it.
+"""
+
+import difflib
+import json
+import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from conftest import (
+    aut_differs,
+    brace_mismatches,
+    canonical_first_witness,
+    capped_cli,
+    catalog_cases,
+    catalog_differs,
+    decompose_cases,
+    decompose_differs,
+    dihedral_terms,
+    first_witness,
+    fresh_copy,
+    full_check_extend_images,
+    generating_set_differs,
+    hom_orbit_reps_differ,
+    one_error_line,
+    orders_differ,
+    pair_cases,
+    per_element_semiregular_classes,
+    random_loop,
+    table_cases,
+    table_differs,
+    tally,
+    walk_differs,
+)
+from hopfgalois import (
+    build,
+    catalog,
+    count_crossed_pairs,
+    factory,
+    groups,
+    holomorph,
+    parse_group_spec,
+    realize,
+    regular_subgroups,
+)
+from hopfgalois.factory import is_squarefree
+
+ROOT = Path(__file__).resolve().parent.parent
+KERNEL_ORDERS = (66, 70, 78)  # every catalog N there has |Aut N| <= 936
+BIG = "1000000000000000003"
+
+
+def peak_rss_mb():
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024
+
+
+def hol_d30():
+    # the largest direct search inside the |N| <= 30 bound, from the
+    # command line; then the four largest in this process, which list no
+    # Hol(N) permutations, so they grow 2.3 MB above the start on a 2-core
+    # x86 box (6.6 MB when Hol(N) was listed)
+    out = capped_cli(["regular-subgroups", "--hol-of", "D30", "--format", "json"], None).stdout
+    result = json.loads(out)["result"]
+    expected = {"C30": 60, "D30": 4, "SD(15,2;11)": 20, "SD(15,2;4)": 12}
+    bad = [] if (result["total"], result["counts"]) == (96, expected) else ["counts"]
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    for text in ("D30", "D26", "SD(15,2;4)", "D22"):
+        regular_subgroups(holomorph(build(parse_group_spec(text))))
+    grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start) / 1024
+    bad += [] if grown <= 4 else ["peak RSS"]
+    return f"{result['total']} regular subgroups {result['counts']}, {grown:.1f} MB above the start", bad
+
+
+def coordinate_search():
+    # regular_subgroups records equal to those of the per-element path,
+    # which lists every element of Hol(N) and tests it for
+    # semiregularity, for every catalog N up to order 30
+    coordinates = realize._semiregular_classes
+
+    def records(found):
+        return [(r.subgroup.elements, r.iso_index, r.iso_text, r.strategy) for r in found]
+
+    def differs(N):
+        hol = holomorph(N)
+        found = records(regular_subgroups(hol))
+        realize._semiregular_classes = per_element_semiregular_classes
+        try:
+            return found != records(regular_subgroups.__wrapped__(hol))
+        finally:
+            realize._semiregular_classes = coordinates
+
+    checked, bad = tally(catalog_cases(range(1, 31)), differs)
+    return f"{checked} groups", bad
+
+
+def braces():
+    # every catalog N up to order 30 in reversed and then shuffled order,
+    # each brace followed by its two mutants
+    entries = list(catalog_cases(range(1, 31)))
+    rng = random.Random(29)
+    shuffled = rng.sample(entries, len(entries))
+    checked, refused, bad = brace_mismatches(entries[::-1] + shuffled, rng)
+    bad += [] if checked == 810 and refused else [f"{checked} braces, {refused} refused"]
+    return f"{checked} braces, {refused} relabelled group tables refused", bad
+
+
+def dihedral_66():
+    # the sum over N of #pairs(D66, N) / |Aut N|; it covers (D66, D66),
+    # which the benchmark leaves out
+    terms = dihedral_terms(33)
+    total = sum(q for q, _ in terms)
+    bad = [] if total == 65 and not any(r for _, r in terms) else [f"terms {terms}"]
+    return f"{len(terms)} terms {terms}, sum {total}", bad
+
+
+def large_catalogs():
+    # catalogs built from Hölder's classification: orders above
+    # TABLE_LIMIT from the command line under 10 s each, then every
+    # squarefree order up to 600 byte-identical to the iso_catalog oracle
+    timed, bad = [], []
+    for order, classes in ((1110, 12), (1995, 5)):
+        started = time.perf_counter()
+        proc = capped_cli(["catalog", "--order", str(order), "--format", "csv"], 10)
+        timed.append(f"{order}: {time.perf_counter() - started:.1f} s")
+        if proc.returncode or len(proc.stdout.splitlines()) != classes + 1:
+            bad.append(f"catalog --order {order}")
+    orders = [n for n in range(1, 601) if is_squarefree(n)]
+    bad += [n for n in orders if catalog_differs(n)]
+    return f"{len(orders)} squarefree orders, catalog {', '.join(timed)}", bad
+
+
+def shapes():
+    # decompose_burnside, which reads element orders, equal to the
+    # subgroup-lattice oracle on every catalog group up to order 200 and
+    # every odd part of a twice-odd one
+    checked, bad = tally(decompose_cases(200), decompose_differs)
+    return f"{checked} groups", bad
+
+
+def element_orders():
+    # the power walk's order and inverse tables on every catalog group up
+    # to order 600, at 1110, whose tables the walk builds, and at 1995,
+    # above TABLE_LIMIT, whose rows look entries up by base images; the
+    # pruned minimal_generating_set up to order 600
+    walked, bad = tally(catalog_cases([*range(1, 601), 1110, 1995]), orders_differ)
+    searched, bad_sets = tally(catalog_cases(range(1, 601)), generating_set_differs)
+    return f"{walked} groups walked, {searched} generating sets", bad + bad_sets
+
+
+def walk_kernel():
+    # _generating_set on every catalog table up to order 210 and on 300
+    # seeded random loops, many of them not groups; and Aut(N), whose
+    # chain orbit _reach grows, for every catalog N at orders 111-210
+    tables = [(name, G.table(), G.identity_index) for name, G in catalog_cases(range(1, 211))]
+    for seed in range(300):
+        rng = random.Random(seed)
+        tables.append((f"loop {seed}", *random_loop(rng, rng.randint(1, 7))))
+    walked, bad = tally(tables, walk_differs)
+    auts, bad_auts = tally(
+        ((f"Aut({name})", N) for name, N in catalog_cases(range(111, 211))), aut_differs
+    )
+    return f"{walked} tables, {auts} Aut(N)", bad + bad_auts
+
+
+def table_kernel():
+    # the row walk on every catalog group at orders 211-600 and 1110, and
+    # on Aut(N) for every catalog N at orders 111-210 whose Aut(N) has a
+    # table
+    checked, bad = tally(table_cases([*range(211, 601), 1110], range(111, 211)), table_differs)
+    return f"{checked} tables", bad
+
+
+def hom_orbit_reps():
+    # the Hom(G, Aut N) walk against hom_orbits and least_conjugate, and
+    # the witness against the first of the plain scan over all of Hom
+    def differs(G, N):
+        return hom_orbit_reps_differ(G, N) or first_witness(G, N) != canonical_first_witness(G, N)
+
+    checked, bad = tally(pair_cases(KERNEL_ORDERS), differs)
+    return f"{checked} pairs", bad + ([] if checked == 68 else ["pair count"])
+
+
+def cocycle_kernel():
+    # count_crossed_pairs and the witness, once on extend_images and once,
+    # on fresh copies of the groups, with full_check_extend_images in its
+    # place everywhere, Aut(N)'s chain included
+    def answers(copy):
+        found = {}
+        for order in KERNEL_ORDERS:
+            entries = catalog(order)
+            for n in entries:
+                N = copy(n.group)
+                for g in entries:
+                    G = copy(g.group)
+                    name = f"({g.spec.text()}, {n.spec.text()})"
+                    found[name] = count_crossed_pairs(G, N), first_witness(G, N)
+        return found
+
+    kernel = answers(lambda G: G)
+    for module in (groups, factory, realize):
+        module.extend_images = full_check_extend_images
+    oracle = answers(fresh_copy)
+    bad = [name for name, v in kernel.items() if oracle[name] != v]
+    return f"{len(kernel)} pairs", bad + ([] if len(kernel) == 68 else ["pair count"])
+
+
+# inputs that once ended in a traceback, a MemoryError or a hang
+BAD_INPUTS = [
+    ["count-dihedral", "--n", "15001", "--format", "json"],
+    ["count-dihedral", "--n", "15001", "--format", "table"],
+    ["realizable", "--g", "C" + "9" * 4301, "--n", "C3"],
+    ["realizable", "--g", "Hol(" * 400 + "C1" + ")" * 400, "--n", "C3"],
+    ["realizable", "--g", "x".join(["C1"] * 400), "--n", "C3"],
+    ["realizable", "--g", "C100000000", "--n", "C3", "--method", "cocycle"],
+    ["realizable", "--g", "C2000xC2000", "--n", "C3"],
+    ["realizable", "--g", "C2xC2xC2xC11", "--n", "C2xC2xC2xC11", "--method", "cocycle"],
+    ["realizable", "--g", "Hol(D1202)", "--n", "C3", "--method", "cocycle"],
+    ["realizable", "--g", "Hol(C2xC2xC2xC151)", "--n", "C3", "--method", "cocycle"],
+    ["audit", "--theorem", "t004", "--n", "601"],
+    ["audit", "--theorem", "p003", "--n", "1995"],
+    ["audit", "--theorem", "t001", "--n", "903"],
+    ["audit", "--theorem", "t001", "--n", "51"],
+    ["audit", "--theorem", "c001", "--n", "1806"],
+    ["catalog", "--order", BIG],
+    ["braces", "--order", BIG],
+    *(["audit", "--theorem", t, "--n", BIG] for t in ("t001", "t002", "t003", "p003", "p004", "c001", "t004")),
+]
+
+
+def bad_input():
+    # each must exit 1 with one error: line and no stdout, in 10 s
+    bad = []
+    for argv in BAD_INPUTS:
+        proc = capped_cli(argv, 10)
+        print(f"exit {proc.returncode}: {proc.stderr[:120].rstrip()}")
+        if not one_error_line(proc):
+            bad.append(" ".join(argv)[:60])
+    return f"{len(BAD_INPUTS)} inputs", bad
+
+
+def demos():
+    # each demo's stdout byte-identical to its file in demos/expected
+    scripts = sorted((ROOT / "demos").glob("*.py"))
+    bad = []
+    for script in scripts:
+        out = subprocess.run([sys.executable, script], stdout=subprocess.PIPE, check=True).stdout
+        expected = (ROOT / "demos" / "expected" / f"{script.stem}.txt").read_bytes()
+        if out != expected:
+            diff = difflib.unified_diff(
+                expected.decode().splitlines(True), out.decode().splitlines(True), "expected", script.name
+            )
+            sys.stdout.writelines(diff)
+            bad.append(script.name)
+    return f"{len(scripts)} demos", bad
+
+
+def bench_smoke():
+    # perfbench/run.py as it stands: --trace 0 reports the six end-to-end
+    # metrics, printed here; --trace 1 reports the per-layer ones; every
+    # run must be correct
+    workloads = ("hol-braces", "cocycle-verdicts", "cocycle-counts", "cli-store")
+    bad = []
+    for workload in workloads:
+        for trace in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+                 "--seconds", "3", "--trace", trace],
+                cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True,
+            )
+            result = json.loads(proc.stdout.splitlines()[-1])
+            if trace == "0":
+                for name, metric in result["metrics"].items():
+                    print(f"{workload} {name} = {metric['value']:.4g} {metric['unit']}")
+            if result["correct"] is not True:
+                bad.append(f"{workload} --trace {trace}")
+    return f"{2 * len(workloads)} runs", bad
+
+
+CHECKS = {
+    "hol-d30": hol_d30,
+    "coordinate-search": coordinate_search,
+    "braces": braces,
+    "dihedral-66": dihedral_66,
+    "large-catalogs": large_catalogs,
+    "shapes": shapes,
+    "element-orders": element_orders,
+    "walk-kernel": walk_kernel,
+    "table-kernel": table_kernel,
+    "hom-orbit-reps": hom_orbit_reps,
+    "cocycle-kernel": cocycle_kernel,
+    "bad-input": bad_input,
+    "demos": demos,
+    "bench-smoke": bench_smoke,
+}
+
+
+def main(argv):
+    if len(argv) != 1 or argv[0] not in [*CHECKS, "all"]:
+        sys.exit(f"usage: ci_checks.py {{{'|'.join(CHECKS)}|all}}")
+    if argv[0] == "all":
+        failed = [name for name in CHECKS if subprocess.run([sys.executable, __file__, name]).returncode]
+        print("failed:", failed)
+        return 1 if failed else 0
+    started = time.perf_counter()
+    summary, bad = CHECKS[argv[0]]()
+    seconds = time.perf_counter() - started
+    print(f"{argv[0]}: {summary}; that differ: {bad}; {seconds:.1f} s, peak RSS {peak_rss_mb():.0f} MB")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -17,22 +17,32 @@ combination of elements in turn, a greedy generating set by a walk
 restarted from the identity, compositions by a generator expression,
 random loops by backtracking, and Hol(N) and its semiregular classes by
 listing and testing every element.  They exist so the fast engines can be
-checked against something slow and obviously correct.  Four are not
+checked against something slow and obviously correct.  Five are not
 independent: ``canonical_first_witness`` runs the library's own plain
 scan, every f of ``homomorphisms`` in turn, which the orbit engine's
-first witness must equal, ``per_element_semiregular_classes`` walks
+first witness must equal, ``hom_orbits`` conjugates every f of
+``homomorphisms``, ``per_element_semiregular_classes`` walks
 the library's own conjugation tables, ``lookup_table`` takes the
 library's greedy ``_base``, whatever base the group was given, and
 ``full_check_extend_images`` runs the generator-image scan over the
 library's ``bfs_order``, with every (element, generator) check kept.
+
+The last part holds the check bodies that a Tier-1 test runs at its
+orders and ``tests/ci_checks.py`` runs at larger ones.
 """
 
 import itertools
 import operator
+import os
+import resource
+import subprocess
+import sys
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+import hopfgalois
 from hopfgalois import (
     Cyclic,
     Dihedral,
@@ -40,13 +50,21 @@ from hopfgalois import (
     SemidirectCC,
     are_isomorphic,
     automorphism_group,
+    brace_from_regular,
     build,
+    count_crossed_pairs,
     crossed_homomorphisms,
+    decompose_burnside,
+    holomorph,
     homomorphisms,
+    lambda_circ_in_hol,
     perm,
+    realizable_via_cocycles,
+    regular_subgroups,
+    verify_brace,
 )
 from hopfgalois import realize
-from hopfgalois.brace import group_table_identity
+from hopfgalois.brace import SkewBrace, group_table_identity
 from hopfgalois.errors import (
     CountingBugError,
     DegreeMismatchError,
@@ -58,19 +76,23 @@ from hopfgalois.factory import (
     _prettify,
     _semidirect_pair,
     _twists,
+    automorphism_order,
     catalog,
     is_squarefree,
 )
 from hopfgalois.groups import (
+    TABLE_LIMIT,
     PermGroup,
     _base,
     _generating_set,
     _reach,
     all_subgroups,
     bfs_order,
+    generator_frame,
     is_c_group,
     is_cyclic,
     is_normal,
+    isomorphisms,
     unique_odd_part,
 )
 
@@ -386,6 +408,40 @@ def least_conjugate(atab, inv, m, stab_size):
     )
 
 
+def hom_orbits(G, aut):
+    """Aut(N)-conjugacy orbits of Hom(G, Aut N), one (f, orbit) per orbit.
+
+    The oracle for ``realize._hom_orbit_reps``: it builds all of
+    ``homomorphisms(G, aut)``; representatives come in its order, each the
+    first member of its orbit.  An f is keyed by its images of G's frame
+    generators, which determine it, and its orbit is the set of keys of
+    the conjugates b * f * b^-1, read from ``aut.table()``.  Every orbit
+    must lie inside Hom, and once the scan is complete the orbit sizes
+    must sum to |Hom|; either failure raises CountingBugError.
+    """
+    homs = homomorphisms(G, aut)
+    gens = generator_frame(G)[0]
+    atab = aut.table()
+    pairs = [(atab[b], aut.inv(b)) for b in range(len(aut))]
+    keyed = [(tuple(f.images[g] for g in gens), f) for f in homs]
+    keys = {key for key, _ in keyed}
+    seen = set()
+    covered = 0
+    for key, f in keyed:
+        if key in seen:
+            continue
+        orbit = {tuple(atab[row[x]][ib] for x in key) for row, ib in pairs}
+        if not orbit <= keys:
+            raise CountingBugError("Aut(N)-orbit leaves Hom(G, Aut N)")
+        seen |= orbit
+        covered += len(orbit)
+        yield f, orbit
+    if covered != len(homs):
+        raise CountingBugError(
+            f"Aut(N)-orbit sizes sum to {covered}, |Hom(G, Aut N)| = {len(homs)}"
+        )
+
+
 def every_combination_generating_set(G):
     """The first generating set of size 1, then 2, then 3 in
     ``itertools.combinations`` order of the elements sorted by descending
@@ -611,20 +667,6 @@ def _conjugation_exponent(G, k_idxs, l_idxs, k, l):
     return t
 
 
-def decompose_cases(top):
-    """(name, group) for every catalog group of order <= top, and for the
-    odd part of each one of twice-odd order."""
-    for order in range(1, top + 1):
-        try:
-            entries = catalog(order)
-        except UnsupportedOrderError:
-            continue
-        for e in entries:
-            yield e.spec.text(), e.group
-            if order % 4 == 2:
-                yield f"{e.spec.text()} odd part", unique_odd_part(e.group)
-
-
 def generator_compose(p, q):
     """x -> p(q(x)) by a generator expression over q."""
     if len(p) != len(q):
@@ -691,3 +733,193 @@ def per_element_semiregular_classes(hol):
         return generator_compose(hol.lam[c // size], hol.iota[c % size])
 
     return classes, conj, in_pool, element
+
+
+# Check bodies: each compares a kernel with the oracles above and is run
+# by a Tier-1 test at its orders and by ``tests/ci_checks.py`` at larger
+# ones.  A case is a tuple (name, *args), and ``differs(*args)`` is true
+# where kernel and oracle disagree.
+
+
+def tally(cases, differs):
+    """(number of cases, names of the cases that differ)."""
+    count, bad = 0, []
+    for name, *args in cases:
+        count += 1
+        if differs(*args):
+            bad.append(name)
+    return count, bad
+
+
+def fresh_copy(G):
+    """A new group object on G's elements, whose ``table()`` builds anew."""
+    return PermGroup(G.degree, G.elements)
+
+
+def catalog_cases(orders):
+    """(name, group) for every catalog group at each of ``orders``."""
+    for order in orders:
+        try:
+            entries = catalog(order)
+        except UnsupportedOrderError:
+            continue
+        for e in entries:
+            yield e.spec.text(), e.group
+
+
+def pair_cases(orders):
+    """("(G, N)", G, N) for every catalog pair at each of ``orders``, N outer."""
+    for order in orders:
+        cases = list(catalog_cases([order]))
+        yield from ((f"({g}, {n})", G, N) for n, N in cases for g, G in cases)
+
+
+def decompose_cases(top):
+    """(name, group) for every catalog group of order <= top, and for the
+    odd part of each one of twice-odd order."""
+    for name, G in catalog_cases(range(1, top + 1)):
+        yield name, G
+        if len(G) % 4 == 2:
+            yield f"{name} odd part", unique_odd_part(G)
+
+
+def catalog_differs(order):
+    """The catalog's specs and element lists are not ``iso_catalog``'s."""
+    return [(e.spec, e.group.elements) for e in catalog(order)] != iso_catalog(order)
+
+
+def decompose_differs(G):
+    return decompose_burnside(G) != lattice_decompose_burnside(G)
+
+
+def orders_differ(G, *copies):
+    """The power walk's orders and inverses on G, or on a copy of G, are not
+    the cycle-length and ``perm.inverse`` oracles'."""
+    oracle = cycle_orders(G), inverse_lookup(G)
+    return any((H.orders(), H.inverses()) != oracle for H in (G, *copies))
+
+
+def generating_set_differs(G):
+    return G.minimal_generating_set() != every_combination_generating_set(G)
+
+
+def walk_differs(table, e):
+    return _generating_set(table, e) != restart_generating_set(table, e)
+
+
+def aut_differs(N):
+    """Aut(N) is not the sorted isomorphisms N -> N, or not of ``automorphism_order``."""
+    aut = automorphism_group(N)
+    return aut.elements != tuple(sorted(isomorphisms(N, N))) or automorphism_order(N) != len(aut)
+
+
+def table_differs(G):
+    return G.table() != lookup_table(G)
+
+
+def table_cases(orders, aut_orders):
+    """(name, group with no table yet): a fresh copy of every catalog
+    group at ``orders``, then Aut(N), built anew with N's frame base, for
+    each catalog N at ``aut_orders`` whose Aut(N) has a table."""
+    for name, G in catalog_cases(orders):
+        yield name, fresh_copy(G)
+    for name, N in catalog_cases(aut_orders):
+        if automorphism_order(N) <= TABLE_LIMIT:
+            yield f"Aut({name})", automorphism_group.__wrapped__(N)
+
+
+def hom_orbit_reps_differ(G, N):
+    """The Hom(G, Aut N) walk's images and orbit sizes are not those of
+    ``hom_orbits``, or a centralizer C is not |Aut N| / size distinct
+    automorphisms commuting with f's images, or f is not its least
+    conjugate by a scan of all of Aut(N) with C that conjugate's
+    centralizer, as a set (``least_conjugate``)."""
+    aut = automorphism_group(N)
+    atab, inv = aut.table(), inverse_lookup(aut)
+    reps = list(realize._hom_orbit_reps(G, aut))
+
+    def differs(f, size, C):
+        least, centralizer = least_conjugate(atab, inv, f.images, len(aut) // size)
+        return (
+            not len(set(C)) == len(C) == len(aut) // size
+            or any(atab[b][x] != atab[x][b] for b in C for x in set(f.images))
+            or (least, set(centralizer)) != (f.images, set(C))
+        )
+
+    oracle = [(f.images, len(o)) for f, o in hom_orbits(G, aut)]
+    return [(f.images, size) for f, size, _ in reps] != oracle or any(differs(*r) for r in reps)
+
+
+def first_witness(G, N):
+    """(f images, g) of the cocycle engine's witness for (G, N), or None."""
+    w = realizable_via_cocycles(G, N)
+    return None if w is None else (w.f.images, w.g)
+
+
+def brace_mismatches(entries, rng=None):
+    """(braces, relabellings refused, names that differ) over the brace B
+    of every regular subgroup of Hol(N), for each (name, N) of ``entries``:
+    B must pass both O(n^3) oracles, and ``verify_brace`` and
+    ``lambda_circ_in_hol`` must equal them on B and, with ``rng``, right
+    after it on two mutants: two entries of one multiplicative row
+    exchanged, refused although its additive table was just accepted, and
+    the multiplicative table relabelled by a random bijection fixing the
+    identity, a group table that only the law can refuse."""
+    checked, refused, bad = 0, 0, []
+    for name, N in entries:
+        for rec in regular_subgroups(holomorph(N)):
+            B = brace_from_regular(rec.subgroup, N)
+            cases = [B]
+            if rng is not None and B.size > 1:
+                rows = [list(r) for r in B.mul_table]
+                row = rows[rng.randrange(B.size)]
+                x, y = rng.sample(range(B.size), 2)
+                row[x], row[y] = row[y], row[x]
+                cases.append(SkewBrace(B.size, B.add_table, tuple(map(tuple, rows))))
+                zero = N.identity_index
+                rest = [x for x in range(B.size) if x != zero]
+                images = {zero: zero, **dict(zip(rest, rng.sample(rest, len(rest))))}
+                inv = {y: x for x, y in images.items()}
+                mul = tuple(
+                    tuple(images[B.mul_table[inv[a]][inv[b]]] for b in range(B.size))
+                    for a in range(B.size)
+                )
+                cases.append(SkewBrace(B.size, B.add_table, mul))
+                refused += not verify_brace(cases[-1])
+            for C in cases:
+                oracle = brute_force_verify_brace(C), brute_force_lambda_circ_in_hol(C)
+                if (verify_brace(C), lambda_circ_in_hol(C)) != oracle or (
+                    C is B and oracle != (True, True)
+                ):
+                    bad.append(name)
+            checked += 1
+    return checked, refused, sorted(set(bad))
+
+
+def dihedral_terms(n):
+    """divmod(#pairs(D_2n, N), |Aut N|) for each N in catalog(2n); the
+    quotients sum to the Hopf-Galois structures on a D_2n-extension."""
+    G = build(Dihedral(2 * n))
+    return [
+        divmod(count_crossed_pairs(G, e.group), len(automorphism_group(e.group)))
+        for e in catalog(2 * n)
+    ]
+
+
+def capped_cli(argv, timeout):
+    """``python -m hopfgalois *argv`` on this package's sources, in a child
+    capped at 1 GiB of address space, so that a group built without the
+    size bound ends in a MemoryError there; stdout and stderr as text."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "hopfgalois", *argv], capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)), timeout=timeout,
+    )
+
+
+def one_error_line(proc):
+    """Exit 1, one ``error:`` line on stderr, no traceback, no stdout."""
+    err = proc.stderr
+    return (proc.returncode, proc.stdout, err.count("\n")) == (1, "", 1) and (
+        err.startswith("error: ") and "Traceback" not in err
+    )

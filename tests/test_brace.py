@@ -24,15 +24,17 @@ from hopfgalois import (
 )
 from hopfgalois import brace
 from hopfgalois.brace import _group_generators, group_table_identity
-from hopfgalois.errors import PreconditionError, UnsupportedOrderError
+from hopfgalois.errors import PreconditionError
 from hopfgalois.perm import composer
 
 from conftest import (
     C,
     D,
+    brace_mismatches,
     brute_force_is_group_table,
     brute_force_lambda_circ_in_hol,
     brute_force_verify_brace,
+    catalog_cases,
 )
 
 
@@ -385,21 +387,7 @@ def test_checks_match_oracles_on_loops_and_random_pairs():
 
 
 def test_checks_match_oracles_on_every_brace_up_to_order_30():
-    checked = 0
-    for order in range(1, 31):
-        try:
-            entries = catalog(order)
-        except UnsupportedOrderError:
-            continue
-        for entry in entries:
-            N = entry.group
-            for rec in regular_subgroups(holomorph(N)):
-                B = brace_from_regular(rec.subgroup, N)
-                assert brute_force_verify_brace(B)
-                assert brute_force_lambda_circ_in_hol(B)
-                assert lambda_circ_in_hol(B)
-                checked += 1
-    assert checked == 405
+    assert brace_mismatches(catalog_cases(range(1, 31))) == (405, 0, [])
 
 
 def test_dropping_a_generator_is_caught(monkeypatch):
@@ -438,10 +426,7 @@ def test_checks_match_oracles_on_random_loops(case):
 
 
 def catalog_tables(order):
-    try:
-        return [table_of(e.group) for e in catalog(order)]
-    except UnsupportedOrderError:
-        return []
+    return [table_of(G) for _, G in catalog_cases([order])]
 
 
 CATALOG_ORDERS = [k for k in range(1, 13) if catalog_tables(k)]

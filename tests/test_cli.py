@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -14,6 +13,8 @@ import hopfgalois
 from hopfgalois import cli, realize
 from hopfgalois.audit import AuditReport
 from hopfgalois.store import ResultsStore
+
+from conftest import capped_cli, one_error_line
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -269,13 +270,8 @@ def test_four_generator_group_is_error(capsys):
 def test_aut_above_table_limit_is_error():
     # a fresh process, so no memo from another test holds a table;
     # |Aut(D102)| = 1632 and |Aut(C2xC2xC2xC11)| = 1680 are above TABLE_LIMIT
-    env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
     for g, n in (("C102", "D102"), ("C2xC2xC2xC11", "C2xC2xC2xC11")):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hopfgalois", "realizable", "--g", g, "--n", n,
-             "--method", "cocycle"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = capped_cli(["realizable", "--g", g, "--n", n, "--method", "cocycle"], 60)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: no table above 1200 elements\n"
@@ -325,27 +321,18 @@ PAST_AUT_LIMIT = [["audit", "--theorem", "t001", "--n", "51"]]
     ],
 )
 def test_oversized_group_is_error(argv):
-    # in a child capped at 1 GB of address space, so a group built without
-    # the size bound ends in a MemoryError there, not in the test runner
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
+    # in a capped child, not in the test runner
     started = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfgalois", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
-    )
+    proc = capped_cli(argv, timeout=60)
     elapsed = time.monotonic() - started
-    assert proc.returncode == 1, proc.stderr
+    assert one_error_line(proc), proc.stderr
     if argv in PAST_TABLE_LIMIT + PAST_AUT_LIMIT:
         bound = "no table above 1200 elements"
     elif argv in PAST_SUBGROUP_BOUND:
         bound = "subgroup enumeration bound 400 exceeded by order 1806"
     else:
         bound = "size bound"
-    assert proc.stderr.startswith("error: ") and bound in proc.stderr
-    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert bound in proc.stderr
     assert elapsed < 2
 
 
@@ -392,11 +379,7 @@ def test_leftover_aut_cache_file_is_ignored(tmp_path, content):
     leftover = Path(str(store_path) + ".autcache.json")
     leftover.write_text(content)
     argv = ["realizable", "--g", "C6", "--n", "D6", "--method", "cocycle"]
-    env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hopfgalois", *argv, "--store", str(store_path)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = capped_cli([*argv, "--store", str(store_path)], None)
     assert proc.returncode == 0 and "realizable: True" in proc.stdout, proc.stderr
     assert leftover.read_bytes() == content.encode()
 

@@ -7,12 +7,9 @@ from hopfgalois import (
     Cyclic,
     Dihedral,
     DirectProduct,
-    automorphism_group,
     build,
     byott_aggregate,
-    catalog,
     chi,
-    count_crossed_pairs,
     count_hgs_dihedral,
     direct_normalized_count,
     euler_phi,
@@ -29,7 +26,7 @@ from hopfgalois.errors import (
 
 from hopfgalois.groups import MR_LIMIT, _probable_prime
 
-from conftest import C, D, trial_division_pairs
+from conftest import C, D, dihedral_terms, trial_division_pairs
 
 
 def test_factorize():
@@ -250,14 +247,10 @@ DIHEDRAL_AGGREGATES = {
 
 @pytest.mark.parametrize("n, expected", DIHEDRAL_AGGREGATES.items())
 def test_cocycle_aggregate_matches_hol_side(n, expected):
-    G = build(Dihedral(2 * n))
-    total = 0
-    for entry in catalog(2 * n):
-        pairs = count_crossed_pairs(G, entry.group)
-        aut_n = len(automorphism_group(entry.group))
-        assert pairs % aut_n == 0, entry.spec.text()
-        total += pairs // aut_n
+    terms = dihedral_terms(n)
+    assert [r for _, r in terms] == [0] * len(terms)
+    total = sum(q for q, _ in terms)
     assert total == expected
     if 2 * n <= 30:
         # the Hol(N) search is the independent engine
-        assert total == byott_aggregate(G)
+        assert total == byott_aggregate(build(Dihedral(2 * n)))

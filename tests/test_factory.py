@@ -10,7 +10,6 @@ from hopfgalois import (
     SemidirectZ2,
     are_isomorphic,
     automorphism_group,
-    automorphism_order,
     build,
     catalog,
     class_index,
@@ -30,15 +29,18 @@ from hopfgalois.errors import (
     UnsupportedOrderError,
 )
 from hopfgalois.factory import _holder_key, _semidirect_pair, _twists, is_squarefree
-from hopfgalois.groups import PermGroup, closure, isomorphisms, unique_odd_part
+from hopfgalois.groups import PermGroup, closure, unique_odd_part
 
 from conftest import (
     C,
     D,
+    aut_differs,
     brute_force_automorphisms,
+    catalog_differs,
     decompose_cases,
-    iso_catalog,
+    decompose_differs,
     lattice_decompose_burnside,
+    tally,
 )
 
 
@@ -124,10 +126,7 @@ def test_automorphism_group_matches_isomorphisms():
     orders = [n for n in range(1, 111) if n in (4, 12) or is_squarefree(n)]
     groups = [e.group for n in orders for e in catalog(n)]
     groups += [build(parse_group_spec(t)) for t in ("C2xC2xC2", "C2xC4", "D8", "A4", "D30xC7")]
-    for N in groups:
-        aut = automorphism_group(N)
-        assert aut.elements == tuple(sorted(isomorphisms(N, N))), N
-        assert automorphism_order(N) == len(aut)
+    assert [N for N in groups if aut_differs(N)] == []
 
 
 @pytest.mark.parametrize(
@@ -345,10 +344,7 @@ def test_catalog_closure_under_semidirects():
 
 def test_catalog_matches_iso_catalog():
     # byte-identical to the isomorphism-search oracle: specs and elements
-    for order in range(1, 211):
-        if is_squarefree(order):
-            entries = [(e.spec, e.group.elements) for e in catalog(order)]
-            assert entries == iso_catalog(order), order
+    assert [n for n in range(1, 211) if is_squarefree(n) and catalog_differs(n)] == []
 
 
 def test_catalog_unsupported():
@@ -388,11 +384,7 @@ def test_decompose_rebuilds_isomorphic():
 def test_decompose_burnside_matches_lattice():
     # catalog groups and twice-odd odd parts up to order 100; catalog(12)
     # holds SD(3,4;2), whose Sylow 2-subgroup is Z_4
-    bad = [
-        name for name, G in decompose_cases(100)
-        if decompose_burnside(G) != lattice_decompose_burnside(G)
-    ]
-    assert bad == []
+    assert tally(decompose_cases(100), decompose_differs)[1] == []
 
 
 def test_decompose_burnside_keeps_its_twist():

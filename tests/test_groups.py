@@ -36,7 +36,6 @@ from hopfgalois.errors import (
     BoundExceededError,
     CapExceededError,
     PreconditionError,
-    UnsupportedOrderError,
 )
 from hopfgalois.factory import is_squarefree
 from hopfgalois.groups import (
@@ -62,15 +61,24 @@ from conftest import (
     D,
     _closure_within,
     brute_force_homomorphisms,
+    catalog_cases,
     cycle_orders,
     every_combination_generating_set,
+    fresh_copy,
     full_check_extend_images,
+    generating_set_differs,
     inverse_lookup,
     lattice_is_almost_sylow_cyclic,
     lattice_is_c_group,
     lookup_table,
+    orders_differ,
+    pair_cases,
     random_loop,
     restart_generating_set,
+    table_cases,
+    table_differs,
+    tally,
+    walk_differs,
 )
 
 
@@ -453,11 +461,6 @@ def compose_table(G):
     ]
 
 
-def fresh_copy(G):
-    # tables are built once per object; a copy makes table() build anew
-    return PermGroup(G.degree, G.elements)
-
-
 def intransitive_c3_c3_c2():
     # C3 x C3 x C2 on the orbits {0,1,2}, {3,4,5}, {6,7}: no one point
     # separates its elements, so a base needs a point from each orbit
@@ -498,19 +501,14 @@ def test_table_matches_compose(make):
     assert G.table() == compose_table(G)
 
 
-def table_groups():
-    """(name, group with no table yet): every catalog group up to order
-    210, A4, C2xC2, C2xC6, Hol(C3), C1 and C2xC2xC2, as fresh copies, and
-    Aut(N), built anew with N's frame base, for each catalog N up to
-    order 110 whose Aut(N) has a table."""
-    entries = []
-    for order in range(1, 211):
-        try:
-            entries += catalog(order)
-        except UnsupportedOrderError:
-            continue
+def test_table_matches_lookup_oracle():
+    # each table is built by the row walk, and equals the one looked up
+    # entry by entry from the greedy base: on fresh copies of every catalog
+    # group up to order 210, of A4, C2xC2, C2xC6, Hol(C3), C1 and
+    # C2xC2xC2, and on Aut(N) for each catalog N up to order 110 whose
+    # Aut(N) has a table
     c2 = Cyclic(2)
-    cases = [(e.spec.text(), e.group) for e in entries] + [
+    extras = [
         ("A4", build(Alternating4())),
         ("C2xC2", build(DirectProduct(c2, c2))),
         ("C2xC6", build(DirectProduct(c2, Cyclic(6)))),
@@ -518,20 +516,8 @@ def table_groups():
         ("C1", build(Cyclic(1))),
         ("C2xC2xC2", build(DirectProduct(DirectProduct(c2, c2), c2))),
     ]
-    cases = [(name, fresh_copy(G)) for name, G in cases]
-    return cases + [
-        (f"Aut({e.spec.text()})", automorphism_group.__wrapped__(e.group))
-        for e in entries
-        if len(e.group) <= 110 and factory.automorphism_order(e.group) <= TABLE_LIMIT
-    ]
-
-
-def test_table_matches_lookup_oracle():
-    # each table is built by the row walk, and equals the one looked up
-    # entry by entry from the greedy base
-    cases = table_groups()
-    assert len(cases) == 369
-    assert [name for name, G in cases if G.table() != lookup_table(G)] == []
+    cases = [*table_cases(range(1, 211), range(1, 111)), *((n, fresh_copy(G)) for n, G in extras)]
+    assert tally(cases, table_differs) == (369, [])
 
 
 @pytest.mark.parametrize(
@@ -577,17 +563,10 @@ def test_automorphism_group_takes_the_frame_base():
     # an automorphism is fixed by its images of N's frame generators;
     # Aut(D102) and Aut(D110) are above TABLE_LIMIT, where rows take the
     # same base
-    bad = []
-    for order in range(1, 111):
-        try:
-            entries = catalog(order)
-        except UnsupportedOrderError:
-            continue
-        bad += [
-            e.spec.text() for e in entries
-            if automorphism_group(e.group)._base_lookup()[0] != generator_frame(e.group)[0]
-        ]
-    assert bad == []
+    assert [
+        name for name, N in catalog_cases(range(1, 111))
+        if automorphism_group(N)._base_lookup()[0] != generator_frame(N)[0]
+    ] == []
 
 
 @pytest.mark.parametrize(
@@ -668,7 +647,7 @@ def test_products_below_table_limit_never_compose(monkeypatch):
     assert [(H.orders(), H.inverses()) for H in fresh] == oracles
 
 
-def test_products_above_table_limit_compose(monkeypatch):
+def test_rows_above_table_limit_equal_composed_products(monkeypatch):
     G = build(Cyclic(1201))
     assert len(G) > TABLE_LIMIT
     rows = G.rows()
@@ -685,7 +664,8 @@ def test_products_above_table_limit_compose(monkeypatch):
     for H in (fresh_copy(D(30)), fresh_copy(holomorph(C(6)).group)):
         assert H.rows() is H.table()
         assert H.rows() == compose_table(H)
-    # and above a lowered limit a non-abelian group's rows compose in order
+    # and above a lowered limit a non-abelian group's rows equal them too,
+    # with no table built
     monkeypatch.setattr("hopfgalois.groups.TABLE_LIMIT", 10)
     H = fresh_copy(D(30))
     rows = [tuple(row[j] for j in range(len(H))) for row in H.rows()]
@@ -716,18 +696,8 @@ def power_walk_groups():
     """(name, group): every catalog group up to order 210, Aut(N) for each
     one up to order 110, A4, C2xC2xC2, Hol(D10), the one-element group and
     C1201, which is past TABLE_LIMIT."""
-    entries = []
-    for order in range(1, 211):
-        try:
-            entries += catalog(order)
-        except UnsupportedOrderError:
-            continue
-    cases = [(e.spec.text(), e.group) for e in entries]
-    cases += [
-        (f"Aut({e.spec.text()})", automorphism_group(e.group))
-        for e in entries
-        if len(e.group) <= 110
-    ]
+    cases = list(catalog_cases(range(1, 211)))
+    cases += [(f"Aut({name})", automorphism_group(G)) for name, G in cases if len(G) <= 110]
     c2 = Cyclic(2)
     cases += [
         ("A4", build(Alternating4())),
@@ -739,22 +709,21 @@ def power_walk_groups():
     return cases
 
 
-def test_power_walk_matches_oracles():
-    # on a fresh copy the walk reads the rows, a table built on first read
-    # or above TABLE_LIMIT rows that compose; on one whose table is built
-    # first it reads that table
-    bad = []
+def power_walk_copies():
+    # a fresh copy of each group, on which the walk reads the rows, a table
+    # built on first read or above TABLE_LIMIT rows that look entries up by
+    # base images; and up to TABLE_LIMIT one whose table is built first,
+    # whose table it reads
     for name, G in power_walk_groups():
-        oracle = (cycle_orders(G), inverse_lookup(G))
-        fresh = fresh_copy(G)
-        if (fresh.orders(), fresh.inverses()) != oracle:
-            bad.append(name)
+        copies = [fresh_copy(G)]
         if len(G) <= TABLE_LIMIT:
-            tabled = fresh_copy(G)
-            tabled.table()
-            if (tabled.orders(), tabled.inverses()) != oracle:
-                bad.append(f"{name} from its table")
-    assert bad == []
+            copies.append(fresh_copy(G))
+            copies[-1].table()
+        yield name, *copies
+
+
+def test_power_walk_matches_oracles():
+    assert tally(power_walk_copies(), orders_differ)[1] == []
 
 
 def test_extension_plan_is_built_once_per_group(monkeypatch):
@@ -782,18 +751,8 @@ def test_extension_plan_is_built_once_per_group(monkeypatch):
 def generating_set_cases(top):
     # every catalog group up to order ``top``, Aut(N) for each one up to
     # order 66, A4, C2xC2xC2, Hol(C6) and the one-element group
-    entries = []
-    for order in range(1, top + 1):
-        try:
-            entries += catalog(order)
-        except UnsupportedOrderError:
-            continue
-    cases = [(e.spec.text(), e.group) for e in entries]
-    cases += [
-        (f"Aut({e.spec.text()})", automorphism_group(e.group))
-        for e in entries
-        if len(e.group) <= 66
-    ]
+    cases = list(catalog_cases(range(1, top + 1)))
+    cases += [(f"Aut({name})", automorphism_group(G)) for name, G in cases if len(G) <= 66]
     c2 = Cyclic(2)
     cases += [
         ("A4", build(Alternating4())),
@@ -811,21 +770,15 @@ def test_minimal_generating_set_matches_every_combination_search():
     c2c2c2 = DirectProduct(DirectProduct(c2, c2), c2)
     cases = generating_set_cases(210)
     cases.append(("C2xC2xC2xC11", build(DirectProduct(c2c2c2, Cyclic(11)))))
-    assert [
-        name for name, G in cases
-        if G.minimal_generating_set() != every_combination_generating_set(G)
-    ] == []
+    assert tally(cases, generating_set_differs)[1] == []
 
 
 def test_generating_set_matches_restart_walk():
     # the walk that resumes from the set reached so far finds the
     # generators of the walk that restarts from the identity, on every
     # catalog table up to order 210 and every Aut(N) table up to N = 66
-    assert [
-        name for name, G in generating_set_cases(210)
-        if _generating_set(G.table(), G.identity_index)
-        != restart_generating_set(G.table(), G.identity_index)
-    ] == []
+    tables = ((name, G.table(), G.identity_index) for name, G in generating_set_cases(210))
+    assert tally(tables, walk_differs)[1] == []
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -963,13 +916,7 @@ def test_bfs_order_is_the_first_reach_in_scan_order(G, data):
 def kernel_pairs():
     # every catalog pair at orders up to 42 (A4 among them at 12), and
     # (C2xC2xC2, C2xC2xC2), whose frames have three generators
-    pairs = []
-    for order in range(1, 43):
-        try:
-            entries = catalog(order)
-        except UnsupportedOrderError:
-            continue
-        pairs += [(g.group, n.group) for g in entries for n in entries]
+    pairs = [(G, N) for _, G, N in pair_cases(range(1, 43))]
     c2_cubed = build(DirectProduct(DirectProduct(Cyclic(2), Cyclic(2)), Cyclic(2)))
     return pairs + [(c2_cubed, c2_cubed)]
 

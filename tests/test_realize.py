@@ -30,8 +30,8 @@ from hopfgalois import factory, perm, realize
 from hopfgalois.errors import BoundExceededError, CountingBugError, PreconditionError
 from hopfgalois.factory import is_squarefree
 from hopfgalois.groups import PermGroup
-from hopfgalois.realize import hom_orbits
 
+import conftest
 from conftest import (
     C,
     D,
@@ -39,9 +39,13 @@ from conftest import (
     brute_force_subgroups,
     canonical_first_witness,
     eager_holomorph,
-    inverse_lookup,
+    first_witness,
+    hom_orbit_reps_differ,
+    hom_orbits,
     least_conjugate,
+    pair_cases,
     per_element_semiregular_classes,
+    tally,
 )
 
 # every catalog order up to the Hol(N) search bound
@@ -558,29 +562,7 @@ def test_hom_orbit_reps_match_oracle(order):
     # the orbit-by-orbit search never builds Hom; the oracle builds all of it.
     # Each f carries its centralizer: |Aut N| / size automorphisms, each
     # commuting with every image of f
-    for g, n in catalog_pairs(order):
-        aut = automorphism_group(n.group)
-        rows = aut.rows()
-        reps = list(realize._hom_orbit_reps(g.group, aut))
-        found = [(f.images, size) for f, size, _ in reps]
-        oracle = [(f.images, len(o)) for f, o in hom_orbits(g.group, aut)]
-        assert found == oracle, (g.spec.text(), n.spec.text())
-        for f, size, centralizer in reps:
-            assert len(set(centralizer)) == len(centralizer) == len(aut) // size
-            for b in centralizer:
-                assert all(rows[b][x] == rows[x][b] for x in set(f.images))
-        assert reps_are_least_conjugates(reps, aut), (g.spec.text(), n.spec.text())
-
-
-def reps_are_least_conjugates(reps, aut):
-    # each representative is its least conjugate by a scan of all of
-    # Aut(N), and its centralizer is that conjugate's, as a set
-    atab, inv = aut.table(), inverse_lookup(aut)
-    for f, size, centralizer in reps:
-        least, oracle = least_conjugate(atab, inv, f.images, len(aut) // size)
-        if least != f.images or set(oracle) != set(centralizer):
-            return False
-    return True
+    assert tally(pair_cases([order]), hom_orbit_reps_differ)[1] == []
 
 
 @pytest.mark.parametrize(
@@ -594,8 +576,7 @@ def reps_are_least_conjugates(reps, aut):
 )
 def test_hom_orbit_reps_are_least_conjugates(spec):
     G = build(spec)
-    aut = automorphism_group(G)
-    assert reps_are_least_conjugates(realize._hom_orbit_reps(G, aut), aut)
+    assert not hom_orbit_reps_differ(G, G)
 
 
 def test_hom_orbit_reps_out_of_order_is_a_bug(monkeypatch):
@@ -644,7 +625,7 @@ def test_orbit_leaving_hom_is_a_bug(monkeypatch):
     G, N = C(6), D(6)
     aut, homs, f = _hom_with_big_orbit(G, N)
     cut = [h for h in homs if h != f]  # an orbit of a later f now leaves Hom
-    monkeypatch.setattr(realize, "homomorphisms", lambda G, H: cut)
+    monkeypatch.setattr(conftest, "homomorphisms", lambda G, H: cut)
     with pytest.raises(CountingBugError):
         list(hom_orbits(G, aut))
 
@@ -652,7 +633,7 @@ def test_orbit_leaving_hom_is_a_bug(monkeypatch):
 def test_orbit_sizes_not_summing_is_a_bug(monkeypatch):
     G, N = C(6), D(6)
     aut, homs, f = _hom_with_big_orbit(G, N)
-    monkeypatch.setattr(realize, "homomorphisms", lambda G, H: homs + [f])
+    monkeypatch.setattr(conftest, "homomorphisms", lambda G, H: homs + [f])
     with pytest.raises(CountingBugError):
         list(hom_orbits(G, aut))
 
@@ -852,10 +833,7 @@ FIRST_HIT_PAIRS = [
     ids=[f"{g.spec.text()}-{n.spec.text()}" for g, n in FIRST_HIT_PAIRS],
 )
 def test_first_witness_matches_canonical_scan(g, n):
-    w = realizable_via_cocycles(g.group, n.group)
-    assert (None if w is None else (w.f.images, w.g)) == canonical_first_witness(
-        g.group, n.group
-    )
+    assert first_witness(g.group, n.group) == canonical_first_witness(g.group, n.group)
 
 
 def test_cyclic_candidates_are_kept_per_n():
