@@ -61,7 +61,10 @@ class PermGroup:
     the subgroup list fill in on first use, as does the identity's index,
     kept so a read builds no identity tuple, and ``_cyclic_images`` holds
     the crossed-hom scan's candidate images when this group is N, keyed
-    by (f(a), ord a) and filled by ``realize._cyclic_candidates``.  No
+    by (f(a), ord a) and filled by ``realize._cyclic_candidates``.  When
+    this group is Aut(N), ``_orbit_tables`` holds the orbit splits of
+    ``realize._orbit_walk``, keyed by (action, acting subset, candidates)
+    and checked as they are filled.  No
     other module sets attributes on an instance; automorphism groups,
     holomorphs and regular subgroups are memoized by ``functools.cache``
     with the group as key.
@@ -85,6 +88,7 @@ class PermGroup:
         self._frame = None
         self._greedy_frame = None
         self._cyclic_images = {}
+        self._orbit_tables = {}
         self._subgroups = None
 
     def _default_generators(self):

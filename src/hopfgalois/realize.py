@@ -46,7 +46,6 @@ from .groups import (
     generator_frame,
     greedy_frame,
     hom_candidates,
-    homomorphisms,
     is_regular,
     are_isomorphic,
 )
@@ -188,11 +187,13 @@ def subgroup_from_cocycle(c: CrossedHom, hol: HolomorphGroup) -> RegularSubgroup
 
 
 def _orbits(S, cands, act):
-    """Orbits of S (a list of Aut(N) indices) on ``cands``.
+    """Orbits of S (a sequence of Aut(N) indices) on ``cands``.
 
     ``act(x)`` lists the images b.x for b in S, in S's order.  Returns one
     (y, S_y) per orbit, y its first member in ``cands`` and S_y its
-    stabilizer in S as a list; the orbit has |S| / |S_y| members.
+    stabilizer in S as a tuple; the orbit has |S| / |S_y| members.
+    ``_orbit_walk`` keeps each result in a table shared by every later
+    walk, so the stabilizers are immutable.
     """
     seen = set()
     out = []
@@ -201,11 +202,24 @@ def _orbits(S, cands, act):
             continue
         images = act(x)
         seen.update(images)
-        out.append((x, list(itertools.compress(S, map(x.__eq__, images)))))
+        out.append((x, tuple(itertools.compress(S, map(x.__eq__, images)))))
     return out
 
 
-def _orbit_walk(G, H, frame, cands, S, action, twist=None, injective=False):
+def _conjugation(aut, S):
+    """The ``act`` of ``_orbits`` for S on Aut(N) by conjugation: x -> b x b^-1."""
+    atab, inv = aut.table(), aut.inverses()
+    pairs = [(atab[b], inv[b]) for b in S]
+    return lambda x: [atab[row[x]][ib] for row, ib in pairs]
+
+
+def _evaluation(aut, S):
+    """The ``act`` of ``_orbits`` for S on N's element indices: x -> b(x)."""
+    perms = [aut.elements[b] for b in S]
+    return lambda x: [p[x] for p in perms]
+
+
+def _orbit_walk(G, H, frame, cands, S, aut, action, twist=None, injective=False):
     """Image tuples m: G -> H, one per orbit of the group S, with stabilizers.
 
     The level-by-level search for ``extend_images`` solutions up to the
@@ -219,24 +233,33 @@ def _orbit_walk(G, H, frame, cands, S, action, twist=None, injective=False):
     of all of m's generator images) in ``itertools.product`` order of the
     representatives; with ascending candidates that is increasing order
     of the generator images, and each m has the least generator images of
-    its S-orbit, level by level.  ``action(T)`` is the ``act`` of
-    ``_orbits`` for a subset T of S.
+    its S-orbit, level by level.  S is a subgroup of ``aut``, listed by
+    Aut(N) index, and ``action(aut, T)``, ``_conjugation`` or
+    ``_evaluation``, is the ``act`` of ``_orbits`` for a subset T of S.
 
-    S must map each ``cands[level]`` onto itself, so at every level the
-    orbit sizes |T| / |T_y| must be whole numbers that sum to the number
-    of candidates; otherwise CountingBugError is raised.
+    Each orbit split is read from ``aut._orbit_tables``, keyed by
+    (action's name, T, candidates), and computed by ``_orbits`` only when
+    it is not there yet: every G swept against one N splits the same
+    orbits of Aut(N).  S must map each ``cands[level]`` onto itself, so
+    at every level the orbit sizes |T| / |T_y| must be whole numbers that
+    sum to the number of candidates; that is checked when a table is
+    filled, and otherwise CountingBugError is raised.
     """
     gens = frame[0]
+    tables = aut._orbit_tables
 
     def orbits(T, level):
-        reps = _orbits(T, cands[level], action(T))
-        sizes = [divmod(len(T), len(C)) for _, C in reps]
-        if any(r for _, r in sizes) or sum(q for q, _ in sizes) != len(cands[level]):
-            raise CountingBugError(
-                f"orbits do not cover the {len(cands[level])} "
-                f"candidate images of generator {level}"
-            )
-        return reps
+        key = (action.__name__, tuple(T), tuple(cands[level]))
+        if key not in tables:
+            reps = _orbits(T, cands[level], action(aut, T))
+            sizes = [divmod(len(T), len(C)) for _, C in reps]
+            if any(r for _, r in sizes) or sum(q for q, _ in sizes) != len(cands[level]):
+                raise CountingBugError(
+                    f"orbits do not cover the {len(cands[level])} "
+                    f"candidate images of generator {level}"
+                )
+            tables[key] = reps
+        return tables[key]
 
     # (images of the generators chosen so far, their stabilizer in S)
     partial = [((), S)]
@@ -268,7 +291,7 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
     takes the least candidate of each stabilizer orbit at every level, so
     each f it finds is the least member of its orbit, the f's come in
     increasing order, and the final stabilizer is f's centralizer, handed
-    on as a list of Aut(N) indices; the orbit size is |Aut N| over it.
+    on as a tuple of Aut(N) indices; the orbit size is |Aut N| over it.
 
     Conjugation preserves element orders, so each generator's candidates
     are a union of orbits, as the walk requires.  A final stabilizer that
@@ -278,15 +301,9 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
     frame = greedy_frame(G)
     gens = frame[0]
     atab = aut.table()
-    inv = aut.inverses()
-
-    def conjugation(S):
-        pairs = [(atab[b], inv[b]) for b in S]
-        return lambda x: [atab[row[x]][ib] for row, ib in pairs]
-
     previous = None
     cands = hom_candidates(G, aut, gens)
-    for m, C in _orbit_walk(G, aut, frame, cands, range(len(aut)), conjugation):
+    for m, C in _orbit_walk(G, aut, frame, cands, range(len(aut)), aut, _conjugation):
         for g in gens:
             y, row = m[g], atab[m[g]]
             if [atab[b][y] for b in C] != [row[b] for b in C]:  # b y = y b
@@ -330,12 +347,7 @@ def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
             raise CountingBugError("a centralizer element does not commute with f")
     f_perms = [aut.elements[b] for b in f.images]
     cands = [_cyclic_candidates(N, f_perms[a], G.order_of(a)) for a in gens]
-
-    def automorphisms(S):
-        perms = [aut.elements[b] for b in S]
-        return lambda x: [p[x] for p in perms]
-
-    walk = _orbit_walk(G, N, frame, cands, C, automorphisms, f_perms, injective=True)
+    walk = _orbit_walk(G, N, frame, cands, C, aut, _evaluation, f_perms, injective=True)
     for g, stabilizer in walk:
         if len(stabilizer) != 1:
             raise CountingBugError(

@@ -195,17 +195,18 @@ def hom_orbit_reps():
 
 
 def cocycle_kernel():
-    # count_crossed_pairs and the witness, once on extend_images and once,
-    # on fresh copies of the groups, with full_check_extend_images in its
-    # place everywhere, Aut(N)'s chain included
+    # count_crossed_pairs and the witness, once on extend_images with each
+    # cached N's orbit tables kept across its sweep of G, and once, on
+    # fresh copies of both groups for each pair, so with no table filled
+    # before, with full_check_extend_images in its place everywhere,
+    # Aut(N)'s chain included
     def answers(copy):
         found = {}
         for order in KERNEL_ORDERS:
             entries = catalog(order)
             for n in entries:
-                N = copy(n.group)
                 for g in entries:
-                    G = copy(g.group)
+                    G, N = copy(g.group), copy(n.group)
                     name = f"({g.spec.text()}, {n.spec.text()})"
                     found[name] = count_crossed_pairs(G, N), first_witness(G, N)
         return found

@@ -40,6 +40,7 @@ from conftest import (
     canonical_first_witness,
     eager_holomorph,
     first_witness,
+    fresh_copy,
     hom_orbit_reps_differ,
     hom_orbits,
     least_conjugate,
@@ -654,7 +655,7 @@ def _swap_centralizer_element(orbits, S):
         return orbits
     y, C = orbits[i]
     outside = next(b for b in S if b not in C)
-    return orbits[:i] + [(y, C[:-1] + [outside])] + orbits[i + 1 :]
+    return orbits[:i] + [(y, C[:-1] + (outside,))] + orbits[i + 1 :]
 
 
 @pytest.mark.parametrize(
@@ -668,6 +669,8 @@ def _swap_centralizer_element(orbits, S):
 )
 @pytest.mark.parametrize("engine", [count_crossed_pairs, realizable_via_cocycles])
 def test_broken_orbit_helper_is_a_bug(monkeypatch, mutate, engine):
+    # a fresh D6 has a fresh Aut(D6), whose orbit tables are all filled
+    # by the mutant; the cached one's may be filled already
     helper = realize._orbits
 
     def mutated(S, cands, act):
@@ -675,7 +678,7 @@ def test_broken_orbit_helper_is_a_bug(monkeypatch, mutate, engine):
 
     monkeypatch.setattr(realize, "_orbits", mutated)
     with pytest.raises(CountingBugError):
-        engine(C(6), D(6))
+        engine(C(6), fresh_copy(D(6)))
 
 
 @pytest.mark.parametrize(
@@ -692,8 +695,9 @@ def test_stabilizer_moving_a_chosen_image_is_a_bug(monkeypatch, engine):
     # walk's one level is its last; there the first proper stabilizer
     # trades its last element for one outside it, so the orbit sizes still
     # add up and only the final check sees it.  The crossed-hom walks'
-    # candidates leave out the identity and are never swapped
-    G, N = C(6), D(6)
+    # candidates leave out the identity and are never swapped.  D6 is a
+    # fresh copy, so no orbit table is filled before the mutant runs
+    G, N = C(6), fresh_copy(D(6))
     aut = automorphism_group(N)
     gens = realize.greedy_frame(G)[0]
     assert len(gens) == 1
@@ -722,7 +726,7 @@ def _swap_into_centralizer(reps, aut):
     i = next(i for i, (_, _, C) in enumerate(reps) if len(C) < len(aut))
     f, size, C = reps[i]
     outside = next(b for b in range(len(aut)) if b not in C)
-    return reps[:i] + [(f, size, C[:-1] + [outside])] + reps[i + 1 :]
+    return reps[:i] + [(f, size, C[:-1] + (outside,))] + reps[i + 1 :]
 
 
 @pytest.mark.parametrize(
@@ -737,8 +741,9 @@ def _swap_into_centralizer(reps, aut):
 @pytest.mark.parametrize("engine", [count_crossed_pairs, realizable_via_cocycles])
 def test_broken_centralizer_walk_is_a_bug(monkeypatch, mutate, message, engine):
     # (C6, D6): the trivial f has no witness and centralizer Aut(D6); the
-    # next f has centralizer {0, 1} and the first witness
-    G, N = C(6), D(6)
+    # next f has centralizer {0, 1} and the first witness.  D6 is a fresh
+    # copy, so the centralizer walk's orbit tables are filled by the mutant
+    G, N = C(6), fresh_copy(D(6))
     aut = automorphism_group(N)
     reps = list(realize._hom_orbit_reps(G, aut))
     if mutate is None:
@@ -855,3 +860,61 @@ def test_cyclic_candidates_are_kept_per_n():
             N = n.group
             for key, got in N._cyclic_images.items():
                 assert got == realize._cyclic_consistent_images(N, *key)
+
+
+def test_orbit_tables_give_cold_answers():
+    # each catalog N's Aut(N) keeps the orbit tables of every G swept
+    # against it; after the full sweep, every pair's count and first
+    # witness equal those on a fresh copy of N, whose Aut(N) has none
+    for order in [4, 12] + [n for n in range(1, 43) if is_squarefree(n)]:
+        entries = catalog(order)
+        for n in entries:
+            N = n.group
+            for g in entries:
+                count_crossed_pairs(g.group, N)
+            for g in entries:
+                G, cold = g.group, fresh_copy(N)
+                warm = count_crossed_pairs(G, N), first_witness(G, N)
+                assert warm == (count_crossed_pairs(G, cold), first_witness(G, cold))
+
+
+def test_repeated_sweep_splits_no_orbits(monkeypatch):
+    # a second sweep of every G of order 30 against a fresh N reads each
+    # orbit split from Aut(N)'s tables
+    entries = catalog(30)
+    for n in entries:
+        N = fresh_copy(n.group)
+        first = [(count_crossed_pairs(g.group, N), first_witness(g.group, N)) for g in entries]
+        assert automorphism_group(N)._orbit_tables
+        calls = []
+        helper = realize._orbits
+        monkeypatch.setattr(realize, "_orbits", lambda *args: calls.append(args) or helper(*args))
+        again = [(count_crossed_pairs(g.group, N), first_witness(g.group, N)) for g in entries]
+        monkeypatch.undo()
+        assert (again, calls) == (first, [])
+
+
+def test_orbit_tables_key_on_action_and_candidates():
+    # Aut(D6)'s subgroup {0, 3} splits all six indices one way by
+    # conjugation on Aut(D6) and another by evaluation on D6, and the
+    # identity alone a third way: walks of C6 over each, one after the
+    # other on one Aut(D6), yield what each yields on a fresh Aut(D6)
+    G, N = C(6), D(6)
+    frame = realize.greedy_frame(G)
+    walks = [
+        (realize._conjugation, list(range(6))),
+        (realize._evaluation, list(range(6))),
+        (realize._conjugation, [0]),
+    ]
+
+    def walk(aut, action, cands):
+        H = aut if action is realize._conjugation else N
+        return list(realize._orbit_walk(G, H, frame, [cands], (0, 3), aut, action))
+
+    shared = automorphism_group(fresh_copy(N))
+    results = []
+    for action, cands in walks:
+        got = walk(shared, action, cands)
+        assert got == walk(automorphism_group(fresh_copy(N)), action, cands)
+        results.append(got)
+    assert len({repr(r) for r in results}) == 3

@@ -16,11 +16,13 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def test_tracer_install_and_uninstall(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
-    before = (groups.homomorphisms, realize.homomorphisms, cli.main)
+    # realize calls the automorphism_group it imported from factory, so
+    # the tracer must replace that binding too
+    before = (groups.homomorphisms, realize.automorphism_group, cli.main)
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        assert realize.homomorphisms is not before[1]
+        assert realize.automorphism_group is not before[1]
     finally:
         tracer.uninstall()
-    assert (groups.homomorphisms, realize.homomorphisms, cli.main) == before
+    assert (groups.homomorphisms, realize.automorphism_group, cli.main) == before
