@@ -1,6 +1,10 @@
 """Executable audits: quantify each classification statement over the
 catalog, run the realizability engine, and check the asserted conclusion.
 
+The nine audits that run the cocycle engine are rows of one runner,
+``_pairs_audit``: each row pairs a G of one side with an N of the other,
+and every N is checked against TABLE_LIMIT before the first row.
+
 A pass means the implication held on every listed instance; it is
 evidence at the audited orders, not a proof.  Reports carry their full
 quantification domain so every verdict is reproducible, and bound
@@ -99,20 +103,45 @@ def cached_realizable(G: PermGroup, N: PermGroup):
     return realizable_via_cocycles(G, N)
 
 
-def _realizability_audit(theorem_id, order, domain, rows, conclude, flags=()):
-    """Audit "if (G, N) is realizable then the conclusion holds".
+def _pairs_audit(theorem_id, order, domain, gs, ns, judge, flags=()):
+    """The one runner of the engine audits: a row per (G, N) in ``gs`` x
+    ``ns``, G outer, subject "(G text, N text)".
 
-    ``rows`` yields (subject, G, N); ``conclude(G, N)`` returns
-    (held, witness text) or (held, witness text, note) and runs only
-    where the hypothesis holds.
+    Both sides yield (text, group) and are read once: ``gs`` as the rows
+    reach it, ``ns`` before the first row.  Every row runs the cocycle
+    engine on its N and no row stops the audit early, so every N is
+    checked as the engine checks it as soon as it is read, before the
+    first row: the first N past TABLE_LIMIT raises the error its row
+    would, before a later N is built.  The checks read the rows' own
+    group objects, so a passing audit builds no extra Aut(N) chain.
+    ``judge(subject, G, N, witness)`` yields the row's instances, where
+    ``witness`` is ``cached_realizable(G, N)``.
     """
+    checked = []
+    for text, N in ns:
+        _check_tables(N)
+        checked.append((text, N))
+    instances = (
+        instance
+        for g_text, G in gs
+        for n_text, N in checked
+        for instance in judge(f"({g_text}, {n_text})", G, N, cached_realizable(G, N))
+    )
+    return _report(theorem_id, order, domain, instances, flags)
 
-    def instance(subject, G, N):
-        if cached_realizable(G, N) is None:
-            return AuditInstance(subject, False, None)
-        return AuditInstance(subject, True, *conclude(G, N))
 
-    return _report(theorem_id, order, domain, (instance(*row) for row in rows), flags)
+def _if_realizable(conclude):
+    """The judge of "if (G, N) is realizable then the conclusion holds":
+    ``conclude(G, N)`` returns (held, witness text) or (held, witness
+    text, note) and runs only where the hypothesis holds."""
+
+    def judge(subject, G, N, witness):
+        if witness is None:
+            yield AuditInstance(subject, False, None)
+        else:
+            yield AuditInstance(subject, True, *conclude(G, N))
+
+    return judge
 
 
 def _odd_part_shape(name, H):
@@ -128,17 +157,6 @@ def _require_twice_odd(order: int):
         raise PreconditionError(f"order {order} is not twice an odd number")
 
 
-def _require_odd_squarefree(order: int):
-    if order % 2 == 0:
-        raise PreconditionError(f"odd order required, got {order}")
-    check_size(order, order)
-    if not is_squarefree(order):
-        raise PreconditionError(f"odd squarefree order required, got {order}")
-    # p003 and p004 run the cocycle engine on C_order, which needs a table:
-    # refuse before the catalog is built
-    check_table(order)
-
-
 def _refuse_on_order(order, check):
     """Raise, before the catalog is built, the error its first row would
     end in: ``check`` is the bound that row meets.  Only a squarefree
@@ -149,15 +167,33 @@ def _refuse_on_order(order, check):
         check(order)
 
 
-def _refuse_on_aut(groups):
-    """Raise, before the first row, the TABLE_LIMIT error the rows would
-    end in: ``groups`` yields the rows' N in row order, every row runs the
-    cocycle engine on its N, and no row stops the audit early, so the
-    first N past the bound decides.  Each N is checked as the engine
-    checks it, so the Aut(N) chains built here are the rows' own, and a
-    repeated N reads its chain again."""
-    for N in groups:
-        _check_tables(N)
+def _classes(order):
+    """(text, group) for each catalog class of ``order``; every row of an
+    engine audit runs the engine, which needs a table, so the order meets
+    that bound before the catalog is built."""
+    _refuse_on_order(order, check_table)
+    return [(e.spec.text(), e.group) for e in catalog(order)]
+
+
+def _twist_groups(n):
+    """(text, group) for each Z_n x| Z_2 twist, each built as it is read."""
+    return ((f"SDZ2({n};{s})", build(SemidirectZ2(n, s))) for s in z2_twists(n))
+
+
+def _dihedral(n):
+    return [(f"D{2 * n}", build(Dihedral(2 * n)))]
+
+
+def _odd_squarefree_sides(order):
+    """The classes of an odd squarefree order and its cyclic class, the
+    sides of p003 and p004."""
+    if order % 2 == 0:
+        raise PreconditionError(f"odd order required, got {order}")
+    check_size(order, order)
+    if not is_squarefree(order):
+        raise PreconditionError(f"odd squarefree order required, got {order}")
+    classes = _classes(order)
+    return classes, [c for c in classes if is_cyclic(c[1])]
 
 
 def _catalog_or_none(order):
@@ -168,12 +204,6 @@ def _catalog_or_none(order):
         return catalog(order)
     except UnsupportedOrderError:
         return None
-
-
-def _cyclic_class(order):
-    """The catalog's own cyclic group of this order, so its tables and
-    Aut group are the ones every other audit row already uses."""
-    return next(e.group for e in catalog(order) if is_cyclic(e.group))
 
 
 def audit_p001(max_2n: int) -> AuditReport:
@@ -243,19 +273,9 @@ def audit_t001(n: int) -> AuditReport:
     # a group of order 2n has 2n points: the bound comes before the n-long
     # twist scan and the factorization in catalog
     check_size(2 * n, 2 * n)
-    # every row runs the cocycle engine, which needs a table
-    _refuse_on_order(2 * n, check_table)
-    entries = catalog(2 * n)
-    _refuse_on_aut(entry.group for entry in entries)
-    rows = (
-        (f"(SDZ2({n};{s}), {entry.spec.text()})", build(SemidirectZ2(n, s)), entry.group)
-        for s in z2_twists(n)
-        for entry in entries
-    )
     domain = f"twists {z2_twists(n)} x catalog({2 * n})"
-    return _realizability_audit(
-        "t001", 2 * n, domain, rows, lambda G, N: _odd_part_shape("N", N)
-    )
+    judge = _if_realizable(lambda G, N: _odd_part_shape("N", N))
+    return _pairs_audit("t001", 2 * n, domain, _twist_groups(n), _classes(2 * n), judge)
 
 
 def audit_t003(n: int) -> AuditReport:
@@ -263,19 +283,10 @@ def audit_t003(n: int) -> AuditReport:
     way.  The stated conclusion's trailing factor is read as Z_2."""
     _require_twice_odd(2 * n)
     check_size(2 * n, 2 * n)
-    _refuse_on_order(2 * n, check_table)
-    entries = catalog(2 * n)
-    _refuse_on_aut(build(SemidirectZ2(n, s)) for s in z2_twists(n))
-    rows = (
-        (f"({entry.spec.text()}, SDZ2({n};{s}))", entry.group, build(SemidirectZ2(n, s)))
-        for entry in entries
-        for s in z2_twists(n)
-    )
     flags = ("conclusion audited as (Z_k x| Z_l) x| Z_2; the stated trailing Z_l is read as a typo for Z_2",)
     domain = f"catalog({2 * n}) x twists {z2_twists(n)}"
-    return _realizability_audit(
-        "t003", 2 * n, domain, rows, lambda G, N: _odd_part_shape("G", G), flags
-    )
+    judge = _if_realizable(lambda G, N: _odd_part_shape("G", G))
+    return _pairs_audit("t003", 2 * n, domain, _classes(2 * n), _twist_groups(n), judge, flags)
 
 
 def audit_t004(n: int) -> AuditReport:
@@ -294,85 +305,64 @@ def audit_t004(n: int) -> AuditReport:
                 "Burnside number (gcd with its totient exceeds 1)",
             ),
         )
-    # the first pair runs the cocycle engine, which needs a table
-    _refuse_on_order(2 * n, check_table)
+    classes = _classes(2 * n)
     entries = catalog(2 * n)
-    _refuse_on_aut(e.group for e in entries)
-    family = {class_index(build(SemidirectZ2(n, s)), entries) for s in z2_twists(n)}
+    family = {entries[class_index(G, entries)].group for _, G in _twist_groups(n)}
 
-    def instance(gi, ni):
-        ge, ne = entries[gi], entries[ni]
-        hyp = cached_realizable(ge.group, ne.group) is not None
-        return AuditInstance(
-            f"({ge.spec.text()}, {ne.spec.text()})",
+    def judge(subject, G, N, witness):
+        hyp = witness is not None
+        yield AuditInstance(
+            subject,
             hyp,
-            ((gi in family) == (ni in family)) if hyp else None,
-            witness=f"G in family: {gi in family}; N in family: {ni in family}",
+            ((G in family) == (N in family)) if hyp else None,
+            witness=f"G in family: {G in family}; N in family: {N in family}",
         )
 
-    pairs = range(len(entries))
     domain = f"catalog({2 * n}) x catalog({2 * n}), family = Z_{n} x| Z_2 twists"
-    return _report("t004", 2 * n, domain, (instance(g, m) for g in pairs for m in pairs))
+    return _pairs_audit("t004", 2 * n, domain, classes, classes, judge)
 
 
 def audit_r002(n: int) -> AuditReport:
     """Positive existence: (D_2n, Z_n x| Z_2 twist) is realizable for every
     twist, with the cocycle law verified on all pairs."""
     _require_twice_odd(2 * n)
-    G = build(Dihedral(2 * n))
-    _refuse_on_aut(build(SemidirectZ2(n, s)) for s in z2_twists(n))
+    # built first, so its size check comes before the n-long twist scan
+    dihedral = _dihedral(n)
 
-    def instance(s):
-        witness = cached_realizable(G, build(SemidirectZ2(n, s)))
+    def judge(subject, G, N, witness):
         ok = witness is not None and witness.verify_law()
-        return AuditInstance(
-            f"(D{2 * n}, SDZ2({n};{s}))",
-            True,
-            ok,
-            witness="cocycle witness verified on all pairs" if ok else "no witness",
-        )
+        text = "cocycle witness verified on all pairs" if ok else "no witness"
+        yield AuditInstance(subject, True, ok, witness=text)
 
-    return _report("r002", 2 * n, f"twists {z2_twists(n)}", map(instance, z2_twists(n)))
+    domain = f"twists {z2_twists(n)}"
+    return _pairs_audit("r002", 2 * n, domain, dihedral, _twist_groups(n), judge)
 
 
 def audit_p005(n: int) -> AuditReport:
     """Realizable partners of a dihedral group are solvable."""
     _require_twice_odd(2 * n)
-    N = build(Dihedral(2 * n))
-    _refuse_on_order(2 * n, check_table)
-    entries = catalog(2 * n)
-    _refuse_on_aut([N])
-    rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in entries)
-    return _realizability_audit(
-        "p005", 2 * n, f"catalog({2 * n}) against D{2 * n}", rows,
-        lambda G, N: (is_solvable(G), ""),
-    )
+    # built first, so its size check comes before the catalog's factorization
+    dihedral = _dihedral(n)
+    judge = _if_realizable(lambda G, N: (is_solvable(G), ""))
+    domain = f"catalog({2 * n}) against D{2 * n}"
+    return _pairs_audit("p005", 2 * n, domain, _classes(2 * n), dihedral, judge)
 
 
 def audit_p003(order: int) -> AuditReport:
     """If (Z_m, N) is realizable for odd m then N is a C-group."""
-    _require_odd_squarefree(order)
-    entries = catalog(order)
-    Z = _cyclic_class(order)
+    classes, cyclic = _odd_squarefree_sides(order)
     note = ""
-    if all(is_c_group(e.group) for e in entries):
+    if all(is_c_group(N) for _, N in classes):
         note = "conclusion cannot fail at this order: every class is a C-group"
-    rows = ((f"(C{order}, {e.spec.text()})", Z, e.group) for e in entries)
-    return _realizability_audit(
-        "p003", order, f"catalog({order}) against C{order}", rows,
-        lambda G, N: (is_c_group(N), "", note),
-    )
+    judge = _if_realizable(lambda G, N: (is_c_group(N), "", note))
+    return _pairs_audit("p003", order, f"catalog({order}) against C{order}", cyclic, classes, judge)
 
 
 def audit_p004(order: int) -> AuditReport:
     """If (G, Z_m) is realizable then G is solvable and almost Sylow-cyclic."""
-    _require_odd_squarefree(order)
-    Z = _cyclic_class(order)
-    rows = ((f"({e.spec.text()}, C{order})", e.group, Z) for e in catalog(order))
-    return _realizability_audit(
-        "p004", order, f"catalog({order}) against C{order}", rows,
-        lambda G, N: (is_solvable(G) and is_almost_sylow_cyclic(G), ""),
-    )
+    classes, cyclic = _odd_squarefree_sides(order)
+    judge = _if_realizable(lambda G, N: (is_solvable(G) and is_almost_sylow_cyclic(G), ""))
+    return _pairs_audit("p004", order, f"catalog({order}) against C{order}", classes, cyclic, judge)
 
 
 def audit_t002(n: int) -> AuditReport:
@@ -380,23 +370,19 @@ def audit_t002(n: int) -> AuditReport:
     M of N back to a subgroup H of G with (H, M) realizable."""
     _require_twice_odd(2 * n)
     check_size(2 * n, 2 * n)
-    _refuse_on_order(2 * n, check_table)
-    entries = catalog(2 * n)
+    classes = _classes(2 * n)
     if 2 * n > SUBGROUP_BOUND:
         # the first row pairs the first class with itself, which is
         # realizable, and would walk that class's lattice past the bound
         # after the engine runs: refuse as it would, before it runs
-        _check_tables(entries[0].group)
+        _check_tables(classes[0][1])
         check_lattice(2 * n)
-    _refuse_on_aut(e.group for e in entries)
 
-    def instances(ge, ne):
-        witness = cached_realizable(ge.group, ne.group)
-        pair = f"({ge.spec.text()}, {ne.spec.text()})"
+    def judge(pair, G, N, witness):
         if witness is None:
             yield AuditInstance(pair, False, None)
             return
-        for M in characteristic_subgroups(ne.group, automorphism_group(ne.group)):
+        for M in characteristic_subgroups(N, automorphism_group(N)):
             subject = f"{pair}, |M| = {len(M)}"
             try:
                 H, _ = transport_characteristic(witness, M)
@@ -408,9 +394,7 @@ def audit_t002(n: int) -> AuditReport:
                 )
 
     domain = f"realizable catalog pairs of order {2 * n} x characteristic subgroups"
-    return _report(
-        "t002", 2 * n, domain, (i for ge in entries for ne in entries for i in instances(ge, ne))
-    )
+    return _pairs_audit("t002", 2 * n, domain, classes, classes, judge)
 
 
 def audit_ses_final(n: int) -> AuditReport:
@@ -429,9 +413,7 @@ def audit_ses_final(n: int) -> AuditReport:
     entries = _catalog_or_none(2 * n)
     if entries is None:
         return _unsupported("ses_final", 2 * n, flags)
-    N = build(Dihedral(2 * n))
-    _refuse_on_aut([N])
-    rows = ((f"({e.spec.text()}, D{2 * n})", e.group, N) for e in entries)
+    classes = [(e.spec.text(), e.group) for e in entries]
 
     def conclude(G, N):
         kernels = [
@@ -439,9 +421,8 @@ def audit_ses_final(n: int) -> AuditReport:
         ]
         return bool(kernels), f"normal order-{n} coprime-metacyclic subgroups: {len(kernels)}"
 
-    return _realizability_audit(
-        "ses_final", 2 * n, f"catalog({2 * n}) against D{2 * n}", rows, conclude, flags
-    )
+    domain = f"catalog({2 * n}) against D{2 * n}"
+    return _pairs_audit("ses_final", 2 * n, domain, classes, _dihedral(n), _if_realizable(conclude), flags)
 
 
 AUDITS = {

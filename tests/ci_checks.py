@@ -199,8 +199,9 @@ def cocycle_kernel():
     # cached N's orbit tables kept across its sweep of G, and once, on
     # fresh copies of both groups for each pair, so with no table filled
     # before, with full_check_extend_images in its place everywhere,
-    # Aut(N)'s chain included
-    def answers(copy):
+    # Aut(N)'s chain included; each fresh copy serves one pair, so its
+    # cached Aut(N) and chain are dropped after it
+    def answers(copy, used_once=()):
         found = {}
         for order in KERNEL_ORDERS:
             entries = catalog(order)
@@ -209,12 +210,14 @@ def cocycle_kernel():
                     G, N = copy(g.group), copy(n.group)
                     name = f"({g.spec.text()}, {n.spec.text()})"
                     found[name] = count_crossed_pairs(G, N), first_witness(G, N)
+                    for cache in used_once:
+                        cache.cache_clear()
         return found
 
     kernel = answers(lambda G: G)
     for module in (groups, factory, realize):
         module.extend_images = full_check_extend_images
-    oracle = answers(fresh_copy)
+    oracle = answers(fresh_copy, (factory.automorphism_group, factory._aut_chain))
     bad = [name for name, v in kernel.items() if oracle[name] != v]
     return f"{len(kernel)} pairs", bad + ([] if len(kernel) == 68 else ["pair count"])
 

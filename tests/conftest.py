@@ -28,10 +28,16 @@ library's greedy ``_base``, whatever base the group was given, and
 library's ``bfs_order``, with every (element, generator) check kept.
 
 The last part holds the check bodies that a Tier-1 test runs at its
-orders and ``tests/ci_checks.py`` runs at larger ones.
+orders and ``tests/ci_checks.py`` runs at larger ones, and the audit
+battery, which Tier-1 runs and ``tests/record_audit_battery.py``
+re-records.
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
+import json
 import operator
 import os
 import resource
@@ -63,7 +69,8 @@ from hopfgalois import (
     regular_subgroups,
     verify_brace,
 )
-from hopfgalois import realize
+from hopfgalois import audit, brace, cli, factory, groups, realize
+from hopfgalois.audit import THEOREM_IDS
 from hopfgalois.brace import SkewBrace, group_table_identity
 from hopfgalois.errors import (
     CountingBugError,
@@ -923,3 +930,47 @@ def one_error_line(proc):
     return (proc.returncode, proc.stdout, err.count("\n")) == (1, "", 1) and (
         err.startswith("error: ") and "Traceback" not in err
     )
+
+
+# The audit slice of the CLI battery: every theorem at each of these n.
+# Left out for Tier-1's time: n = 201, 385 and 903, and c001 at 273 (its
+# lattice walk at order 273 alone takes about 3 s in process).
+AUDIT_BATTERY_NS = (
+    0, 1, 2, 3, 5, 6, 7, 9, 10, 15, 21, 25, 33, 35, 39, 45, 51, 55, 63,
+    101, 105, 123, 273, 601, 1995,
+)
+AUDIT_BATTERY_GOLDEN = Path(__file__).parent / "golden" / "audit_battery.json"
+
+
+def clear_caches():
+    """Empty every ``functools`` cache of the library, so that what runs
+    next starts from nothing, as a cold command does."""
+    for module in (audit, brace, factory, groups, realize):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def audit_battery():
+    """``audit --theorem t --n n --format json`` through ``cli.main`` in
+    this process, for every theorem and n of the battery: {"t n": [exit
+    code, sha256 of stdout, last stderr line]}, as JSON text with one
+    command to a line.  It starts and ends with empty caches, so its
+    answers do not hang on what ran before it and the few hundred MB its
+    catalogs and Aut groups take do not outlive it."""
+    found = {}
+    clear_caches()
+    try:
+        for theorem in THEOREM_IDS:
+            for n in AUDIT_BATTERY_NS:
+                if (theorem, n) == ("c001", 273):
+                    continue
+                out, err = io.StringIO(), io.StringIO()
+                argv = ["audit", "--theorem", theorem, "--n", str(n), "--format", "json"]
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                found[f"{theorem} {n}"] = [code, digest, (err.getvalue().splitlines() or [""])[-1]]
+    finally:
+        clear_caches()
+    return "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in found.items()) + "\n}\n"

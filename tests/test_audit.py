@@ -154,17 +154,22 @@ def test_cached_realizable_keys_on_group_objects(order):
     assert witness.domain is z and witness.n_group is cat
 
 
-@pytest.mark.parametrize("theorem", ["t001", "t002", "t003", "t004", "r002", "p005"])
-def test_audits_refuse_on_aut_before_the_first_row(monkeypatch, theorem):
-    # at order 102 D102 is the N of some row and |Aut D102| = 1632, so the
-    # audit must refuse before any row runs the cocycle engine
+@pytest.mark.parametrize(
+    "theorem, n",
+    [pytest.param(t, 51, id=t) for t in ("t001", "t002", "t003", "t004", "r002", "p005")]
+    + [pytest.param("p003", 273, id="p003-273")],
+)
+def test_audits_refuse_on_aut_before_the_first_row(monkeypatch, theorem, n):
+    # at order 102 D102 is the N of some row and |Aut D102| = 1632, and at
+    # order 273 a catalog N has |Aut N| = 6552, so the audit must refuse
+    # before any row runs the cocycle engine
     def no_rows(G, N):
         raise AssertionError(f"a row ran on ({G}, {N})")
 
     monkeypatch.setattr(audit, "realizable_via_cocycles", no_rows)
     monkeypatch.setattr(audit, "cached_realizable", no_rows)
     with pytest.raises(BoundExceededError, match=f"^no table above {TABLE_LIMIT} elements$"):
-        run_audit(theorem, 51)
+        run_audit(theorem, n)
 
 
 def test_t002_refuses_on_the_lattice_before_the_first_row(monkeypatch):

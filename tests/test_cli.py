@@ -14,7 +14,7 @@ from hopfgalois import cli, realize
 from hopfgalois.audit import AuditReport
 from hopfgalois.store import ResultsStore
 
-from conftest import capped_cli, one_error_line
+from conftest import AUDIT_BATTERY_GOLDEN, audit_battery, capped_cli, one_error_line
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -206,6 +206,13 @@ def test_golden_files(argv, golden):
     code, out = run_cli(argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_audit_battery_golden():
+    """Every theorem over the battery's n: exit code, stdout hash and last
+    stderr line, against the golden ``tests/record_audit_battery.py``
+    writes."""
+    assert audit_battery() == AUDIT_BATTERY_GOLDEN.read_text()
 
 
 @pytest.mark.parametrize(
