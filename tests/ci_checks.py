@@ -5,13 +5,17 @@
 A check compares a kernel with an oracle of ``tests/conftest.py`` above
 Tier-1's orders, through the body a Tier-1 test runs at its own orders
 where there is one, or runs the command line, the demos or the benchmark
-as a user would.  It prints its count, its seconds and its peak RSS (this
-process or its largest child) and exits 1 if anything differs.  ``all``
+as a user would.  ``bad-input`` runs the refusal battery of
+``tests/conftest.py`` in one capped child, as Tier-1's row tests do, and
+checks each row against ``tests/golden/refusal_battery.json``.  A check
+prints its count, its seconds and its peak RSS (this process or its
+largest child) and exits 1 if anything differs.  ``all``
 runs every check cold, each in a child process, and exits 1 if any failed.
 The file name keeps pytest from collecting it.
 """
 
 import difflib
+import itertools
 import json
 import random
 import resource
@@ -22,11 +26,14 @@ from pathlib import Path
 
 from conftest import (
     aut_differs,
+    battery_faults,
     brace_mismatches,
     canonical_first_witness,
-    capped_cli,
+    capped_batteries,
+    capped_python,
     catalog_cases,
     catalog_differs,
+    clear_caches,
     decompose_cases,
     decompose_differs,
     dihedral_terms,
@@ -35,7 +42,6 @@ from conftest import (
     full_check_extend_images,
     generating_set_differs,
     hom_orbit_reps_differ,
-    one_error_line,
     orders_differ,
     pair_cases,
     per_element_semiregular_classes,
@@ -60,7 +66,6 @@ from hopfgalois.factory import is_squarefree
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL_ORDERS = (66, 70, 78)  # every catalog N there has |Aut N| <= 936
-BIG = "1000000000000000003"
 
 
 def peak_rss_mb():
@@ -68,12 +73,21 @@ def peak_rss_mb():
     return max(resource.getrusage(w).ru_maxrss for w in who) / 1024
 
 
+def released(cases_of, orders):
+    # cases_of([order]) for each order in turn, with the library's caches
+    # emptied after each, so no order's catalog outlives its cases
+    for order in orders:
+        yield from cases_of([order])
+        clear_caches()
+
+
 def hol_d30():
     # the largest direct search inside the |N| <= 30 bound, from the
     # command line; then the four largest in this process, which list no
     # Hol(N) permutations, so they grow 2.3 MB above the start on a 2-core
     # x86 box (6.6 MB when Hol(N) was listed)
-    out = capped_cli(["regular-subgroups", "--hol-of", "D30", "--format", "json"], None).stdout
+    argv = ["-m", "hopfgalois", "regular-subgroups", "--hol-of", "D30", "--format", "json"]
+    out = capped_python(argv, None).stdout
     result = json.loads(out)["result"]
     expected = {"C30": 60, "D30": 4, "SD(15,2;11)": 20, "SD(15,2;4)": 12}
     bad = [] if (result["total"], result["counts"]) == (96, expected) else ["counts"]
@@ -134,7 +148,8 @@ def large_catalogs():
     timed, bad = [], []
     for order, classes in ((1110, 12), (1995, 5)):
         started = time.perf_counter()
-        proc = capped_cli(["catalog", "--order", str(order), "--format", "csv"], 10)
+        argv = ["-m", "hopfgalois", "catalog", "--order", str(order), "--format", "csv"]
+        proc = capped_python(argv, 10)
         timed.append(f"{order}: {time.perf_counter() - started:.1f} s")
         if proc.returncode or len(proc.stdout.splitlines()) != classes + 1:
             bad.append(f"catalog --order {order}")
@@ -156,8 +171,8 @@ def element_orders():
     # to order 600, at 1110, whose tables the walk builds, and at 1995,
     # above TABLE_LIMIT, whose rows look entries up by base images; the
     # pruned minimal_generating_set up to order 600
-    walked, bad = tally(catalog_cases([*range(1, 601), 1110, 1995]), orders_differ)
-    searched, bad_sets = tally(catalog_cases(range(1, 601)), generating_set_differs)
+    walked, bad = tally(released(catalog_cases, [*range(1, 601), 1110, 1995]), orders_differ)
+    searched, bad_sets = tally(released(catalog_cases, range(1, 601)), generating_set_differs)
     return f"{walked} groups walked, {searched} generating sets", bad + bad_sets
 
 
@@ -180,7 +195,9 @@ def table_kernel():
     # the row walk on every catalog group at orders 211-600 and 1110, and
     # on Aut(N) for every catalog N at orders 111-210 whose Aut(N) has a
     # table
-    checked, bad = tally(table_cases([*range(211, 601), 1110], range(111, 211)), table_differs)
+    tables = released(lambda order: table_cases(order, ()), [*range(211, 601), 1110])
+    auts = released(lambda order: table_cases((), order), range(111, 211))
+    checked, bad = tally(itertools.chain(tables, auts), table_differs)
     return f"{checked} tables", bad
 
 
@@ -222,38 +239,11 @@ def cocycle_kernel():
     return f"{len(kernel)} pairs", bad + ([] if len(kernel) == 68 else ["pair count"])
 
 
-# inputs that once ended in a traceback, a MemoryError or a hang
-BAD_INPUTS = [
-    ["count-dihedral", "--n", "15001", "--format", "json"],
-    ["count-dihedral", "--n", "15001", "--format", "table"],
-    ["realizable", "--g", "C" + "9" * 4301, "--n", "C3"],
-    ["realizable", "--g", "Hol(" * 400 + "C1" + ")" * 400, "--n", "C3"],
-    ["realizable", "--g", "x".join(["C1"] * 400), "--n", "C3"],
-    ["realizable", "--g", "C100000000", "--n", "C3", "--method", "cocycle"],
-    ["realizable", "--g", "C2000xC2000", "--n", "C3"],
-    ["realizable", "--g", "C2xC2xC2xC11", "--n", "C2xC2xC2xC11", "--method", "cocycle"],
-    ["realizable", "--g", "Hol(D1202)", "--n", "C3", "--method", "cocycle"],
-    ["realizable", "--g", "Hol(C2xC2xC2xC151)", "--n", "C3", "--method", "cocycle"],
-    ["audit", "--theorem", "t004", "--n", "601"],
-    ["audit", "--theorem", "p003", "--n", "1995"],
-    ["audit", "--theorem", "t001", "--n", "903"],
-    ["audit", "--theorem", "t001", "--n", "51"],
-    ["audit", "--theorem", "c001", "--n", "1806"],
-    ["catalog", "--order", BIG],
-    ["braces", "--order", BIG],
-    *(["audit", "--theorem", t, "--n", BIG] for t in ("t001", "t002", "t003", "p003", "p004", "c001", "t004")),
-]
-
-
 def bad_input():
-    # each must exit 1 with one error: line and no stdout, in 10 s
-    bad = []
-    for argv in BAD_INPUTS:
-        proc = capped_cli(argv, 10)
-        print(f"exit {proc.returncode}: {proc.stderr[:120].rstrip()}")
-        if not one_error_line(proc):
-            bad.append(" ".join(argv)[:60])
-    return f"{len(BAD_INPUTS)} inputs", bad
+    # the refusal battery in one capped child, as Tier-1 runs it: each
+    # row against its golden line, the refusal contract and the 2 s bound
+    faults = battery_faults("refusal", capped_batteries(["refusal"])["refusal"])
+    return f"{len(faults)} commands", [(key[:60], found) for key, found in faults.items() if found]
 
 
 def demos():

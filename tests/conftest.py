@@ -28,9 +28,10 @@ library's greedy ``_base``, whatever base the group was given, and
 library's ``bfs_order``, with every (element, generator) check kept.
 
 The last part holds the check bodies that a Tier-1 test runs at its
-orders and ``tests/ci_checks.py`` runs at larger ones, and the audit
-battery, which Tier-1 runs and ``tests/record_audit_battery.py``
-re-records.
+orders and ``tests/ci_checks.py`` runs at larger ones, and the two CLI
+batteries, audit and refusal, which ``cli_battery`` runs in one capped
+child for Tier-1 and CI and ``tests/record_audit_battery.py`` re-records.
+Run as a script, this file is that child.
 """
 
 import contextlib
@@ -43,6 +44,8 @@ import os
 import resource
 import subprocess
 import sys
+import time
+import traceback
 from math import gcd, lcm
 from pathlib import Path
 
@@ -913,33 +916,31 @@ def dihedral_terms(n):
     ]
 
 
-def capped_cli(argv, timeout):
-    """``python -m hopfgalois *argv`` on this package's sources, in a child
-    capped at 1 GiB of address space, so that a group built without the
-    size bound ends in a MemoryError there; stdout and stderr as text."""
-    env = dict(os.environ, PYTHONPATH=str(Path(hopfgalois.__file__).parents[1]))
+def capped_python(args, timeout):
+    """``python *args`` on this package's sources, with ``tests/`` on the
+    path, in a child capped at 1 GiB of address space, so that a group
+    built without the size bound ends in a MemoryError there; stdout and
+    stderr as text.  ``PYTHONINTMAXSTRDIGITS`` is cleared, so the child
+    keeps Python's default int-to-text limit, which one refusal names."""
+    src, tests = Path(hopfgalois.__file__).parents[1], Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests}")
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
     return subprocess.run(
-        [sys.executable, "-m", "hopfgalois", *argv], capture_output=True, text=True, env=env,
+        [sys.executable, *args], capture_output=True, text=True, env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)), timeout=timeout,
     )
 
 
-def one_error_line(proc):
-    """Exit 1, one ``error:`` line on stderr, no traceback, no stdout."""
-    err = proc.stderr
-    return (proc.returncode, proc.stdout, err.count("\n")) == (1, "", 1) and (
-        err.startswith("error: ") and "Traceback" not in err
-    )
-
-
-# The audit slice of the CLI battery: every theorem at each of these n.
-# Left out for Tier-1's time: n = 201, 385 and 903, and c001 at 273 (its
-# lattice walk at order 273 alone takes about 3 s in process).
-AUDIT_BATTERY_NS = (
-    0, 1, 2, 3, 5, 6, 7, 9, 10, 15, 21, 25, 33, 35, 39, 45, 51, 55, 63,
-    101, 105, 123, 273, 601, 1995,
-)
-AUDIT_BATTERY_GOLDEN = Path(__file__).parent / "golden" / "audit_battery.json"
+def run_cli(argv):
+    """``cli.main(argv)`` in this process: (exit code, stdout, stderr).  A
+    ``SystemExit``, which argparse raises on a usage error, gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def clear_caches():
@@ -951,26 +952,160 @@ def clear_caches():
                 value.cache_clear()
 
 
-def audit_battery():
-    """``audit --theorem t --n n --format json`` through ``cli.main`` in
-    this process, for every theorem and n of the battery: {"t n": [exit
-    code, sha256 of stdout, last stderr line]}, as JSON text with one
-    command to a line.  It starts and ends with empty caches, so its
-    answers do not hang on what ran before it and the few hundred MB its
-    catalogs and Aut groups take do not outlive it."""
+# The CLI batteries: fixed commands, each kept in a golden as [exit code,
+# sha256 of stdout, last stderr line].  The audit battery is every theorem
+# at each of these n, with --format json.  Left out for time: n = 201, 385
+# and 903, and c001 at 273 (its lattice walk at order 273 alone takes
+# about 3 s in process).
+AUDIT_BATTERY_NS = (
+    0, 1, 2, 3, 5, 6, 7, 9, 10, 15, 21, 25, 33, 35, 39, 45, 51, 55, 63,
+    101, 105, 123, 273, 601, 1995,
+)
+AUDIT_BATTERY = {
+    f"{t} {n}": f"audit --theorem {t} --n {n} --format json".split()
+    for t in THEOREM_IDS for n in AUDIT_BATTERY_NS if (t, n) != ("c001", 273)
+}
+
+# The refusal battery, in four slices that Tier-1 checks under names of
+# their own.  A 19-digit prime order: listing its divisors or twists takes
+# far longer than the size-bound check that must come first.  c001 and
+# t004 factor it before the check, which Miller-Rabin makes quick.
+BIG = "1000000000000000003"
+# specs past the parser's own bounds
+PARSER_REFUSALS = {
+    "4301-digits": f"realizable --g C{'9' * 4301} --n C3",
+    "hol-400-deep": f"realizable --g {'Hol(' * 400}C1{')' * 400} --n C3",
+    "chain-400": f"realizable --g {'x'.join(['C1'] * 400)} --n C3",
+}
+# past a size, table, lattice or search bound, each refused before the
+# work it bounds, which once ended in a MemoryError or took up to 46 s
+BOUND_REFUSALS = [
+    "realizable --g C20000 --n C20000 --method cocycle",
+    "catalog --order 20003",
+    "realizable --g C100000000 --n C3 --method cocycle",
+    "realizable --g C2000xC2000 --n C3",
+    f"catalog --order {BIG}",
+    f"braces --order {BIG}",
+    *(f"audit --theorem {t} --n {BIG}" for t in ("t001", "t002", "t003", "p003", "p004", "c001", "t004")),
+    # refused on |N| before Aut(N) is searched over composing rows
+    "realizable --g Hol(D1202) --n C3 --method cocycle",
+    "realizable --g Hol(C2xC2xC2xC151) --n C3 --method cocycle",
+    # audits refused on the order before their catalog, its Sylow tests or
+    # an isomorphism search over composing rows
+    "audit --theorem t004 --n 601",
+    "audit --theorem p003 --n 1995",
+    "audit --theorem p004 --n 1995",
+    "audit --theorem t001 --n 903",
+    "audit --theorem p005 --n 651",
+    # c001 at a squarefree order past the lattice bound, before its catalog
+    "audit --theorem c001 --n 1806",
+    # every N at order 102 fits a table but Aut(D102) does not, which is
+    # checked before the first row
+    "audit --theorem t001 --n 51",
+    # |Aut D102| = 1632 and |Aut C2xC2xC2xC11| = 1680 are above TABLE_LIMIT
+    "realizable --g C102 --n D102 --method cocycle",
+    "realizable --g C102 --n D102 --method both",
+    "realizable --g C2xC2xC2xC11 --n C2xC2xC2xC11 --method cocycle",
+    # t002's lattice pre-check, and c001, at order 402
+    "audit --theorem t002 --n 201",
+    "audit --theorem c001 --n 402",
+    # |N| past the Hol(N) search bound
+    "regular-subgroups --hol-of C31",
+    "braces --order 42",
+    # e_formula past Python's default int-to-text limit of 4300 digits
+    "count-dihedral --n 15001 --format json",
+    "count-dihedral --n 15001 --format table",
+]
+# inputs outside what the toolkit takes
+INPUT_REFUSALS = [
+    "realizable --g C6 --n C10",
+    "realizable --g C2xC2xC2xC2 --n C16",
+    "catalog --order 18",
+    "realizable --g C2xC2xC2 --n C2xC2xC2 --method search",
+    "count-dihedral --n 4",
+]
+# orders an audit does not take
+BAD_AUDIT_ORDERS = [("p001", "-3"), ("c001", "-6"), ("c001", "0"), ("ses_final", "-2")]
+REFUSAL_BATTERY = {
+    command: command.split()
+    for command in (
+        *PARSER_REFUSALS.values(), *BOUND_REFUSALS, *INPUT_REFUSALS,
+        *(f"audit --theorem {t} --n {n}" for t, n in BAD_AUDIT_ORDERS),
+    )
+}
+
+# name: (commands, whether the caches are emptied before each command)
+BATTERIES = {"audit": (AUDIT_BATTERY, False), "refusal": (REFUSAL_BATTERY, True)}
+EMPTY_SHA = hashlib.sha256(b"").hexdigest()
+ROW_SECONDS = 2
+
+
+def battery_golden(name):
+    return Path(__file__).parent / "golden" / f"{name}_battery.json"
+
+
+def cli_battery(commands, clear_each):
+    """Each command through ``run_cli``: {command: [exit code, sha256 of
+    stdout, stderr, seconds]}.  With ``clear_each`` the library's caches
+    are emptied before each command, so no memo left by an earlier one can
+    hide a refusal.  An exception is kept as its traceback on stderr."""
     found = {}
-    clear_caches()
-    try:
-        for theorem in THEOREM_IDS:
-            for n in AUDIT_BATTERY_NS:
-                if (theorem, n) == ("c001", 273):
-                    continue
-                out, err = io.StringIO(), io.StringIO()
-                argv = ["audit", "--theorem", theorem, "--n", str(n), "--format", "json"]
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                found[f"{theorem} {n}"] = [code, digest, (err.getvalue().splitlines() or [""])[-1]]
-    finally:
-        clear_caches()
-    return "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in found.items()) + "\n}\n"
+    for key, argv in commands.items():
+        if clear_each:
+            clear_caches()
+        started = time.perf_counter()
+        try:
+            code, out, err = run_cli(argv)
+        except Exception:
+            code, out, err = None, "", traceback.format_exc()
+        seconds = time.perf_counter() - started
+        found[key] = [code, hashlib.sha256(out.encode()).hexdigest(), err, seconds]
+    return found
+
+
+def capped_batteries(names):
+    """The named batteries, run by ``cli_battery`` in one child capped as
+    ``capped_python`` caps it: {name: {command: row}}."""
+    proc = capped_python([__file__, *names], 300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def golden_line(row):
+    code, digest, err, _ = row
+    return [code, digest, (err.splitlines() or [""])[-1]]
+
+
+def golden_text(rows):
+    """A battery's golden file: one command to a line."""
+    lines = (f"{json.dumps(key)}: {json.dumps(golden_line(row))}" for key, row in rows.items())
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def row_faults(row, golden):
+    """What a battery row breaks: its golden line; on exit 1, the refusal
+    contract of no stdout and one ``error:`` line on stderr, so no
+    traceback; and the bound of ROW_SECONDS."""
+    code, digest, err, seconds = row
+    faults = [] if golden_line(row) == golden else [f"golden {golden}, ran {golden_line(row)}"]
+    if code == 1 and (digest, err.count("\n"), err[:7]) != (EMPTY_SHA, 1, "error: "):
+        faults.append(f"refusal contract: {err[:300]!r}")
+    if seconds >= ROW_SECONDS:
+        faults.append(f"{seconds:.2f} s")
+    return faults
+
+
+def battery_faults(name, rows):
+    """{command: what its row breaks} for the named battery's ``rows``."""
+    golden = json.loads(battery_golden(name).read_text())
+    return {key: row_faults(row, golden.get(key)) for key, row in rows.items()}
+
+
+@pytest.fixture(scope="module")
+def battery_faults_found():
+    """``battery_faults`` of both batteries, run once in one capped child."""
+    return {name: battery_faults(name, rows) for name, rows in capped_batteries(BATTERIES).items()}
+
+
+if __name__ == "__main__":  # the child of capped_batteries
+    print(json.dumps({name: cli_battery(*BATTERIES[name]) for name in sys.argv[1:]}))

@@ -1,15 +1,18 @@
-"""Re-record the audit battery's golden, ``tests/golden/audit_battery.json``:
+"""Re-record both CLI battery goldens, ``tests/golden/audit_battery.json``
+and ``tests/golden/refusal_battery.json``:
 
     PYTHONPATH=src:tests python tests/record_audit_battery.py
 
-Tier-1's ``test_audit_battery_golden`` runs the same battery and compares.
-Re-record only when a change means to change an answer, and list every
-changed line with the change.  The file name keeps pytest from
-collecting it.
+The batteries run in one capped child, as Tier-1's row tests run them
+(``conftest.capped_batteries``), and each golden line is that row's exit
+code, stdout sha256 and last stderr line.  Re-record only when a change
+means to change an answer, and list every changed line with the change.
+The file name keeps pytest from collecting it.
 """
 
-from conftest import AUDIT_BATTERY_GOLDEN, audit_battery
+from conftest import BATTERIES, battery_golden, capped_batteries, golden_text
 
 if __name__ == "__main__":
-    AUDIT_BATTERY_GOLDEN.write_text(audit_battery())
-    print(f"wrote {AUDIT_BATTERY_GOLDEN}")
+    for name, rows in capped_batteries(BATTERIES).items():
+        battery_golden(name).write_text(golden_text(rows))
+        print(f"wrote {battery_golden(name)}")

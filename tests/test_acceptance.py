@@ -33,9 +33,9 @@ from hopfgalois import (
     verify_brace,
     z2_twists,
 )
-from hopfgalois.cli import main as cli_main
 
 import test_brace as brace_helpers
+from conftest import run_cli
 
 
 def report(cid, ok, detail):
@@ -44,21 +44,11 @@ def report(cid, ok, detail):
     assert ok, line
 
 
-def run_cli(argv):
-    import contextlib
-    import io
-
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli_main(argv)
-    return code, buf.getvalue()
-
-
 def test_criterion_1_paper_example_pairs():
     worst = 0.0
     for k in (3, 5, 7, 15):
         start = time.monotonic()
-        code, _ = run_cli(["realizable", "--g", f"C{2 * k}", "--n", f"D{2 * k}"])
+        code, _, _ = run_cli(["realizable", "--g", f"C{2 * k}", "--n", f"D{2 * k}"])
         elapsed = time.monotonic() - start
         worst = max(worst, elapsed)
         assert code == 0, f"k={k} exited {code}"
@@ -232,8 +222,8 @@ def test_criterion_10_parser_and_format_stability():
         ["realizable", "--g", "C6", "--n", "D6", "--format", "json"],
         ["audit", "--theorem", "r002", "--n", "3", "--format", "json"],
     ):
-        _, one = run_cli(argv + ["--threads", "1"])
-        _, four = run_cli(argv + ["--threads", "4"])
+        _, one, _ = run_cli(argv + ["--threads", "1"])
+        _, four, _ = run_cli(argv + ["--threads", "4"])
         json.loads(one)
         stable = stable and one == four
     report(

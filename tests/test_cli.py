@@ -1,10 +1,7 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -14,26 +11,29 @@ from hopfgalois import cli, realize
 from hopfgalois.audit import AuditReport
 from hopfgalois.store import ResultsStore
 
-from conftest import AUDIT_BATTERY_GOLDEN, audit_battery, capped_cli, one_error_line
+from conftest import (
+    AUDIT_BATTERY,
+    BAD_AUDIT_ORDERS,
+    BATTERIES,
+    BOUND_REFUSALS,
+    INPUT_REFUSALS,
+    PARSER_REFUSALS,
+    battery_golden,
+    capped_python,
+    run_cli,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
-    return code, buf.getvalue()
-
-
 def test_realizable_exit_zero():
-    code, out = run_cli(["realizable", "--g", "C6", "--n", "D6"])
+    code, out, _ = run_cli(["realizable", "--g", "C6", "--n", "D6"])
     assert code == 0
     assert "realizable: True" in out
 
 
 def test_realizable_exit_three():
-    code, out = run_cli(["realizable", "--g", "A4", "--n", "D12", "--format", "json"])
+    code, out, _ = run_cli(["realizable", "--g", "A4", "--n", "D12", "--format", "json"])
     assert code == 3
     payload = json.loads(out)
     assert payload["result"]["realizable"] is False
@@ -41,44 +41,34 @@ def test_realizable_exit_three():
 
 
 def test_cocycle_only_method():
-    code, out = run_cli(
+    code, out, _ = run_cli(
         ["realizable", "--g", "C9", "--n", "C3xC3", "--method", "cocycle", "--format", "json"]
     )
     assert code == 3  # no order-9 elements exist in that holomorph
 
 
-def test_order_mismatch_is_error():
-    code, _ = run_cli(["realizable", "--g", "C6", "--n", "C10"])
-    assert code == 1
-
-
-def test_bad_spec_is_error(capsys):
+def test_bad_spec_is_error():
     for spec in ("SD(7,3;3)", "C0", "D3", "SD(0,2;1)", "SD(15,2;3)", "SDZ2(0;1)"):
-        code, out = run_cli(["realizable", "--g", spec, "--n", "C21"])
+        code, out, err = run_cli(["realizable", "--g", spec, "--n", "C21"])
         assert code == 1 and out == ""
-        assert capsys.readouterr().err.startswith(f"error: {spec}: ")
-    code, _ = run_cli(["realizable", "--g", "C6x", "--n", "C6"])
-    assert code == 1
+        assert err.startswith(f"error: {spec}: ")
+    assert run_cli(["realizable", "--g", "C6x", "--n", "C6"])[0] == 1
 
 
 def test_usage_error_exit_two():
-    with pytest.raises(SystemExit) as info:
-        run_cli(["realizable", "--g", "C6"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run_cli(["audit", "--theorem", "zzz", "--n", "3"])
-    assert info.value.code == 2
+    assert run_cli(["realizable", "--g", "C6"])[0] == 2
+    assert run_cli(["audit", "--theorem", "zzz", "--n", "3"])[0] == 2
 
 
 def test_regular_subgroups_counts():
-    code, out = run_cli(["regular-subgroups", "--hol-of", "C6", "--format", "json"])
+    code, out, _ = run_cli(["regular-subgroups", "--hol-of", "C6", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["result"]["counts"] == {"C6": 1, "D6": 1}
     assert payload["result"]["strategy"] == "generator-pairs"
 
 
-def test_regular_subgroups_order_bound_is_error(monkeypatch, capsys):
+def test_regular_subgroups_order_bound_is_error(monkeypatch):
     def boom(N):
         raise AssertionError("Hol(N) built above the search bound")
 
@@ -86,13 +76,13 @@ def test_regular_subgroups_order_bound_is_error(monkeypatch, capsys):
     monkeypatch.setattr(realize, "holomorph", boom)
     monkeypatch.setattr(cli, "holomorph", boom, raising=False)
     for argv in (["regular-subgroups", "--hol-of", "C31"], ["braces", "--order", "42"]):
-        code, out = run_cli(argv)
+        code, out, err = run_cli(argv)
         assert code == 1 and out == ""
-        assert capsys.readouterr().err.startswith("error: |N| = ")
+        assert err.startswith("error: |N| = ")
 
 
 def test_braces_order_6():
-    code, out = run_cli(["braces", "--order", "6", "--format", "json"])
+    code, out, _ = run_cli(["braces", "--order", "6", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     rows = payload["result"]["braces"]
@@ -101,23 +91,23 @@ def test_braces_order_6():
 
 
 def test_count_dihedral_json_field():
-    code, out = run_cli(["count-dihedral", "--n", "3", "--format", "json"])
+    code, out, _ = run_cli(["count-dihedral", "--n", "3", "--format", "json"])
     assert code == 0
     assert json.loads(out)["result"]["e_formula"] == 28
 
 
 def test_audit_exit_codes():
-    code, _ = run_cli(["audit", "--theorem", "t001", "--n", "15"])
+    code, _, _ = run_cli(["audit", "--theorem", "t001", "--n", "15"])
     assert code == 0
-    code, _ = run_cli(["audit", "--theorem", "t004", "--n", "21"])
+    code, _, _ = run_cli(["audit", "--theorem", "t004", "--n", "21"])
     assert code == 5
-    code, _ = run_cli(["audit", "--theorem", "ses_final", "--n", "10"])
+    code, _, _ = run_cli(["audit", "--theorem", "ses_final", "--n", "10"])
     assert code == 5
-    code, out = run_cli(["audit", "--theorem", "c001", "--n", "16"])
+    code, out, _ = run_cli(["audit", "--theorem", "c001", "--n", "16"])
     assert code == 5
     assert out.splitlines()[-1] == "verdict: unsupported"
     # order 4 * 1000000000000000003 is not squarefree, and factoring it is quick
-    code, out = run_cli(["audit", "--theorem", "ses_final", "--n", "2000000000000000006"])
+    code, out, _ = run_cli(["audit", "--theorem", "ses_final", "--n", "2000000000000000006"])
     assert code == 5
     assert out.splitlines()[-1] == "verdict: unsupported"
 
@@ -126,19 +116,9 @@ def test_audit_exit_codes():
 def test_audit_p004_above_subgroup_bound(theorem):
     # 455 = 5 * 7 * 13 is above the lattice bound of 400; element orders
     # decide the Sylow conditions, so the audit lists no subgroups
-    code, out = run_cli(["audit", "--theorem", theorem, "--n", "455"])
+    code, out, _ = run_cli(["audit", "--theorem", theorem, "--n", "455"])
     assert code == 0
     assert out.splitlines()[-1] == "verdict: pass"
-
-
-@pytest.mark.parametrize(
-    "theorem, n",
-    [("p001", "-3"), ("c001", "-6"), ("c001", "0"), ("ses_final", "-2")],
-)
-def test_audit_bad_order_is_error(capsys, theorem, n):
-    code, out = run_cli(["audit", "--theorem", theorem, "--n", n])
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_audit_fail_exit_code(monkeypatch):
@@ -148,7 +128,7 @@ def test_audit_fail_exit_code(monkeypatch):
         "t001", 6, "fabricated", (AuditInstance("x", True, False),), "fail"
     )
     monkeypatch.setattr(cli, "run_audit", lambda tid, n: fake)
-    code, _ = run_cli(["audit", "--theorem", "t001", "--n", "3"])
+    code, _, _ = run_cli(["audit", "--theorem", "t001", "--n", "3"])
     assert code == 4
 
 
@@ -185,9 +165,9 @@ TABLE_CASES = [
 
 def test_catalog_table_and_csv():
     for argv, line, header, lines in TABLE_CASES:
-        code, table = run_cli(argv)
+        code, table, _ = run_cli(argv)
         assert code == 0 and line in table.splitlines()
-        code, csv_text = run_cli(argv + ["--format", "csv"])
+        code, csv_text, _ = run_cli(argv + ["--format", "csv"])
         assert code == 0
         assert csv_text.splitlines()[0] == header
         assert len(csv_text.strip().splitlines()) == lines
@@ -203,16 +183,9 @@ def test_catalog_table_and_csv():
     ],
 )
 def test_golden_files(argv, golden):
-    code, out = run_cli(argv)
+    code, out, _ = run_cli(argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
-
-
-def test_audit_battery_golden():
-    """Every theorem over the battery's n: exit code, stdout hash and last
-    stderr line, against the golden ``tests/record_audit_battery.py``
-    writes."""
-    assert audit_battery() == AUDIT_BATTERY_GOLDEN.read_text()
 
 
 @pytest.mark.parametrize(
@@ -224,13 +197,13 @@ def test_audit_battery_golden():
     ],
 )
 def test_thread_count_does_not_change_bytes(argv):
-    _, single = run_cli(argv + ["--threads", "1"])
-    _, multi = run_cli(argv + ["--threads", "4"])
+    _, single, _ = run_cli(argv + ["--threads", "1"])
+    _, multi, _ = run_cli(argv + ["--threads", "4"])
     assert single == multi
 
 
 def test_count_dihedral_nan_budget_is_not_run():
-    code, out = run_cli(
+    code, out, _ = run_cli(
         ["count-dihedral", "--n", "3", "--direct", "--budget", "nan", "--format", "json"]
     )
     assert code == 0
@@ -241,106 +214,45 @@ def test_count_dihedral_nan_budget_is_not_run():
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
-def test_count_dihedral_past_the_int_text_limit_is_error(capsys, fmt):
-    code, out = run_cli(["count-dihedral", "--n", "13001", "--format", fmt])
+def test_count_dihedral_past_the_int_text_limit_is_error(fmt):
+    # 13001 is the last odd n whose e_formula prints under Python's default
+    # limit of 4300 digits; the refusal at 15001 is a refusal battery row
+    code, out, _ = run_cli(["count-dihedral", "--n", "13001", "--format", fmt])
     assert code == 0 and "e_formula" in out
-    code, out = run_cli(["count-dihedral", "--n", "15001", "--format", fmt])
-    err = capsys.readouterr().err
-    assert code == 1 and out == ""
-    digits = sys.get_int_max_str_digits()
-    assert err == f"error: e_formula for n = 15001 has more than {digits} digits\n"
 
 
-@pytest.mark.parametrize(
-    "spec, message",
-    [
-        ("C" + "9" * 4301, "at position 1: integer of more than 100 digits"),
-        ("Hol(" * 400 + "C1" + ")" * 400, "at position 32: Hol nested more than 8 deep"),
-        ("x".join(["C1"] * 400), "at position 47: more than 16 factors"),
-    ],
-    ids=["4301-digits", "hol-400-deep", "chain-400"],
-)
-def test_spec_past_the_parser_bounds_is_error(capsys, spec, message):
-    code, out = run_cli(["realizable", "--g", spec, "--n", "C3"])
-    assert code == 1 and out == ""
-    assert capsys.readouterr().err == f"error: {message}\n"
+# The CLI batteries (``conftest.BATTERIES``), run once in one capped
+# child by the ``battery_faults_found`` fixture; each row is one case
+# below, checked against its golden line, the refusal contract and the
+# per-row bound.  ``tests/record_audit_battery.py`` re-records the goldens.
+def test_goldens_hold_every_row_and_no_other():
+    for name, (commands, _) in BATTERIES.items():
+        assert list(json.loads(battery_golden(name).read_text())) == list(commands), name
 
 
-def test_four_generator_group_is_error(capsys):
-    code, _ = run_cli(["realizable", "--g", "C2xC2xC2xC2", "--n", "C16"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+@pytest.mark.parametrize("key", AUDIT_BATTERY)
+def test_audit_battery_row(battery_faults_found, key):
+    assert not battery_faults_found["audit"][key]
 
 
-def test_aut_above_table_limit_is_error():
-    # a fresh process, so no memo from another test holds a table;
-    # |Aut(D102)| = 1632 and |Aut(C2xC2xC2xC11)| = 1680 are above TABLE_LIMIT
-    for g, n in (("C102", "D102"), ("C2xC2xC2xC11", "C2xC2xC2xC11")):
-        proc = capped_cli(["realizable", "--g", g, "--n", n, "--method", "cocycle"], 60)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr == "error: no table above 1200 elements\n"
+@pytest.mark.parametrize("command", PARSER_REFUSALS.values(), ids=PARSER_REFUSALS)
+def test_spec_past_the_parser_bounds_is_error(battery_faults_found, command):
+    assert not battery_faults_found["refusal"][command]
 
 
-# A 19-digit prime order: listing its divisors or twists takes far longer
-# than the size-bound check that must come first.  c001 and t004 factor it
-# before the check, which Miller-Rabin makes quick.
-BIG = "1000000000000000003"
-
-# Audits refused on the order before their catalog, or its Sylow tests or
-# an isomorphism search over composing rows, which took from 3 s to 46 s.
-PAST_TABLE_LIMIT = [
-    ["audit", "--theorem", "t004", "--n", "601"],
-    ["audit", "--theorem", "p003", "--n", "1995"],
-    ["audit", "--theorem", "p004", "--n", "1995"],
-    ["audit", "--theorem", "t001", "--n", "903"],
-    ["audit", "--theorem", "p005", "--n", "651"],
-]
-# c001 at a squarefree order past the lattice bound, refused before the
-# catalog is built (it took 11-14 s)
-PAST_SUBGROUP_BOUND = [["audit", "--theorem", "c001", "--n", "1806"]]
-# t001 at order 102: every N fits a table but Aut(D102) does not, which is
-# checked before the first row
-PAST_AUT_LIMIT = [["audit", "--theorem", "t001", "--n", "51"]]
+@pytest.mark.parametrize("argv", [command.split() for command in BOUND_REFUSALS])
+def test_oversized_group_is_error(battery_faults_found, argv):
+    assert not battery_faults_found["refusal"][" ".join(argv)]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["realizable", "--g", "C20000", "--n", "C20000", "--method", "cocycle"],
-        ["catalog", "--order", "20003"],
-        ["realizable", "--g", "C100000000", "--n", "C3", "--method", "cocycle"],
-        ["realizable", "--g", "C2000xC2000", "--n", "C3"],
-        ["catalog", "--order", BIG],
-        ["braces", "--order", BIG],
-        *(
-            ["audit", "--theorem", t, "--n", BIG]
-            for t in ("t001", "t002", "t003", "p003", "p004", "c001", "t004")
-        ),
-        # refused on |N| before Aut(N) is searched over composing rows
-        ["realizable", "--g", "Hol(D1202)", "--n", "C3", "--method", "cocycle"],
-        ["realizable", "--g", "Hol(C2xC2xC2xC151)", "--n", "C3", "--method", "cocycle"],
-        *PAST_TABLE_LIMIT,
-        *PAST_SUBGROUP_BOUND,
-        *PAST_AUT_LIMIT,
-    ],
-)
-def test_oversized_group_is_error(argv):
-    # in a capped child, not in the test runner
-    started = time.monotonic()
-    proc = capped_cli(argv, timeout=60)
-    elapsed = time.monotonic() - started
-    assert one_error_line(proc), proc.stderr
-    if argv in PAST_TABLE_LIMIT + PAST_AUT_LIMIT:
-        bound = "no table above 1200 elements"
-    elif argv in PAST_SUBGROUP_BOUND:
-        bound = "subgroup enumeration bound 400 exceeded by order 1806"
-    else:
-        bound = "size bound"
-    assert bound in proc.stderr
-    assert elapsed < 2
+@pytest.mark.parametrize("argv", [command.split() for command in INPUT_REFUSALS])
+def test_bad_input_is_error(battery_faults_found, argv):
+    assert not battery_faults_found["refusal"][" ".join(argv)]
+
+
+@pytest.mark.parametrize("theorem, n", BAD_AUDIT_ORDERS)
+def test_audit_bad_order_is_error(battery_faults_found, theorem, n):
+    assert not battery_faults_found["refusal"][f"audit --theorem {theorem} --n {n}"]
 
 
 def test_cli_import_skips_dataclasses_inspect_and_csv():
@@ -358,7 +270,7 @@ def test_cli_import_skips_dataclasses_inspect_and_csv():
 def test_store_records_and_replays(tmp_path):
     store_path = tmp_path / "results.jsonl"
     argv = ["realizable", "--g", "C6", "--n", "D6", "--store", str(store_path)]
-    code, _ = run_cli(argv)
+    code, _, _ = run_cli(argv)
     assert code == 0
     store = ResultsStore(store_path)
     records = store.records()
@@ -369,7 +281,7 @@ def test_store_records_and_replays(tmp_path):
     assert rec["outcome"]["realizable"] is True
     assert "elapsed_ms" in rec
     # replaying the stored command reproduces the verdict
-    code2, _ = run_cli(
+    code2, _, _ = run_cli(
         [rec["command"], "--g", rec["inputs"]["g"], "--n", rec["inputs"]["n"],
          "--store", str(store_path)]
     )
@@ -386,20 +298,20 @@ def test_leftover_aut_cache_file_is_ignored(tmp_path, content):
     leftover = Path(str(store_path) + ".autcache.json")
     leftover.write_text(content)
     argv = ["realizable", "--g", "C6", "--n", "D6", "--method", "cocycle"]
-    proc = capped_cli([*argv, "--store", str(store_path)], None)
+    proc = capped_python(["-m", "hopfgalois", *argv, "--store", str(store_path)], None)
     assert proc.returncode == 0 and "realizable: True" in proc.stdout, proc.stderr
     assert leftover.read_bytes() == content.encode()
 
 
 def test_store_writes_only_its_log(tmp_path):
     store_path = tmp_path / "results.jsonl"
-    code, _ = run_cli(["regular-subgroups", "--hol-of", "C15", "--store", str(store_path)])
+    code, _, _ = run_cli(["regular-subgroups", "--hol-of", "C15", "--store", str(store_path)])
     assert code == 0
     assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
 
 
 @pytest.mark.parametrize("blocked", ["parent", "store"])
-def test_unwritable_store_is_error(tmp_path, capsys, blocked):
+def test_unwritable_store_is_error(tmp_path, blocked):
     store_path = tmp_path / "results.jsonl"
     if blocked == "parent":  # the store's directory is a regular file
         (tmp_path / "F").write_text("")
@@ -407,6 +319,6 @@ def test_unwritable_store_is_error(tmp_path, capsys, blocked):
     else:  # the store itself is a directory
         store_path.mkdir()
     argv = ["realizable", "--g", "C6", "--n", "D6", "--method", "cocycle"]
-    code, out = run_cli(argv + ["--store", str(store_path)])
+    code, out, err = run_cli(argv + ["--store", str(store_path)])
     assert code == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: ")
+    assert err.startswith("error: ")
