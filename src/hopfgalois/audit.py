@@ -13,8 +13,6 @@ violations appear as explicit skipped instances rather than omissions.
 
 from __future__ import annotations
 
-import functools
-
 from .counting import is_burnside_number, radical
 from .errors import CountingBugError, PreconditionError, Record, UnsupportedOrderError
 from .factory import (
@@ -35,6 +33,7 @@ from .groups import (
     check_lattice,
     check_size,
     check_table,
+    derived,
     is_c_group,
     is_cyclic,
     is_normal,
@@ -96,10 +95,10 @@ def _unsupported(theorem_id, order, flags=()) -> AuditReport:
     )
 
 
-@functools.cache
+@derived
 def cached_realizable(G: PermGroup, N: PermGroup):
     """Witness or None, shared across audits for each (G, N) pair of group
-    objects."""
+    objects, and kept in G's memo."""
     return realizable_via_cocycles(G, N)
 
 

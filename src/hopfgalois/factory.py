@@ -29,6 +29,7 @@ from .groups import (
     are_isomorphic,
     check_size,
     closure,
+    derived,
     extend_images,
     factorize,
     generator_frame,
@@ -212,7 +213,7 @@ def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
 # Automorphism groups and holomorphs.
 
 
-@functools.cache
+@derived
 def _aut_chain(N: PermGroup):
     """Aut(N) as a two-level stabilizer chain (transversal, stabilizer),
     built once per group object.
@@ -264,7 +265,7 @@ def automorphism_order(N: PermGroup) -> int:
     return len(transversal) * len(stabilizer)
 
 
-@functools.cache
+@derived
 def automorphism_group(N: PermGroup) -> PermGroup:
     """All automorphisms of N, as permutations of N's element indices,
     computed once per group object.
@@ -300,8 +301,8 @@ class HolomorphGroup(Record, frozen=False):
     ``realize`` searches regular subgroups this way.  ``group`` (Hol(N)
     as a PermGroup) and ``tags`` (each element's pair) list all
     |N|·|Aut N| permutations; when both are missing, as ``holomorph``
-    leaves them, the first read of either builds both.  Hashed by
-    identity, so it can key a memo.
+    leaves them, the first read of either builds both.  Compared and
+    hashed by identity; ``regular_subgroups`` is kept in its ``_memo``.
     """
 
     group: PermGroup
@@ -332,7 +333,7 @@ class HolomorphGroup(Record, frozen=False):
         return tuple(getattr(self, f) for f in self._fields)
 
 
-@functools.cache
+@derived
 def holomorph(N: PermGroup) -> HolomorphGroup:
     """Hol(N) in coordinates, built once per group object; ``group`` and
     ``tags`` wait for their first read.  Raises BoundExceededError before

@@ -24,6 +24,7 @@ as it reaches the element, where ``_reach`` steps along rows that exist.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import deque
@@ -43,6 +44,30 @@ TABLE_LIMIT = 1200     # larger groups have no table; their rows look entries up
 SIZE_LIMIT = 4_000_000  # |G| x degree cap on one group's list of image tuples
 
 
+def derived(fn):
+    """``fn(x, *args)``, computed once per x and args and kept in x's own
+    ``_memo`` dict, keyed by (fn, args), so what is derived from a group
+    lives and dies with that group.  The one memo on objects; the only
+    module caches are keyed by value.  Callers must not change what it
+    returns, and an exception is not kept."""
+
+    @functools.wraps(fn)
+    def memoized(x, *args):
+        # set as an attribute: on CPython 3.11, reading ``x.__dict__``
+        # makes every later attribute read of x over twice as slow
+        try:
+            memo = x._memo
+        except AttributeError:
+            memo = x._memo = {}
+        key = fn, args
+        value = memo.get(key, memo)  # one hash of the key on a hit
+        if value is memo:
+            value = memo[key] = fn(x, *args)
+        return value
+
+    return memoized
+
+
 class PermGroup:
     """A finite permutation group with a canonically ordered element list.
 
@@ -56,18 +81,13 @@ class PermGroup:
     ``base``, if given, is the base both use, points whose images tell
     the elements apart; without it the greedy ``_base`` is taken.  The
     inverse and order tables (one ``_power_walk`` along the rows, so it
-    builds the table if none is built yet), the generating set,
-    the extension plans of ``generator_frame`` and ``greedy_frame`` and
-    the subgroup list fill in on first use, as does the identity's index,
-    kept so a read builds no identity tuple, and ``_cyclic_images`` holds
-    the crossed-hom scan's candidate images when this group is N, keyed
-    by (f(a), ord a) and filled by ``realize._cyclic_candidates``.  When
-    this group is Aut(N), ``_orbit_tables`` holds the orbit splits of
-    ``realize._orbit_walk``, keyed by (action, acting subset, candidates)
-    and checked as they are filled.  No
-    other module sets attributes on an instance; automorphism groups,
-    holomorphs and regular subgroups are memoized by ``functools.cache``
-    with the group as key.
+    builds the table if none is built yet) fill in on first use, as does
+    the identity's index, kept so a read builds no identity tuple.
+    Everything else derived from the group is kept by ``derived`` in its
+    ``_memo``: the generating set, the frames, the subgroup list, and
+    elsewhere Aut(N) and its chain, Hol(N), the crossed-hom scan's
+    candidate images and, on Aut(N), the orbit splits of the cocycle
+    walks.  So it is freed with the group.
     """
 
     def __init__(self, degree, elements, generators=None, label=None, base=None):
@@ -84,12 +104,6 @@ class PermGroup:
         self._rows = None
         self._inverse_table = None
         self._order_table = None
-        self._min_gens = None
-        self._frame = None
-        self._greedy_frame = None
-        self._cyclic_images = {}
-        self._orbit_tables = {}
-        self._subgroups = None
 
     def _default_generators(self):
         e = perm.identity(self.degree)
@@ -266,6 +280,7 @@ class PermGroup:
     def subgroup_from_indices(self, idxs) -> "PermGroup":
         return PermGroup(self.degree, [self.elements[i] for i in sorted(idxs)])
 
+    @derived
     def minimal_generating_set(self):
         """A smallest generating set: the first of size 1, then 2, then 3
         in ``itertools.combinations`` order of the elements sorted by
@@ -279,13 +294,10 @@ class PermGroup:
         one a scan of every combination finds, and no combination with a
         member in another's cyclic subgroup is closed.
         """
-        if self._min_gens is not None:
-            return self._min_gens
         n, orders = len(self), self.orders()
         by_order = sorted(range(n), key=lambda i: (-orders[i], i))
         if orders[by_order[0]] == n:  # cyclic, or trivial
-            self._min_gens = (self.elements[by_order[0]],)
-            return self._min_gens
+            return (self.elements[by_order[0]],)
         start, step = (self.identity_index,), self.rows().__getitem__
 
         def first(prefix, span, pos, size):
@@ -311,8 +323,7 @@ class PermGroup:
         for size in (2, 3):
             combo = first((), set(start), -1, size)
             if combo:
-                self._min_gens = tuple(self.elements[i] for i in combo)
-                return self._min_gens
+                return tuple(self.elements[i] for i in combo)
         raise BoundExceededError(f"no generating set of size <= 3 for order {n}")
 
 
@@ -593,15 +604,14 @@ def _is_prime_power(n: int) -> bool:
     return len(factorize(n).pairs) == 1
 
 
-def all_subgroups(G: PermGroup) -> list[PermGroup]:
+@derived
+def all_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
     """Every subgroup of G exactly once, ascending by order then element list.
 
     The one lattice walk; memoized on G, and above ``SUBGROUP_BOUND``
     elements it raises BoundExceededError.
     """
-    if G._subgroups is None:
-        G._subgroups = [G.subgroup_from_indices(s) for s in _subgroup_sets(G)]
-    return list(G._subgroups)
+    return tuple(G.subgroup_from_indices(s) for s in _subgroup_sets(G))
 
 
 def subgroups_of_order(G: PermGroup, order: int) -> list[PermGroup]:
@@ -648,6 +658,7 @@ def bfs_order(G: PermGroup, gen_idxs):
     return order, parent
 
 
+@derived
 def generator_frame(G: PermGroup):
     """A smallest generating set of G with its twist-free extension plan,
     built once per group object by ``_extension_plan``.
@@ -657,12 +668,10 @@ def generator_frame(G: PermGroup):
     checks) as ``_extension_plan`` does; minimal_generating_set raises
     BoundExceededError when G needs more than three generators.
     """
-    if G._frame is None:
-        gens = tuple(map(G.index_of, G.minimal_generating_set()))
-        G._frame = _extension_plan(G, gens)
-    return G._frame
+    return _extension_plan(G, tuple(map(G.index_of, G.minimal_generating_set())))
 
 
+@derived
 def greedy_frame(G: PermGroup):
     """The index-greedy generating set of G with its extension plan, built
     once per group object by ``_extension_plan``.
@@ -675,11 +684,8 @@ def greedy_frame(G: PermGroup):
     walks Hom(G, Aut N) over this frame.  A one-element group's frame is
     its identity, as ``minimal_generating_set`` gives.
     """
-    if G._greedy_frame is None:
-        e = G.identity_index
-        gens = tuple(_generating_set(G.rows(), e)) or (e,)
-        G._greedy_frame = _extension_plan(G, gens)
-    return G._greedy_frame
+    e = G.identity_index
+    return _extension_plan(G, tuple(_generating_set(G.rows(), e)) or (e,))
 
 
 def _extension_plan(G: PermGroup, gen_idxs):

@@ -23,7 +23,6 @@ must agree; tests hold them against each other.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from . import perm
@@ -42,6 +41,7 @@ from .groups import (
     _generating_set,
     _reach,
     check_table,
+    derived,
     extend_images,
     generator_frame,
     greedy_frame,
@@ -150,14 +150,9 @@ def _cyclic_consistent_images(N, fa, r):
     return good
 
 
-def _cyclic_candidates(N, fa, r):
-    """``_cyclic_consistent_images(N, fa, r)``, computed once per key
-    (fa, r) and kept in N's ``_cyclic_images``; callers must not change
-    the list."""
-    memo = N._cyclic_images
-    if (fa, r) not in memo:
-        memo[fa, r] = _cyclic_consistent_images(N, fa, r)
-    return memo[fa, r]
+# the crossed-hom scan's candidate images, computed once per (N, f(a),
+# ord a) and kept in N's memo; callers must not change the list
+_cyclic_candidates = derived(_cyclic_consistent_images)
 
 
 def subgroup_from_cocycle(c: CrossedHom, hol: HolomorphGroup) -> RegularSubgroupRecord:
@@ -192,8 +187,8 @@ def _orbits(S, cands, act):
     ``act(x)`` lists the images b.x for b in S, in S's order.  Returns one
     (y, S_y) per orbit, y its first member in ``cands`` and S_y its
     stabilizer in S as a tuple; the orbit has |S| / |S_y| members.
-    ``_orbit_walk`` keeps each result in a table shared by every later
-    walk, so the stabilizers are immutable.
+    ``_orbit_split`` keeps each result for every later walk, so the
+    stabilizers are immutable.
     """
     seen = set()
     out = []
@@ -237,29 +232,14 @@ def _orbit_walk(G, H, frame, cands, S, aut, action, twist=None, injective=False)
     Aut(N) index, and ``action(aut, T)``, ``_conjugation`` or
     ``_evaluation``, is the ``act`` of ``_orbits`` for a subset T of S.
 
-    Each orbit split is read from ``aut._orbit_tables``, keyed by
-    (action's name, T, candidates), and computed by ``_orbits`` only when
-    it is not there yet: every G swept against one N splits the same
-    orbits of Aut(N).  S must map each ``cands[level]`` onto itself, so
-    at every level the orbit sizes |T| / |T_y| must be whole numbers that
-    sum to the number of candidates; that is checked when a table is
-    filled, and otherwise CountingBugError is raised.
+    S must map each ``cands[level]`` onto itself, as ``_orbit_split``
+    checks; it keeps each split in Aut(N)'s memo, since every G swept
+    against one N splits the same orbits of Aut(N).
     """
     gens = frame[0]
-    tables = aut._orbit_tables
 
     def orbits(T, level):
-        key = (action.__name__, tuple(T), tuple(cands[level]))
-        if key not in tables:
-            reps = _orbits(T, cands[level], action(aut, T))
-            sizes = [divmod(len(T), len(C)) for _, C in reps]
-            if any(r for _, r in sizes) or sum(q for q, _ in sizes) != len(cands[level]):
-                raise CountingBugError(
-                    f"orbits do not cover the {len(cands[level])} "
-                    f"candidate images of generator {level}"
-                )
-            tables[key] = reps
-        return tables[key]
+        return _orbit_split(aut, action, tuple(T), tuple(cands[level]))
 
     # (images of the generators chosen so far, their stabilizer in S)
     partial = [((), S)]
@@ -274,6 +254,22 @@ def _orbit_walk(G, H, frame, cands, S, aut, action, twist=None, injective=False)
             G, H, frame, singles + [list(last)], twist=twist, injective=injective
         ):
             yield m, last[m[gens[-1]]]
+
+
+@derived
+def _orbit_split(aut, action, T, cands):
+    """``_orbits`` of T on ``cands`` under ``action(aut, T)``, kept in
+    ``aut``'s memo by (action, T, candidates), not by level.
+
+    T must map ``cands`` onto itself, so the orbit sizes |T| / |T_y| must
+    be whole numbers that sum to the number of candidates; that is
+    checked once per split, and otherwise CountingBugError is raised.
+    """
+    reps = _orbits(T, cands, action(aut, T))
+    sizes = [divmod(len(T), len(C)) for _, C in reps]
+    if any(r for _, r in sizes) or sum(q for q, _ in sizes) != len(cands):
+        raise CountingBugError(f"orbits do not cover the {len(cands)} candidate images")
+    return reps
 
 
 def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
@@ -620,7 +616,7 @@ def search_holomorph(N: PermGroup) -> HolomorphGroup:
     return holomorph(N)
 
 
-@functools.cache
+@derived
 def regular_subgroups(hol: HolomorphGroup) -> tuple[RegularSubgroupRecord, ...]:
     """Every regular subgroup of Hol(N), tagged with its catalog class.
 

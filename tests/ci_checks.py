@@ -144,7 +144,8 @@ def dihedral_66():
 def large_catalogs():
     # catalogs built from Hölder's classification: orders above
     # TABLE_LIMIT from the command line under 10 s each, then every
-    # squarefree order up to 600 byte-identical to the iso_catalog oracle
+    # squarefree order up to 600 byte-identical to the iso_catalog oracle,
+    # each catalog released before the next is built
     timed, bad = [], []
     for order, classes in ((1110, 12), (1995, 5)):
         started = time.perf_counter()
@@ -154,7 +155,7 @@ def large_catalogs():
         if proc.returncode or len(proc.stdout.splitlines()) != classes + 1:
             bad.append(f"catalog --order {order}")
     orders = [n for n in range(1, 601) if is_squarefree(n)]
-    bad += [n for n in orders if catalog_differs(n)]
+    bad += [n for n in released(lambda batch: batch, orders) if catalog_differs(n)]
     return f"{len(orders)} squarefree orders, catalog {', '.join(timed)}", bad
 
 
@@ -213,12 +214,12 @@ def hom_orbit_reps():
 
 def cocycle_kernel():
     # count_crossed_pairs and the witness, once on extend_images with each
-    # cached N's orbit tables kept across its sweep of G, and once, on
-    # fresh copies of both groups for each pair, so with no table filled
+    # catalog N's orbit splits kept across its sweep of G, and once, on
+    # fresh copies of both groups for each pair, so with no split made
     # before, with full_check_extend_images in its place everywhere,
-    # Aut(N)'s chain included; each fresh copy serves one pair, so its
-    # cached Aut(N) and chain are dropped after it
-    def answers(copy, used_once=()):
+    # Aut(N)'s chain included; a fresh copy's Aut(N) and chain go with it,
+    # and the kernel pass's catalogs are released before the oracle's
+    def answers(copy):
         found = {}
         for order in KERNEL_ORDERS:
             entries = catalog(order)
@@ -227,14 +228,13 @@ def cocycle_kernel():
                     G, N = copy(g.group), copy(n.group)
                     name = f"({g.spec.text()}, {n.spec.text()})"
                     found[name] = count_crossed_pairs(G, N), first_witness(G, N)
-                    for cache in used_once:
-                        cache.cache_clear()
         return found
 
     kernel = answers(lambda G: G)
+    clear_caches()
     for module in (groups, factory, realize):
         module.extend_images = full_check_extend_images
-    oracle = answers(fresh_copy, (factory.automorphism_group, factory._aut_chain))
+    oracle = answers(fresh_copy)
     bad = [name for name, v in kernel.items() if oracle[name] != v]
     return f"{len(kernel)} pairs", bad + ([] if len(kernel) == 68 else ["pair count"])
 

@@ -766,6 +766,12 @@ def fresh_copy(G):
     return PermGroup(G.degree, G.elements)
 
 
+def memo_of(x, fn):
+    """What ``groups.derived`` keeps of ``fn`` on x: {args: value}."""
+    memo = getattr(x, "_memo", {})
+    return {args: value for (f, args), value in memo.items() if f is fn.__wrapped__}
+
+
 def catalog_cases(orders):
     """(name, group) for every catalog group at each of ``orders``."""
     for order in orders:
@@ -944,8 +950,10 @@ def run_cli(argv):
 
 
 def clear_caches():
-    """Empty every ``functools`` cache of the library, so that what runs
-    next starts from nothing, as a cold command does."""
+    """Empty every ``functools`` cache of the library, the value-keyed
+    ``build``, ``_catalog`` and ``_additive_of``, so that what runs next
+    starts from nothing, as a cold command does: what was derived from
+    the groups they held goes with those groups."""
     for module in (audit, brace, factory, groups, realize):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):

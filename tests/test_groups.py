@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 import random
 from collections import deque
 
@@ -31,7 +33,8 @@ from hopfgalois import (
     SemidirectCC,
     SemidirectZ2,
 )
-from hopfgalois import factory, groups, perm, realize
+import hopfgalois
+from hopfgalois import brace, factory, groups, perm, realize
 from hopfgalois.errors import (
     BoundExceededError,
     CapExceededError,
@@ -71,6 +74,7 @@ from conftest import (
     lattice_is_almost_sylow_cyclic,
     lattice_is_c_group,
     lookup_table,
+    memo_of,
     orders_differ,
     pair_cases,
     random_loop,
@@ -395,14 +399,14 @@ def test_unique_odd_part_matches_lattice(order):
     for entry in catalog(order):
         G = PermGroup(entry.group.degree, entry.group.elements, entry.group.generators)
         H = unique_odd_part(G)
-        assert G._subgroups is None  # the lattice was not walked
+        assert not memo_of(G, all_subgroups)  # the lattice was not walked
         assert [S.elements for S in subgroups_of_order(G, order // 2)] == [H.elements]
 
 
 def test_unique_odd_part_above_the_lattice_bound():
     G = D(802)
     H = unique_odd_part(G)
-    assert len(H) == 401 and is_cyclic(H) and G._subgroups is None
+    assert len(H) == 401 and is_cyclic(H) and not memo_of(G, all_subgroups)
 
 
 def test_unique_odd_part_precondition(z3xz3):
@@ -746,6 +750,19 @@ def test_extension_plan_is_built_once_per_group(monkeypatch):
     assert generator_frame(G) is generator_frame(G)
     assert greedy_frame(G) is greedy_frame(G)
     assert planned == [N, G, G]
+
+
+def test_module_caches_are_keyed_by_value():
+    # what is derived from a group is kept on it by ``derived``; a module
+    # cache keyed by group objects would keep every group it saw alive
+    found = set()
+    for info in pkgutil.iter_modules(hopfgalois.__path__):
+        if info.name != "__main__":  # importing it runs the command line
+            module = importlib.import_module(f"hopfgalois.{info.name}")
+            for value in vars(module).values():
+                inside = vars(value).values() if isinstance(value, type) else ()
+                found.update(x for x in (value, *inside) if hasattr(x, "cache_clear"))
+    assert found == {factory.build, factory._catalog, brace._additive_of}
 
 
 def generating_set_cases(top):

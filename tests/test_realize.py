@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -27,6 +29,7 @@ from hopfgalois import (
     unique_odd_part,
 )
 from hopfgalois import factory, perm, realize
+from hopfgalois.audit import cached_realizable
 from hopfgalois.errors import BoundExceededError, CountingBugError, PreconditionError
 from hopfgalois.factory import is_squarefree
 from hopfgalois.groups import PermGroup
@@ -44,6 +47,7 @@ from conftest import (
     hom_orbit_reps_differ,
     hom_orbits,
     least_conjugate,
+    memo_of,
     pair_cases,
     per_element_semiregular_classes,
     tally,
@@ -842,9 +846,9 @@ def test_first_witness_matches_canonical_scan(g, n):
 
 
 def test_cyclic_candidates_are_kept_per_n():
-    # every generator's candidates, read through N's dict, equal a direct
+    # every generator's candidates, read through N's memo, equal a direct
     # scan for each f the engine walks on every catalog pair up to order
-    # 66, and so does every entry the engines left in the dict; a repeated
+    # 66, and so does every entry the engines left in the memo; a repeated
     # key gives back the same list
     for order in [4, 12] + [n for n in range(1, 67) if is_squarefree(n)]:
         for g, n in catalog_pairs(order):
@@ -858,7 +862,7 @@ def test_cyclic_candidates_are_kept_per_n():
                     assert realize._cyclic_candidates(N, *key) is got
         for n in catalog(order):
             N = n.group
-            for key, got in N._cyclic_images.items():
+            for key, got in memo_of(N, realize._cyclic_candidates).items():
                 assert got == realize._cyclic_consistent_images(N, *key)
 
 
@@ -885,7 +889,7 @@ def test_repeated_sweep_splits_no_orbits(monkeypatch):
     for n in entries:
         N = fresh_copy(n.group)
         first = [(count_crossed_pairs(g.group, N), first_witness(g.group, N)) for g in entries]
-        assert automorphism_group(N)._orbit_tables
+        assert memo_of(automorphism_group(N), realize._orbit_split)
         calls = []
         helper = realize._orbits
         monkeypatch.setattr(realize, "_orbits", lambda *args: calls.append(args) or helper(*args))
@@ -918,3 +922,17 @@ def test_orbit_tables_key_on_action_and_candidates():
         assert got == walk(automorphism_group(fresh_copy(N)), action, cands)
         results.append(got)
     assert len({repr(r) for r in results}) == 3
+
+
+def test_derived_state_is_freed_with_its_groups():
+    # both engines and the audits' memo on fresh copies of G and N: what
+    # they derive, Aut(N) and Hol(N) among it, hangs on those groups, so
+    # nothing holds them once the test lets them go
+    G, N = fresh_copy(C(6)), fresh_copy(D(6))
+    assert count_crossed_pairs(G, N) == 12
+    assert len(regular_subgroups(holomorph(N))) == 8
+    assert cached_realizable(G, N) is not None
+    refs = [weakref.ref(x) for x in (G, N, automorphism_group(N), holomorph(N))]
+    del G, N
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
