@@ -304,9 +304,12 @@ def audit_t004(n: int) -> AuditReport:
                 "Burnside number (gcd with its totient exceeds 1)",
             ),
         )
-    classes = _classes(2 * n)
+    # one catalog read gives the rows and the family, so membership is
+    # decided on the rows' own group objects
+    _refuse_on_order(2 * n, check_table)
     entries = catalog(2 * n)
     family = {entries[class_index(G, entries)].group for _, G in _twist_groups(n)}
+    classes = [(e.spec.text(), e.group) for e in entries]
 
     def judge(subject, G, N, witness):
         hyp = witness is not None

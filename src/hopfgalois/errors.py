@@ -8,26 +8,20 @@ class Record:
     default as a class attribute.  A record is built by position or by
     keyword, equals only a record of its own class with equal fields,
     hashes as the tuple of its fields, prints as ``Cls(field=value, ...)``
-    and refuses assignment.  A subclass declared with ``frozen=False`` is
-    mutable and compares and hashes by identity.  Nothing is generated
-    when a subclass is made: the fields live in the instance ``__dict__``,
-    set in one call, and a subclass built on a hot path writes its own
-    ``__init__`` that fills ``__dict__`` in field order.
+    and refuses assignment.  Nothing is generated when a subclass is
+    made: the fields live in the instance ``__dict__``, set in one call,
+    and a subclass built on a hot path writes its own ``__init__`` that
+    fills ``__dict__`` in field order.
     """
 
     _fields = ()
     _defaults = {}
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # the class's own annotations, which stay unevaluated strings
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__eq__ = object.__eq__
-            cls.__hash__ = object.__hash__
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
@@ -72,10 +66,10 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+        raise AttributeError(f"cannot delete field {name!r} of a record")
 
 
 class HopfGaloisError(Exception):

@@ -159,19 +159,10 @@ def build(spec: GroupSpec) -> PermGroup:
 
 
 def _build(spec: GroupSpec) -> PermGroup:
-    if isinstance(spec, Cyclic):
-        return _semidirect_pair(1, spec.n, 1, spec)
-    if isinstance(spec, Dihedral):
-        n = spec.order2n // 2
-        return _semidirect_pair(n, 2, (n - 1) % n if n > 1 else 1, spec)
-    if isinstance(spec, SemidirectCC):
-        return _semidirect_pair(spec.k, spec.l, spec.t, spec)
-    if isinstance(spec, SemidirectZ2):
-        return _semidirect_pair(spec.n, 2, spec.s, spec)
     if isinstance(spec, DirectProduct):
+        _order_degree(spec)  # refuses before a factor is built
         A, B = build(spec.left), build(spec.right)
         da, db = A.degree, B.degree
-        check_size(len(A) * len(B), da * db)
         gens = [
             tuple(p[i // db] * db + i % db for i in range(da * db))
             for p in A.generators
@@ -186,7 +177,39 @@ def _build(spec: GroupSpec) -> PermGroup:
         return holomorph(build(spec.inner)).group
     if isinstance(spec, Alternating4):
         return closure([(1, 2, 0, 3), (1, 0, 3, 2)], cap=12, label=spec)
-    raise SpecSemanticError(f"unknown spec {spec!r}")  # pragma: no cover
+    return _semidirect_pair(*_pair(spec), spec)
+
+
+def _pair(spec: GroupSpec):
+    """(k, l, t) of a cyclic, dihedral or semidirect recipe: the group
+    Z_k x|_t Z_l that ``_semidirect_pair`` builds on k*l points."""
+    if isinstance(spec, Cyclic):
+        return 1, spec.n, 1
+    if isinstance(spec, Dihedral):
+        n = spec.order2n // 2
+        return n, 2, (n - 1) % n if n > 1 else 1
+    if isinstance(spec, SemidirectCC):
+        return spec.k, spec.l, spec.t
+    return spec.n, 2, spec.s
+
+
+def _order_degree(spec: GroupSpec):
+    """(order, degree) of ``build(spec)``, read off the recipe.  Each size
+    is checked as ``build`` would check it, factors first, so a product
+    past the bound is refused before any factor is built; only a
+    Hol(...) factor is built, since its order needs |Aut|."""
+    if isinstance(spec, DirectProduct):
+        (a, da), (b, db) = _order_degree(spec.left), _order_degree(spec.right)
+        check_size(a * b, da * db)
+        return a * b, da * db
+    if isinstance(spec, Holomorph):
+        G = build(spec)
+        return len(G), G.degree
+    if isinstance(spec, Alternating4):
+        return 12, 4
+    k, l, _ = _pair(spec)
+    check_size(k * l, k * l)
+    return k * l, k * l
 
 
 def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
@@ -291,7 +314,7 @@ def automorphism_group(N: PermGroup) -> PermGroup:
     return PermGroup(len(N), elements, base=generator_frame(N)[0])
 
 
-class HolomorphGroup(Record, frozen=False):
+class HolomorphGroup:
     """Hol(N) on N's element indices, in coordinates.
 
     ``lam[t]`` is the left translation by element t and ``iota[a]`` the
@@ -300,37 +323,39 @@ class HolomorphGroup(Record, frozen=False):
     (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2), three table lookups;
     ``realize`` searches regular subgroups this way.  ``group`` (Hol(N)
     as a PermGroup) and ``tags`` (each element's pair) list all
-    |N|·|Aut N| permutations; when both are missing, as ``holomorph``
-    leaves them, the first read of either builds both.  Compared and
-    hashed by identity; ``regular_subgroups`` is kept in its ``_memo``.
+    |N|·|Aut N| permutations: when they are not given, as ``holomorph``
+    leaves them, the first read of either lists both, once, in the
+    ``_memo`` (``_listing``).  Compared and hashed by identity;
+    ``regular_subgroups`` is kept in its ``_memo`` too.
     """
 
-    group: PermGroup
-    n_group: PermGroup
-    aut: PermGroup
-    lam: tuple
-    iota: tuple
-    tags: dict
+    def __init__(self, group, n_group, aut, lam, iota, tags):
+        self.n_group, self.aut, self.lam, self.iota = n_group, aut, lam, iota
+        if group is not None:
+            self.group = group
+        if tags is not None:
+            self.tags = tags
 
     def __getattr__(self, name):
-        # reached only for a field missing from __dict__, as ``holomorph``
-        # leaves group and tags
+        # reached only for an attribute not set, as ``holomorph`` leaves
+        # group and tags
         if name not in ("group", "tags"):
             raise AttributeError(name)
-        N, aut, lam, iota = self.n_group, self.aut, self.lam, self.iota
-        pairs = [(t, a) for t in range(len(N)) for a in range(len(aut))]
-        perms = [perm.compose(lam[t], iota[a]) for t, a in pairs]
-        gens = [lam[N.index_of(g)] for g in N.generators]
-        gens += [iota[b] for b in _generating_set(aut.rows(), aut.identity_index)]
-        label = Holomorph(N.label) if N.label is not None else None
-        # PermGroup refuses a repeated element
-        self.__dict__.setdefault("group", PermGroup(len(N), perms, generators=gens, label=label))
-        self.__dict__.setdefault("tags", dict(zip(perms, pairs)))
-        return self.__dict__[name]
+        return _listing(self)[name]
 
-    def _values(self):
-        # through getattr, so that repr builds what ``holomorph`` left out
-        return tuple(getattr(self, f) for f in self._fields)
+
+@derived
+def _listing(hol: HolomorphGroup) -> dict:
+    """{"group": Hol(N) as a PermGroup, "tags": each element's (t, a)}."""
+    N, aut, lam, iota = hol.n_group, hol.aut, hol.lam, hol.iota
+    pairs = [(t, a) for t in range(len(N)) for a in range(len(aut))]
+    perms = [perm.compose(lam[t], iota[a]) for t, a in pairs]
+    gens = [lam[N.index_of(g)] for g in N.generators]
+    gens += [iota[b] for b in _generating_set(aut.rows(), aut.identity_index)]
+    label = Holomorph(N.label) if N.label is not None else None
+    # PermGroup refuses a repeated element
+    group = PermGroup(len(N), perms, generators=gens, label=label)
+    return {"group": group, "tags": dict(zip(perms, pairs))}
 
 
 @derived
@@ -350,9 +375,7 @@ def holomorph(N: PermGroup) -> HolomorphGroup:
     check_size(len(N) * automorphism_order(N), len(N))
     aut = automorphism_group(N)
     lam = tuple(map(tuple, N.rows()))  # below TABLE_LIMIT the table's own rows
-    hol = HolomorphGroup(None, N, aut, lam, aut.elements, None)
-    del hol.group, hol.tags  # built by ``__getattr__`` on their first read
-    return hol
+    return HolomorphGroup(None, N, aut, lam, aut.elements, None)
 
 
 # The small-order catalog.

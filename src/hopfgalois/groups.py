@@ -11,8 +11,10 @@ is known before its elements are listed.
 Every product is read from ``PermGroup.rows()``, the power walk behind
 the order and inverse tables included: the multiplication table up to
 ``TABLE_LIMIT`` elements, and above it rows that look each entry up
-from the same base and key.  Every orbit is walked by the one
-breadth-first walk ``_reach``: spans in a group table, the greedy
+from the same base and key.  Everything derived from a group, these
+rows and tables included, is kept on it by the one memo ``derived``; no
+group or holomorph keeps lazy state of its own.  Every orbit is walked
+by the one breadth-first walk ``_reach``: spans in a group table, the greedy
 generating set, the orbit of Aut(N)'s chain and realize's Hol(N)
 classes and subgroup orbits.  Only four kinds of walk are written
 apart: ``closure``, which stops at its cap; the subgroup queue of
@@ -47,9 +49,10 @@ SIZE_LIMIT = 4_000_000  # |G| x degree cap on one group's list of image tuples
 def derived(fn):
     """``fn(x, *args)``, computed once per x and args and kept in x's own
     ``_memo`` dict, keyed by (fn, args), so what is derived from a group
-    lives and dies with that group.  The one memo on objects; the only
-    module caches are keyed by value.  Callers must not change what it
-    returns, and an exception is not kept."""
+    lives and dies with that group.  The one memo on objects, a
+    PermGroup's tables and Hol(N)'s listing included; the only module
+    caches are keyed by value.  Callers must not change what it returns,
+    and an exception is not kept."""
 
     @functools.wraps(fn)
     def memoized(x, *args):
@@ -75,19 +78,19 @@ class PermGroup:
     generating sets of the same subgroup produce identical lists and the
     identity always sits at index 0.  The element list is fixed at
     construction, and a repeated element raises PreconditionError.  Every
-    product is read from ``rows``: the multiplication table, filled in on
-    the first product, or above ``TABLE_LIMIT`` a kept list of rows that
-    look each entry up by base images, as the table's generator rows do.
-    ``base``, if given, is the base both use, points whose images tell
-    the elements apart; without it the greedy ``_base`` is taken.  The
-    inverse and order tables (one ``_power_walk`` along the rows, so it
-    builds the table if none is built yet) fill in on first use, as does
-    the identity's index, kept so a read builds no identity tuple.
-    Everything else derived from the group is kept by ``derived`` in its
-    ``_memo``: the generating set, the frames, the subgroup list, and
-    elsewhere Aut(N) and its chain, Hol(N), the crossed-hom scan's
-    candidate images and, on Aut(N), the orbit splits of the cocycle
-    walks.  So it is freed with the group.
+    product is read from ``rows``: the multiplication table, built on the
+    first product, or above ``TABLE_LIMIT`` a list of rows that look each
+    entry up by base images, as the table's generator rows do.  ``base``,
+    if given, is the base both use, points whose images tell the elements
+    apart; without it the greedy ``_base`` is taken.  Whatever is derived
+    from the group is kept by ``derived`` in its ``_memo``, computed on
+    first use: the table or rows, the identity's index (so a read builds
+    no identity tuple), the order and inverse tables of one
+    ``_power_walk`` along the rows, the generating set, the frames, the
+    subgroup list, and elsewhere Aut(N) and its chain, Hol(N) and its
+    listing, the crossed-hom scan's candidate images and, on Aut(N), the
+    orbit splits of the cocycle walks.  So it is freed with the group;
+    the constructor sets nothing else.
     """
 
     def __init__(self, degree, elements, generators=None, label=None, base=None):
@@ -99,11 +102,6 @@ class PermGroup:
         if len(self._index) != len(self.elements):
             raise PreconditionError("group elements are not distinct")
         self._base_points = base
-        self._identity = None
-        self._mul_table = None
-        self._rows = None
-        self._inverse_table = None
-        self._order_table = None
 
     def _default_generators(self):
         e = perm.identity(self.degree)
@@ -128,33 +126,31 @@ class PermGroup:
         return self._index[p]
 
     @property
+    @derived
     def identity_index(self) -> int:
-        """The identity's index, 0 in a group, looked up on first read and
-        kept; an element list without the identity raises
-        PreconditionError."""
-        if self._identity is None:
-            e = self._index.get(perm.identity(self.degree))
-            if e is None:
-                raise PreconditionError("group elements are not closed: no identity")
-            self._identity = e
-        return self._identity
+        """The identity's index, 0 in a group, looked up on first read;
+        an element list without the identity raises PreconditionError."""
+        e = self._index.get(perm.identity(self.degree))
+        if e is None:
+            raise PreconditionError("group elements are not closed: no identity")
+        return e
 
     # Index arithmetic.
 
+    @derived
     def rows(self):
         """Rows whose entry [i][j] is the index of compose(elements[i],
         elements[j]): the one way a product is taken.  They are the table
-        up to ``TABLE_LIMIT`` elements; above it one list of ``_Row``s,
-        built on the first call and kept, looks each entry up by base
-        images as the table's generator rows do."""
-        if self._mul_table is None and len(self) > TABLE_LIMIT:
-            if self._rows is None:
-                base, lookup = self._base_lookup()
-                cols = [operator.itemgetter(*(q[b] for b in base)) for q in self.elements]
-                self._rows = [_Row(p, cols, lookup) for p in self.elements]
-            return self._rows
-        return self._mul_table or self.table()
+        up to ``TABLE_LIMIT`` elements; above it one list of ``_Row``s
+        looks each entry up by base images as the table's generator rows
+        do."""
+        if len(self) <= TABLE_LIMIT:
+            return self.table()
+        base, lookup = self._base_lookup()
+        cols = [operator.itemgetter(*(q[b] for b in base)) for q in self.elements]
+        return [_Row(p, cols, lookup) for p in self.elements]
 
+    @derived
     def table(self):
         """The whole of ``rows``, the only place a table is built.
 
@@ -173,39 +169,37 @@ class PermGroup:
         and raises PreconditionError; every other row is composed from
         checked rows.
         """
-        if self._mul_table is None:
-            check_table(len(self))
-            els, n = self.elements, len(self)
-            self.identity_index  # raises without the identity, which else sorts first
-            base, lookup = self._base_lookup()
-            rows = [perm.identity(n)] + [None] * (n - 1)
-            if n > 1:
-                keys_of = row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
-                if len(base) > 1:
+        check_table(len(self))
+        els, n = self.elements, len(self)
+        self.identity_index  # raises without the identity, which else sorts first
+        base, lookup = self._base_lookup()
+        rows = [perm.identity(n)] + [None] * (n - 1)
+        if n > 1:
+            keys_of = row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
+            if len(base) > 1:
 
-                    def keys_of(p):
-                        return zip(*[iter(row_keys(p))] * len(base))
+                def keys_of(p):
+                    return zip(*[iter(row_keys(p))] * len(base))
 
-                every, order, moves = set(rows[0]), [0], []
-                for x in range(1, n):
-                    if rows[x] is not None:
-                        continue
-                    try:
-                        looked_up = tuple(map(lookup, keys_of(els[x])))
-                    except KeyError:
-                        looked_up = ()
-                    if set(looked_up) != every:
-                        raise PreconditionError("group elements are not closed under composition")
-                    moves.append((x, perm.composer(looked_up)))
-                    for z in order:  # a FIFO queue: the loop also visits what it appends
-                        row = rows[z]
-                        for g, times_g in moves:
-                            y = row[g]
-                            if rows[y] is None:
-                                rows[y] = times_g(row)
-                                order.append(y)
-            self._mul_table = rows
-        return self._mul_table
+            every, order, moves = set(rows[0]), [0], []
+            for x in range(1, n):
+                if rows[x] is not None:
+                    continue
+                try:
+                    looked_up = tuple(map(lookup, keys_of(els[x])))
+                except KeyError:
+                    looked_up = ()
+                if set(looked_up) != every:
+                    raise PreconditionError("group elements are not closed under composition")
+                moves.append((x, perm.composer(looked_up)))
+                for z in order:  # a FIFO queue: the loop also visits what it appends
+                    row = rows[z]
+                    for g, times_g in moves:
+                        y = row[g]
+                        if rows[y] is None:
+                            rows[y] = times_g(row)
+                            order.append(y)
+        return rows
 
     def _base_lookup(self):
         """(base, lookup) for ``table`` and ``rows``: an element is fixed by
@@ -237,18 +231,15 @@ class PermGroup:
 
     def inverses(self):
         """Index of each element's inverse, by index, from ``_power_walk``."""
-        if self._inverse_table is None:
-            self._power_walk()
-        return self._inverse_table
+        return self._power_walk()[1]
 
     def orders(self):
         """Order of each element, by index, from ``_power_walk``."""
-        if self._order_table is None:
-            self._power_walk()
-        return self._order_table
+        return self._power_walk()[0]
 
+    @derived
     def _power_walk(self):
-        """Fill the order and inverse tables in one walk.
+        """The order and inverse tables, (orders, inverses), in one walk.
 
         From each element x not reached yet it steps along x's row of
         ``rows`` through x, x^2, ... to the identity, which gives
@@ -271,7 +262,7 @@ class PermGroup:
             for j, y in enumerate(powers, 1):
                 orders[y] = k // gcd(j, k)
                 inverses[y] = powers[k - j - 1]
-        self._order_table, self._inverse_table = tuple(orders), tuple(inverses)
+        return tuple(orders), tuple(inverses)
 
     def order_profile(self):
         """Sorted multiset of element orders; cheap isomorphism invariant."""

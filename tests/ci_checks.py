@@ -7,7 +7,10 @@ Tier-1's orders, through the body a Tier-1 test runs at its own orders
 where there is one, or runs the command line, the demos or the benchmark
 as a user would.  ``bad-input`` runs the refusal battery of
 ``tests/conftest.py`` in one capped child, as Tier-1's row tests do, and
-checks each row against ``tests/golden/refusal_battery.json``.  A check
+checks each row against ``tests/golden/refusal_battery.json``.
+``code-lines`` prints the count of lines holding code in ``src/``,
+``tests/`` and ``perfbench/``, the count the change log quotes, and fails
+only on a file that does not tokenize.  A check
 prints its count, its seconds and its peak RSS (this process or its
 largest child) and exits 1 if anything differs.  ``all``
 runs every check cold, each in a child process, and exits 1 if any failed.
@@ -15,6 +18,7 @@ The file name keeps pytest from collecting it.
 """
 
 import difflib
+import io
 import itertools
 import json
 import random
@@ -22,6 +26,7 @@ import resource
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 from conftest import (
@@ -284,7 +289,39 @@ def bench_smoke():
     return f"{2 * len(workloads)} runs", bad
 
 
+def count_code_lines(text):
+    # lines holding a token other than a comment, layout or a docstring
+    # (a string that is a statement of its own)
+    layout = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(text).readline)
+              if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for before, token, after in zip([None, *tokens], tokens, tokens[1:]):
+        docstring = (
+            token.type == tokenize.STRING and after.type == tokenize.NEWLINE
+            and (before is None or before.type in layout)
+        )
+        if token.type not in layout and not docstring:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
+def code_lines():
+    # the code lines of src/, tests/ and perfbench/, the count the change
+    # log and the roadmap quote; only a file that does not tokenize fails
+    counts, bad = {}, []
+    for top in ("src", "tests", "perfbench"):
+        counts[top] = 0
+        for path in sorted((ROOT / top).rglob("*.py")):
+            try:
+                counts[top] += count_code_lines(path.read_text())
+            except (tokenize.TokenError, SyntaxError):
+                bad.append(str(path.relative_to(ROOT)))
+    return ", ".join(f"{top}/ {n}" for top, n in counts.items()) + " code lines", bad
+
+
 CHECKS = {
+    "code-lines": code_lines,
     "hol-d30": hol_d30,
     "coordinate-search": coordinate_search,
     "braces": braces,

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfgalois import Cyclic, audit, build, catalog, run_audit
+from hopfgalois import CatalogEntry, Cyclic, audit, build, catalog, run_audit
 from hopfgalois.audit import (
     THEOREM_IDS,
     AuditInstance,
@@ -23,6 +23,8 @@ from hopfgalois.audit import (
 )
 from hopfgalois.errors import BoundExceededError, PreconditionError
 from hopfgalois.groups import SUBGROUP_BOUND, TABLE_LIMIT
+
+from conftest import fresh_copy
 
 
 def test_verdict_logic():
@@ -69,6 +71,19 @@ def test_t004_pass_and_vacuous():
     assert vac.verdict == "vacuous"
     assert vac.instances == ()
     assert any("Burnside" in f for f in vac.flags)
+
+
+def test_t004_family_does_not_rest_on_catalog_identity(monkeypatch):
+    # a catalog that returns new group objects on every read, as an
+    # evicting cache would, must not change a row
+    expected = run_audit("t004", 15).to_dict()
+    assert "G in family: True" in str(expected)
+
+    def fresh_catalog(order):
+        return [CatalogEntry(e.spec, fresh_copy(e.group)) for e in catalog(order)]
+
+    monkeypatch.setattr(audit, "catalog", fresh_catalog)
+    assert run_audit("t004", 15).to_dict() == expected
 
 
 def test_r002_every_twist():

@@ -23,3 +23,11 @@ def test_no_step_runs_inline_python():
 def test_every_pythonpath_holds_src():
     paths = re.findall(r"PYTHONPATH=(\S+)", WORKFLOW)
     assert paths and all("src" in re.split(r"[:${}+]", path) for path in paths)
+
+
+def test_code_lines_leave_out_comments_docstrings_and_blank_lines():
+    text = (
+        '"""Module."""\n\nimport os  # a comment\n\n\n'
+        'def f():\n    """Doc\n    string."""\n    # a comment\n    return (1,\n            2)\n'
+    )
+    assert ci_checks.count_code_lines(text) == 4  # import, def and return's two lines

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import hopfgalois
-from hopfgalois import cli, realize
+from hopfgalois import cli, factory, realize
 from hopfgalois.audit import AuditReport
+from hopfgalois.groups import closure
 from hopfgalois.store import ResultsStore
 
 from conftest import (
@@ -243,6 +245,28 @@ def test_spec_past_the_parser_bounds_is_error(battery_faults_found, command):
 @pytest.mark.parametrize("argv", [command.split() for command in BOUND_REFUSALS])
 def test_oversized_group_is_error(battery_faults_found, argv):
     assert not battery_faults_found["refusal"][" ".join(argv)]
+
+
+def test_product_is_refused_on_its_recipe_before_a_factor_is_built(monkeypatch):
+    # C2000xC2000 is 4000000 permutations of degree 4000000: its order and
+    # degree are read off the spec, so not even C2000 is built before the
+    # refusal
+    made = []
+
+    def spy(generators, *args, **kwargs):
+        made.append(len(generators[0]))
+        return closure(generators, *args, **kwargs)
+
+    monkeypatch.setattr(factory, "closure", spy)
+    # a cold build memo, so no C2000 left by an earlier test hides a build
+    monkeypatch.setattr(factory, "build", functools.cache(factory.build.__wrapped__))
+    assert run_cli(["realizable", "--g", "C2000xC2000", "--n", "C3"]) == (
+        1,
+        "",
+        "error: 4000000 permutations of degree 4000000 exceed the size bound "
+        "4000000 (elements x degree)\n",
+    )
+    assert 2000 not in made
 
 
 @pytest.mark.parametrize("argv", [command.split() for command in INPUT_REFUSALS])

@@ -40,6 +40,7 @@ from conftest import (
     decompose_cases,
     decompose_differs,
     lattice_decompose_burnside,
+    memo_of,
     tally,
 )
 
@@ -250,7 +251,7 @@ def test_holomorph_generators_are_a_greedy_set(monkeypatch, table_limit):
     assert 2 ** len(automorphisms) <= len(hol.aut) == 120
     assert len(automorphisms) == 3
     assert closure(automorphisms).elements == hol.aut.elements
-    assert (hol.aut._mul_table is None) == (table_limit is not None)
+    assert (not memo_of(hol.aut, PermGroup.table)) == (table_limit is not None)
 
 
 @pytest.mark.parametrize("order", [6, 10, 12])

@@ -540,7 +540,7 @@ def test_table_refuses_elements_not_closed(degree, elements):
     G = PermGroup(degree, elements)
     with pytest.raises(PreconditionError, match="not closed"):
         G.table()
-    assert G._mul_table is None
+    assert not memo_of(G, PermGroup.table)
 
 
 def test_identity_index_refuses_elements_without_identity():
@@ -628,7 +628,7 @@ def test_table_refuses_a_base_that_does_not_tell_elements_apart(monkeypatch, mak
     monkeypatch.setattr("hopfgalois.groups._base", lambda elements, degree: base)
     with pytest.raises(PreconditionError, match="does not tell"):
         G.table()
-    assert G._mul_table is None
+    assert not memo_of(G, PermGroup.table)
 
 
 def test_products_below_table_limit_never_compose(monkeypatch):
@@ -673,7 +673,7 @@ def test_rows_above_table_limit_equal_composed_products(monkeypatch):
     monkeypatch.setattr("hopfgalois.groups.TABLE_LIMIT", 10)
     H = fresh_copy(D(30))
     rows = [tuple(row[j] for j in range(len(H))) for row in H.rows()]
-    assert rows == compose_table(H) and H._mul_table is None
+    assert rows == compose_table(H) and not memo_of(H, PermGroup.table)
 
 
 def test_rows_above_table_limit_look_up_base_images():
@@ -683,7 +683,7 @@ def test_rows_above_table_limit_look_up_base_images():
     A = fresh_copy(automorphism_group(D(102)))
     assert len(A) > TABLE_LIMIT and len(_base(A.elements, A.degree)) > 1
     rows = A.rows()
-    assert A.rows() is rows and A._mul_table is None
+    assert A.rows() is rows and not memo_of(A, PermGroup.table)
     rng = random.Random(102)
     last = len(A) - 1
     samples = [(0, 0), (0, last), (last, 0), (last, last)]
@@ -693,7 +693,7 @@ def test_rows_above_table_limit_look_up_base_images():
     assert (A.orders(), A.inverses()) == (cycle_orders(A), inverse_lookup(A))
     with pytest.raises(BoundExceededError):
         A.table()
-    assert A.rows() is rows and A._mul_table is None
+    assert A.rows() is rows and not memo_of(A, PermGroup.table)
 
 
 def power_walk_groups():

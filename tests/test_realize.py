@@ -936,3 +936,18 @@ def test_derived_state_is_freed_with_its_groups():
     del G, N
     gc.collect()
     assert [ref() for ref in refs] == [None] * 4
+
+
+def test_no_group_keeps_lazy_state_of_its_own():
+    # what a group derives lives in its ``_memo`` alone, so an attribute
+    # set after construction, a lazy slot or a listing written into
+    # Hol(N), is outside the one memo and fails here
+    G, N = fresh_copy(C(6)), fresh_copy(D(6))
+    assert count_crossed_pairs(G, N) == 12
+    hol = holomorph(N)
+    records = regular_subgroups(hol)
+    assert len(hol.group) == 36
+    groups = [G, N, automorphism_group(N), hol.group, *(r.subgroup for r in records)]
+    allowed = {"degree", "elements", "generators", "label", "_index", "_base_points", "_memo"}
+    assert [name for H in groups for name in vars(H) if name not in allowed] == []
+    assert not {"group", "tags"} & set(vars(hol))
