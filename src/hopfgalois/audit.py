@@ -151,9 +151,10 @@ def _odd_part_shape(name, H):
     return True, f"{name} odd part = SD({shape.k},{shape.l};{shape.t})"
 
 
-def _require_twice_odd(order: int):
-    if order < 2 or order % 2 or (order // 2) % 2 == 0:
-        raise PreconditionError(f"order {order} is not twice an odd number")
+def _require_odd(n):
+    """Refuse an audit's n, as the user typed it, unless it is odd and positive."""
+    if n < 1 or n % 2 != 1:
+        raise PreconditionError(f"n must be odd and positive, got {n}")
 
 
 def _refuse_on_order(order, check):
@@ -211,7 +212,8 @@ def audit_p001(max_2n: int) -> AuditReport:
 
     Quantifies over the default audit orders up to ``max_2n``.
     """
-    _require_twice_odd(max_2n)
+    # run_audit passes 2n, so the refusal names n (not whole for an odd max_2n)
+    _require_odd(max_2n / 2 if max_2n % 2 else max_2n // 2)
     orders = [o for o in AUDIT_ORDERS if o <= max_2n]
 
     def instance(order, entry):
@@ -268,7 +270,7 @@ def audit_c001(order: int) -> AuditReport:
 def audit_t001(n: int) -> AuditReport:
     """If (Z_n x| Z_2 twist, N) is realizable then N splits as
     (Z_k x| Z_l) x| Z_2 over its odd part."""
-    _require_twice_odd(2 * n)
+    _require_odd(n)
     # a group of order 2n has 2n points: the bound comes before the n-long
     # twist scan and the factorization in catalog
     check_size(2 * n, 2 * n)
@@ -280,7 +282,7 @@ def audit_t001(n: int) -> AuditReport:
 def audit_t003(n: int) -> AuditReport:
     """Mirror of t001: realizable partners G of Z_n x| Z_2 split the same
     way.  The stated conclusion's trailing factor is read as Z_2."""
-    _require_twice_odd(2 * n)
+    _require_odd(n)
     check_size(2 * n, 2 * n)
     flags = ("conclusion audited as (Z_k x| Z_l) x| Z_2; the stated trailing Z_l is read as a typo for Z_2",)
     domain = f"catalog({2 * n}) x twists {z2_twists(n)}"
@@ -291,7 +293,7 @@ def audit_t003(n: int) -> AuditReport:
 def audit_t004(n: int) -> AuditReport:
     """With radical(n) a Burnside number: among realizable pairs, G lies
     in the Z_n x| Z_2 family iff N does."""
-    _require_twice_odd(2 * n)
+    _require_odd(n)
     if not is_burnside_number(radical(n)):
         return AuditReport(
             "t004",
@@ -327,7 +329,7 @@ def audit_t004(n: int) -> AuditReport:
 def audit_r002(n: int) -> AuditReport:
     """Positive existence: (D_2n, Z_n x| Z_2 twist) is realizable for every
     twist, with the cocycle law verified on all pairs."""
-    _require_twice_odd(2 * n)
+    _require_odd(n)
     # built first, so its size check comes before the n-long twist scan
     dihedral = _dihedral(n)
 
@@ -342,7 +344,7 @@ def audit_r002(n: int) -> AuditReport:
 
 def audit_p005(n: int) -> AuditReport:
     """Realizable partners of a dihedral group are solvable."""
-    _require_twice_odd(2 * n)
+    _require_odd(n)
     # built first, so its size check comes before the catalog's factorization
     dihedral = _dihedral(n)
     judge = _if_realizable(lambda G, N: (is_solvable(G), ""))
@@ -370,7 +372,7 @@ def audit_p004(order: int) -> AuditReport:
 def audit_t002(n: int) -> AuditReport:
     """Transport: a witness for (G, N) pulls every characteristic subgroup
     M of N back to a subgroup H of G with (H, M) realizable."""
-    _require_twice_odd(2 * n)
+    _require_odd(n)
     check_size(2 * n, 2 * n)
     classes = _classes(2 * n)
     if 2 * n > SUBGROUP_BOUND:
@@ -408,6 +410,8 @@ def audit_ses_final(n: int) -> AuditReport:
     """
     if n % 4 != 2:
         raise PreconditionError(f"n must be 2 mod 4, got {n}")
+    if n < 1:
+        raise PreconditionError(f"n must be positive, got {n}")
     flags = (
         "coprime product audited with kl = n; the stated kl = 2n cannot "
         "match an index-2 subgroup's order",

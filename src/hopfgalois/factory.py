@@ -322,11 +322,11 @@ class HolomorphGroup:
     In these coordinates the product is
     (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2), three table lookups;
     ``realize`` searches regular subgroups this way.  ``group`` (Hol(N)
-    as a PermGroup) and ``tags`` (each element's pair) list all
-    |N|·|Aut N| permutations: when they are not given, as ``holomorph``
-    leaves them, the first read of either lists both, once, in the
-    ``_memo`` (``_listing``).  Compared and hashed by identity;
-    ``regular_subgroups`` is kept in its ``_memo`` too.
+    as a PermGroup) lists all |N|·|Aut N| permutations: when it is not
+    given, as ``holomorph`` leaves it, its first read lists it, once, in
+    the ``_memo`` (``_listing``).  A ``tags`` given is kept, and nothing
+    reads it.  Compared and hashed by identity; ``regular_subgroups`` is
+    kept in its ``_memo`` too.
     """
 
     def __init__(self, group, n_group, aut, lam, iota, tags):
@@ -337,31 +337,28 @@ class HolomorphGroup:
             self.tags = tags
 
     def __getattr__(self, name):
-        # reached only for an attribute not set, as ``holomorph`` leaves
-        # group and tags
-        if name not in ("group", "tags"):
+        # reached only for an attribute not set, as ``holomorph`` leaves group
+        if name != "group":
             raise AttributeError(name)
-        return _listing(self)[name]
+        return _listing(self)
 
 
 @derived
-def _listing(hol: HolomorphGroup) -> dict:
-    """{"group": Hol(N) as a PermGroup, "tags": each element's (t, a)}."""
+def _listing(hol: HolomorphGroup) -> PermGroup:
+    """Hol(N) as a PermGroup: the elements lam[t] * iota[a]."""
     N, aut, lam, iota = hol.n_group, hol.aut, hol.lam, hol.iota
-    pairs = [(t, a) for t in range(len(N)) for a in range(len(aut))]
-    perms = [perm.compose(lam[t], iota[a]) for t, a in pairs]
+    perms = [perm.compose(lam[t], alpha) for t in range(len(N)) for alpha in iota]
     gens = [lam[N.index_of(g)] for g in N.generators]
     gens += [iota[b] for b in _generating_set(aut.rows(), aut.identity_index)]
     label = Holomorph(N.label) if N.label is not None else None
     # PermGroup refuses a repeated element
-    group = PermGroup(len(N), perms, generators=gens, label=label)
-    return {"group": group, "tags": dict(zip(perms, pairs))}
+    return PermGroup(len(N), perms, generators=gens, label=label)
 
 
 @derived
 def holomorph(N: PermGroup) -> HolomorphGroup:
-    """Hol(N) in coordinates, built once per group object; ``group`` and
-    ``tags`` wait for their first read.  Raises BoundExceededError before
+    """Hol(N) in coordinates, built once per group object; ``group`` waits
+    for its first read.  Raises BoundExceededError before
     Aut(N) is listed when the |N|·|Aut N| permutations would pass
     ``SIZE_LIMIT``; ``automorphism_order`` gives |Aut N|.  It first
     refuses on |N| alone, before Aut(N) is searched, when even 3|N| of

@@ -154,9 +154,10 @@ class PermGroup:
     def table(self):
         """The whole of ``rows``, the only place a table is built.
 
-        Above ``TABLE_LIMIT`` elements it raises BoundExceededError, so a
-        caller that needs every row, or must fail before doing work, calls
-        it first.  The rows are built by a walk over a greedy generating
+        Above ``TABLE_LIMIT`` elements it raises BoundExceededError.  Only
+        ``rows`` and the brace builders, which keep the table, call it; a
+        caller that must refuse before doing work calls ``check_table``.
+        The rows are built by a walk over a greedy generating
         set, as ``_generating_set`` picks it: the identity's row is
         range(n); scanning indices in ascending order, each one not
         reached yet becomes a generator g, whose row is looked up by base
@@ -773,10 +774,10 @@ def homomorphisms(G: PermGroup, H: PermGroup):
     """All homomorphisms G -> H, in canonical order of their image tables.
 
     Generator images are filtered by ``hom_candidates`` and searched with
-    extend_images.
+    extend_images.  An H past ``TABLE_LIMIT`` is refused first.
     """
     frame = generator_frame(G)
-    H.table()
+    check_table(len(H))
     cands = hom_candidates(G, H, frame[0])
     return [Homomorphism(G, H, m) for m in sorted(extend_images(G, H, frame, cands))]
 

@@ -140,7 +140,7 @@ def _cyclic_consistent_images(N, fa, r):
     """
     e_n = N.identity_index
     good = []
-    for x, row in enumerate(N.table()):
+    for x, row in enumerate(N.rows()):
         v, j = x, 1  # v = g(a^j)
         while v != e_n and j < r:
             v = row[fa[v]]
@@ -203,9 +203,9 @@ def _orbits(S, cands, act):
 
 def _conjugation(aut, S):
     """The ``act`` of ``_orbits`` for S on Aut(N) by conjugation: x -> b x b^-1."""
-    atab, inv = aut.table(), aut.inverses()
-    pairs = [(atab[b], inv[b]) for b in S]
-    return lambda x: [atab[row[x]][ib] for row, ib in pairs]
+    rows, inv = aut.rows(), aut.inverses()
+    pairs = [(rows[b], inv[b]) for b in S]
+    return lambda x: [rows[row[x]][ib] for row, ib in pairs]
 
 
 def _evaluation(aut, S):
@@ -296,18 +296,25 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
     """
     frame = greedy_frame(G)
     gens = frame[0]
-    atab = aut.table()
+    rows = aut.rows()
     previous = None
     cands = hom_candidates(G, aut, gens)
     for m, C in _orbit_walk(G, aut, frame, cands, range(len(aut)), aut, _conjugation):
-        for g in gens:
-            y, row = m[g], atab[m[g]]
-            if [atab[b][y] for b in C] != [row[b] for b in C]:  # b y = y b
-                raise CountingBugError("a stabilizer moves a chosen image")
+        _require_commute(rows, C, m, gens, "a stabilizer moves a chosen image")
         if previous is not None and m <= previous:
             raise CountingBugError("orbit representatives are not strictly increasing")
         previous = m
         yield Homomorphism(G, aut, m), len(aut) // len(C), C
+
+
+def _require_commute(rows, C, images, gens, message):
+    """The postcondition of both cocycle walks: every b in C commutes with
+    the image y = images[g] of every generator g, b y = y b, read from
+    Aut(N)'s ``rows``; otherwise CountingBugError(message) is raised."""
+    for g in gens:
+        y, row = images[g], rows[images[g]]
+        if [rows[b][y] for b in C] != [row[b] for b in C]:
+            raise CountingBugError(message)
 
 
 def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
@@ -336,11 +343,7 @@ def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
     """
     G, aut = f.domain, f.codomain
     gens = frame[0]
-    rows = aut.rows()
-    for a in gens:
-        y, row = f.images[a], rows[f.images[a]]
-        if [rows[b][y] for b in C] != [row[b] for b in C]:
-            raise CountingBugError("a centralizer element does not commute with f")
+    _require_commute(aut.rows(), C, f.images, gens, "a centralizer element does not commute with f")
     f_perms = [aut.elements[b] for b in f.images]
     cands = [_cyclic_candidates(N, f_perms[a], G.order_of(a)) for a in gens]
     walk = _orbit_walk(G, N, frame, cands, C, aut, _evaluation, f_perms, injective=True)
@@ -375,8 +378,10 @@ def _pair_orbit_reps(G: PermGroup, aut: PermGroup, N: PermGroup):
 
 
 def _check_tables(N: PermGroup):
-    """Raise the TABLE_LIMIT error before any search when N or Aut(N) is
-    too big for the tables the scan reads; Aut(N) is counted, not listed."""
+    """The cocycle engine's one bound, checked before any search: N and
+    Aut(N) must each have a table (``TABLE_LIMIT``); Aut(N) is counted,
+    not listed.  The engine reads every product from ``rows()``, which
+    exist at every order, so its reach is decided here alone."""
     check_table(len(N))
     check_table(automorphism_order(N))
 
@@ -424,23 +429,23 @@ def _conjugators(hol: HolomorphGroup):
 
     The code of lam[t] * iota[a] is t * |Aut N| + a, the pair (t, a) of
     ``_pair_search``, and each table maps every code to the code of its
-    conjugate.  The entries are table lookups, so Hol(N) is never
+    conjugate.  The entries are read from ``rows()``, so Hol(N) is never
     multiplied: by lam_s, (t, a) -> (s * t * alpha_a(s^-1), a); by
     iota_b, (t, a) -> (beta_b(t), b * a * b^-1).  The s and b come from
-    greedy generating sets of N's and Aut(N)'s tables, each of at most
+    greedy generating sets of N's and Aut(N)'s rows, each of at most
     log2 of the order; ``aut.generators`` would be every automorphism.
     """
     N, aut = hol.n_group, hol.aut
-    ntab, atab, iota = N.table(), aut.table(), hol.iota
+    nrows, arows, iota = N.rows(), aut.rows(), hol.iota
     ts, size = range(len(N)), len(aut)
     tables = []
-    for s in _generating_set(ntab, N.identity_index):
-        row, s_inv = ntab[s], N.inv(s)
+    for s in _generating_set(nrows, N.identity_index):
+        row, s_inv = nrows[s], N.inv(s)
         moved = [alpha[s_inv] for alpha in iota]
-        tables.append([ntab[row[t]][u] * size + a for t in ts for a, u in enumerate(moved)])
-    for b in _generating_set(atab, aut.identity_index):
-        beta, row, b_inv = iota[b], atab[b], aut.inv(b)
-        moved = [atab[row[a]][b_inv] for a in range(size)]
+        tables.append([nrows[row[t]][u] * size + a for t in ts for a, u in enumerate(moved)])
+    for b in _generating_set(arows, aut.identity_index):
+        beta, row, b_inv = iota[b], arows[b], aut.inv(b)
+        moved = [arows[row[a]][b_inv] for a in range(size)]
         tables.append([beta[t] * size + a for t in ts for a in moved])
     return tables
 
@@ -526,7 +531,7 @@ def _pair_search(hol: HolomorphGroup):
     """
     N, aut = hol.n_group, hol.aut
     m, size = len(N), len(aut)
-    ntab, atab, iota = N.table(), aut.table(), hol.iota
+    nrows, arows, iota = N.rows(), aut.rows(), hol.iota
     e_t, e_a = N.identity_index, aut.identity_index
     classes, conj, in_pool, element = _semiregular_classes(hol)
     found: dict = {}  # subgroup as a frozenset of element codes -> subgroup id
@@ -542,7 +547,7 @@ def _pair_search(hol: HolomorphGroup):
         while frontier:
             nxt = []
             for tx, ax in frontier:
-                trow, alpha, arow = ntab[tx], iota[ax], atab[ax]
+                trow, alpha, arow = nrows[tx], iota[ax], arows[ax]
                 for tg, ag in pair:
                     ty = trow[alpha[tg]]
                     ay = arow[ag]

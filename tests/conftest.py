@@ -866,6 +866,14 @@ def hom_orbit_reps_differ(G, N):
     return [(f.images, size) for f, size, _ in reps] != oracle or any(differs(*r) for r in reps)
 
 
+def lifted_check_tables(N):
+    """``realize._check_tables`` with Aut(N)'s bound lifted to what its
+    listing needs (ROADMAP item 3): N must still have a table, and Aut(N)
+    need only fit ``SIZE_LIMIT``; the engine reads it by rows."""
+    groups.check_table(len(N))
+    groups.check_size(automorphism_order(N), len(N))
+
+
 def first_witness(G, N):
     """(f images, g) of the cocycle engine's witness for (G, N), or None."""
     w = realizable_via_cocycles(G, N)

@@ -204,9 +204,8 @@ def test_holomorph_structure(spec):
     assert closure(list(lam_set | iota_set)).elements == hol.group.elements
     lam_group = PermGroup(hol.group.degree, hol.lam)
     assert is_regular(lam_group)
-    for h in hol.group.elements:
-        t, a = hol.tags[h]
-        assert perm.compose(hol.lam[t], hol.iota[a]) == h
+    compositions = {perm.compose(lam_t, alpha) for lam_t in hol.lam for alpha in hol.iota}
+    assert set(hol.group.elements) == compositions
 
 
 def test_holomorph_is_memoized_per_group():
