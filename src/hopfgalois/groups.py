@@ -16,12 +16,15 @@ rows and tables included, is kept on it by the one memo ``derived``; no
 group or holomorph keeps lazy state of its own.  Every orbit is walked
 by the one breadth-first walk ``_reach``: spans in a group table, the greedy
 generating set, the orbit of Aut(N)'s chain and realize's Hol(N)
-classes and subgroup orbits.  Only four kinds of walk are written
-apart: ``closure``, which stops at its cap; the subgroup queue of
-``_subgroup_sets``; the pair closures of realize's search and of
-counting's direct count, which stop at the first element outside the
-pool; and the row walk of ``PermGroup.table``, which composes each row
-as it reaches the element, where ``_reach`` steps along rows that exist.
+classes and subgroup orbits; only an orbit of the listed Aut(N) on N's
+indices is read off its elements.  Only four kinds of walk are written
+apart: ``closure``, which stops at its cap; the join walk
+``_subgroup_sets``, whose queue of subgroups gives the lattice and the
+characteristic subgroups alike, each join closed by ``_reach``; the
+pair closures of realize's search and of counting's direct count,
+which stop at the first element outside the pool; and the row walk of
+``PermGroup.table``, which composes each row as it reaches the element,
+where ``_reach`` steps along rows that exist.
 """
 
 from __future__ import annotations
@@ -87,10 +90,11 @@ class PermGroup:
     first use: the table or rows, the identity's index (so a read builds
     no identity tuple), the order and inverse tables of one
     ``_power_walk`` along the rows, the generating set, the frames, the
-    subgroup list, and elsewhere Aut(N) and its chain, Hol(N) and its
-    listing, the crossed-hom scan's candidate images and, on Aut(N), the
-    orbit splits of the cocycle walks.  So it is freed with the group;
-    the constructor sets nothing else.
+    subgroup list, the characteristic subgroups, and elsewhere Aut(N)
+    and its chain, Hol(N) and its listing, the crossed-hom scan's
+    candidate images and, on Aut(N), the orbit splits of the cocycle
+    walks.  So it is freed with the group; the constructor sets nothing
+    else.
     """
 
     def __init__(self, degree, elements, generators=None, label=None, base=None):
@@ -460,7 +464,7 @@ def _reach(step, start, gens):
     indices, of Hol(N) codes and of subgroups, where step(x) lists x's
     images by each generator and ``gens`` is their range.  Other walks
     stay apart: ``closure`` stops at its cap, before it stores more
-    permutations; ``_subgroup_sets`` queues subgroups, each closed here;
+    permutations; ``_subgroup_sets`` queues subgroups, each join closed here;
     and the pair closures of ``realize._pair_search`` and of the direct
     count in ``counting`` stop at the first element outside the pool.
     """
@@ -477,29 +481,37 @@ def _reach(step, start, gens):
     return order, parent
 
 
-def _subgroup_sets(G):
-    """All subgroup index sets, by cyclic extension.
+def _subgroup_sets(G, atoms):
+    """The index sets of every join of ``atoms``, tuples of G's indices:
+    the one join walk, ascending by order then indices.
 
-    Grows subgroups by adjoining one element of prime-power order at a
-    time; every subgroup is reached through a chain of proper extensions.
-    Above ``SUBGROUP_BOUND`` elements it raises BoundExceededError.
+    From the trivial subgroup, each subgroup found is joined with each
+    atom in turn; every element of the atom not reached yet becomes one
+    more generator of ``_reach``, so a generator tuple holds no element
+    of the span of those before it.  Every join is reached through a
+    chain of proper joins with one atom.  ``all_subgroups`` passes the
+    elements of prime-power order, one to an atom, and
+    ``characteristic_subgroups`` the Aut(N)-orbits.  Either way each
+    atom is an orbit of a group of automorphisms of G, which maps every
+    join onto itself, so a join holds each atom whole or not at all: an
+    atom with one element in S lies in S.
     """
-    check_lattice(len(G))
-    e = G.identity_index
-    atoms = [i for i, k in enumerate(G.orders()) if i != e and _is_prime_power(k)]
     step = G.rows().__getitem__
-    trivial = frozenset({e})
+    trivial = frozenset({G.identity_index})
     found = {trivial: ()}
     work = deque([trivial])
     while work:
         S = work.popleft()
-        gens = found[S]
-        for a in atoms:
-            if a in S:
+        for atom in atoms:
+            if atom[0] in S:
                 continue
-            T = frozenset(_reach(step, S, gens + (a,))[0])
+            T, gens = S, found[S]
+            for a in atom:
+                if a not in T:
+                    gens += (a,)
+                    T = frozenset(_reach(step, T, gens)[0])
             if T not in found:
-                found[T] = gens + (a,)
+                found[T] = gens
                 work.append(T)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
@@ -600,10 +612,14 @@ def _is_prime_power(n: int) -> bool:
 def all_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
     """Every subgroup of G exactly once, ascending by order then element list.
 
-    The one lattice walk; memoized on G, and above ``SUBGROUP_BOUND``
-    elements it raises BoundExceededError.
+    The lattice walk: the joins of the elements of prime-power order,
+    since every subgroup is generated by those it holds.  Memoized on G,
+    and above ``SUBGROUP_BOUND`` elements it raises BoundExceededError.
     """
-    return tuple(G.subgroup_from_indices(s) for s in _subgroup_sets(G))
+    check_lattice(len(G))
+    e = G.identity_index
+    atoms = [(i,) for i, k in enumerate(G.orders()) if i != e and _is_prime_power(k)]
+    return tuple(G.subgroup_from_indices(s) for s in _subgroup_sets(G, atoms))
 
 
 def subgroups_of_order(G: PermGroup, order: int) -> list[PermGroup]:
@@ -905,18 +921,23 @@ def unique_odd_part(G: PermGroup) -> PermGroup:
     return G.subgroup_from_indices(kernel)
 
 
-def characteristic_subgroups(N: PermGroup, autN: PermGroup):
-    """Subgroups of N mapped to themselves by every automorphism.
+@derived
+def characteristic_subgroups(N: PermGroup, autN: PermGroup) -> tuple[PermGroup, ...]:
+    """Subgroups of N mapped to themselves by every automorphism, in
+    ``all_subgroups`` order; memoized on N.
 
-    ``autN`` must act on N's element indices (degree |N|).
+    A subgroup is characteristic iff it is a union of Aut(N)-orbits, so
+    these are the joins of the orbits (``_subgroup_sets``), and no
+    lattice is walked.  The orbit of x is read off the listed
+    automorphisms as their images of x.  ``autN`` must act on N's element
+    indices (degree |N|).
     """
     if autN.degree != len(N):
         raise PreconditionError("automorphism group must act on element indices")
-    out = []
-    for S in all_subgroups(N):
-        idxs = frozenset(N.index_of(p) for p in S.elements)
-        if all(
-            frozenset(alpha[i] for i in idxs) == idxs for alpha in autN.elements
-        ):
-            out.append(S)
-    return out
+    seen, orbits = {N.identity_index}, []
+    for x in range(len(N)):
+        if x not in seen:
+            orbit = set(map(operator.itemgetter(x), autN.elements))
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(N.subgroup_from_indices(s) for s in _subgroup_sets(N, orbits))

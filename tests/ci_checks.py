@@ -38,6 +38,8 @@ from conftest import (
     capped_python,
     catalog_cases,
     catalog_differs,
+    characteristic_cases,
+    characteristic_differs,
     clear_caches,
     decompose_cases,
     decompose_differs,
@@ -170,6 +172,14 @@ def shapes():
     # subgroup-lattice oracle on every catalog group up to order 200 and
     # every odd part of a twice-odd one
     checked, bad = tally(decompose_cases(200), decompose_differs)
+    return f"{checked} groups", bad
+
+
+def characteristic():
+    # the join walk's characteristic subgroups equal to the lattice
+    # oracle's, in the same order, for every catalog N up to order 400
+    # whose Aut(N) has a table, each catalog released before the next
+    checked, bad = tally(released(characteristic_cases, range(1, 401)), characteristic_differs)
     return f"{checked} groups", bad
 
 
@@ -336,6 +346,7 @@ CHECKS = {
     "dihedral-66": dihedral_66,
     "large-catalogs": large_catalogs,
     "shapes": shapes,
+    "characteristic": characteristic,
     "element-orders": element_orders,
     "walk-kernel": walk_kernel,
     "table-kernel": table_kernel,

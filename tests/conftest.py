@@ -8,8 +8,9 @@ tables, the brace law and holomorph membership by scanning all n^3
 triples, subgroups (with the Sylow predicates read off them) by
 adjoining one element at a time under ``G.rows()``, factorizations by trial
 division, and catalogs by testing every twist against the classes found
-so far, and coprime cyclic splittings by testing every pair of subgroups
-from ``all_subgroups``; element orders are read off cycle lengths and
+so far, coprime cyclic splittings by testing every pair of subgroups
+from ``all_subgroups``, and characteristic subgroups by testing every
+subgroup from it against every automorphism; element orders are read off cycle lengths and
 inverses off ``perm.inverse``, multiplication tables by looking every
 entry up by base images, row by row, the least conjugate of a homomorphism
 by scanning all of Aut(N), a smallest generating set by closing every
@@ -61,6 +62,7 @@ from hopfgalois import (
     automorphism_group,
     brace_from_regular,
     build,
+    characteristic_subgroups,
     count_crossed_pairs,
     crossed_homomorphisms,
     decompose_burnside,
@@ -367,6 +369,17 @@ def lattice_is_almost_sylow_cyclic(G):
         if not ok:
             return False
     return True
+
+
+def lattice_characteristic_subgroups(N, autN):
+    """The subgroups of ``all_subgroups(N)`` that every automorphism in
+    ``autN`` maps onto themselves, in lattice order."""
+    out = []
+    for S in all_subgroups(N):
+        idxs = frozenset(map(N.index_of, S.elements))
+        if all(frozenset(alpha[i] for i in idxs) == idxs for alpha in autN.elements):
+            out.append(S)
+    return out
 
 
 def cycle_orders(G):
@@ -808,6 +821,23 @@ def decompose_differs(G):
     return decompose_burnside(G) != lattice_decompose_burnside(G)
 
 
+def characteristic_cases(orders):
+    """(name, N) for every catalog N at ``orders`` whose Aut(N) has a
+    table, the N that t002 reaches."""
+    for name, N in catalog_cases(orders):
+        if automorphism_order(N) <= TABLE_LIMIT:
+            yield name, N
+
+
+def characteristic_differs(N):
+    """The join walk's characteristic subgroups of N are not those of
+    ``lattice_characteristic_subgroups``, element list for element list,
+    in the same order."""
+    aut = automorphism_group(N)
+    found = characteristic_subgroups(N, aut)
+    return [S.elements for S in found] != [S.elements for S in lattice_characteristic_subgroups(N, aut)]
+
+
 def orders_differ(G, *copies):
     """The power walk's orders and inverses on G, or on a copy of G, are not
     the cycle-length and ``perm.inverse`` oracles'."""
@@ -1022,7 +1052,8 @@ BOUND_REFUSALS = [
     "realizable --g C102 --n D102 --method cocycle",
     "realizable --g C102 --n D102 --method both",
     "realizable --g C2xC2xC2xC11 --n C2xC2xC2xC11 --method cocycle",
-    # t002's lattice pre-check, and c001, at order 402
+    # at order 402, t002 on |Aut SD(201,2;133)| = 8844 before the first
+    # row, and c001 on the lattice bound before its catalog
     "audit --theorem t002 --n 201",
     "audit --theorem c001 --n 402",
     # |N| past the Hol(N) search bound

@@ -22,7 +22,7 @@ from hopfgalois.audit import (
     cached_realizable,
 )
 from hopfgalois.errors import BoundExceededError, PreconditionError
-from hopfgalois.groups import SUBGROUP_BOUND, TABLE_LIMIT
+from hopfgalois.groups import TABLE_LIMIT
 
 from conftest import fresh_copy
 
@@ -38,18 +38,18 @@ def test_verdict_logic():
 
 
 def test_p001_small():
-    report = audit_p001(6)
-    assert report.verdict == "pass"
+    report = audit_p001(3)
+    assert report.verdict == "pass" and report.order == 6
     assert len(report.instances) == 2
-    report = audit_p001(30)
-    assert report.verdict == "pass"
+    report = audit_p001(15)
+    assert report.verdict == "pass" and report.order == 30
     assert len(report.instances) == 14
 
 
 def test_p001_rejects_bad_order():
-    for max_2n in (4, -6):
-        with pytest.raises(PreconditionError):
-            audit_p001(max_2n)
+    for n in (2, -3):
+        with pytest.raises(PreconditionError, match=f"^n must be odd and positive, got {n}$"):
+            audit_p001(n)
 
 
 def test_t001_pass_and_nonvacuous():
@@ -172,12 +172,13 @@ def test_cached_realizable_keys_on_group_objects(order):
 @pytest.mark.parametrize(
     "theorem, n",
     [pytest.param(t, 51, id=t) for t in ("t001", "t002", "t003", "t004", "r002", "p005")]
-    + [pytest.param("p003", 273, id="p003-273")],
+    + [pytest.param("p003", 273, id="p003-273"), pytest.param("t002", 201, id="t002-201")],
 )
 def test_audits_refuse_on_aut_before_the_first_row(monkeypatch, theorem, n):
-    # at order 102 D102 is the N of some row and |Aut D102| = 1632, and at
-    # order 273 a catalog N has |Aut N| = 6552, so the audit must refuse
-    # before any row runs the cocycle engine
+    # at order 102 D102 is the N of some row and |Aut D102| = 1632, at
+    # order 273 a catalog N has |Aut N| = 6552, and at order 402
+    # |Aut SD(201,2;133)| = 8844, so the audit must refuse before any row
+    # runs the cocycle engine
     def no_rows(G, N):
         raise AssertionError(f"a row ran on ({G}, {N})")
 
@@ -185,20 +186,6 @@ def test_audits_refuse_on_aut_before_the_first_row(monkeypatch, theorem, n):
     monkeypatch.setattr(audit, "cached_realizable", no_rows)
     with pytest.raises(BoundExceededError, match=f"^no table above {TABLE_LIMIT} elements$"):
         run_audit(theorem, n)
-
-
-def test_t002_refuses_on_the_lattice_before_the_first_row(monkeypatch):
-    # at order 402 the first row's pair is realizable and its lattice walk
-    # passes SUBGROUP_BOUND, so the audit must refuse before that row runs
-    # the cocycle engine
-    def no_rows(G, N):
-        raise AssertionError(f"a row ran on ({G}, {N})")
-
-    monkeypatch.setattr(audit, "realizable_via_cocycles", no_rows)
-    monkeypatch.setattr(audit, "cached_realizable", no_rows)
-    message = f"^subgroup enumeration bound {SUBGROUP_BOUND} exceeded by order 402$"
-    with pytest.raises(BoundExceededError, match=message):
-        run_audit("t002", 201)
 
 
 def test_run_audit_dispatch():

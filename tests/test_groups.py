@@ -13,6 +13,7 @@ from hopfgalois import (
     catalog,
     holomorph,
     are_isomorphic,
+    parse_group_spec,
     characteristic_subgroups,
     count_crossed_pairs,
     automorphism_group,
@@ -65,6 +66,8 @@ from conftest import (
     _closure_within,
     brute_force_homomorphisms,
     catalog_cases,
+    characteristic_cases,
+    characteristic_differs,
     cycle_orders,
     every_combination_generating_set,
     fresh_copy,
@@ -429,6 +432,31 @@ def test_characteristic_subgroups_cyclic():
     N = C(6)
     chars = characteristic_subgroups(N, automorphism_group(N))
     assert sorted(len(S) for S in chars) == [1, 2, 3, 6]
+
+
+def test_characteristic_subgroups_match_the_lattice():
+    # the joins of Aut(N)-orbits against every subgroup tested against
+    # every automorphism: catalog N up to order 130, the order-12 classes
+    # and A4 among them, and C2xC2xC2, whose 7 involutions are one orbit
+    cases = [*characteristic_cases(range(1, 131)), ("C2xC2xC2", build(parse_group_spec("C2xC2xC2")))]
+    checked, bad = tally(cases, characteristic_differs)
+    assert checked == 135 and not bad
+
+
+def test_characteristic_subgroups_are_kept_on_n():
+    N = D(30)
+    aut = automorphism_group(N)
+    assert characteristic_subgroups(N, aut) is characteristic_subgroups(N, aut)
+
+
+def test_characteristic_subgroups_above_the_lattice_bound():
+    # |C402| is past SUBGROUP_BOUND and |Aut C402| = 132; the orbits are
+    # the elements of each order, so the characteristic subgroups are the
+    # cyclic ones, one per divisor, and the lattice is not walked
+    N = C(402)
+    chars = characteristic_subgroups(N, automorphism_group(N))
+    assert [len(S) for S in chars] == [1, 2, 3, 6, 67, 134, 201, 402]
+    assert not memo_of(N, all_subgroups)
 
 
 def test_is_normal(s3):
