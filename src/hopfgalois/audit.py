@@ -13,7 +13,7 @@ violations appear as explicit skipped instances rather than omissions.
 
 from __future__ import annotations
 
-from .counting import is_burnside_number, radical
+from .counting import _require_odd, is_burnside_number, radical
 from .errors import CountingBugError, PreconditionError, Record, UnsupportedOrderError
 from .factory import (
     Dihedral,
@@ -151,12 +151,6 @@ def _odd_part_shape(name, H):
     return True, f"{name} odd part = SD({shape.k},{shape.l};{shape.t})"
 
 
-def _require_odd(n):
-    """Refuse an audit's n, as the user typed it, unless it is odd and positive."""
-    if n < 1 or n % 2 != 1:
-        raise PreconditionError(f"n must be odd and positive, got {n}")
-
-
 def _refuse_on_order(order, check):
     """Raise, before the catalog is built, the error its first row would
     end in: ``check`` is the bound that row meets.  Only a squarefree
@@ -187,8 +181,7 @@ def _dihedral(n):
 def _odd_squarefree_sides(order):
     """The classes of an odd squarefree order and its cyclic class, the
     sides of p003 and p004."""
-    if order % 2 == 0:
-        raise PreconditionError(f"odd order required, got {order}")
+    _require_odd(order)
     check_size(order, order)
     if not is_squarefree(order):
         raise PreconditionError(f"odd squarefree order required, got {order}")

@@ -149,9 +149,16 @@ def _cmd_regular_subgroups(args):
     return {"hol_of": args.hol_of}, result, rows, EXIT_OK
 
 
+def _catalog(order):
+    """``catalog(order)``, refused on the size bound before a large order
+    is factored; an order below 1 is left for ``catalog`` to refuse."""
+    if order > 0:
+        check_size(order, order)
+    return catalog(order)
+
+
 def _cmd_braces(args):
-    check_size(args.order, args.order)
-    entries = catalog(args.order)
+    entries = _catalog(args.order)
     rows = []
     for entry in entries:
         hol = search_holomorph(entry.group)
@@ -194,8 +201,7 @@ def _cmd_audit(args):
 
 
 def _cmd_catalog(args):
-    check_size(args.order, args.order)
-    entries = catalog(args.order)
+    entries = _catalog(args.order)
     rows = [
         {"index": i, "spec": e.spec.text(), "order": len(e.group)}
         for i, e in enumerate(entries)

@@ -48,14 +48,19 @@ def is_burnside_number(m: int) -> bool:
     return gcd(m, euler_phi(m)) == 1
 
 
+def _require_odd(n):
+    """Refuse an n, as the user typed it, unless it is odd and positive."""
+    if n < 1 or n % 2 != 1:
+        raise PreconditionError(f"n must be odd and positive, got {n}")
+
+
 def chi(n: int) -> dict:
     """Coefficients of the product of (x + p^a) over the prime powers in n.
 
     Returned as {exponent: coefficient}; for n = 1 the empty product gives
     {0: 1}.
     """
-    if n < 1 or n % 2 == 0:
-        raise PreconditionError(f"chi is defined for odd n, got {n}")
+    _require_odd(n)
     coeffs = [1]
     for p, a in factorize(n).pairs:
         q = p**a
@@ -101,8 +106,7 @@ def count_hgs_dihedral(n: int, with_direct=False, budget_seconds=None) -> CountR
     a finding, never raised.  An e_formula too long for Python to print
     (``sys.get_int_max_str_digits``) raises BoundExceededError first.
     """
-    if n < 1 or n % 2 == 0:
-        raise PreconditionError(f"n must be odd and positive, got {n}")
+    _require_odd(n)
     # e_formula, the sum of chi(w) * 2^(n - w), is at least 2^n, so past
     # 10^digits once n >= 4 * digits; below that, it is summed and compared
     digits = sys.get_int_max_str_digits()  # 0: no limit

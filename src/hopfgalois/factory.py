@@ -196,15 +196,16 @@ def _pair(spec: GroupSpec):
 def _order_degree(spec: GroupSpec):
     """(order, degree) of ``build(spec)``, read off the recipe.  Each size
     is checked as ``build`` would check it, factors first, so a product
-    past the bound is refused before any factor is built; only a
-    Hol(...) factor is built, since its order needs |Aut|."""
+    past the bound is refused before any factor is built; a Hol(...)
+    factor is |N|·|Aut N| elements of degree |N|, read off ``holomorph``
+    without listing them."""
     if isinstance(spec, DirectProduct):
         (a, da), (b, db) = _order_degree(spec.left), _order_degree(spec.right)
         check_size(a * b, da * db)
         return a * b, da * db
     if isinstance(spec, Holomorph):
-        G = build(spec)
-        return len(G), G.degree
+        hol = holomorph(build(spec.inner))
+        return len(hol.n_group) * len(hol.aut), len(hol.n_group)
     if isinstance(spec, Alternating4):
         return 12, 4
     k, l, _ = _pair(spec)
@@ -321,38 +322,27 @@ class HolomorphGroup:
     automorphism with index a; h = lam[t] * iota[a] is the pair (t, a).
     In these coordinates the product is
     (t1, a1)(t2, a2) = (t1 * iota[a1](t2), a1 * a2), three table lookups;
-    ``realize`` searches regular subgroups this way.  ``group`` (Hol(N)
-    as a PermGroup) lists all |N|·|Aut N| permutations: when it is not
-    given, as ``holomorph`` leaves it, its first read lists it, once, in
-    the ``_memo`` (``_listing``).  A ``tags`` given is kept, and nothing
-    reads it.  Compared and hashed by identity; ``regular_subgroups`` is
-    kept in its ``_memo`` too.
+    ``realize`` searches regular subgroups this way.  Only these four
+    are kept: the constructor's ``group`` and ``tags`` are taken and
+    dropped.  Compared and hashed by identity; ``group`` and
+    ``regular_subgroups`` are kept in its ``_memo``.
     """
 
     def __init__(self, group, n_group, aut, lam, iota, tags):
         self.n_group, self.aut, self.lam, self.iota = n_group, aut, lam, iota
-        if group is not None:
-            self.group = group
-        if tags is not None:
-            self.tags = tags
 
-    def __getattr__(self, name):
-        # reached only for an attribute not set, as ``holomorph`` leaves group
-        if name != "group":
-            raise AttributeError(name)
-        return _listing(self)
-
-
-@derived
-def _listing(hol: HolomorphGroup) -> PermGroup:
-    """Hol(N) as a PermGroup: the elements lam[t] * iota[a]."""
-    N, aut, lam, iota = hol.n_group, hol.aut, hol.lam, hol.iota
-    perms = [perm.compose(lam[t], alpha) for t in range(len(N)) for alpha in iota]
-    gens = [lam[N.index_of(g)] for g in N.generators]
-    gens += [iota[b] for b in _generating_set(aut.rows(), aut.identity_index)]
-    label = Holomorph(N.label) if N.label is not None else None
-    # PermGroup refuses a repeated element
-    return PermGroup(len(N), perms, generators=gens, label=label)
+    @property
+    @derived
+    def group(self) -> PermGroup:
+        """Hol(N) as a PermGroup, the |N|·|Aut N| elements lam[t] * iota[a],
+        listed on first read."""
+        N, aut, lam, iota = self.n_group, self.aut, self.lam, self.iota
+        perms = [perm.compose(lam[t], alpha) for t in range(len(N)) for alpha in iota]
+        gens = [lam[N.index_of(g)] for g in N.generators]
+        gens += [iota[b] for b in _generating_set(aut.rows(), aut.identity_index)]
+        label = Holomorph(N.label) if N.label is not None else None
+        # PermGroup refuses a repeated element
+        return PermGroup(len(N), perms, generators=gens, label=label)
 
 
 @derived

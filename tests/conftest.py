@@ -1070,9 +1070,14 @@ INPUT_REFUSALS = [
     "catalog --order 18",
     "realizable --g C2xC2xC2 --n C2xC2xC2 --method search",
     "count-dihedral --n 4",
+    "catalog --order -3000",
+    "braces --order -3000",
 ]
 # orders an audit does not take
-BAD_AUDIT_ORDERS = [("p001", "-3"), ("c001", "-6"), ("c001", "0"), ("ses_final", "-2")]
+BAD_AUDIT_ORDERS = [
+    ("p001", "-3"), ("c001", "-6"), ("c001", "0"), ("ses_final", "-2"),
+    ("p003", "-3"), ("p004", "-3001"),
+]
 REFUSAL_BATTERY = {
     command: command.split()
     for command in (

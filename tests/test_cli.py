@@ -10,7 +10,7 @@ import pytest
 import hopfgalois
 from hopfgalois import cli, factory, realize
 from hopfgalois.audit import AuditReport
-from hopfgalois.groups import closure
+from hopfgalois.groups import PermGroup, closure
 from hopfgalois.store import ResultsStore
 
 from conftest import (
@@ -24,6 +24,7 @@ from conftest import (
     capped_python,
     run_cli,
 )
+from record_audit_battery import golden_changes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -232,6 +233,18 @@ def test_goldens_hold_every_row_and_no_other():
         assert list(json.loads(battery_golden(name).read_text())) == list(commands), name
 
 
+def test_golden_changes_name_each_changed_added_and_dropped_line():
+    old = {"p003 2": [1, "e3", "error: odd order required, got 2"], "p003 9": [0, "ab", ""]}
+    new = {"p003 2": [1, "e3", "error: n must be odd and positive, got 2"], "p003 -3": [1, "e3", "x"]}
+    assert golden_changes(old, new) == [
+        'changed p003 2: [1, "e3", "error: odd order required, got 2"] -> '
+        '[1, "e3", "error: n must be odd and positive, got 2"]',
+        'added p003 -3: [1, "e3", "x"]',
+        "dropped p003 9",
+    ]
+    assert golden_changes(old, old) == []
+
+
 @pytest.mark.parametrize("key", AUDIT_BATTERY)
 def test_audit_battery_row(battery_faults_found, key):
     assert not battery_faults_found["audit"][key]
@@ -267,6 +280,27 @@ def test_product_is_refused_on_its_recipe_before_a_factor_is_built(monkeypatch):
         "4000000 (elements x degree)\n",
     )
     assert 2000 not in made
+
+
+def test_product_with_a_holomorph_factor_is_refused_before_it_is_listed(monkeypatch):
+    # Hol(C61) is sized as 61 * 60 elements of degree 61 off its Aut(C61),
+    # so the product is refused with no 3660-element group made
+    made = []
+
+    def spy(degree, elements, *args, **kwargs):
+        made.append(len(elements))
+        return PermGroup(degree, elements, *args, **kwargs)
+
+    monkeypatch.setattr(factory, "PermGroup", spy)
+    # a cold build memo, so no Hol(C61) left by an earlier test hides a listing
+    monkeypatch.setattr(factory, "build", functools.cache(factory.build.__wrapped__))
+    assert run_cli(["realizable", "--g", "Hol(C61)xC20", "--n", "C3"]) == (
+        1,
+        "",
+        "error: 73200 permutations of degree 1220 exceed the size bound "
+        "4000000 (elements x degree)\n",
+    )
+    assert made and 61 * 60 not in made
 
 
 @pytest.mark.parametrize("argv", [command.split() for command in INPUT_REFUSALS])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from hopfgalois import (
@@ -17,7 +19,9 @@ from hopfgalois import (
     holomorph,
     is_cyclic,
     is_regular,
+    realizable_via_cocycles,
     shape_check_semidirect_z2,
+    subgroup_from_cocycle,
     z2_twists,
 )
 from hopfgalois import factory, parse_group_spec, perm
@@ -28,8 +32,8 @@ from hopfgalois.errors import (
     SpecSemanticError,
     UnsupportedOrderError,
 )
-from hopfgalois.factory import _holder_key, _semidirect_pair, _twists, is_squarefree
-from hopfgalois.groups import PermGroup, closure, unique_odd_part
+from hopfgalois.factory import HolomorphGroup, _holder_key, _semidirect_pair, _twists, is_squarefree
+from hopfgalois.groups import PermGroup, closure, left_translation, unique_odd_part
 
 from conftest import (
     C,
@@ -206,6 +210,24 @@ def test_holomorph_structure(spec):
     assert is_regular(lam_group)
     compositions = {perm.compose(lam_t, alpha) for lam_t in hol.lam for alpha in hol.iota}
     assert set(hol.group.elements) == compositions
+
+
+def test_holomorph_group_keeps_only_its_coordinates():
+    # built as a witness checker builds it, with a stand-in group and tags:
+    # both are dropped, and ``group`` is the listing, made on first read
+    N = build(Dihedral(6))
+    aut = automorphism_group(N)
+    lam = tuple(left_translation(N, t) for t in range(len(N)))
+    hol = HolomorphGroup(SimpleNamespace(degree=len(N)), N, aut, lam, aut.elements, {})
+    for h in (hol, holomorph(N)):
+        assert not {"group", "tags"} & set(vars(h))
+    assert isinstance(vars(HolomorphGroup)["group"], property)
+    listing = hol.group
+    assert isinstance(listing, PermGroup) and hol.group is listing
+    assert listing.elements == holomorph(N).group.elements
+    assert not {"group", "tags"} & set(vars(hol))
+    witness = realizable_via_cocycles(build(Cyclic(6)), N)
+    assert subgroup_from_cocycle(witness, hol).iso_text == "C6"
 
 
 def test_holomorph_is_memoized_per_group():
