@@ -116,14 +116,14 @@ def brace_from_regular(R: PermGroup, N: PermGroup) -> SkewBrace:
     for p in R.elements:
         pi[p[e]] = p
     mul = tuple(pi[a] for a in range(n))
-    brace = SkewBrace(n, tuple(N.table()), mul)
+    brace = SkewBrace(n, tuple(N.rows()), mul)
     if not verify_brace(brace):
         raise PreconditionError("induced tables violate the brace law")
     return brace
 
 
 def trivial_brace(N: PermGroup) -> SkewBrace:
-    add = tuple(N.table())
+    add = tuple(N.rows())
     return SkewBrace(len(N), add, add)
 
 

@@ -10,10 +10,11 @@ first found as a two-level chain (``factory._aut_chain``), so its order
 is known before its elements are listed.
 Every product is read from ``PermGroup.rows()``, the power walk behind
 the order and inverse tables included: the multiplication table up to
-``TABLE_LIMIT`` elements, and above it rows that look each entry up
-from the same base and key.  Everything derived from a group, these
-rows and tables included, is kept on it by the one memo ``derived``; no
-group or holomorph keeps lazy state of its own.  Every orbit is walked
+``TABLE_LIMIT`` elements, a regular group's own element list, and above
+it rows that look each entry up from the same base and key.
+Everything derived from a group, these rows and tables included, is
+kept on it by the one memo ``derived``; no group or holomorph keeps
+lazy state of its own.  Every orbit is walked
 by the one breadth-first walk ``_reach``: spans in a group table, the greedy
 generating set, the orbit of Aut(N)'s chain and realize's Hol(N)
 classes and subgroup orbits; only an orbit of the listed Aut(N) on N's
@@ -145,9 +146,9 @@ class PermGroup:
     def rows(self):
         """Rows whose entry [i][j] is the index of compose(elements[i],
         elements[j]): the one way a product is taken.  They are the table
-        up to ``TABLE_LIMIT`` elements; above it one list of ``_Row``s
-        looks each entry up by base images as the table's generator rows
-        do."""
+        up to ``TABLE_LIMIT`` elements, a regular group's rows its own
+        elements; above it one list of ``_Row``s looks each entry up by
+        base images as the table's generator rows do."""
         if len(self) <= TABLE_LIMIT:
             return self.table()
         base, lookup = self._base_lookup()
@@ -159,12 +160,17 @@ class PermGroup:
         """The whole of ``rows``, the only place a table is built.
 
         Above ``TABLE_LIMIT`` elements it raises BoundExceededError.  Only
-        ``rows`` and the brace builders, which keep the table, call it; a
-        caller that must refuse before doing work calls ``check_table``.
-        The rows are built by a walk over a greedy generating
-        set, as ``_generating_set`` picks it: the identity's row is
-        range(n); scanning indices in ascending order, each one not
-        reached yet becomes a generator g, whose row is looked up by base
+        ``rows`` calls it; a caller that must refuse before doing work
+        calls ``check_table``.  A regular group, of order its degree with
+        elements[j][0] == j for every j (sorted elements with distinct
+        images of 0 are so exactly when the group is transitive), is its
+        own table: p_i * p_j is the element sending 0 to
+        p_i(p_j(0)) = p_i(j), so row i is p_i, as a base lookup on the
+        one-point base {0} would find it.  Every other group's rows are
+        built by a walk over a greedy generating set, as
+        ``_generating_set`` picks it: the identity's row is range(n);
+        scanning indices in ascending order, each one not reached yet
+        becomes a generator g, whose row is looked up by base
         images (``_base_lookup``), entry j by p_g's images of p_j's base
         images; then every reached x is stepped by every generator, and a
         new y = rows[x][g] gets row(x) composed with row(g), since
@@ -177,6 +183,8 @@ class PermGroup:
         check_table(len(self))
         els, n = self.elements, len(self)
         self.identity_index  # raises without the identity, which else sorts first
+        if n == self.degree and all(p[0] == j for j, p in enumerate(els)):
+            return list(els)
         base, lookup = self._base_lookup()
         rows = [perm.identity(n)] + [None] * (n - 1)
         if n > 1:

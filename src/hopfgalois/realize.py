@@ -16,7 +16,14 @@ first member is one representative per conjugacy class, and expands each
 subgroup found to its conjugacy orbit.  That misses nothing: conjugating
 any 2-generated regular subgroup <x, y>, x from the earlier class, so
 that x becomes its class representative gives a subgroup the search
-closes, in the same orbit.  Conjugate subgroups are isomorphic, so one
+closes, in the same orbit.  Two cuts drop only what cannot be regular.
+Classes are walked only from codes with no fixed point: (t, a) fixes x
+exactly when t = x * alpha_a(x)^-1, conjugation keeps fixed points, and
+a non-identity semiregular element has none.  And a second member y
+whose t-part is that of a power x^j of the first is never closed: x^-j y
+fixes N's identity, so in a regular <x, y> it is 1 and <x, y> = <x>,
+which is regular only if x has order |N|, and then is closed already.
+Conjugate subgroups are isomorphic, so one
 subgroup per orbit is tagged with its isomorphism class.  The two routes
 must agree; tests hold them against each other.
 """
@@ -458,17 +465,22 @@ def _semiregular_classes(hol: HolomorphGroup):
     in_pool, element): one (order, codes) per class, its orbit walked
     once by ``groups._reach`` under the tables conj of ``_conjugators``;
     in_pool[c] is 1 for the codes in the pool; element(c) is the
-    permutation of code c, one ``perm.composer`` call.  Codes are walked in ascending order
-    and orbits are disjoint, so each class starts at its least code, and
-    classes come by descending order, then least code.  Conjugation
-    preserves semiregularity, so each orbit is tested once, on its
-    greatest code, and only that code is made a permutation.  The least
-    codes, 0 to |Aut N| - 1, have t-part 0, N's identity, and fix that
-    point: a pool class holding one mixes semiregular and other elements.
-    That, or a conj table that is not a bijection of the codes, raises
-    CountingBugError.
+    permutation of code c, one ``perm.composer`` call.
+
+    (t, a) fixes x exactly when t = x * alpha_a(x)^-1, so one pass over
+    the pairs (a, x) marks every code with a fixed point.  A non-identity
+    semiregular element has none, and conjugation maps fixed points to
+    fixed points, so only orbits of unmarked codes are walked.  Those
+    codes are walked in ascending order and orbits are disjoint, so each
+    class starts at its least code, and classes come by descending order,
+    then least code.  Conjugation preserves semiregularity, so each orbit
+    is tested once, on its greatest code, and only that code is made a
+    permutation.  An orbit walked from an unmarked code that reaches a
+    marked one, or a conj table that is not a bijection of the codes,
+    raises CountingBugError.
     """
-    m, size = len(hol.n_group), len(hol.aut)
+    N = hol.n_group
+    m, size = len(N), len(hol.aut)
     lam, composers = hol.lam, [perm.composer(alpha) for alpha in hol.iota]
     conj = _conjugators(hol)
     codes = list(range(m * size))
@@ -481,11 +493,19 @@ def _semiregular_classes(hol: HolomorphGroup):
     def element(c):
         return composers[c % size](lam[c // size])
 
-    seen, classes = set(), []
+    seen = bytearray(m * size)  # the marked codes, then every code walked
+    nrows, n_inv = N.rows(), N.inverses()
+    for a, alpha in enumerate(hol.iota):
+        for x, row in enumerate(nrows):
+            seen[row[n_inv[alpha[x]]] * size + a] = 1
+    classes = []
     for c in codes:
-        if c not in seen:
+        if not seen[c]:
             orbit = _reach(images, (c,), range(len(conj)))[0]
-            seen.update(orbit)
+            if any(map(seen.__getitem__, orbit)):
+                raise CountingBugError("a semiregular class holds an element fixing a point")
+            for d in orbit:
+                seen[d] = 1
             k = perm.semiregular_order(element(max(orbit)))
             if k > 1:
                 classes.append((k, orbit))
@@ -493,8 +513,6 @@ def _semiregular_classes(hol: HolomorphGroup):
     in_pool = bytearray(m * size)
     for c in itertools.chain.from_iterable(orbit for _, orbit in classes):
         in_pool[c] = 1
-    if any(in_pool[:size]):
-        raise CountingBugError("a semiregular class holds an element fixing N's identity")
     return classes, conj, in_pool, element
 
 
@@ -520,7 +538,11 @@ def _pair_search(hol: HolomorphGroup):
     is complete for any class order and any representative: take
     R = <x', y'> with the class of x' not after that of y', and h that
     conjugates x' to its representative x; then hRh^-1 = <x, hy'h^-1> is
-    closed from a pair the search tries, and R lies in its orbit.  The
+    closed from a pair the search tries, and R lies in its orbit.  A y
+    whose t-part is that of some x^j is skipped before it is closed:
+    x^-j y fixes N's identity, so in a regular <x, y> it is 1 and
+    <x, y> = <x>, which is regular only if x has order |N|, and then
+    the cyclic pass has closed it already.  The
     pair closure is its own walk, since it stops at the first repeated
     t-part or element outside the pool.  So the search finds every
     regular subgroup generated by at most two elements, which every
@@ -591,11 +613,18 @@ def _pair_search(hol: HolomorphGroup):
     # The skip index grows after every hit; the result does not depend on
     # the scan order, because skips only drop pairs that rediscover a
     # known subgroup.
-    for i, (_, codes) in enumerate(classes):
+    for i, (k, codes) in enumerate(classes):
         cx = codes[0]
-        x = divmod(cx, size)
+        x = tx, ax = divmod(cx, size)
+        # the t-parts of x, x^2, ..., x^k = 1: a y with one of them gives
+        # a regular <x, y> only if y is in <x>
+        on_orbit = bytearray(m)
+        t, a = tx, ax
+        for _ in range(k):
+            on_orbit[t] = 1
+            t, a = nrows[t][iota[a][tx]], arows[a][ax]
         for cy in itertools.chain.from_iterable(codes for _, codes in classes[i:]):
-            if cy == cx:
+            if on_orbit[cy // size]:
                 continue
             groups_x = member.get(cx)
             if groups_x:

@@ -57,6 +57,7 @@ from conftest import (
     table_cases,
     table_differs,
     tally,
+    unpruned_pair_search,
     walk_differs,
 )
 from hopfgalois import (
@@ -110,7 +111,8 @@ def hol_d30():
 def coordinate_search():
     # regular_subgroups records equal to those of the per-element path,
     # which lists every element of Hol(N) and tests it for
-    # semiregularity, for every catalog N up to order 30
+    # semiregularity, and the search's orbits equal to those of the
+    # unpruned search, for every catalog N up to order 30
     coordinates = realize._semiregular_classes
 
     def records(found):
@@ -118,6 +120,8 @@ def coordinate_search():
 
     def differs(N):
         hol = holomorph(N)
+        if realize._pair_search(hol) != unpruned_pair_search(hol):
+            return True
         found = records(regular_subgroups(hol))
         realize._semiregular_classes = per_element_semiregular_classes
         try:

@@ -18,12 +18,13 @@ combination of elements in turn, a greedy generating set by a walk
 restarted from the identity, compositions by a generator expression,
 random loops by backtracking, and Hol(N) and its semiregular classes by
 listing and testing every element.  They exist so the fast engines can be
-checked against something slow and obviously correct.  Five are not
+checked against something slow and obviously correct.  Six are not
 independent: ``canonical_first_witness`` runs the library's own plain
 scan, every f of ``homomorphisms`` in turn, which the orbit engine's
 first witness must equal, ``hom_orbits`` conjugates every f of
 ``homomorphisms``, ``per_element_semiregular_classes`` walks
-the library's own conjugation tables, ``lookup_table`` takes the
+the library's own conjugation tables, ``unpruned_pair_search`` is the
+Hol(N) search on those tables without its two cuts, ``lookup_table`` takes the
 library's greedy ``_base``, whatever base the group was given, and
 ``full_check_extend_images`` runs the generator-image scan over the
 library's ``bfs_order``, with every (element, generator) check kept.
@@ -756,6 +757,74 @@ def per_element_semiregular_classes(hol):
         return generator_compose(hol.lam[c // size], hol.iota[c % size])
 
     return classes, conj, in_pool, element
+
+
+def unpruned_pair_search(hol):
+    """``realize._pair_search`` without its two cuts, the oracle of both:
+    an orbit is walked from every code not walked yet, fixed points or
+    not, and kept if its greatest code is semiregular; the second
+    generator runs over x's class and the later ones, x itself left out,
+    with no skip for a y whose t-part is that of a power of x.  Orbits
+    are walked by ``groups._reach`` under the tables of
+    ``realize._conjugators``, and a pair inside a known regular subgroup
+    is skipped as the search skips it."""
+    N, aut = hol.n_group, hol.aut
+    m, size = len(N), len(aut)
+    nrows, arows, iota = N.rows(), aut.rows(), hol.iota
+    conj = realize._conjugators(hol)
+
+    def element(c):
+        return perm.compose(hol.lam[c // size], iota[c % size])
+
+    def walk(start, step):
+        return _reach(step, (start,), range(len(conj)))[0]
+
+    seen, classes = set(), []
+    for c in range(m * size):
+        if c not in seen:
+            orbit = walk(c, lambda x: [image[x] for image in conj])
+            seen.update(orbit)
+            k = perm.semiregular_order(element(max(orbit)))
+            if k > 1:
+                classes.append((k, orbit))
+    classes.sort(key=lambda kc: -kc[0])
+    in_pool = {c for _, orbit in classes for c in orbit}
+
+    def close(pair):
+        parts = {N.identity_index: aut.identity_index}
+        frontier = list(parts.items())
+        while frontier:
+            nxt = []
+            for tx, ax in frontier:
+                for tg, ag in pair:
+                    ty, ay = nrows[tx][iota[ax][tg]], arows[ax][ag]
+                    if ty in parts:
+                        if parts[ty] != ay:
+                            return None
+                    elif ty * size + ay in in_pool:
+                        parts[ty] = ay
+                        nxt.append((ty, ay))
+                    else:
+                        return None
+            frontier = nxt
+        return frozenset(t * size + a for t, a in parts.items()) if len(parts) == m else None
+
+    found, orbits = {}, []
+
+    def record(sub):
+        if sub is not None and sub not in found:
+            orbit = walk(sub, lambda S: [frozenset(image[c] for c in S) for image in conj])
+            found.update((S, len(orbits)) for S in orbit)
+            orbits.append(orbit)
+
+    for pair in [()] + [(divmod(codes[0], size),) for k, codes in classes if k == m]:
+        record(close(pair))
+    for i, (_, codes) in enumerate(classes):
+        cx = codes[0]
+        for cy in (cy for _, later in classes[i:] for cy in later if cy != cx):
+            if not any(cx in S and cy in S for S in found):
+                record(close((divmod(cx, size), divmod(cy, size))))
+    return [[frozenset(map(element, sub)) for sub in orbit] for orbit in orbits]
 
 
 # Check bodies: each compares a kernel with the oracles above and is run

@@ -534,11 +534,11 @@ def test_table_matches_compose(make):
 
 
 def test_table_matches_lookup_oracle():
-    # each table is built by the row walk, and equals the one looked up
-    # entry by entry from the greedy base: on fresh copies of every catalog
-    # group up to order 210, of A4, C2xC2, C2xC6, Hol(C3), C1 and
-    # C2xC2xC2, and on Aut(N) for each catalog N up to order 110 whose
-    # Aut(N) has a table
+    # each table, read off a regular group's elements or built by the row
+    # walk, equals the one looked up entry by entry from the greedy base:
+    # on fresh copies of every catalog group up to order 210, of A4,
+    # C2xC2, C2xC6, Hol(C3), C1 and C2xC2xC2, and on Aut(N) for each
+    # catalog N up to order 110 whose Aut(N) has a table
     c2 = Cyclic(2)
     extras = [
         ("A4", build(Alternating4())),
@@ -550,6 +550,32 @@ def test_table_matches_lookup_oracle():
     ]
     cases = [*table_cases(range(1, 211), range(1, 111)), *((n, fresh_copy(G)) for n, G in extras)]
     assert tally(cases, table_differs) == (369, [])
+
+
+def test_a_regular_group_is_its_own_table(monkeypatch):
+    # fresh copies of regular groups read their rows off their elements,
+    # with no base lookup and no composed row; A4, Hol(C3) and Aut(D6)
+    # (order 6 on 6 points, but every element fixes index 0) take the
+    # row walk and equal the looked-up table
+    regular = [fresh_copy(G) for G in (D(30), C(1), build(SemidirectCC(15, 2, 4)))]
+    walked = [
+        fresh_copy(build(Alternating4())),
+        fresh_copy(holomorph(C(3)).group),
+        automorphism_group.__wrapped__(D(6)),
+    ]
+    assert [(len(G), G.degree) for G in walked] == [(12, 4), (6, 3), (6, 6)]
+    oracles = [lookup_table(G) for G in walked]
+    calls = []
+    base_lookup, composer = PermGroup._base_lookup, perm.composer
+    monkeypatch.setattr(PermGroup, "_base_lookup", lambda G: calls.append("base") or base_lookup(G))
+    monkeypatch.setattr(perm, "composer", lambda q: calls.append("composer") or composer(q))
+    for G in regular:
+        table = G.table()
+        assert type(table) is list and len(table) == len(G)
+        assert all(table[i] is p for i, p in enumerate(G.elements))
+    assert calls == []
+    assert [G.table() for G in walked] == oracles
+    assert calls.count("base") == 3 and "composer" in calls
 
 
 @pytest.mark.parametrize(
@@ -648,7 +674,7 @@ def test_base_refuses_repeated_elements():
 
 @pytest.mark.parametrize(
     "make, base",
-    [(lambda: D(6), []), (intransitive_c3_c3_c2, [0, 3])],
+    [(lambda: build(Alternating4()), []), (intransitive_c3_c3_c2, [0, 3])],
     ids=["empty", "two-of-three-orbits"],
 )
 def test_table_refuses_a_base_that_does_not_tell_elements_apart(monkeypatch, make, base):

@@ -51,6 +51,7 @@ from conftest import (
     pair_cases,
     per_element_semiregular_classes,
     tally,
+    unpruned_pair_search,
 )
 
 # every catalog order up to the Hol(N) search bound
@@ -346,6 +347,16 @@ def test_search_leaves_the_permutations_unbuilt(case):
         group, _ = eager_holomorph(hol)
         built = (hol.group.degree, hol.group.elements, hol.group.generators, hol.group.label)
         assert built == (group.degree, group.elements, group.generators, group.label), name
+
+
+@pytest.mark.parametrize("case", [c for c in SEARCH_CASES if not isinstance(c, int) or c <= 22])
+def test_pair_search_matches_unpruned_oracle(case):
+    # the fixed-point mark and the orbit skip drop only codes and pairs
+    # that cannot give a new regular subgroup: the same orbits, in the
+    # same order, as the search that walks every code and closes every pair
+    for name, N in _search_groups(case):
+        hol = holomorph(N)
+        assert realize._pair_search(hol) == unpruned_pair_search(hol), name
 
 
 def _leave_the_pool(hol):
