@@ -93,9 +93,9 @@ class PermGroup:
     ``_power_walk`` along the rows, the generating set, the frames, the
     subgroup list, the characteristic subgroups, and elsewhere Aut(N)
     and its chain, Hol(N) and its listing, the crossed-hom scan's
-    candidate images and, on Aut(N), the orbit splits of the cocycle
-    walks.  So it is freed with the group; the constructor sets nothing
-    else.
+    candidate images and, on Aut(N), the Hom walk's candidate images and
+    the orbit splits of the cocycle walks.  So it is freed with the
+    group; the constructor sets nothing else.
     """
 
     def __init__(self, degree, elements, generators=None, label=None, base=None):
@@ -258,7 +258,9 @@ class PermGroup:
         ``rows`` through x, x^2, ... to the identity, which gives
         k = ord x; then x^i has order k / gcd(i, k) and inverse x^(k - i).
         Up to ``TABLE_LIMIT`` the row is the table's, built on first read;
-        above it a ``_Row``, one base-image lookup per step.
+        above it a ``_Row``, one base-image lookup per step.  A row that
+        has not reached the identity after |G| steps is not a group
+        element's, and raises PreconditionError naming the element.
         """
         n, e = len(self), self.identity_index
         orders, inverses = [0] * n, [0] * n
@@ -268,9 +270,15 @@ class PermGroup:
             if orders[x]:
                 continue
             row, y, powers = rows[x], x, [x]
-            while y != e:
+            for _ in range(n):
                 y = row[y]
                 powers.append(y)
+                if y == e:
+                    break
+            else:
+                raise PreconditionError(
+                    f"the powers of {self.elements[x]} do not reach the identity in {n} steps"
+                )
             k = len(powers)
             for j, y in enumerate(powers, 1):
                 orders[y] = k // gcd(j, k)
@@ -745,26 +753,38 @@ def extend_images(
     ``injective``, a choice is dropped as soon as an image repeats.  The
     frame's plan is twist-free and a call reads ``twist[prev]`` and
     ``twist[x]`` in place, so it builds nothing per step or check.
+
+    One image list serves the whole call: each step writes m[i] before
+    any later step or check reads it, so what a dropped choice left there
+    is overwritten before it matters, and each solution is yielded as a
+    tuple copy.  The injective scan likewise keeps one stamp per element
+    of H and gives each choice a fresh mark, so an image repeats exactly
+    when its stamp already carries the current mark.
     """
     _, steps, checks = frame
     n, size = len(G), len(H)
     if twist is None:
         twist = (tuple(range(size)),) * n
-    rows_h = H.rows()
-    e_g, e_h = G.identity_index, H.identity_index
-    for choice in itertools.product(*cands):
-        m = [None] * n
-        m[e_g] = e_h
-        used = None
-        if injective:
-            used = bytearray(size)
-            used[e_h] = 1
+    rows_h, e_h = H.rows(), H.identity_index
+    m = [e_h] * n
+    if not injective:
+        for choice in itertools.product(*cands):
+            for i, prev, pos in steps:
+                m[i] = rows_h[m[prev]][twist[prev][choice[pos]]]
+            for x, xs, pos in checks:
+                if m[xs] != rows_h[m[x]][twist[x][choice[pos]]]:
+                    break
+            else:
+                yield tuple(m)
+        return
+    stamp = [0] * size
+    for mark, choice in enumerate(itertools.product(*cands), 1):
+        stamp[e_h] = mark
         for i, prev, pos in steps:
             v = rows_h[m[prev]][twist[prev][choice[pos]]]
-            if used is not None:
-                if used[v]:
-                    break
-                used[v] = 1
+            if stamp[v] == mark:
+                break
+            stamp[v] = mark
             m[i] = v
         else:
             for x, xs, pos in checks:

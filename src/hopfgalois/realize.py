@@ -31,6 +31,7 @@ must agree; tests hold them against each other.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from . import perm
 from .errors import BoundExceededError, CountingBugError, PreconditionError, Record
@@ -144,16 +145,37 @@ def _cyclic_consistent_images(N, fa, r):
     they are distinct and close up at a's order exactly when that cycle
     has a's order as its length.  Everything else is pruned before the
     product scan.
+
+    x and fa(x) stand or fall together.  Write s_x(v) = x * fa(v), so
+    the walk from x is the orbit of the identity under s_x.  fa is an
+    automorphism, so fa s_x fa^-1 = s_fa(x), and fa fixes the identity:
+    fa maps the orbit of the identity under s_x onto the one under
+    s_fa(x), and both have the same length.  So x is a candidate exactly
+    when fa(x) is, and the scan, in ascending order, walks only the x
+    with fa(x) >= x; any other x takes the verdict of fa(x), decided
+    before it.  Every cycle of fa longer than one descends somewhere, so
+    it skips at least one walk; an involution's 2-cycles are walked once
+    each.  The list is ascending.
     """
     e_n = N.identity_index
-    good = []
+    kept, good = bytearray(len(N)), []
+    steps = range(r - 1)
     for x, row in enumerate(N.rows()):
-        v, j = x, 1  # v = g(a^j)
-        while v != e_n and j < r:
+        y = fa[x]
+        if y < x:  # decided already: x is a candidate exactly when y is
+            if kept[y]:
+                kept[x] = 1
+                good.append(x)
+            continue
+        v = x  # g(a); each step is one more power of a
+        for _ in steps:
+            if v == e_n:
+                break
             v = row[fa[v]]
-            j += 1
-        if v == e_n and j == r:
-            good.append(x)
+        else:
+            if v == e_n:
+                kept[x] = 1
+                good.append(x)
     return good
 
 
@@ -286,12 +308,12 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
     as the walk finds it: a caller that stops early walks no further.
 
     ``_orbit_walk`` runs Aut(N) by conjugation over the ``hom_candidates``
-    of ``greedy_frame(G)``; the rest of Hom is never built.  That frame's
-    generators are index-greedy, so every element index below generator
-    k + 1 lies in the span of generators 0..k, and f's images there are
-    fixed by its images of those generators: two homomorphisms' image
-    tuples compare as their generator images do, level by level.  The walk
-    takes the least candidate of each stabilizer orbit at every level, so
+    of ``greedy_frame(G)``, read through ``_hom_candidates``; the rest of
+    Hom is never built.  That frame's generators are index-greedy, so
+    every element index below generator k + 1 lies in the span of
+    generators 0..k, and f's images there are fixed by its images of
+    those generators: two homomorphisms' image tuples compare as their
+    generator images do, level by level.  The walk takes the least candidate of each stabilizer orbit at every level, so
     each f it finds is the least member of its orbit, the f's come in
     increasing order, and the final stabilizer is f's centralizer, handed
     on as a tuple of Aut(N) indices; the orbit size is |Aut N| over it.
@@ -305,13 +327,25 @@ def _hom_orbit_reps(G: PermGroup, aut: PermGroup):
     gens = frame[0]
     rows = aut.rows()
     previous = None
-    cands = hom_candidates(G, aut, gens)
+    g_orders = G.orders()
+    cands = _hom_candidates(aut, tuple([g_orders[g] for g in gens]))
     for m, C in _orbit_walk(G, aut, frame, cands, range(len(aut)), aut, _conjugation):
         _require_commute(rows, C, m, gens, "a stabilizer moves a chosen image")
         if previous is not None and m <= previous:
             raise CountingBugError("orbit representatives are not strictly increasing")
         previous = m
         yield Homomorphism(G, aut, m), len(aut) // len(C), C
+
+
+@derived
+def _hom_candidates(aut, orders):
+    """``hom_candidates`` for generators of these orders, as tuples: for
+    each, the elements of ``aut`` whose order divides it.  Kept in
+    Aut(N)'s memo by the tuple of orders, so every G swept against one N
+    whose generators have those orders shares one scan of Aut(N)'s order
+    table per generator."""
+    aut_orders = aut.orders()
+    return tuple(tuple(j for j, k in enumerate(aut_orders) if r % k == 0) for r in orders)
 
 
 def _require_commute(rows, C, images, gens, message):
@@ -351,7 +385,8 @@ def _crossed_hom_reps(f: Homomorphism, C, N: PermGroup, frame):
     G, aut = f.domain, f.codomain
     gens = frame[0]
     _require_commute(aut.rows(), C, f.images, gens, "a centralizer element does not commute with f")
-    f_perms = [aut.elements[b] for b in f.images]
+    # one C call; itemgetter of a single index returns the item itself
+    f_perms = itemgetter(*f.images)(aut.elements) if len(G) > 1 else (f.image_perm(0),)
     cands = [_cyclic_candidates(N, f_perms[a], G.order_of(a)) for a in gens]
     walk = _orbit_walk(G, N, frame, cands, C, aut, _evaluation, f_perms, injective=True)
     for g, stabilizer in walk:

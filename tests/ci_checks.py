@@ -50,9 +50,11 @@ from conftest import (
     generating_set_differs,
     hom_orbit_reps_differ,
     lifted_check_tables,
+    memo_of,
     orders_differ,
     pair_cases,
     per_element_semiregular_classes,
+    per_x_cyclic_images,
     random_loop,
     table_cases,
     table_differs,
@@ -240,7 +242,9 @@ def cocycle_kernel():
     # Aut(N)'s chain included; a fresh copy's Aut(N) and chain go with it,
     # and the kernel pass's catalogs are released before the oracle's.
     # Order 102 runs with the gate lifted, so the engine reads Aut(D102),
-    # past TABLE_LIMIT, by rows
+    # past TABLE_LIMIT, by rows.  Every cyclic candidate list the kernel
+    # pass kept in a catalog N's memo, one per (N, f(a), ord a) it
+    # reached, is held against per_x_cyclic_images before the release
     def answers(copy):
         found = {}
         for order in (*KERNEL_ORDERS, 102):
@@ -256,14 +260,22 @@ def cocycle_kernel():
     realize._check_tables = lifted_check_tables
     try:
         kernel = answers(lambda G: G)
+        kept = (
+            (f"{n.spec.text()} at {key}", n.group, key, found)
+            for order in (*KERNEL_ORDERS, 102)
+            for n in catalog(order)
+            for key, found in memo_of(n.group, realize._cyclic_candidates).items()
+        )
+        lists, bad = tally(kept, lambda N, key, found: found != per_x_cyclic_images(N, *key))
         clear_caches()
         for module in (groups, factory, realize):
             module.extend_images = full_check_extend_images
         oracle = answers(fresh_copy)
     finally:
         realize._check_tables = gate
-    bad = [name for name, v in kernel.items() if oracle[name] != v]
-    return f"{len(kernel)} pairs", bad + ([] if len(kernel) == 84 else ["pair count"])
+    bad += [name for name, v in kernel.items() if oracle[name] != v]
+    summary = f"{len(kernel)} pairs, {lists} cyclic candidate lists"
+    return summary, bad + ([] if len(kernel) == 84 else ["pair count"])
 
 
 def bad_input():

@@ -589,6 +589,23 @@ def full_check_extend_images(G, H, frame, cands, twist=None, injective=False):
                 yield tuple(m)
 
 
+def per_x_cyclic_images(N, fa, r):
+    """``realize._cyclic_consistent_images`` walked from every x on its
+    own, with no verdict shared along a cycle of fa: the images x = g(a)
+    for which g(a^(j+1)) = x * fa(g(a^j)) first returns to the identity
+    at j = r, ascending."""
+    e_n = N.identity_index
+    good = []
+    for x, row in enumerate(N.rows()):
+        v, j = x, 1  # v = g(a^j)
+        while v != e_n and j < r:
+            v = row[fa[v]]
+            j += 1
+        if v == e_n and j == r:
+            good.append(x)
+    return good
+
+
 def canonical_first_witness(G, N):
     """(f images, g) of the first bijective crossed homomorphism of the
     plain scan, over every f of ``homomorphisms`` in order, or None."""

@@ -65,6 +65,7 @@ from conftest import (
     D,
     _closure_within,
     brute_force_homomorphisms,
+    capped_python,
     catalog_cases,
     characteristic_cases,
     characteristic_differs,
@@ -80,6 +81,7 @@ from conftest import (
     memo_of,
     orders_differ,
     pair_cases,
+    per_x_cyclic_images,
     random_loop,
     restart_generating_set,
     table_cases,
@@ -784,6 +786,24 @@ def test_power_walk_matches_oracles():
     assert tally(power_walk_copies(), orders_differ)[1] == []
 
 
+def test_power_walk_refuses_a_table_that_is_not_a_group():
+    # in this table the row of (1, 2, 0) runs 1 -> 2 -> 2 -> ..., never
+    # back to the identity, so the walk stops after |G| = 3 steps; it runs
+    # in a capped child, where a walk without that bound ends in a
+    # MemoryError instead of filling this machine's memory
+    code = (
+        "from hopfgalois.groups import PermGroup\n"
+        "G = PermGroup(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])\n"
+        "G.rows = lambda: [[0, 1, 2], [1, 2, 2], [2, 0, 1]]\n"
+        "G.orders()\n"
+    )
+    done = capped_python(["-c", code], timeout=60)
+    assert done.stderr.splitlines()[-1] == (
+        "hopfgalois.errors.PreconditionError:"
+        " the powers of (1, 2, 0) do not reach the identity in 3 steps"
+    )
+
+
 def test_extension_plan_is_built_once_per_group(monkeypatch):
     # Aut(N)'s chain and a full count of crossed pairs build one plan per
     # group object per frame: N's smallest frame for the chain, G's greedy
@@ -1036,3 +1056,58 @@ def test_extend_images_matches_full_check_oracle():
             if scans_differ(G, N, frame, cands, twist=twist, injective=True):
                 bad.append(f"crossed ({G.label}, {N.label}) at {f.images}")
     assert bad == [] and crossed > 0
+
+
+def test_cyclic_candidates_match_per_x_oracle():
+    # the candidate walk, which shares one verdict along each cycle of
+    # f(a), equals the walk from every x on its own at each (N, f(a),
+    # ord a) the kernel pairs give, for every f of Hom(G, Aut N) (the
+    # trivial f's f(a) of order 1 among them) and every element a of G,
+    # so every generator of every frame
+    keys = {}
+    for G, N in kernel_pairs():
+        for f in homomorphisms(G, automorphism_group(N)):
+            keys.setdefault(N, set()).update(
+                (f.image_perm(a), G.order_of(a)) for a in range(len(G))
+            )
+    walk = realize._cyclic_consistent_images
+    bad = [
+        (N.label, key) for N, found in keys.items() for key in found
+        if walk(N, *key) != per_x_cyclic_images(N, *key)
+    ]
+    assert sum(map(len, keys.values())) > 1000 and bad == []
+
+
+def test_hom_candidates_kept_on_aut_match_a_direct_scan(monkeypatch):
+    # the Hom walk reads its candidates from Aut(N)'s memo, keyed by the
+    # generator orders, which every G swept against N shares: the lists
+    # each walk is handed, and the memo's entry for each of G's two
+    # frames, are hom_candidates'; after the sweep every entry the walks
+    # left there is a direct scan of its key
+    handed = []
+    walk = realize._orbit_walk
+
+    def spy(G, H, frame, cands, *args, **kwargs):
+        handed.append(cands)
+        return walk(G, H, frame, cands, *args, **kwargs)
+
+    monkeypatch.setattr(realize, "_orbit_walk", spy)
+    bad = []
+    for G, N in kernel_pairs():
+        aut = automorphism_group(N)
+        handed.clear()
+        next(realize._hom_orbit_reps(G, aut))
+        if handed != [tuple(map(tuple, hom_candidates(G, aut, greedy_frame(G)[0])))]:
+            bad.append((G.label, N.label))
+        for frame in (generator_frame(G), greedy_frame(G)):
+            gens = frame[0]
+            kept = realize._hom_candidates(aut, tuple(G.order_of(g) for g in gens))
+            if kept != tuple(map(tuple, hom_candidates(G, aut, gens))):
+                bad.append((G.label, N.label, gens))
+    for N in {N for _, N in kernel_pairs()}:
+        aut = automorphism_group(N)
+        for (orders,), kept in memo_of(aut, realize._hom_candidates).items():
+            scan = [[j for j, k in enumerate(aut.orders()) if r % k == 0] for r in orders]
+            if kept != tuple(map(tuple, scan)):
+                bad.append((N.label, orders))
+    assert bad == []
