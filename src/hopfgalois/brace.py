@@ -76,28 +76,30 @@ def _group_generators(table):
     return e, gens
 
 
-def _additive(add):
-    """(e, negatives, columns, shifts) of an addition table, or None if it
-    is not a group table.
+def _structure(table):
+    """(e, S, negatives, columns, shifts) of a group table, or None if it
+    is not one.
 
-    ``shifts`` pairs each s of the generating set S with the getter
-    f -> (x -> f(x + s)) that ``_is_additive`` applies.  This is structure
-    of ``add`` alone, kept for one table value (rows as tuples, so list
-    rows are accepted too): braces arrive grouped by their additive
-    group, so one entry serves every brace of that N.
+    e and S are ``_group_generators``' identity and generating set;
+    ``shifts`` pairs each s in S with the getter f -> (x -> f(x + s))
+    that ``_is_additive`` applies.  This is structure of ``table`` alone,
+    kept by value (rows as tuples, so list rows are accepted too) for the
+    last two tables: a brace's additive and multiplicative ones.  Braces
+    arrive grouped by their additive group, so one entry serves every
+    brace of that N, and each brace's checks share its other one.
     """
-    return _additive_of(tuple(map(tuple, add)))
+    return _structure_of(tuple(map(tuple, table)))
 
 
-@functools.lru_cache(maxsize=1)
-def _additive_of(add):
-    found = _group_generators(add)
+@functools.lru_cache(maxsize=2)
+def _structure_of(table):
+    found = _group_generators(table)
     if found is None:
         return None
     e, gens = found
-    cols = tuple(zip(*add))
+    cols = tuple(zip(*table))
     shifts = tuple((s, composer(cols[s])) for s in gens)
-    return e, tuple(row.index(e) for row in add), cols, shifts
+    return e, gens, tuple(row.index(e) for row in table), cols, shifts
 
 
 def brace_from_regular(R: PermGroup, N: PermGroup) -> SkewBrace:
@@ -139,21 +141,20 @@ def verify_brace(B: SkewBrace) -> bool:
     under o (associative, identity e: both checked first), so a runs over
     a generating set T of (N, o).  O(n |S| |T|), not n^3, same verdict.
 
-    The additive structure (identity, S, negatives, columns) is computed
-    once per table value and shared with every later check on an equal
-    table; the multiplicative table is checked on every call.
+    Both tables' structures (identity, generating set, negatives,
+    columns) come from the ``_structure`` memo, so the tables are tested
+    once per value and every later check on equal tables reads them; the
+    law itself is checked on every call.
     """
     add, mul = B.add_table, B.mul_table
     n = B.size
     if len(add) != n or len(mul) != n:
         return False
-    found = _additive(add)
-    if found is None:
+    found = _structure(add)
+    mul_found = found and _structure(mul)
+    if not mul_found or mul_found[0] != found[0]:
         return False
-    e, neg, cols, shifts = found
-    mul_found = _group_generators(mul)
-    if mul_found is None or mul_found[0] != e:
-        return False
+    neg, cols, shifts = found[2:]
     for a in mul_found[1]:
         # lambda_a as a tuple: x -> -a + a o x
         if not _is_additive(composer(mul[a])(add[neg[a]]), cols, shifts):
@@ -167,25 +168,30 @@ def lambda_circ_in_hol(B: SkewBrace) -> bool:
     Membership is checked directly: split the row at the additive
     identity into a translation part and a remainder, and test the
     remainder for additivity on a generating set of (N, +), which the
-    closure argument of ``verify_brace`` makes exact.  No precomputed
-    automorphism list is used.  The additive structure comes from the
-    same once-per-table-value memo as ``verify_brace``'s, which holds the
-    output of the ``_group_generators`` kernel on the additive table and
-    nothing else: the two checks share that kernel, never a verdict.
-    Raises ``PreconditionError`` unless the additive table is a group
-    table of order ``size``; a multiplicative table of another size is
-    not in the holomorph.
+    closure argument of ``verify_brace`` makes exact.  When (N, o) is a
+    group, row(a o b) = row(a) o row(b) and Hol(N, +) is a group, so the
+    rows of a generating set T of (N, o) lying in Hol put every row
+    there: only those rows are read.  Otherwise (a loop, a table whose
+    rows alone are permutations, anything else) every row is.  No
+    precomputed automorphism list is used.  Both structures come from
+    the ``_structure`` memo, which holds the output of the
+    ``_group_generators`` kernel and nothing else: this check shares that
+    kernel with ``verify_brace``, never a verdict.  Raises
+    ``PreconditionError`` unless the additive table is a group table of
+    order ``size``; a multiplicative table of another size is not in the
+    holomorph.
     """
     add, mul = B.add_table, B.mul_table
     n = B.size
-    found = _additive(add) if len(add) == n else None
+    found = _structure(add) if len(add) == n else None
     if found is None:
         raise PreconditionError("additive table is not a group table of order size")
     if len(mul) != n:
         return False
-    e, neg, cols, shifts = found
+    e, _, neg, cols, shifts = found
+    mul_found = _structure(mul)
     full = list(range(n))
-    for row in mul:
+    for row in mul if mul_found is None else [mul[a] for a in mul_found[1]]:
         if sorted(row) != full:
             return False
         # the row after the translation by -(a o e): x -> -(a o e) + a o x

@@ -454,12 +454,31 @@ def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
     is e(G, N) = #pairs / |Aut N|, the number of Hopf-Galois structures
     of type N on a Galois extension with group G (Byott, Comm. Algebra
     24, 1996).
+
+    For a non-abelian N that number is even, or CountingBugError is
+    raised: the opposite map, g -> (x -> g(x)^-1) with f twisted to
+    match, commutes with Aut(N), and it fixes an orbit only if inversion
+    is an automorphism of N, so it pairs the orbits off (the opposite
+    skew brace; Koch and Truman, J. Algebra 546, 2020).  A scan that
+    loses one orbit breaks the parity.  For an abelian N the check has
+    no power, and none is made.
     """
     if len(G) != len(N):
         raise PreconditionError("counting crossed pairs needs |G| = |N|")
     _check_tables(N)
     aut = automorphism_group(N)
-    return len(aut) * sum(1 for _ in _pair_orbit_reps(G, aut, N))
+    orbits = sum(1 for _ in _pair_orbit_reps(G, aut, N))
+    if orbits % 2 and not _is_abelian(N):
+        raise CountingBugError(f"an odd number of orbits, {orbits}, for a non-abelian N")
+    return len(aut) * orbits
+
+
+@derived
+def _is_abelian(N: PermGroup) -> bool:
+    """Whether N's frame generators (``generator_frame``, which Aut(N)'s
+    chain has built) commute pairwise; kept on N."""
+    rows, gens = N.rows(), generator_frame(N)[0]
+    return all(rows[a][b] == rows[b][a] for a in gens for b in gens)
 
 
 # Direct search for regular subgroups.

@@ -996,7 +996,7 @@ def first_witness(G, N):
     return None if w is None else (w.f.images, w.g)
 
 
-def brace_mismatches(entries, rng=None):
+def brace_mismatches(entries, rng=None, cold=False):
     """(braces, relabellings refused, names that differ) over the brace B
     of every regular subgroup of Hol(N), for each (name, N) of ``entries``:
     B must pass both O(n^3) oracles, and ``verify_brace`` and
@@ -1004,11 +1004,19 @@ def brace_mismatches(entries, rng=None):
     after it on two mutants: two entries of one multiplicative row
     exchanged, refused although its additive table was just accepted, and
     the multiplicative table relabelled by a random bijection fixing the
-    identity, a group table that only the law can refuse."""
+    identity, a group table that only the law can refuse.  With ``cold``,
+    the brace module's structure memo is emptied before every check, so
+    each verdict is computed from nothing."""
+
+    def check(fn, *args):
+        if cold:
+            brace._structure_of.cache_clear()
+        return fn(*args)
+
     checked, refused, bad = 0, 0, []
     for name, N in entries:
         for rec in regular_subgroups(holomorph(N)):
-            B = brace_from_regular(rec.subgroup, N)
+            B = check(brace_from_regular, rec.subgroup, N)
             cases = [B]
             if rng is not None and B.size > 1:
                 rows = [list(r) for r in B.mul_table]
@@ -1025,10 +1033,10 @@ def brace_mismatches(entries, rng=None):
                     for a in range(B.size)
                 )
                 cases.append(SkewBrace(B.size, B.add_table, mul))
-                refused += not verify_brace(cases[-1])
+                refused += not check(verify_brace, cases[-1])
             for C in cases:
                 oracle = brute_force_verify_brace(C), brute_force_lambda_circ_in_hol(C)
-                if (verify_brace(C), lambda_circ_in_hol(C)) != oracle or (
+                if (check(verify_brace, C), check(lambda_circ_in_hol, C)) != oracle or (
                     C is B and oracle != (True, True)
                 ):
                     bad.append(name)
@@ -1075,7 +1083,7 @@ def run_cli(argv):
 
 def clear_caches():
     """Empty every ``functools`` cache of the library, the value-keyed
-    ``build``, ``_catalog`` and ``_additive_of``, so that what runs next
+    ``build``, ``_catalog`` and ``_structure_of``, so that what runs next
     starts from nothing, as a cold command does: what was derived from
     the groups they held goes with those groups."""
     for module in (audit, brace, factory, groups, realize):

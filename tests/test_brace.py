@@ -111,7 +111,7 @@ def test_law_fails_at_the_second_multiplicative_generator_only():
     z4 = table_of(C(4))
     mul = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1))
     B = SkewBrace(4, z4, mul)
-    e, neg, cols, shifts = brace._additive(z4)
+    e, _, neg, cols, shifts = brace._structure(z4)
     found = _group_generators(mul)
     assert found is not None and found[0] == e
     first, second = found[1]
@@ -392,17 +392,19 @@ def test_checks_match_oracles_on_every_brace_up_to_order_30():
 
 def test_dropping_a_generator_is_caught(monkeypatch):
     # mutation check: a generating set short of its last element must
-    # make the comparison against the oracles fail somewhere.  The
-    # additive memo is emptied on both sides of the patch, so no entry
-    # built with the full set hides the mutation and no mutated entry
-    # outlives it.
+    # make the comparison against the oracles fail somewhere, and among
+    # the failures the holomorph check, which reads only the rows of the
+    # multiplicative generating set.  The structure memo is emptied on
+    # both sides of the patch, so no entry built with the full set hides
+    # the mutation and no mutated entry outlives it.
     full = brace._generating_set
-    brace._additive_of.cache_clear()
+    brace._structure_of.cache_clear()
     monkeypatch.setattr(brace, "_generating_set", lambda table, e: full(table, e)[:-1])
     try:
-        assert any(disagreements(B) for B in oracle_cases())
+        found = [d for B in oracle_cases() if (d := disagreements(B))]
     finally:
-        brace._additive_of.cache_clear()
+        brace._structure_of.cache_clear()
+    assert any("lambda_circ_in_hol" in d for d in found)
 
 
 @st.composite
@@ -493,7 +495,7 @@ def test_checks_at_order_zero():
         lambda_circ_in_hol(B)
 
 
-# The additive memo: keyed by the table's value, bounded, no verdicts.
+# The structure memo: keyed by the table's value, bounded, no verdicts.
 
 
 def swapped_row(mul, a, x, y):
@@ -533,11 +535,28 @@ def test_memo_keeps_no_verdict():
 
 
 def test_memo_stays_within_its_bound():
-    info = brace._additive_of.cache_info()
-    assert info.maxsize == 1
+    info = brace._structure_of.cache_info()
+    assert info.maxsize == 2
     for order in (4, 6, 10, 12):
         for entry in catalog(order):
             B = trivial_brace(entry.group)
             assert verify_brace(B) and lambda_circ_in_hol(B)
-            info = brace._additive_of.cache_info()
+            info = brace._structure_of.cache_info()
             assert info.currsize <= info.maxsize
+
+
+def test_each_table_value_is_tested_once_per_brace_run():
+    # brace_from_regular, verify_brace and lambda_circ_in_hol on every
+    # brace of one N: N's addition table and each multiplicative table
+    # other than it are tested once, on first sight, and every later
+    # check reads them.  The memo is emptied per N, since one N's last
+    # multiplicative table may equal the next N's addition table.
+    for N in (C(6), D(6), D(10)):
+        brace._structure_of.cache_clear()
+        tables = {tuple(map(tuple, N.rows()))}
+        for rec in regular_subgroups(holomorph(N)):
+            B = brace_from_regular(rec.subgroup, N)
+            assert verify_brace(B) and lambda_circ_in_hol(B)
+            tables.add(tuple(map(tuple, B.mul_table)))
+            assert brace._structure_of.cache_info().currsize <= 2
+        assert brace._structure_of.cache_info().misses == len(tables)

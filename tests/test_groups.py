@@ -836,7 +836,7 @@ def test_module_caches_are_keyed_by_value():
             for value in vars(module).values():
                 inside = vars(value).values() if isinstance(value, type) else ()
                 found.update(x for x in (value, *inside) if hasattr(x, "cache_clear"))
-    assert found == {factory.build, factory._catalog, brace._additive_of}
+    assert found == {factory.build, factory._catalog, brace._structure_of}
 
 
 def generating_set_cases(top):

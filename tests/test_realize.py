@@ -823,6 +823,21 @@ def test_count_crossed_pairs_checks_orders_first(monkeypatch):
         count_crossed_pairs(C(6), D(10))
 
 
+def test_dropping_the_last_pair_orbit_breaks_the_parity(monkeypatch):
+    # for a non-abelian N the opposite map pairs the orbits of crossed
+    # pairs off, so a scan that loses one gives an odd count: 4 orbits of
+    # (C30, D30) become 3.  For an abelian N the check is not made, and
+    # (D30, C30) has 15 orbits
+    G, N = C(30), D(30)
+    assert realize._is_abelian(G) and not realize._is_abelian(N)
+    assert count_crossed_pairs(N, G) == 15 * len(automorphism_group(G))
+    assert count_crossed_pairs(G, N) == 4 * len(automorphism_group(N))
+    full = realize._pair_orbit_reps
+    monkeypatch.setattr(realize, "_pair_orbit_reps", lambda G, aut, N: list(full(G, aut, N))[:-1])
+    with pytest.raises(CountingBugError, match="an odd number of orbits, 3"):
+        count_crossed_pairs(G, N)
+
+
 # The counts the benchmark's cocycle-counts workload leaves out for cost:
 # the D66 row and COUNT_LEFT_OUT in perfbench/workloads.py.
 LEFT_OUT_COUNTS = {
