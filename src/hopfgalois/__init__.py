@@ -7,7 +7,17 @@ homomorphisms and direct holomorph search), constructs the skew braces a
 regular subgroup induces, evaluates the dihedral structure-count formula,
 and machine-checks the classification statements over exhaustive
 small-order catalogs.
+
+Importing the package loads the engines (``errors``, ``perm``, ``groups``,
+``factory``, ``realize``, ``brace``); the command layer (``audit``,
+``counting``, ``specparse``) is loaded on the first read of one of its
+names, through the module ``__getattr__`` below (PEP 562).  The engines
+stay eager: deferring ``realize`` or ``brace`` would only move their
+compile into a first query, and perfbench's tracer wraps only the
+modules loaded before it is installed.
 """
+
+import importlib
 
 from .brace import (
     SkewBrace,
@@ -17,18 +27,6 @@ from .brace import (
     multiplicative_group,
     trivial_brace,
     verify_brace,
-)
-from .counting import (
-    CountReport,
-    byott_aggregate,
-    chi,
-    count_hgs_dihedral,
-    direct_normalized_count,
-    euler_phi,
-    factorize,
-    formula_count_dihedral,
-    is_burnside_number,
-    radical,
 )
 from .errors import HopfGaloisError
 from .factory import (
@@ -58,6 +56,7 @@ from .groups import (
     are_isomorphic,
     characteristic_subgroups,
     closure,
+    factorize,
     homomorphisms,
     is_almost_sylow_cyclic,
     is_c_group,
@@ -67,7 +66,6 @@ from .groups import (
     regular_representation,
     unique_odd_part,
 )
-from .audit import AuditReport, run_audit
 from .realize import (
     CrossedHom,
     RegularSubgroupRecord,
@@ -79,6 +77,35 @@ from .realize import (
     subgroup_from_cocycle,
     transport_characteristic,
 )
-from .specparse import canonical_text, parse_group_spec
 
 __version__ = "0.1.0"
+
+# Name -> module of the command layer, loaded on first use.
+_LAZY = {
+    "AuditReport": "audit",
+    "run_audit": "audit",
+    "CountReport": "counting",
+    "byott_aggregate": "counting",
+    "chi": "counting",
+    "count_hgs_dihedral": "counting",
+    "direct_normalized_count": "counting",
+    "euler_phi": "counting",
+    "formula_count_dihedral": "counting",
+    "is_burnside_number": "counting",
+    "radical": "counting",
+    "canonical_text": "specparse",
+    "parse_group_spec": "specparse",
+}
+
+
+def __getattr__(name):
+    """A command-layer name, read from its module on every access (so it is
+    always that module's own object), importing the module the first time."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

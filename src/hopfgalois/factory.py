@@ -218,20 +218,37 @@ def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
 
     Point (c, d) is index c*l + d; element (a, b) sends it to
     (a + t^b * c, b + d).  The size bound is checked before any generator
-    is made.
+    is made.  The elements are listed in normal form, x^a·y^b for
+    x = (1, 0) and y = (0, 1), with no closure walk: the powers of x and
+    y are elements themselves, and every other element is one
+    composition.  That list is the group <x, y> exactly when its
+    elements are distinct, which ``PermGroup`` checks, and the relations
+    x^k = y^l = 1 and y x y^-1 = x^t hold, which are checked here; a
+    relation that fails raises CountingBugError.
     """
     size = k * l
     check_size(size, size)
-    gens = []
-    if k > 1:
-        gens.append(tuple(((c + 1) % k) * l + d for c in range(k) for d in range(l)))
-    if l > 1:
-        gens.append(
-            tuple(((t * c) % k) * l + (d + 1) % l for c in range(k) for d in range(l))
-        )
-    if not gens:
-        gens = [perm.identity(size)]
-    return closure(gens, cap=size, label=spec)
+    x = tuple(((c + 1) % k) * l + d for c in range(k) for d in range(l))
+    y = tuple(((t * c) % k) * l + (d + 1) % l for c in range(k) for d in range(l))
+    xs, ys = _powers(x, k), _powers(y, l)
+    e = xs[0]
+    # composer(q)(p) is p·q, so the last test is y·x = x^t·y
+    if xs[k] != e or ys[l] != e or perm.composer(x)(y) != perm.composer(y)(xs[t % k]):
+        raise CountingBugError(f"{k}, {l}, {t}: x^k = y^l = 1, y x y^-1 = x^t fails")
+    elements = xs[:k] + ys[1:l]
+    for step in map(perm.composer, ys[1:l]):
+        elements += map(step, xs[1:k])  # x^a·y^b
+    gens = [g for g, n in ((x, k), (y, l)) if n > 1] or [e]
+    return PermGroup(size, elements, generators=gens, label=spec)
+
+
+def _powers(p, n: int) -> list:
+    """[p^0, p, p^2, ..., p^n] for n >= 1, by one composition each."""
+    step = perm.composer(p)
+    out = [perm.identity(len(p)), p]
+    for _ in range(n - 1):
+        out.append(step(out[-1]))
+    return out
 
 
 # Automorphism groups and holomorphs.

@@ -388,10 +388,13 @@ def _base(elements, degree):
 def closure(generators, cap=20000, label=None) -> PermGroup:
     """Close a generator list under composition into a PermGroup.
 
-    Raises CapExceededError if the generated group would exceed ``cap``;
-    that signals a mis-sized search rather than a bug.  A ``cap`` whose
-    elements would hold more than ``SIZE_LIMIT`` image entries raises
-    BoundExceededError before any element is made.
+    A breadth-first walk that composes through one ``perm.composer`` per
+    generator.  Raises CapExceededError if the generated group would
+    exceed ``cap``; that signals a mis-sized search rather than a bug.  A
+    ``cap`` whose elements would hold more than ``SIZE_LIMIT`` image
+    entries raises BoundExceededError before any element is made.  The
+    catalog's classes are not built here but listed in normal form by
+    ``factory._semidirect_pair``.
     """
     if not generators:
         raise PreconditionError("closure needs at least one generator")
@@ -404,9 +407,10 @@ def closure(generators, cap=20000, label=None) -> PermGroup:
     check_size(cap, degree)
     order = [perm.identity(degree)]
     seen = set(order)
+    steps = [perm.composer(g) for g in generators]
     for p in order:  # breadth first, as in ``_reach``
-        for g in generators:
-            q = perm.compose(p, g)
+        for step in steps:
+            q = step(p)
             if q not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(f"closure exceeded cap {cap}")

@@ -87,7 +87,6 @@ from hopfgalois.errors import (
 from hopfgalois.factory import (
     Holomorph,
     _prettify,
-    _semidirect_pair,
     _twists,
     automorphism_order,
     catalog,
@@ -101,6 +100,7 @@ from hopfgalois.groups import (
     _reach,
     all_subgroups,
     bfs_order,
+    closure,
     generator_frame,
     is_c_group,
     is_cyclic,
@@ -634,16 +634,26 @@ def trial_division_pairs(n):
     return tuple(pairs)
 
 
+def closure_pair(k, l, t, label=None):
+    """Z_k x|_t Z_l as the closure of its two generators on k*l points,
+    x = (1, 0) and y = (0, 1), point (c, d) being index c*l + d: the
+    oracle of ``factory._semidirect_pair``, which lists the same group in
+    normal form without a closure walk."""
+    x = tuple(((c + 1) % k) * l + d for c in range(k) for d in range(l))
+    y = tuple(((t * c) % k) * l + (d + 1) % l for c in range(k) for d in range(l))
+    return closure([x, y], cap=k * l, label=label)
+
+
 def iso_catalog(order):
     """(spec, elements) per class at a squarefree order: every twist
-    Z_k x|_t Z_l is built and kept unless isomorphic to a class found
-    so far, each class keeping its least element list."""
+    Z_k x|_t Z_l is built by ``closure_pair`` and kept unless isomorphic
+    to a class found so far, each class keeping its least element list."""
     assert is_squarefree(order)
     classes = []
     for k in (d for d in range(1, order + 1) if order % d == 0):
         l = order // k
         for t in _twists(k, l):
-            G = _semidirect_pair(k, l, t, _prettify(SemidirectCC(k, l, t)))
+            G = closure_pair(k, l, t, _prettify(SemidirectCC(k, l, t)))
             i = next(
                 (i for i, H in enumerate(classes) if are_isomorphic(H, G) is not None),
                 None,

@@ -15,9 +15,12 @@ def test_every_check_runs_in_exactly_one_step():
 
 
 def test_no_step_runs_inline_python():
-    # the one -c left times the import of the installed package
+    # the two -c left time the imports of the installed package
     assert "<<" not in WORKFLOW and not re.search(r"python3? +- ", WORKFLOW)
-    assert set(re.findall(r" -c +(\"[^\"]*\"|'[^']*'|\S+)", WORKFLOW)) == {'"import hopfgalois.cli"'}
+    assert set(re.findall(r" -c +(\"[^\"]*\"|'[^']*'|\S+)", WORKFLOW)) == {
+        '"import hopfgalois.cli"',
+        '"import hopfgalois"',
+    }
 
 
 def test_every_pythonpath_holds_src():

@@ -10,7 +10,8 @@ import pytest
 import hopfgalois
 from hopfgalois import cli, factory, realize
 from hopfgalois.audit import AuditReport
-from hopfgalois.groups import PermGroup, closure
+from hopfgalois.factory import _semidirect_pair as semidirect_pair
+from hopfgalois.groups import PermGroup
 from hopfgalois.store import ResultsStore
 
 from conftest import (
@@ -262,15 +263,15 @@ def test_oversized_group_is_error(battery_faults_found, argv):
 
 def test_product_is_refused_on_its_recipe_before_a_factor_is_built(monkeypatch):
     # C2000xC2000 is 4000000 permutations of degree 4000000: its order and
-    # degree are read off the spec, so not even C2000 is built before the
+    # degree are read off the spec, so not even C2000 is listed before the
     # refusal
     made = []
 
-    def spy(generators, *args, **kwargs):
-        made.append(len(generators[0]))
-        return closure(generators, *args, **kwargs)
+    def spy(k, l, t, spec):
+        made.append(k * l)
+        return semidirect_pair(k, l, t, spec)
 
-    monkeypatch.setattr(factory, "closure", spy)
+    monkeypatch.setattr(factory, "_semidirect_pair", spy)
     # a cold build memo, so no C2000 left by an earlier test hides a build
     monkeypatch.setattr(factory, "build", functools.cache(factory.build.__wrapped__))
     assert run_cli(["realizable", "--g", "C2000xC2000", "--n", "C3"]) == (
@@ -313,16 +314,61 @@ def test_audit_bad_order_is_error(battery_faults_found, theorem, n):
     assert not battery_faults_found["refusal"][f"audit --theorem {theorem} --n {n}"]
 
 
-def test_cli_import_skips_dataclasses_inspect_and_csv():
-    # -S leaves out site, which may import any of them itself
+def fresh_python(code):
+    """The stdout of ``code`` run by a fresh ``python -S``: -S leaves out
+    site, which may import modules of its own."""
     src = str(Path(hopfgalois.__file__).parents[1])
-    code = "import hopfgalois.cli, sys; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_skips_dataclasses_inspect_and_csv():
+    code = "import hopfgalois.cli, sys; print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+    assert fresh_python(code) == "[]\n"
+
+
+LOADED = "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'hopfgalois'))"
+ENGINES = ["brace", "errors", "factory", "groups", "perm", "realize"]
+# the command layer's names that the package loads on first use
+LAZY = {
+    "audit": ["AuditReport", "run_audit"],
+    "counting": [
+        "CountReport", "byott_aggregate", "chi", "count_hgs_dihedral",
+        "direct_normalized_count", "euler_phi", "formula_count_dihedral",
+        "is_burnside_number", "radical",
+    ],
+    "specparse": ["canonical_text", "parse_group_spec"],
+}
+
+
+def test_package_import_loads_only_the_engines():
+    names = [(name, module) for module, names in LAZY.items() for name in names]
+    code = f"""import sys, hopfgalois
+{LOADED}
+for name, module in {names!r}:
+    value = getattr(hopfgalois, name)
+    assert value is getattr(sys.modules['hopfgalois.' + module], name), name
+    assert name in dir(hopfgalois), name
+assert hopfgalois.factorize is sys.modules['hopfgalois.groups'].factorize
+try:
+    hopfgalois.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    loaded, refusal = fresh_python(code).splitlines()
+    assert loaded == repr(["hopfgalois"] + [f"hopfgalois.{m}" for m in ENGINES])
+    assert refusal == "module 'hopfgalois' has no attribute 'no_such_name'"
+
+
+def test_cli_import_loads_every_command_module():
+    modules = sorted(ENGINES + list(LAZY) + ["cli", "store"])
+    assert fresh_python("import sys, hopfgalois.cli\n" + LOADED) == (
+        repr(["hopfgalois"] + [f"hopfgalois.{m}" for m in modules]) + "\n"
+    )
 
 
 def test_store_records_and_replays(tmp_path):

@@ -41,6 +41,7 @@ from conftest import (
     aut_differs,
     brute_force_automorphisms,
     catalog_differs,
+    closure_pair,
     decompose_cases,
     decompose_differs,
     lattice_decompose_burnside,
@@ -367,6 +368,32 @@ def test_catalog_closure_under_semidirects():
 def test_catalog_matches_iso_catalog():
     # byte-identical to the isomorphism-search oracle: specs and elements
     assert [n for n in range(1, 211) if is_squarefree(n) and catalog_differs(n)] == []
+
+
+def test_normal_form_listing_matches_closure():
+    # every twist at squarefree orders up to 210, element for element
+    twists = [
+        (k, n // k, t)
+        for n in range(1, 211)
+        if is_squarefree(n)
+        for k in range(1, n + 1)
+        if n % k == 0
+        for t in _twists(k, n // k)
+    ]
+    assert len(twists) == 736
+    differ = [
+        (k, l, t)
+        for k, l, t in twists
+        if _semidirect_pair(k, l, t, None).elements != closure_pair(k, l, t).elements
+    ]
+    assert differ == []
+
+
+def test_normal_form_refuses_a_bad_relation():
+    # 2 is a unit mod 5 and y x y^-1 = x^2 holds, but 2^2 != 1 mod 5, so
+    # y^2 is not the identity and the ten listed elements are no group
+    with pytest.raises(CountingBugError, match="x\\^k = y\\^l = 1"):
+        _semidirect_pair(5, 2, 2, None)
 
 
 def test_catalog_unsupported():
