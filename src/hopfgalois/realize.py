@@ -156,7 +156,14 @@ def _cyclic_consistent_images(N, fa, r):
     before it.  Every cycle of fa longer than one descends somewhere, so
     it skips at least one walk; an involution's 2-cycles are walked once
     each.  The list is ascending.
+
+    An identity fa makes the step v -> x * v, so the walk from x runs
+    through x's powers and returns to the identity first at ord x: the
+    candidates are then the elements of order r, read off N's order
+    table with no walk.
     """
+    if fa == perm.identity(len(N)):
+        return [x for x, k in enumerate(N.orders()) if k == r]
     e_n = N.identity_index
     kept, good = bytearray(len(N)), []
     steps = range(r - 1)
@@ -263,12 +270,21 @@ def _orbit_walk(G, H, frame, cands, S, aut, action, twist=None, injective=False)
 
     S must map each ``cands[level]`` onto itself, as ``_orbit_split``
     checks; it keeps each split in Aut(N)'s memo, since every G swept
-    against one N splits the same orbits of Aut(N).
+    against one N splits the same orbits of Aut(N).  A one-element T
+    must be the identity, or CountingBugError is raised, and it splits
+    with no memo entry: every candidate is its own orbit, with
+    stabilizer T, as ``_orbits`` would give.  That is every level of the
+    plain scan, and every level below a trivial stabilizer.
     """
     gens = frame[0]
 
     def orbits(T, level):
-        return _orbit_split(aut, action, tuple(T), tuple(cands[level]))
+        T = tuple(T)
+        if len(T) == 1:
+            if T[0] != aut.identity_index:
+                raise CountingBugError(f"a one-element acting group holds {T[0]}, not the identity")
+            return [(y, T) for y in cands[level]]
+        return _orbit_split(aut, action, T, tuple(cands[level]))
 
     # (images of the generators chosen so far, their stabilizer in S)
     partial = [((), S)]
@@ -292,9 +308,13 @@ def _orbit_split(aut, action, T, cands):
 
     T must map ``cands`` onto itself, so the orbit sizes |T| / |T_y| must
     be whole numbers that sum to the number of candidates; that is
-    checked once per split, and otherwise CountingBugError is raised.
+    checked once per split, and otherwise CountingBugError is raised.  A
+    group's stabilizers hold its identity, so an empty one, from an
+    acting set that is not a group or a broken action, raises it too.
     """
     reps = _orbits(T, cands, action(aut, T))
+    if not all(C for _, C in reps):
+        raise CountingBugError("an orbit representative has an empty stabilizer")
     sizes = [divmod(len(T), len(C)) for _, C in reps]
     if any(r for _, r in sizes) or sum(q for q, _ in sizes) != len(cands):
         raise CountingBugError(f"orbits do not cover the {len(cands)} candidate images")

@@ -70,6 +70,7 @@ from hopfgalois import (
     groups,
     holomorph,
     parse_group_spec,
+    perm,
     realize,
     regular_subgroups,
 )
@@ -251,7 +252,9 @@ def cocycle_kernel():
     # Order 102 runs with the gate lifted, so the engine reads Aut(D102),
     # past TABLE_LIMIT, by rows.  Every cyclic candidate list the kernel
     # pass kept in a catalog N's memo, one per (N, f(a), ord a) it
-    # reached, is held against per_x_cyclic_images before the release
+    # reached, is held against per_x_cyclic_images before the release;
+    # the summary says how many of them had an identity f(a), so were
+    # read off N's order table with no walk, and none of them fails it
     def answers(copy):
         found = {}
         for order in (*KERNEL_ORDERS, 102):
@@ -267,12 +270,13 @@ def cocycle_kernel():
     realize._check_tables = lifted_check_tables
     try:
         kernel = answers(lambda G: G)
-        kept = (
+        kept = [
             (f"{n.spec.text()} at {key}", n.group, key, found)
             for order in (*KERNEL_ORDERS, 102)
             for n in catalog(order)
             for key, found in memo_of(n.group, realize._cyclic_candidates).items()
-        )
+        ]
+        untwisted = sum(key[0] == perm.identity(len(N)) for _, N, key, _ in kept)
         lists, bad = tally(kept, lambda N, key, found: found != per_x_cyclic_images(N, *key))
         clear_caches()
         for module in (groups, factory, realize):
@@ -281,7 +285,8 @@ def cocycle_kernel():
     finally:
         realize._check_tables = gate
     bad += [name for name, v in kernel.items() if oracle[name] != v]
-    summary = f"{len(kernel)} pairs, {lists} cyclic candidate lists"
+    summary = f"{len(kernel)} pairs, {lists} cyclic candidate lists, {untwisted} of an identity twist"
+    bad += [] if untwisted else ["no identity twist"]
     return summary, bad + ([] if len(kernel) == 84 else ["pair count"])
 
 

@@ -26,6 +26,7 @@ from conftest import (
     run_cli,
 )
 from record_audit_battery import golden_changes
+from record_bench import ROOT, bench_changes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -244,6 +245,41 @@ def test_golden_changes_name_each_changed_added_and_dropped_line():
         "dropped p003 9",
     ]
     assert golden_changes(old, old) == []
+
+
+def _bench_record(pass_s, tier1_s, metrics):
+    return {"python_pass_s": pass_s, "tier1": {"wall_s": tier1_s}, "workloads": metrics}
+
+
+def test_bench_changes_name_each_figure_both_records_hold():
+    old = _bench_record(0.04, 30.0, {"w": {"metrics": {"wall_s": 2.0, "ok_ratio": 0.0}}})
+    new = _bench_record(0.05, 33.0, {
+        "w": {"metrics": {"wall_s": 1.5, "ok_ratio": 1.0, "setup_s": 0.1}},
+        "v": {"metrics": {"wall_s": 1.0}},
+    })
+    assert bench_changes(old, new) == [
+        "python -c pass s: 0.04 -> 0.05 (1.250)",
+        "tier-1 wall s: 30 -> 33 (1.100)",
+        "w wall_s: 2 -> 1.5 (0.750)",
+        "w ok_ratio: 0 -> 1 (n/a)",
+        "v: new",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_file_holds_every_workload_and_metric(path):
+    # a committed BENCH file holds a correct run of every workload
+    # BENCHMARK.json declares, with its six end-to-end metrics and seed,
+    # the speed probe and Tier-1's wall time with its five slowest tests
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = sorted(m["name"] for m in declared["end_to_end"])
+    record = json.loads(path.read_text())
+    assert sorted(record["workloads"]) == sorted(w["name"] for w in declared["workloads"])
+    for run in record["workloads"].values():
+        assert run["correct"] and isinstance(run["seed"], int)
+        assert sorted(run["metrics"]) == metrics
+    assert record["python_pass_s"] > 0 and record["tier1"]["wall_s"] > 0
+    assert len(record["tier1"]["slowest"]) == 5
 
 
 @pytest.mark.parametrize("key", AUDIT_BATTERY)

@@ -41,6 +41,8 @@ from conftest import (
     brute_force_bijective_crossed_homs,
     brute_force_subgroups,
     canonical_first_witness,
+    catalog_cases,
+    cycle_orders,
     eager_holomorph,
     first_witness,
     fresh_copy,
@@ -50,6 +52,7 @@ from conftest import (
     memo_of,
     pair_cases,
     per_element_semiregular_classes,
+    per_x_cyclic_images,
     tally,
     unpruned_pair_search,
 )
@@ -905,6 +908,23 @@ def test_cyclic_candidates_are_kept_per_n():
                 assert got == realize._cyclic_consistent_images(N, *key)
 
 
+def test_identity_twist_candidates_are_the_elements_of_order_r():
+    # f(a) = 1 makes the walk from x run through x's powers, so the
+    # candidates for ord a = r are the elements of order r: for every
+    # catalog N up to order 66 and every element order r of N, the list
+    # equals the walk from every x and the elements whose cycle lengths
+    # give order r
+    checked = 0
+    for name, N in catalog_cases(range(1, 67)):
+        identity, orders = perm.identity(len(N)), cycle_orders(N)
+        for r in sorted(set(orders)):
+            got = realize._cyclic_consistent_images(N, identity, r)
+            assert got == per_x_cyclic_images(N, identity, r), (name, r)
+            assert got == [x for x, k in enumerate(orders) if k == r], (name, r)
+            checked += 1
+    assert checked > 250
+
+
 def test_orbit_tables_give_cold_answers():
     # each catalog N's Aut(N) keeps the orbit tables of every G swept
     # against it; after the full sweep, every pair's count and first
@@ -961,6 +981,56 @@ def test_orbit_tables_key_on_action_and_candidates():
         assert got == walk(automorphism_group(fresh_copy(N)), action, cands)
         results.append(got)
     assert len({repr(r) for r in results}) == 3
+
+
+@pytest.mark.parametrize("spec", ["C6", "D6"])
+def test_one_element_acting_group_makes_no_split(spec):
+    # the identity alone acting: every candidate is its own orbit, with
+    # the identity as its stabilizer, so both walks yield every
+    # extend_images solution, in order, and Aut(N) keeps no orbit split
+    # for them.  D6's frames have two generators, so the earlier levels
+    # split this way too
+    G, N = build(parse_group_spec(spec)), fresh_copy(D(6))
+    aut = automorphism_group(N)
+    e = (aut.identity_index,)
+    frame = realize.generator_frame(G)
+    for f in homomorphisms(G, aut):
+        twist = [aut.elements[b] for b in f.images]
+        cands = [realize._cyclic_candidates(N, twist[a], G.order_of(a)) for a in frame[0]]
+        walk = realize._orbit_walk(
+            G, N, frame, cands, e, aut, realize._evaluation, twist, injective=True
+        )
+        scan = realize.extend_images(G, N, frame, cands, twist=twist, injective=True)
+        assert list(walk) == [(m, e) for m in scan]
+    frame = realize.greedy_frame(G)
+    cands = realize.hom_candidates(G, aut, frame[0])
+    walk = realize._orbit_walk(G, aut, frame, cands, [aut.identity_index], aut, realize._conjugation)
+    scan = list(realize.extend_images(G, aut, frame, cands))
+    assert len(frame[0]) == (1 if spec == "C6" else 2) and scan
+    assert list(walk) == [(m, e) for m in scan]
+    assert memo_of(aut, realize._orbit_split) == {}
+
+
+def test_one_element_acting_set_must_be_the_identity():
+    # the automorphism 1 of D6 commutes with the trivial f, but alone it
+    # is no group: the walk refuses it before splitting anything
+    G, N = C(6), fresh_copy(D(6))
+    aut = automorphism_group(N)
+    f = next(f for f in homomorphisms(G, aut) if set(f.images) == {aut.identity_index})
+    frame = realize.generator_frame(G)
+    with pytest.raises(CountingBugError, match="one-element acting group holds 1"):
+        list(realize._crossed_hom_reps(f, (1,), N, frame))
+    assert memo_of(aut, realize._orbit_split) == {}
+
+
+def test_empty_stabilizer_is_a_bug():
+    # {1} is no group: the automorphism 1 of D6 fixes the element 1 but
+    # moves 2, so the representative 2 has an empty stabilizer in it, and
+    # its orbit size |T| / 0 is undefined
+    aut = automorphism_group(D(6))
+    assert aut.elements[1][1] == 1 and aut.elements[1][2] != 2
+    with pytest.raises(CountingBugError, match="empty stabilizer"):
+        realize._orbit_split(aut, realize._evaluation, (1,), (1, 2, 3))
 
 
 def test_derived_state_is_freed_with_its_groups():
