@@ -14,7 +14,9 @@ import functools
 from operator import itemgetter
 
 from .errors import PreconditionError, Record
-from .groups import PermGroup, _generating_set, is_regular
+# respects_law, the one automorphism-on-generators kernel, is read here on
+# the addition table's columns, cols[y][x] = x + y: f(x + s) = f(x) + f(s)
+from .groups import PermGroup, _generating_set, is_regular, respects_law as _is_additive
 from .perm import composer
 
 
@@ -31,22 +33,6 @@ def group_table_identity(table):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
             return e
     return None
-
-
-def _is_additive(f, cols, shifts):
-    """f(x + s) = f(x) + f(s) for every x and every s in S.
-
-    ``cols`` are the columns of the addition table, cols[y][x] = x + y,
-    and ``shifts`` pairs each s in S with the getter f -> (x -> f(x + s)).
-    The s that satisfy this for every x are closed under +, so checking s
-    in a generating set proves f additive on the whole group.
-    """
-    # composer(p)(q) is the composite x -> q[p[x]], as a tuple
-    at = composer(f)
-    for s, shift in shifts:
-        if shift(f) != at(cols[f[s]]):
-            return False
-    return True
 
 
 def _group_generators(table):

@@ -2,7 +2,8 @@
 
 Exit codes partition outcomes so shell pipelines can tell them apart:
 0 success (or audit pass), 1 error, 2 usage, 3 not realizable,
-4 audit fail, 5 audit vacuous or unsupported.
+4 audit fail, 5 audit vacuous or unsupported.  An error, running out of
+memory included, is one ``error:`` line on stderr with nothing on stdout.
 
 JSON output is schema-stable (sorted keys, fixed field set, no timing)
 and byte-identical across runs; timings go only to the results store.
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
             store.record(args.command, inputs, outcome, elapsed_ms)
     except HopfGaloisError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:  # what the work held is released by now
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(_render(args.command, inputs, result, rows, args.format))
     return code

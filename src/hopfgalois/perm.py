@@ -25,9 +25,11 @@ def is_perm(images) -> bool:
 
 
 def composer(q: Perm):
-    """p -> compose(p, q) unchecked, in one C call; at degrees 0 and 1,
-    where an itemgetter returns a scalar, it is ``tuple``."""
-    return operator.itemgetter(*q) if len(q) > 1 else tuple
+    """p -> compose(p, q) unchecked, in one C call: p read at q's
+    entries, so p may be longer than q, as for a homomorphism from a
+    smaller group.  Below two entries, where an itemgetter returns a
+    scalar, a ``map`` reads them."""
+    return operator.itemgetter(*q) if len(q) > 1 else lambda p: tuple(map(p.__getitem__, q))
 
 
 def compose(p: Perm, q: Perm) -> Perm:

@@ -52,10 +52,12 @@ from .groups import (
     derived,
     extend_images,
     generator_frame,
+    generator_shifts,
     greedy_frame,
     hom_candidates,
     is_regular,
     are_isomorphic,
+    respects_law,
 )
 
 PAIR_SEARCH_MAX = 30   # max |N| for the direct Hol(N) search
@@ -81,16 +83,47 @@ class CrossedHom(Record):
         return self.f.domain
 
     def verify_law(self) -> bool:
-        """Check g(ab) = g(a) f(a)(g(b)) on every pair of G elements."""
-        G, N = self.domain, self.n_group
-        g = self.g
-        f_perms = [self.f.image_perm(a) for a in range(len(G))]
-        rows_g, rows_n = G.rows(), N.rows()
-        return all(
-            g[rows_g[a][b]] == rows_n[g[a]][f_perms[a][g[b]]]
-            for a in range(len(G))
-            for b in range(len(G))
-        )
+        """Whether g is a bijection fixing the identity with g(ab) =
+        g(a) f(a)(g(b)) for every a, b in G: ``crossed_twist`` reads from
+        g the only f for which that can hold, and f must be it at every a.
+        For a bijective g this is the law on all |G|^2 pairs, read with no
+        Python step per pair and no Aut(N) table."""
+        G = self.domain
+        return crossed_twist(G, self.n_group, self.g) == list(map(self.f.image_perm, range(len(G))))
+
+
+def crossed_twist(G: PermGroup, N: PermGroup, g):
+    """The twist f: G -> Aut(N) for which g, a tuple of N's indices by
+    G's, is a crossed homomorphism, read from g alone: f(a) as a
+    permutation of N's indices for each a, or None if there is none.
+
+    g must be a bijection.  Then a -> g L_a g^-1, L_a the left
+    translation, is G's regular action carried to N, and it is
+    lam(g(a)) alpha_a with alpha_a(m) = g(a)^-1 g(a g^-1(m)).  Once
+    alpha_x is an automorphism for each generator x of
+    ``generator_frame(G)``, by ``respects_law`` on N's frame generators,
+    g(e) = e, since alpha_x(e) = e gives g(x g^-1(e)) = g(x); and the
+    action lies in Hol(N) on generators and so everywhere, and
+    splitting it there gives g(ab) = g(a) alpha_a(g(b)) and alpha_ab =
+    alpha_a alpha_b: alpha is the twist, composed along the frame's
+    steps.  Any f for which the law holds is alpha: put b = g^-1(m).
+    (Childs, Taming Wild Extensions, 2000, ch. 2; Greither and Pareigis,
+    J. Algebra 106, 1987.)  So the cost is |S_G| |N| (1 + |S_N|) reads
+    and |G| compositions, each one C call, and no Aut(N) is read.
+    """
+    if not len(G) == len(g) == len(N) or not perm.is_perm(g):
+        return None
+    rows_g, rows_n, inv_n, shifts = G.rows(), N.rows(), N.inverses(), generator_shifts(N)
+    pre = perm.composer(perm.inverse(g))  # t -> (m -> t[g^-1(m)])
+    gens, steps, _ = generator_frame(G)
+    # alpha_x = m -> g(x)^-1 g(x g^-1(m)), composed right to left
+    alphas = [perm.composer(perm.composer(pre(rows_g[x]))(g))(rows_n[inv_n[g[x]]]) for x in gens]
+    if not all(respects_law(alpha, rows_n, shifts) for alpha in alphas):
+        return None
+    moves, twist = list(map(perm.composer, alphas)), [perm.identity(len(N))] * len(G)
+    for i, prev, pos in steps:  # alpha_i = alpha_prev alpha_gens[pos]
+        twist[i] = moves[pos](twist[prev])
+    return twist
 
 
 class RegularSubgroupRecord(Record):
@@ -115,20 +148,16 @@ def crossed_homomorphisms(f: Homomorphism, G: PermGroup, N: PermGroup, limit=Non
     generator images; the result is sorted.  The empty list is a valid
     result.  ``limit`` stops the scan early once that many witnesses
     exist.  f's domain must have G's element list, and f must send each
-    generator of G to an automorphism of N, which is checked on N's
-    generators; otherwise PreconditionError is raised.
+    generator of G to an automorphism of N, which ``respects_law`` checks
+    on N's frame generators; otherwise PreconditionError is raised.
     """
     if len(G) != len(N):
         raise PreconditionError("crossed homomorphisms need |G| = |N|")
     if f.domain.elements != G.elements:
         raise PreconditionError("f's domain is not G")
     frame = generator_frame(G)
-    rows = N.rows()
-    n_gens = [N.index_of(s) for s in N.minimal_generating_set()]
     for p in {f.image_perm(a) for a in frame[0]}:
-        if len(p) != len(N) or any(
-            p[rows[x][s]] != rows[p[x]][p[s]] for x in range(len(N)) for s in n_gens
-        ):
+        if len(p) != len(N) or not respects_law(p, N.rows(), generator_shifts(N)):
             raise PreconditionError("f sends a generator of G outside Aut(N)")
     found = _crossed_hom_reps(f, [f.codomain.identity_index], N, frame)
     return [CrossedHom(f, g, N, True) for g in sorted(itertools.islice(found, limit))]
@@ -482,23 +511,23 @@ def count_crossed_pairs(G: PermGroup, N: PermGroup) -> int:
     skew brace; Koch and Truman, J. Algebra 546, 2020).  A scan that
     loses one orbit breaks the parity.  For an abelian N the check has
     no power, and none is made.
+
+    Aut(G) acts freely on the pairs too, by (f, g) -> (f o a, g o a),
+    since g is injective; so |Aut G| divides the count, or
+    CountingBugError is raised.  Aut(G) is counted, not listed.
     """
     if len(G) != len(N):
         raise PreconditionError("counting crossed pairs needs |G| = |N|")
     _check_tables(N)
     aut = automorphism_group(N)
     orbits = sum(1 for _ in _pair_orbit_reps(G, aut, N))
-    if orbits % 2 and not _is_abelian(N):
+    # N is abelian exactly when inversion is an automorphism of N
+    if orbits % 2 and not respects_law(N.inverses(), N.rows(), generator_shifts(N)):
         raise CountingBugError(f"an odd number of orbits, {orbits}, for a non-abelian N")
-    return len(aut) * orbits
-
-
-@derived
-def _is_abelian(N: PermGroup) -> bool:
-    """Whether N's frame generators (``generator_frame``, which Aut(N)'s
-    chain has built) commute pairwise; kept on N."""
-    rows, gens = N.rows(), generator_frame(N)[0]
-    return all(rows[a][b] == rows[b][a] for a in gens for b in gens)
+    pairs, aut_g = len(aut) * orbits, automorphism_order(G)
+    if pairs % aut_g:
+        raise CountingBugError(f"{pairs} pairs, not a multiple of |Aut G| = {aut_g}")
+    return pairs
 
 
 # Direct search for regular subgroups.

@@ -49,18 +49,22 @@ from conftest import (
     full_check_extend_images,
     generating_set_differs,
     hom_orbit_reps_differ,
+    law_differs,
     lifted_check_tables,
+    listed_twist_witness,
     memo_of,
     orders_differ,
     pair_cases,
     per_element_semiregular_classes,
     per_x_cyclic_images,
     random_loop,
+    swap_mutants,
     table_cases,
     table_differs,
     tally,
     unpruned_pair_search,
     walk_differs,
+    witness_cases,
 )
 from hopfgalois import (
     build,
@@ -290,6 +294,33 @@ def cocycle_kernel():
     return summary, bad + ([] if len(kernel) == 84 else ["pair count"])
 
 
+def witness_law():
+    # verify_law, which reads f from g on generators, equal to the
+    # all-pairs oracle on the witness of every catalog pair at squarefree
+    # orders up to 250, on the lift, and on five mutants of each with two
+    # images of g swapped; a swap that crossed_twist accepts from g alone
+    # must be a witness itself by a full check against the listed Aut(N)
+    gate = realize._check_tables
+    realize._check_tables = lifted_check_tables
+    rng = random.Random(32)
+    witnesses, swaps, accepted, bad = 0, 0, 0, []
+    try:
+        orders = [n for n in range(1, 251) if is_squarefree(n)]
+        for name, w in released(witness_cases, orders):
+            witnesses += 1
+            bad += [name] if law_differs(w) or not w.verify_law() else []
+            for c in swap_mutants(w, rng, 5):
+                swaps += 1
+                bad += [f"{name} swap"] if law_differs(c) else []
+                if realize.crossed_twist(c.domain, c.n_group, c.g) is not None:
+                    accepted += 1
+                    bad += [] if listed_twist_witness(c) else [f"{name} accepted swap"]
+    finally:
+        realize._check_tables = gate
+    tallied = f"{swaps - accepted} of {swaps} swaps rejected, {accepted} accepted, each a witness"
+    return f"{witnesses} witnesses, {tallied}", bad
+
+
 def bad_input():
     # the refusal battery in one capped child, as Tier-1 runs it: each
     # row against its golden line, the refusal contract and the 2 s bound
@@ -380,6 +411,7 @@ CHECKS = {
     "table-kernel": table_kernel,
     "hom-orbit-reps": hom_orbit_reps,
     "cocycle-kernel": cocycle_kernel,
+    "witness-law": witness_law,
     "bad-input": bad_input,
     "demos": demos,
     "bench-smoke": bench_smoke,

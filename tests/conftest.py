@@ -3,12 +3,13 @@
 The oracles here deliberately avoid the library's generator-word
 machinery: homomorphisms are found by backtracking over full element
 image tables, automorphisms by filtering all bijections, and crossed
-homomorphisms by filtering all identity-fixing bijections, group
-tables, the brace law and holomorph membership by scanning all n^3
-triples, subgroups (with the Sylow predicates read off them) by
-adjoining one element at a time under ``G.rows()``, factorizations by trial
-division, and catalogs by testing every twist against the classes found
-so far, coprime cyclic splittings by testing every pair of subgroups
+homomorphisms by filtering all identity-fixing bijections, the cocycle
+law by reading it on every pair of elements, group tables, the brace
+law and holomorph membership by scanning all n^3 triples, subgroups
+(with the Sylow predicates read off them) by adjoining one element at a
+time under ``G.rows()``, factorizations by trial division, and
+catalogs by testing every twist against the classes found so far,
+coprime cyclic splittings by testing every pair of subgroups
 from ``all_subgroups``, and characteristic subgroups by testing every
 subgroup from it against every automorphism; element orders are read off cycle lengths and
 inverses off ``perm.inverse``, multiplication tables by looking every
@@ -192,6 +193,21 @@ def brute_force_bijective_crossed_homs(f, G, N):
         ):
             out.append(tuple(g))
     return sorted(out)
+
+
+def all_pairs_law(c):
+    """The cocycle law g(ab) = g(a) f(a)(g(b)) read on every pair of G's
+    elements, |G|^2 Python steps: ``CrossedHom.verify_law`` as it was
+    before it read f from g.  It asks nothing of g beyond the law, so
+    the constant g = e passes for every f."""
+    G, N, g = c.domain, c.n_group, c.g
+    f_perms = [c.f.image_perm(a) for a in range(len(G))]
+    rows_g, rows_n = G.rows(), N.rows()
+    return all(
+        g[rows_g[a][b]] == rows_n[g[a]][f_perms[a][g[b]]]
+        for a in range(len(G))
+        for b in range(len(G))
+    )
 
 
 def brute_force_is_group_table(table):
@@ -1000,6 +1016,60 @@ def lifted_check_tables(N):
     groups.check_size(automorphism_order(N), len(N))
 
 
+def witness_cases(orders):
+    """(name, witness) for each catalog pair at ``orders`` that the
+    cocycle engine realizes, on fresh copies of each order's groups, so
+    what the engine derives from them goes with them."""
+    for order in orders:
+        cases = [(name, fresh_copy(G)) for name, G in catalog_cases([order])]
+        for n, N in cases:
+            for g, G in cases:
+                w = realizable_via_cocycles(G, N)
+                if w is not None:
+                    yield f"({g}, {n})", w
+
+
+def swapped(c, i, j):
+    """The witness c with the images of G's elements i and j swapped."""
+    g = list(c.g)
+    g[i], g[j] = g[j], g[i]
+    return realize.CrossedHom(c.f, tuple(g), c.n_group, True)
+
+
+def swap_mutants(c, rng, k):
+    """k mutants of the witness c, each with the images of two elements
+    of G other than the identity swapped; none below order 3."""
+    moved = [a for a in range(len(c.domain)) if a != c.domain.identity_index]
+    return [swapped(c, *rng.sample(moved, 2)) for _ in range(k)] if len(moved) > 1 else []
+
+
+def off_by_one(c, x):
+    """The witness c with f's image of G's element x moved to the next
+    automorphism index, or None when Aut(N) is trivial."""
+    aut = c.f.codomain
+    images = list(c.f.images)
+    images[x] = (images[x] + 1) % len(aut)
+    f = groups.Homomorphism(c.domain, aut, tuple(images))
+    return None if len(aut) == 1 else realize.CrossedHom(f, c.g, c.n_group, True)
+
+
+def law_differs(c):
+    """``verify_law`` differs from ``all_pairs_law`` on c."""
+    return c.verify_law() != all_pairs_law(c)
+
+
+def listed_twist_witness(c):
+    """Whether c's g is a witness by a full check: every f(a) that
+    ``crossed_twist`` reads from g is in the listed Aut(N), f so made is
+    a homomorphism, and ``all_pairs_law`` holds for g with it."""
+    G, N = c.domain, c.n_group
+    aut, twist = automorphism_group(N), realize.crossed_twist(G, N, c.g)
+    if twist is None or any(alpha not in aut for alpha in twist):
+        return False
+    f = groups.Homomorphism(G, aut, tuple(map(aut.index_of, twist)))
+    return f.verify() and all_pairs_law(realize.CrossedHom(f, c.g, N, True))
+
+
 def first_witness(G, N):
     """(f images, g) of the cocycle engine's witness for (G, N), or None."""
     w = realizable_via_cocycles(G, N)
@@ -1064,18 +1134,19 @@ def dihedral_terms(n):
     ]
 
 
-def capped_python(args, timeout):
+def capped_python(args, timeout, cap=1 << 30):
     """``python *args`` on this package's sources, with ``tests/`` on the
-    path, in a child capped at 1 GiB of address space, so that a group
-    built without the size bound ends in a MemoryError there; stdout and
-    stderr as text.  ``PYTHONINTMAXSTRDIGITS`` is cleared, so the child
-    keeps Python's default int-to-text limit, which one refusal names."""
+    path, in a child capped at ``cap`` bytes of address space, 1 GiB
+    unless given, so that a group built without the size bound ends in a
+    MemoryError there; stdout and stderr as text.
+    ``PYTHONINTMAXSTRDIGITS`` is cleared, so the child keeps Python's
+    default int-to-text limit, which one refusal names."""
     src, tests = Path(hopfgalois.__file__).parents[1], Path(__file__).parent
     env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests}")
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)), timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)), timeout=timeout,
     )
 
 

@@ -462,3 +462,11 @@ def test_unwritable_store_is_error(tmp_path, blocked):
     code, out, err = run_cli(argv + ["--store", str(store_path)])
     assert code == 1 and out == ""
     assert err.startswith("error: ")
+
+
+def test_running_out_of_memory_is_one_error_line():
+    # catalog --order 1995 lists its five classes' permutations, which do
+    # not fit a 150 MB address space: the MemoryError ends in the refusal
+    # contract, not in a traceback
+    proc = capped_python(["-m", "hopfgalois", "catalog", "--order", "1995"], 60, cap=150 << 20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")

@@ -64,6 +64,7 @@ from conftest import (
     C,
     D,
     _closure_within,
+    brute_force_automorphisms,
     brute_force_homomorphisms,
     capped_python,
     catalog_cases,
@@ -250,6 +251,46 @@ def test_homomorphisms_generator_bound():
     c2_4 = build(DirectProduct(c2_2, c2_2))
     with pytest.raises(BoundExceededError):  # needs four generators
         homomorphisms(c2_4, C(2))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Cyclic(4), DirectProduct(Cyclic(2), Cyclic(2)), Cyclic(6), SemidirectCC(3, 2, 2),
+        Dihedral(8), DirectProduct(Cyclic(2), Cyclic(4)),
+    ],
+)
+def test_respects_law_on_frame_generators_keeps_exactly_the_automorphisms(spec):
+    # of every permutation of N's indices fixing the identity, the kernel
+    # accepts on the frame generators exactly those that the all-pairs
+    # filter keeps, reading rows as realize does and columns as brace does.
+    # In C2xC4 the law on the first generator alone admits a bijection
+    # that is no automorphism, which the others do not tell apart
+    N = build(spec)
+    rows, e, gens = N.rows(), N.identity_index, generator_frame(N)[0]
+    cols = tuple(zip(*rows))
+    col_shifts = tuple((s, perm.composer(cols[s])) for s in gens)
+    fixing = [p for p in itertools.permutations(range(len(N))) if p[e] == e]
+    by_rows = [p for p in fixing if groups.respects_law(p, rows, groups.generator_shifts(N))]
+    by_cols = [p for p in fixing if groups.respects_law(p, cols, col_shifts)]
+    assert by_rows == by_cols == brute_force_automorphisms(N)
+
+
+@pytest.mark.parametrize(
+    "g_spec,h_spec",
+    [
+        (DirectProduct(Cyclic(2), Cyclic(2)), SemidirectCC(3, 2, 2)),
+        (Cyclic(4), Dihedral(8)),
+        (Cyclic(1), Cyclic(3)),
+    ],
+)
+def test_homomorphism_verify_keeps_exactly_the_homomorphisms(g_spec, h_spec):
+    # Homomorphism.verify reads respects_law across two groups: of every
+    # map fixing the identity, it accepts exactly the backtracking oracle's
+    G, H = build(g_spec), build(h_spec)
+    e, f = G.identity_index, H.identity_index
+    maps = [m for m in itertools.product(range(len(H)), repeat=len(G)) if m[e] == f]
+    assert [m for m in maps if Homomorphism(G, H, m).verify()] == brute_force_homomorphisms(G, H)
 
 
 def test_are_isomorphic_identity():

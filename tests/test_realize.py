@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from collections import Counter
 
@@ -32,7 +33,7 @@ from hopfgalois import factory, perm, realize
 from hopfgalois.audit import cached_realizable
 from hopfgalois.errors import BoundExceededError, CountingBugError, PreconditionError
 from hopfgalois.factory import is_squarefree
-from hopfgalois.groups import PermGroup
+from hopfgalois.groups import PermGroup, derived_subgroup, generator_frame
 
 import conftest
 from conftest import (
@@ -144,6 +145,63 @@ def test_crossed_homs_limit_one_is_a_member(g_spec, n_spec):
 def test_crossed_hom_law_holds_on_all_pairs():
     w = realizable_via_cocycles(C(6), D(6))
     assert w is not None and w.bijective and w.verify_law()
+
+
+@pytest.mark.parametrize(
+    "orders,lifted", [(range(1, 67), False), (range(67, 111), True)], ids=["to-66", "lifted-67-110"]
+)
+def test_verify_law_matches_the_all_pairs_oracle(monkeypatch, orders, lifted):
+    # verify_law reads f from g on G's frame generators; it must equal the
+    # law on all |G|^2 pairs on every witness, and on mutants of each: two
+    # images of g swapped, and f's image moved at each frame generator
+    # and at the last element.  Orders 67-110 run with the gate lifted,
+    # so Aut(N) past TABLE_LIMIT is read by rows
+    if lifted:
+        monkeypatch.setattr(realize, "_check_tables", conftest.lifted_check_tables)
+    rng = random.Random(32)
+    witnesses, mutants, bad = 0, 0, []
+    for name, w in conftest.witness_cases(orders):
+        witnesses += 1
+        assert w.verify_law() and conftest.all_pairs_law(w), name
+        cases = conftest.swap_mutants(w, rng, 1)
+        moved = {*generator_frame(w.domain)[0], len(w.g) - 1}
+        cases += filter(None, (conftest.off_by_one(w, x) for x in moved))
+        mutants += len(cases)
+        bad += [name for c in cases if conftest.law_differs(c)]
+    assert (witnesses, bad) == ((141 if lifted else 168), [])
+    assert mutants > 2 * witnesses
+
+
+def _constant(w):
+    return realize.CrossedHom(w.f, (w.n_group.identity_index,) * len(w.g), w.n_group, True)
+
+
+def _translated(w):
+    rows = w.n_group.rows()
+    return realize.CrossedHom(w.f, tuple(rows[1][y] for y in w.g), w.n_group, True)
+
+
+@pytest.mark.parametrize(
+    "mutate,oracle",
+    [
+        # two images of g swapped that make no witness
+        (lambda w: conftest.swapped(w, 1, 2), False),
+        # f's image of one frame generator of G moved
+        (lambda w: conftest.off_by_one(w, generator_frame(w.domain)[0][0]), False),
+        # g = e is no bijection, though the all-pairs law holds for it
+        (_constant, True),
+        # g moved by a translation: a bijection with g(e) != e
+        (_translated, False),
+    ],
+    ids=["swap", "f-off-by-one", "not-bijective", "g(e)-not-e"],
+)
+def test_verify_law_refuses_what_is_no_witness(mutate, oracle):
+    w = realizable_via_cocycles(C(30), D(30))
+    c = mutate(w)
+    assert w.verify_law() and not c.verify_law()
+    assert conftest.all_pairs_law(c) is oracle
+    if c.f is w.f:  # no f at all makes this g a crossed homomorphism
+        assert realize.crossed_twist(c.domain, c.n_group, c.g) is None
 
 
 def test_subgroup_from_cocycle_identity_is_translations():
@@ -832,12 +890,25 @@ def test_dropping_the_last_pair_orbit_breaks_the_parity(monkeypatch):
     # (C30, D30) become 3.  For an abelian N the check is not made, and
     # (D30, C30) has 15 orbits
     G, N = C(30), D(30)
-    assert realize._is_abelian(G) and not realize._is_abelian(N)
+    assert len(derived_subgroup(G)) == 1 < len(derived_subgroup(N))
     assert count_crossed_pairs(N, G) == 15 * len(automorphism_group(G))
     assert count_crossed_pairs(G, N) == 4 * len(automorphism_group(N))
     full = realize._pair_orbit_reps
     monkeypatch.setattr(realize, "_pair_orbit_reps", lambda G, aut, N: list(full(G, aut, N))[:-1])
     with pytest.raises(CountingBugError, match="an odd number of orbits, 3"):
+        count_crossed_pairs(G, N)
+
+
+def test_dropping_a_pair_orbit_breaks_divisibility_by_aut_g(monkeypatch):
+    # Aut(G) acts freely on the bijective pairs, so |Aut G| divides their
+    # number.  (D30, C30) has an abelian N, so the parity check is silent,
+    # and 15 orbits of |Aut C30| = 8 give 120 pairs; one orbit fewer gives
+    # 112, which |Aut D30| = 120 does not divide
+    G, N = D(30), C(30)
+    assert count_crossed_pairs(G, N) == 120 == factory.automorphism_order(G)
+    full = realize._pair_orbit_reps
+    monkeypatch.setattr(realize, "_pair_orbit_reps", lambda G, aut, N: list(full(G, aut, N))[:-1])
+    with pytest.raises(CountingBugError, match=r"^112 pairs, not a multiple of \|Aut G\| = 120$"):
         count_crossed_pairs(G, N)
 
 
