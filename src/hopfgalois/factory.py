@@ -12,6 +12,7 @@ cross-checks need.
 from __future__ import annotations
 
 import functools
+import itertools
 from math import gcd
 
 from . import perm
@@ -33,7 +34,9 @@ from .groups import (
     extend_images,
     factorize,
     generator_frame,
+    generator_shifts,
     iso_candidates,
+    respects_law,
     unique_odd_part,
 )
 
@@ -224,7 +227,9 @@ def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
     composition.  That list is the group <x, y> exactly when its
     elements are distinct, which ``PermGroup`` checks, and the relations
     x^k = y^l = 1 and y x y^-1 = x^t hold, which are checked here; a
-    relation that fails raises CountingBugError.
+    relation that fails raises CountingBugError.  The group is regular,
+    so x^a·y^b, which sends point 0 to a*l + b, has index a*l + b, and
+    the group keeps (k, l, t) as its ``pair``.
     """
     size = k * l
     check_size(size, size)
@@ -239,7 +244,7 @@ def _semidirect_pair(k: int, l: int, t: int, spec) -> PermGroup:
     for step in map(perm.composer, ys[1:l]):
         elements += map(step, xs[1:k])  # x^a·y^b
     gens = [g for g, n in ((x, k), (y, l)) if n > 1] or [e]
-    return PermGroup(size, elements, generators=gens, label=spec)
+    return PermGroup(size, elements, generators=gens, label=spec, pair=(k, l, t))
 
 
 def _powers(p, n: int) -> list:
@@ -254,10 +259,79 @@ def _powers(p, n: int) -> list:
 # Automorphism groups and holomorphs.
 
 
+def _coprime_pair(N: PermGroup):
+    """N's ``pair`` (k, l, t) when gcd(k, l) = 1, else None."""
+    pair = N.pair
+    return pair if pair is not None and gcd(pair[0], pair[1]) == 1 else None
+
+
+def _triples(k: int, l: int, t: int):
+    """Aut(Z_k x|_t Z_l) for gcd(k, l) = 1 in closed form (Golasiński and
+    Gonçalves, Manuscripta Math. 128, 2009): the maps (i, j, w),
+    x -> x^i and y -> x^j·y^w, with i a unit mod k, w a unit mod l with
+    t^w = t mod k, and j·(1 + t + ... + t^(l-1)) = 0 mod k, that is j a
+    multiple of j0.  Returns (the i's, the w's, j0, sums), sums[b] being
+    1 + t + ... + t^(b-1) mod k, so that (i, j, w) sends x^a·y^b to
+    x^(i·a + j·sums[b])·y^(w·b)."""
+    sums = [x % k for x in itertools.accumulate((pow(t, b, k) for b in range(l)), initial=0)]
+    units = [i for i in range(k) if gcd(i, k) == 1]
+    ws = [w for w in range(l) if gcd(w, l) == 1 and pow(t, w, k) == t % k]
+    return units, ws, k // gcd(k, sums[l]), sums
+
+
+def _closed_form_automorphisms(N: PermGroup, k: int, l: int, t: int) -> list:
+    """Every (1, j, w)∘(i, 0, 1) of ``_triples`` as a permutation of N's
+    indices, x^a·y^b at index a·l + b, one ``perm.composer`` call each.
+
+    Only generating maps are computed by arithmetic: (1, j0, 1), whose
+    powers are the (1, j, 1), and greedy generators of the i's and of
+    the w's, each r not reached by the ones before it; every other
+    (i, 0, 1) or (1, 0, w) is one composition, made as ``_reach``, the
+    orbit walk, first reaches its residue by r.  A generating map that is
+    not a permutation, or fails ``respects_law`` on N's frame generators,
+    raises CountingBugError.  With
+    (1, j, w) = (1, 0, w)∘(1, j, 1) and every list in ascending order,
+    the automorphisms come sorted by image tuple: index 1 is y, sent to
+    x^j·y^w at j·l + w, and index l is x, sent to x^i at i·l.
+    """
+    units, ws, j0, sums = _triples(k, l, t)
+    rows, shifts, e = N.rows(), generator_shifts(N), perm.identity(len(N))
+
+    def generator(i, j, w):
+        cols = [(j * sums[b] % k, w * b % l) for b in range(l)]
+        g = tuple([(i * a + c) % k * l + d for a in range(k) for c, d in cols])
+        if not (perm.is_perm(g) and respects_law(g, rows, shifts)):
+            raise CountingBugError(f"{(i, j, w)} is not an automorphism of {N.label}")
+        return g
+
+    def unit_maps(group, m, make):
+        maps = {1 % m: e}
+        for r in group:
+            if r not in maps:
+                step = perm.composer(make(r))
+                order, parent = _reach(lambda x: (x * r % m,), maps, (0,))
+                for y in order[len(maps):]:
+                    maps[y] = step(maps[parent[y][0]])
+        return [maps[r] for r in sorted(maps)]
+
+    vs = _powers(generator(1, j0, 1), k // j0)[:-1] if j0 < k else [e]
+    w_maps = unit_maps(ws, l, lambda w: generator(1, 0, w))
+    if len(w_maps) > 1:
+        vs = [j(w) for j in map(perm.composer, vs) for w in w_maps]
+    us = unit_maps(units, k, lambda i: generator(i, 0, 1))
+    if len(vs) == 1:  # every automorphism is an (i, 0, 1)
+        return us
+    steps = list(map(perm.composer, us))
+    return [u(v) for v in vs for u in steps]
+
+
 @derived
 def _aut_chain(N: PermGroup):
     """Aut(N) as a two-level stabilizer chain (transversal, stabilizer),
-    built once per group object.
+    built once per group object: the search for every N without a closed
+    form (A4, direct products, ``Hol(...)``, recipes Z_k x| Z_l with
+    gcd(k, l) > 1, and groups built from element lists), and the oracle
+    the tests and CI hold the closed form equal to.
 
     a is the first generator of ``generator_frame(N)``, and every
     generator may go to any element of its order (``iso_candidates``).
@@ -300,8 +374,21 @@ def _aut_chain(N: PermGroup):
     return transversal, stabilizer
 
 
+@derived
 def automorphism_order(N: PermGroup) -> int:
-    """|Aut N|, read off ``_aut_chain`` without listing Aut(N)."""
+    """|Aut N| without listing Aut(N), once per group object: for a coprime
+    ``pair`` the count of ``_triples``, φ(k)·#w·(k / j0); for a product
+    recipe A x B (N's label) with gcd(|A|, |B|) = 1 the product of the
+    factors' orders, as Aut(A x B) = Aut A x Aut B; else read off
+    ``_aut_chain``."""
+    pair = _coprime_pair(N)
+    if pair is not None:
+        units, ws, j0, _ = _triples(*pair)
+        return len(units) * len(ws) * (pair[0] // j0)
+    if isinstance(N.label, DirectProduct):
+        A, B = build(N.label.left), build(N.label.right)
+        if gcd(len(A), len(B)) == 1:
+            return automorphism_order(A) * automorphism_order(B)
     transversal, stabilizer = _aut_chain(N)
     return len(transversal) * len(stabilizer)
 
@@ -311,25 +398,35 @@ def automorphism_group(N: PermGroup) -> PermGroup:
     """All automorphisms of N, as permutations of N's element indices,
     computed once per group object.
 
-    They are t_c o s over the transversal and stabilizer of ``_aut_chain``,
-    and each must map the chain's point a to c, or CountingBugError is
-    raised; a repeated automorphism fails in PermGroup.  The group's base
-    is N's frame generators (``generator_frame(N)[0]``), which the chain
-    has built: an automorphism is fixed by its images of a generating
-    set, so no greedy ``_base`` scan runs over Aut(N), and ``PermGroup``
-    still refuses a base that does not tell the elements apart.
+    For a coprime ``pair`` they are ``_closed_form_automorphisms``, with
+    no search.  Every other N takes t_c o s over the transversal and
+    stabilizer of ``_aut_chain``, and each must map the chain's point a
+    to c, or CountingBugError is raised.  Either way the count must be
+    ``automorphism_order(N)``, the closed form's count or, for a product
+    of coprime factor orders, the factors' product, or CountingBugError
+    is raised; a repeated automorphism fails in PermGroup.  The group's
+    base is N's frame generators (``generator_frame(N)[0]``): an
+    automorphism is fixed by its images of a generating set, so no greedy
+    ``_base`` scan runs over Aut(N), and ``PermGroup`` still refuses a
+    base that does not tell the elements apart.
     """
-    transversal, stabilizer = _aut_chain(N)
-    a = next(iter(transversal))
-    composers = [perm.composer(s) for s in stabilizer]
-    elements = []
-    for c, t in transversal.items():
-        for compose_s in composers:
-            alpha = compose_s(t)
-            if alpha[a] != c:
-                raise CountingBugError("a transversal element misses its orbit point")
-            elements.append(alpha)
-    return PermGroup(len(N), elements, base=generator_frame(N)[0])
+    pair = _coprime_pair(N)
+    if pair is not None:
+        elements = _closed_form_automorphisms(N, *pair)
+    else:
+        transversal, stabilizer = _aut_chain(N)
+        a = next(iter(transversal))
+        composers = [perm.composer(s) for s in stabilizer]
+        elements = []
+        for c, t in transversal.items():
+            for compose_s in composers:
+                alpha = compose_s(t)
+                if alpha[a] != c:
+                    raise CountingBugError("a transversal element misses its orbit point")
+                elements.append(alpha)
+    if len(elements) != automorphism_order(N):
+        raise CountingBugError(f"{len(elements)} automorphisms, not |Aut N| = {automorphism_order(N)}")
+    return PermGroup(len(N), elements, base=tuple(map(N.index_of, N.minimal_generating_set())))
 
 
 class HolomorphGroup:

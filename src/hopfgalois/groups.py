@@ -5,9 +5,10 @@ list of image tuples.  Orders stay small (a few thousand at most), so
 elements are enumerated explicitly instead of held as stabilizer chains;
 only two ideas are borrowed from those: every product is looked up by
 its images of a base, a few points that tell every element apart,
-instead of by a composed tuple of ``degree`` points; and Aut(N) is
-first found as a two-level chain (``factory._aut_chain``), so its order
-is known before its elements are listed.
+instead of by a composed tuple of ``degree`` points; and Aut(N), where
+no closed form gives it, is first found as a two-level chain
+(``factory._aut_chain``), so its order is known before its elements are
+listed.
 Every product is read from ``PermGroup.rows()``, the power walk behind
 the order and inverse tables included: the multiplication table up to
 ``TABLE_LIMIT`` elements, a regular group's own element list, and above
@@ -88,8 +89,12 @@ class PermGroup:
     first product, or above ``TABLE_LIMIT`` a list of rows that look each
     entry up by base images, as the table's generator rows do.  ``base``,
     if given, is the base both use, points whose images tell the elements
-    apart; without it the greedy ``_base`` is taken.  Whatever is derived
-    from the group is kept by ``derived`` in its ``_memo``, computed on
+    apart; without it the greedy ``_base`` is taken.  ``pair`` is the
+    (k, l, t) of a group that ``factory._semidirect_pair`` lists as
+    Z_k x|_t Z_l, element x^a·y^b at index a·l + b, and None on every
+    other group, a copy of one included; ``factory.automorphism_group``
+    reads Aut(N) off it in closed form when gcd(k, l) = 1.  Whatever is
+    derived from the group is kept by ``derived`` in its ``_memo``, computed on
     first use: the table or rows, the identity's index (so a read builds
     no identity tuple), the order and inverse tables of one
     ``_power_walk`` along the rows, the generating set, the frames, the
@@ -100,7 +105,7 @@ class PermGroup:
     group; the constructor sets nothing else.
     """
 
-    def __init__(self, degree, elements, generators=None, label=None, base=None):
+    def __init__(self, degree, elements, generators=None, label=None, base=None, pair=None):
         self.degree = degree
         self.elements = tuple(sorted(elements))
         self.generators = tuple(generators) if generators else self._default_generators()
@@ -109,6 +114,7 @@ class PermGroup:
         if len(self._index) != len(self.elements):
             raise PreconditionError("group elements are not distinct")
         self._base_points = base
+        self.pair = pair
 
     def _default_generators(self):
         e = perm.identity(self.degree)
@@ -484,7 +490,8 @@ def _reach(step, start, gens):
     ``rows.__getitem__``, and from a subset of <gens> the walk reaches
     <gens>; ``factory._aut_chain`` and ``realize`` walk orbits of N's
     indices, of Hol(N) codes and of subgroups, where step(x) lists x's
-    images by each generator and ``gens`` is their range.  Other walks
+    images by each generator and ``gens`` is their range, and Aut(N)'s
+    closed form walks units mod k by one residue at a time.  Other walks
     stay apart: ``closure`` stops at its cap, before it stores more
     permutations; ``_subgroup_sets`` queues subgroups, each join closed here;
     and the pair closures of ``realize._pair_search`` and of the direct
@@ -723,8 +730,10 @@ def respects_law(p, lines, shifts):
 @derived
 def generator_shifts(G: PermGroup):
     """The ``shifts`` of ``respects_law`` for G's rows on the generators
-    of ``generator_frame(G)``, built once per group object."""
-    return tuple((s, perm.composer(G.rows()[s])) for s in generator_frame(G)[0])
+    of ``generator_frame(G)``, built once per group object.  They are
+    read off ``minimal_generating_set``, so no extension plan is built."""
+    rows = G.rows()
+    return tuple((s, perm.composer(rows[s])) for s in map(G.index_of, G.minimal_generating_set()))
 
 
 @derived
@@ -865,9 +874,10 @@ def isomorphisms(G: PermGroup, H: PermGroup):
     Each generator of a smallest generating set of G may go to any element
     of H of its order (``iso_candidates``); extend_images keeps the
     injective homomorphisms, which between groups of one order are the
-    isomorphisms.  Aut(N) does not list ``isomorphisms(N, N)``:
-    ``factory._aut_chain`` runs the same scan one image of the first
-    generator at a time, and the tests hold the two equal.
+    isomorphisms.  Aut(N) does not list ``isomorphisms(N, N)``: a coprime
+    Z_k x| Z_l is read off in closed form, and ``factory._aut_chain`` runs
+    the same scan one image of the first generator at a time for the rest;
+    the tests hold both equal to it.
     """
     if len(G) != len(H):
         return

@@ -67,6 +67,7 @@ from conftest import (
     witness_cases,
 )
 from hopfgalois import (
+    automorphism_group,
     build,
     catalog,
     count_crossed_pairs,
@@ -213,8 +214,9 @@ def element_orders():
 
 def walk_kernel():
     # _generating_set on every catalog table up to order 210 and on 300
-    # seeded random loops, many of them not groups; and Aut(N), whose
-    # chain orbit _reach grows, for every catalog N at orders 111-210
+    # seeded random loops, many of them not groups; and Aut(N) for every
+    # catalog N at orders 111-210, in closed form and from the chain,
+    # whose orbit _reach grows, on an unshared copy
     tables = [(name, G.table(), G.identity_index) for name, G in catalog_cases(range(1, 211))]
     for seed in range(300):
         rng = random.Random(seed)
@@ -234,6 +236,31 @@ def table_kernel():
     auts = released(lambda order: table_cases((), order), range(111, 211))
     checked, bad = tally(itertools.chain(tables, auts), table_differs)
     return f"{checked} tables", bad
+
+
+def aut_closed_form():
+    # Aut(N) in closed form against the chain on an unshared copy, for
+    # every catalog N at orders 111-600: |Aut N| for each, and the element
+    # lists wherever |Aut N|·|N| is within SIZE_LIMIT, each catalog
+    # released before the next
+    listed = 0
+
+    def differs(N):
+        nonlocal listed
+        copy = fresh_copy(N)
+        transversal, stabilizer = factory._aut_chain(copy)
+        order = factory.automorphism_order(N)
+        if order != len(transversal) * len(stabilizer):
+            return True
+        if order * len(N) > groups.SIZE_LIMIT:
+            return False
+        listed += 1
+        # unmemoized, so only one pair of listings is held at a time
+        listing = automorphism_group.__wrapped__
+        return listing(N).elements != listing(copy).elements
+
+    checked, bad = tally(released(catalog_cases, range(111, 601)), differs)
+    return f"{checked} groups counted, {listed} listed", bad
 
 
 def hom_orbit_reps():
@@ -409,6 +436,7 @@ CHECKS = {
     "element-orders": element_orders,
     "walk-kernel": walk_kernel,
     "table-kernel": table_kernel,
+    "aut-closed-form": aut_closed_form,
     "hom-orbit-reps": hom_orbit_reps,
     "cocycle-kernel": cocycle_kernel,
     "witness-law": witness_law,

@@ -966,9 +966,14 @@ def walk_differs(table, e):
 
 
 def aut_differs(N):
-    """Aut(N) is not the sorted isomorphisms N -> N, or not of ``automorphism_order``."""
-    aut = automorphism_group(N)
-    return aut.elements != tuple(sorted(isomorphisms(N, N))) or automorphism_order(N) != len(aut)
+    """Aut(N), or Aut of an unshared copy of N, which the chain lists, is
+    not the sorted isomorphisms N -> N, or not of ``automorphism_order``."""
+    expected = tuple(sorted(isomorphisms(N, N)))
+    for M in (N, fresh_copy(N)):
+        aut = automorphism_group(M)
+        if aut.elements != expected or automorphism_order(M) != len(aut):
+            return True
+    return False
 
 
 def table_differs(G):

@@ -44,6 +44,7 @@ from conftest import (
     closure_pair,
     decompose_cases,
     decompose_differs,
+    fresh_copy,
     lattice_decompose_burnside,
     memo_of,
     tally,
@@ -127,8 +128,10 @@ def test_automorphisms_against_brute_force(spec):
 
 
 def test_automorphism_group_matches_isomorphisms():
-    # the chain's t_c o s against the full isomorphisms(N, N) scan: every
-    # catalog N at orders up to 110 (4 and 12 included) and five others
+    # Aut(N), in closed form where N has a coprime pair, and from the
+    # chain on an unshared copy, against the full isomorphisms(N, N) scan:
+    # every catalog N at orders up to 110 (4 and 12 included) and five
+    # others
     orders = [n for n in range(1, 111) if n in (4, 12) or is_squarefree(n)]
     groups = [e.group for n in orders for e in catalog(n)]
     groups += [build(parse_group_spec(t)) for t in ("C2xC2xC2", "C2xC4", "D8", "A4", "D30xC7")]
@@ -176,6 +179,104 @@ def test_automorphism_group_checks_the_transversal(monkeypatch):
     monkeypatch.setattr(factory, "_aut_chain", lambda G: (transversal, repeated))
     with pytest.raises(PreconditionError, match="not distinct"):
         automorphism_group(PermGroup(N.degree, N.elements))
+
+
+def unshared(spec):
+    """A new group object for a cyclic, dihedral or semidirect recipe, with
+    its ``pair`` and no memo yet."""
+    return _semidirect_pair(*factory._pair(spec), spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Cyclic(1),
+        Cyclic(2),
+        Dihedral(2),
+        Cyclic(9),
+        Cyclic(18),
+        Dihedral(18),
+        Dihedral(50),
+        SemidirectCC(7, 3, 2),
+        SemidirectCC(9, 4, 8),
+        SemidirectZ2(15, 4),
+    ],
+    ids=lambda spec: spec.text(),
+)
+def test_closed_form_equals_the_chain(spec):
+    # a coprime Z_k x| Z_l, prime-power and non-squarefree k included, is
+    # read off (i, j, w) with no chain; a copy without its pair takes the
+    # chain, and both give one element list and one count
+    N = unshared(spec)
+    closed = automorphism_group(N)
+    chain = automorphism_group(fresh_copy(N))
+    assert closed.elements == chain.elements
+    assert factory.automorphism_order(N) == len(closed) == len(chain)
+    assert closed._base_lookup()[0] == chain._base_lookup()[0]
+    assert not memo_of(N, factory._aut_chain)
+
+
+def test_recipes_without_a_closed_form_take_the_chain(monkeypatch):
+    # gcd(k, l) > 1 (D12 = Z_6 x| Z_2, SDZ2(4;3)) and a copy built from an
+    # element list have no coprime pair
+    def boom(*args):
+        raise AssertionError("closed form on a group without a coprime pair")
+
+    monkeypatch.setattr(factory, "_closed_form_automorphisms", boom)
+    for N in (unshared(Dihedral(12)), unshared(SemidirectZ2(4, 3)), fresh_copy(D(30))):
+        assert not aut_differs(N)
+        assert memo_of(N, factory._aut_chain)
+
+
+@pytest.mark.parametrize(
+    "spec, widen",
+    [
+        # w = 2 with 2^2 != 2 mod 7: y -> y^2 breaks y x y^-1 = x^2
+        (SemidirectCC(7, 3, 2), lambda units, ws, j0, sums: (units, [1, 2], j0, sums)),
+        # every j, where only multiples of 3 keep (x^j y)^2 = 1
+        (SemidirectZ2(15, 4), lambda units, ws, j0, sums: (units, ws, 1, sums)),
+        # every residue for i: x -> x^0 is no permutation
+        (SemidirectCC(7, 3, 2), lambda units, ws, j0, sums: (list(range(7)), ws, j0, sums)),
+    ],
+    ids=["w", "j", "i"],
+)
+def test_a_generating_map_off_the_law_is_refused(monkeypatch, spec, widen):
+    real = factory._triples
+    monkeypatch.setattr(factory, "_triples", lambda k, l, t: widen(*real(k, l, t)))
+    with pytest.raises(CountingBugError, match="is not an automorphism"):
+        automorphism_group(unshared(spec))
+
+
+def test_a_listing_off_the_count_is_refused(monkeypatch):
+    # a unit left out of the count is still reached by the walk, so the
+    # listing holds one more orbit of automorphisms than the formula
+    real = factory._triples
+    monkeypatch.setattr(factory, "_triples", lambda k, l, t: (real(k, l, t)[0][:-1], *real(k, l, t)[1:]))
+    with pytest.raises(CountingBugError, match="not [|]Aut N[|] = "):
+        automorphism_group(unshared(SemidirectCC(7, 3, 2)))
+
+
+def test_a_coprime_product_counts_by_its_factors(monkeypatch):
+    # Aut(A x B) = Aut A x Aut B for gcd(|A|, |B|) = 1: |Aut| of
+    # C2xC2xC2xC31 is 168 * 30, with no chain over the product, and a
+    # chain that lists D30xC7 short of 120 * 6 is refused
+    chained = []
+    real = factory._aut_chain
+    monkeypatch.setattr(factory, "_aut_chain", lambda G: chained.append(len(G)) or real(G))
+    base = build(parse_group_spec("C2xC2xC2xC31"))
+    N = PermGroup(base.degree, base.elements, label=base.label)
+    assert factory.automorphism_order(N) == 5040
+    assert 248 not in chained
+    base = build(parse_group_spec("D30xC7"))
+    assert len(automorphism_group(fresh_copy(base))) == 720
+
+    def short(G):
+        transversal, stabilizer = real(G)
+        return transversal, stabilizer[:-1]
+
+    monkeypatch.setattr(factory, "_aut_chain", short)
+    with pytest.raises(CountingBugError, match="not [|]Aut N[|] = 720"):
+        automorphism_group(PermGroup(base.degree, base.elements, label=base.label))
 
 
 def test_automorphism_group_generator_bound():

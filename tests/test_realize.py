@@ -503,16 +503,17 @@ def test_cocycle_engine_and_holomorph_refuse_before_listing_aut(monkeypatch):
 
     monkeypatch.setattr(factory, "automorphism_group", boom)
     monkeypatch.setattr(realize, "automorphism_group", boom)
+    monkeypatch.setattr(factory, "_aut_chain", boom)
     # |Aut D102| = 1632 is past TABLE_LIMIT, and Hol(D102) past SIZE_LIMIT:
-    # each is refused on |Aut N| alone, read off the chain
-    N = D(102)
+    # each is refused on |Aut N| alone, read off the closed form with no
+    # chain
+    N = factory._semidirect_pair(51, 2, 50, None)  # D102, with no memo yet
     for engine in (realizable_via_cocycles, count_crossed_pairs):
         with pytest.raises(BoundExceededError, match="^no table above 1200 elements$"):
             engine(C(102), N)
     with pytest.raises(BoundExceededError, match="exceed the size bound"):
         factory.holomorph(N)
     # |N| = 1201 is refused before Aut(N) is even counted
-    monkeypatch.setattr(factory, "_aut_chain", boom)
     for engine in (realizable_via_cocycles, count_crossed_pairs):
         with pytest.raises(BoundExceededError, match="^no table above 1200 elements$"):
             engine(C(1201), C(1201))
@@ -1121,13 +1122,14 @@ def test_derived_state_is_freed_with_its_groups():
 def test_no_group_keeps_lazy_state_of_its_own():
     # what a group derives lives in its ``_memo`` alone, so an attribute
     # set after construction, a lazy slot or a listing written into
-    # Hol(N), is outside the one memo and fails here
+    # Hol(N), is outside the one memo and fails here; ``pair`` is a
+    # constructor field
     G, N = fresh_copy(C(6)), fresh_copy(D(6))
     assert count_crossed_pairs(G, N) == 12
     hol = holomorph(N)
     records = regular_subgroups(hol)
     assert len(hol.group) == 36
     groups = [G, N, automorphism_group(N), hol.group, *(r.subgroup for r in records)]
-    allowed = {"degree", "elements", "generators", "label", "_index", "_base_points", "_memo"}
+    allowed = {"degree", "elements", "generators", "label", "_index", "_base_points", "pair", "_memo"}
     assert [name for H in groups for name in vars(H) if name not in allowed] == []
     assert not {"group", "tags"} & set(vars(hol))
