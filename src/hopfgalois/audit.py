@@ -363,7 +363,9 @@ def audit_p004(order: int) -> AuditReport:
 
 def audit_t002(n: int) -> AuditReport:
     """Transport: a witness for (G, N) pulls every characteristic subgroup
-    M of N back to a subgroup H of G with (H, M) realizable."""
+    M of N back to a subgroup H of G with (H, M) realizable.  The witness
+    restricted to H is checked as one for (H, M) (``transport_characteristic``);
+    no engine search runs on (H, M)."""
     _require_odd(n)
     check_size(2 * n, 2 * n)
     classes = _classes(2 * n)

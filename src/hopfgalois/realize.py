@@ -792,11 +792,19 @@ def realizable_via_search(G: PermGroup, N: PermGroup) -> bool:
 def transport_characteristic(c: CrossedHom, M: PermGroup):
     """Pull a characteristic subgroup M of N back through a witness.
 
-    H = g^-1(M) is asserted to be a subgroup of G of order |M|, and the
-    pair (H, M) is asserted realizable; a failure is reported as a bug or
-    a genuine discrepancy, never passed silently.
+    H = g^-1(M) is asserted to be a subgroup of G of order |M|, and g
+    restricted to H a witness for (H, M).  M is characteristic, so each
+    f(a) maps M onto M and g|_H is a bijective crossed homomorphism
+    H -> M for the twist a -> f(a)|_M.  ``crossed_twist`` checks from
+    g|_H alone that it is one for some twist, which is all realizability
+    asks, so no engine search runs on (H, M) and no Aut(M) is built.
+    Returns (H, g|_H), g|_H a tuple of M's indices by H's.  A failure is
+    reported as a bug or a genuine discrepancy, never passed silently;
+    an M whose elements are not all N's raises PreconditionError.
     """
     G, N = c.domain, c.n_group
+    if not all(p in N for p in M.elements):
+        raise PreconditionError("M is not a subgroup of N")
     m_idxs = {N.index_of(p) for p in M.elements}
     h_idxs = [a for a in range(len(G)) if c.g[a] in m_idxs]
     if len(h_idxs) != len(M):
@@ -808,9 +816,9 @@ def transport_characteristic(c: CrossedHom, M: PermGroup):
         if any(rows[a][b] not in h_set for b in h_idxs):
             raise CountingBugError("preimage of a characteristic subgroup is not closed")
     H = G.subgroup_from_indices(h_idxs)
-    witness = realizable_via_cocycles(H, M)
-    if witness is None:
+    g_H = tuple(M.index_of(N.elements[c.g[a]]) for a in h_idxs)
+    if crossed_twist(H, M, g_H) is None:
         raise CountingBugError(
             "transported pair is not realizable; paper discrepancy or bug"
         )
-    return H, witness
+    return H, g_H

@@ -62,6 +62,8 @@ from conftest import (
     table_cases,
     table_differs,
     tally,
+    transport_cases,
+    transport_differs,
     unpruned_pair_search,
     walk_differs,
     witness_cases,
@@ -393,6 +395,23 @@ def bench_smoke():
     return f"{2 * len(workloads)} runs", bad
 
 
+def transport():
+    # transport_characteristic, which checks the pulled-back witness with
+    # crossed_twist, against engine_transport, which runs the cocycle
+    # engine on (H, M), on the lift: every realizable catalog pair at
+    # twice-odd squarefree orders up to 250, the pairs t002 reaches at
+    # n <= 125, and each characteristic M of its N, each order released
+    # before the next
+    gate = realize._check_tables
+    realize._check_tables = lifted_check_tables
+    try:
+        orders = [n for n in range(2, 251, 4) if is_squarefree(n)]
+        checked, bad = tally(released(transport_cases, orders), transport_differs)
+    finally:
+        realize._check_tables = gate
+    return f"{checked} transports", bad
+
+
 def count_code_lines(text):
     # lines holding a token other than a comment, layout or a docstring
     # (a string that is a statement of its own)
@@ -440,6 +459,7 @@ CHECKS = {
     "hom-orbit-reps": hom_orbit_reps,
     "cocycle-kernel": cocycle_kernel,
     "witness-law": witness_law,
+    "transport": transport,
     "bad-input": bad_input,
     "demos": demos,
     "bench-smoke": bench_smoke,

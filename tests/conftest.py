@@ -19,16 +19,17 @@ combination of elements in turn, a greedy generating set by a walk
 restarted from the identity, compositions by a generator expression,
 random loops by backtracking, and Hol(N) and its semiregular classes by
 listing and testing every element.  They exist so the fast engines can be
-checked against something slow and obviously correct.  Six are not
+checked against something slow and obviously correct.  Seven are not
 independent: ``canonical_first_witness`` runs the library's own plain
 scan, every f of ``homomorphisms`` in turn, which the orbit engine's
 first witness must equal, ``hom_orbits`` conjugates every f of
 ``homomorphisms``, ``per_element_semiregular_classes`` walks
 the library's own conjugation tables, ``unpruned_pair_search`` is the
 Hol(N) search on those tables without its two cuts, ``lookup_table`` takes the
-library's greedy ``_base``, whatever base the group was given, and
+library's greedy ``_base``, whatever base the group was given,
 ``full_check_extend_images`` runs the generator-image scan over the
-library's ``bfs_order``, with every (element, generator) check kept.
+library's ``bfs_order``, with every (element, generator) check kept, and
+``engine_transport`` runs the cocycle engine on each pulled-back pair.
 
 The last part holds the check bodies that a Tier-1 test runs at its
 orders and ``tests/ci_checks.py`` runs at larger ones, and the two CLI
@@ -1073,6 +1074,52 @@ def listed_twist_witness(c):
         return False
     f = groups.Homomorphism(G, aut, tuple(map(aut.index_of, twist)))
     return f.verify() and all_pairs_law(realize.CrossedHom(f, c.g, N, True))
+
+
+def engine_transport(c, M):
+    """The transport by search: the preimage H = g^-1(M) and its checks
+    as in ``transport_characteristic``, then the cocycle engine run on
+    (H, M), a new Aut(M) included.  Returns (H, the engine's witness for
+    (H, M)); raises CountingBugError where a preimage check fails or the
+    engine finds (H, M) not realizable."""
+    G, N = c.domain, c.n_group
+    m_idxs = {N.index_of(p) for p in M.elements}
+    h_idxs = [a for a in range(len(G)) if c.g[a] in m_idxs]
+    if len(h_idxs) != len(M):
+        raise CountingBugError(
+            f"preimage has {len(h_idxs)} elements, expected {len(M)}"
+        )
+    h_set, rows = set(h_idxs), G.rows()
+    for a in h_idxs:
+        if any(rows[a][b] not in h_set for b in h_idxs):
+            raise CountingBugError("preimage of a characteristic subgroup is not closed")
+    H = G.subgroup_from_indices(h_idxs)
+    witness = realizable_via_cocycles(H, M)
+    if witness is None:
+        raise CountingBugError(
+            "transported pair is not realizable; paper discrepancy or bug"
+        )
+    return H, witness
+
+
+def transport_cases(orders):
+    """(name, witness, M) for each catalog pair at ``orders`` that the
+    cocycle engine realizes, as ``witness_cases`` gives them, and each
+    characteristic subgroup M of its N: the transports t002 makes at
+    those orders, on fresh copies."""
+    for name, w in witness_cases(orders):
+        N = w.n_group
+        for M in characteristic_subgroups(N, automorphism_group(N)):
+            yield f"{name}, |M| = {len(M)}", w, M
+
+
+def transport_differs(c, M):
+    """Whether ``transport_characteristic`` pulls M back to another H
+    than ``engine_transport`` does.  A CountingBugError of either, the
+    engine finding (H, M) not realizable included, propagates."""
+    H, _ = realize.transport_characteristic(c, M)
+    oracle_H, _ = engine_transport(c, M)
+    return H.elements != oracle_H.elements
 
 
 def first_witness(G, N):

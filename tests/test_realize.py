@@ -606,7 +606,36 @@ def test_transport_rotations():
     w = realizable_via_cocycles(G, N)
     M = unique_odd_part(N)
     H, inner = transport_characteristic(w, M)
-    assert len(H) == 3 and inner is not None
+    assert len(H) == 3 and realize.crossed_twist(H, M, inner) is not None
+
+
+def test_transport_matches_engine_oracle():
+    # every realizable catalog pair up to order 66 and each characteristic
+    # M of its N: the same H as the engine oracle, which finds (H, M)
+    # realizable
+    checked, bad = tally(conftest.transport_cases(range(1, 67)), conftest.transport_differs)
+    assert (checked, bad) == (750, [])
+
+
+def test_transport_refuses_a_witness_swapped_inside_h():
+    # two images of g swapped inside H = g^-1(C15): H is still the same
+    # closed preimage, but g|_H is no crossed homomorphism, which only
+    # the check of the pulled-back witness sees
+    G, N = build(parse_group_spec("C30")), build(parse_group_spec("D30"))
+    w = realizable_via_cocycles(G, N)
+    M = unique_odd_part(N)
+    h_idxs = [a for a in range(len(G)) if N.elements[w.g[a]] in M]
+    H, _ = transport_characteristic(w, M)
+    bad = conftest.swapped(w, h_idxs[1], h_idxs[2])
+    assert conftest.engine_transport(bad, M)[0].elements == H.elements
+    with pytest.raises(CountingBugError, match="not realizable"):
+        transport_characteristic(bad, M)
+
+
+def test_transport_refuses_a_subgroup_outside_n():
+    w = realizable_via_cocycles(C(6), D(6))
+    with pytest.raises(PreconditionError, match="not a subgroup of N"):
+        transport_characteristic(w, build(Cyclic(3)))
 
 
 def per_f_count(G, N):
