@@ -194,15 +194,16 @@ def direct_normalized_count(G: PermGroup, budget_seconds=None) -> int:
     semis = sorted(orders, key=lambda p: (-orders[p], p))
     pool = set(semis)
     pool.add(ident)
+    times = {p: perm.composer(p) for p in semis}  # x -> x * p, as in groups.closure
 
-    def close_pair(gens):
+    def close_pair(steps):
         elems = {ident}
         frontier = [ident]
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gens:
-                    y = perm.compose(x, g)
+                for step in steps:
+                    y = step(x)
                     if y not in elems:
                         if y not in pool or len(elems) >= m:
                             return None
@@ -214,7 +215,7 @@ def direct_normalized_count(G: PermGroup, budget_seconds=None) -> int:
     found = set()
     for a in semis:
         if orders[a] == m:
-            S = close_pair((a,))
+            S = close_pair((times[a],))
             if S is not None:
                 found.add(S)
     for i, a in enumerate(semis):
@@ -223,7 +224,7 @@ def direct_normalized_count(G: PermGroup, budget_seconds=None) -> int:
         for b in semis[i + 1 :]:
             if oa * orders[b] < m:
                 continue
-            S = close_pair((a, b))
+            S = close_pair((times[a], times[b]))
             if S is not None:
                 found.add(S)
     count = 0
@@ -237,8 +238,9 @@ def direct_normalized_count(G: PermGroup, budget_seconds=None) -> int:
 
 def _normalized_by(S, gens, gen_invs):
     for t, ti in zip(gens, gen_invs):
+        right = perm.composer(ti)  # t r ti is t read at the entries of r ti
         for r in S:
-            if perm.compose(perm.compose(t, r), ti) not in S:
+            if tuple(map(t.__getitem__, right(r))) not in S:
                 return False
     return True
 

@@ -12,7 +12,12 @@ listed.
 Every product is read from ``PermGroup.rows()``, the power walk behind
 the order and inverse tables included: the multiplication table up to
 ``TABLE_LIMIT`` elements, a regular group's own element list, and above
-it rows that look each entry up from the same base and key.
+it rows that look each entry up from the same base and key.  Group order
+alone picks a table's row form: ``bytes`` up to ``BYTE_LIMIT`` (256)
+elements, so that the row walk composes each row by one
+``bytes.translate``, and tuples above, where an index no longer fits a
+byte and CPython 3.11 specializes a tuple's subscript, which it does not
+for bytes.
 Everything derived from a group, these rows and tables included, is
 kept on it by the one memo ``derived``; no group or holomorph keeps
 lazy state of its own.  Every orbit is walked
@@ -50,6 +55,7 @@ from .errors import (
 
 SUBGROUP_BOUND = 400   # |G| cap for the subgroup lattice walk
 TABLE_LIMIT = 1200     # larger groups have no table; their rows look entries up
+BYTE_LIMIT = 256       # tables up to this order keep bytes rows, for bytes.translate
 SIZE_LIMIT = 4_000_000  # |G| x degree cap on one group's list of image tuples
 
 
@@ -155,8 +161,11 @@ class PermGroup:
         """Rows whose entry [i][j] is the index of compose(elements[i],
         elements[j]): the one way a product is taken.  They are the table
         up to ``TABLE_LIMIT`` elements, a regular group's rows its own
-        elements; above it one list of ``_Row``s looks each entry up by
-        base images as the table's generator rows do."""
+        elements and other rows ``bytes`` up to ``BYTE_LIMIT`` elements,
+        tuples above (see ``table``); above ``TABLE_LIMIT`` one list of
+        ``_Row``s looks each entry up by base images as the table's
+        generator rows do.  Every form is read by index or through an
+        ``itemgetter``, alike on each."""
         if len(self) <= TABLE_LIMIT:
             return self.table()
         base, lookup = self._base_lookup()
@@ -182,11 +191,19 @@ class PermGroup:
         images (``_base_lookup``), entry j by p_g's images of p_j's base
         images; then every reached x is stepped by every generator, and a
         new y = rows[x][g] gets row(x) composed with row(g), since
-        (x * g) * p_j = x * (g * p_j), one C call per row.  A generator
-        row that is not a permutation of the indices, or a missing
-        identity, means the elements are not closed under composition
-        and raises PreconditionError; every other row is composed from
-        checked rows.
+        (x * g) * p_j = x * (g * p_j), one C call per row.  Up to
+        ``BYTE_LIMIT`` elements the rows are ``bytes`` and that call is
+        row(g).translate with row(x), padded to 256 bytes, as its table:
+        about 1 ns an entry, where an ``itemgetter`` takes about 10.
+        Above it an index does not fit a byte, and the rows are tuples
+        composed by ``perm.composer``, not a wider array: CPython 3.11
+        specializes a tuple's subscript and not a bytes or array one
+        (about 22 against 30 ns a read in a loop), which is also why
+        ``extend_images``' plain scan reads rows with no identity twist.
+        A generator row that is not a permutation of the indices, or a
+        missing identity, means the elements are not closed under
+        composition and raises PreconditionError; every other row is
+        composed from checked rows.
         """
         check_table(len(self))
         els, n = self.elements, len(self)
@@ -194,7 +211,11 @@ class PermGroup:
         if n == self.degree and all(p[0] == j for j, p in enumerate(els)):
             return list(els)
         base, lookup = self._base_lookup()
-        rows = [perm.identity(n)] + [None] * (n - 1)
+        # row(x) read at row(g)'s entries: a translate by row(x) padded to
+        # 256 bytes, or an itemgetter, for which the pad () changes nothing
+        small = n <= BYTE_LIMIT
+        pad = bytes(BYTE_LIMIT - n) if small else ()
+        rows = [bytes(range(n)) if small else perm.identity(n)] + [None] * (n - 1)
         if n > 1:
             keys_of = row_keys = operator.itemgetter(*(q[b] for q in els for b in base))
             if len(base) > 1:
@@ -212,13 +233,14 @@ class PermGroup:
                     looked_up = ()
                 if set(looked_up) != every:
                     raise PreconditionError("group elements are not closed under composition")
-                moves.append((x, perm.composer(looked_up)))
+                times_g = bytes(looked_up).translate if small else perm.composer(looked_up)
+                moves.append((x, times_g))
                 for z in order:  # a FIFO queue: the loop also visits what it appends
                     row = rows[z]
                     for g, times_g in moves:
                         y = row[g]
                         if rows[y] is None:
-                            rows[y] = times_g(row)
+                            rows[y] = times_g(row + pad)
                             order.append(y)
         return rows
 
@@ -791,9 +813,14 @@ def extend_images(
     checks the others only.  ``twist[x]`` is a permutation of H's indices
     (an automorphism for crossed homomorphisms); ``None`` means the
     identity, so the law is the plain homomorphism law.  With
-    ``injective``, a choice is dropped as soon as an image repeats.  The
-    frame's plan is twist-free and a call reads ``twist[prev]`` and
-    ``twist[x]`` in place, so it builds nothing per step or check.
+    ``injective``, a choice is dropped as soon as an image repeats; a
+    twist without it raises PreconditionError, since only bijective
+    crossed homomorphisms are scanned.  The frame's plan is twist-free
+    and a call reads ``twist[prev]`` and ``twist[x]`` in place, so it
+    builds nothing per step or check.  The plain scan, the Hom walk's
+    fill over Aut(N), reads no twist at all: two reads fewer per step
+    and check make up for the slower subscript of Aut(N)'s bytes rows
+    (see ``PermGroup.table``).
 
     One image list serves the whole call: each step writes m[i] before
     any later step or check reads it, so what a dropped choice left there
@@ -804,20 +831,22 @@ def extend_images(
     """
     _, steps, checks = frame
     n, size = len(G), len(H)
-    if twist is None:
-        twist = (tuple(range(size)),) * n
     rows_h, e_h = H.rows(), H.identity_index
     m = [e_h] * n
     if not injective:
+        if twist is not None:
+            raise PreconditionError("a twisted scan must be injective")
         for choice in itertools.product(*cands):
             for i, prev, pos in steps:
-                m[i] = rows_h[m[prev]][twist[prev][choice[pos]]]
+                m[i] = rows_h[m[prev]][choice[pos]]
             for x, xs, pos in checks:
-                if m[xs] != rows_h[m[x]][twist[x][choice[pos]]]:
+                if m[xs] != rows_h[m[x]][choice[pos]]:
                     break
             else:
                 yield tuple(m)
         return
+    if twist is None:
+        twist = (tuple(range(size)),) * n
     stamp = [0] * size
     for mark, choice in enumerate(itertools.product(*cands), 1):
         stamp[e_h] = mark

@@ -82,6 +82,7 @@ from hopfgalois import (
     regular_subgroups,
 )
 from hopfgalois.factory import is_squarefree
+from hopfgalois.groups import BYTE_LIMIT
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL_ORDERS = (66, 70, 78)  # every catalog N there has |Aut N| <= 936
@@ -231,13 +232,22 @@ def walk_kernel():
 
 
 def table_kernel():
-    # the row walk on every catalog group at orders 211-600 and 1110, and
-    # on Aut(N) for every catalog N at orders 111-210 whose Aut(N) has a
-    # table
+    # the row walk on every catalog group at orders 211-600 and 1110, on
+    # Aut(N) for every catalog N at orders 111-210 whose Aut(N) has a
+    # table, and on Aut(N) for every catalog N up to order 600 with
+    # 200 <= |Aut N| <= 320, bytes rows up to BYTE_LIMIT and tuples above
     tables = released(lambda order: table_cases(order, ()), [*range(211, 601), 1110])
     auts = released(lambda order: table_cases((), order), range(111, 211))
+    cut = released(lambda order: table_cases((), order, range(200, 321)), range(1, 601))
     checked, bad = tally(itertools.chain(tables, auts), table_differs)
-    return f"{checked} tables", bad
+    sides = []
+
+    def near_differs(A):
+        sides.append(len(A) <= BYTE_LIMIT)
+        return table_differs(A)
+
+    bad += tally(cut, near_differs)[1]
+    return f"{checked} tables; Aut(N) at the cut: {sum(sides)} bytes, {sides.count(False)} tuple", bad
 
 
 def aut_closed_form():

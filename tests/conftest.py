@@ -95,6 +95,7 @@ from hopfgalois.factory import (
     is_squarefree,
 )
 from hopfgalois.groups import (
+    BYTE_LIMIT,
     TABLE_LIMIT,
     PermGroup,
     _base,
@@ -978,17 +979,27 @@ def aut_differs(N):
 
 
 def table_differs(G):
-    return G.table() != lookup_table(G)
+    """G's table is not the looked-up one, or its rows are not in the form
+    G's order picks: a regular group's own elements, else bytes up to
+    ``BYTE_LIMIT`` elements and tuples above."""
+    rows = G.table()
+    if groups.is_regular(G):
+        in_form = all(r is p for r, p in zip(rows, G.elements, strict=True))
+    else:
+        form = bytes if len(G) <= BYTE_LIMIT else tuple
+        in_form = all(type(r) is form for r in rows)
+    return not in_form or [tuple(r) for r in rows] != lookup_table(G)
 
 
-def table_cases(orders, aut_orders):
+def table_cases(orders, aut_orders, aut_sizes=range(TABLE_LIMIT + 1)):
     """(name, group with no table yet): a fresh copy of every catalog
     group at ``orders``, then Aut(N), built anew with N's frame base, for
-    each catalog N at ``aut_orders`` whose Aut(N) has a table."""
+    each catalog N at ``aut_orders`` whose Aut(N) has a table and an
+    order in ``aut_sizes``."""
     for name, G in catalog_cases(orders):
         yield name, fresh_copy(G)
     for name, N in catalog_cases(aut_orders):
-        if automorphism_order(N) <= TABLE_LIMIT:
+        if automorphism_order(N) in aut_sizes:
             yield f"Aut({name})", automorphism_group.__wrapped__(N)
 
 

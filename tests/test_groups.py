@@ -43,6 +43,7 @@ from hopfgalois.errors import (
 )
 from hopfgalois.factory import is_squarefree
 from hopfgalois.groups import (
+    BYTE_LIMIT,
     TABLE_LIMIT,
     Homomorphism,
     PermGroup,
@@ -573,7 +574,7 @@ def intransitive_c3_c3_c2():
 )
 def test_table_matches_compose(make):
     G = fresh_copy(make())
-    assert G.table() == compose_table(G)
+    assert [tuple(r) for r in G.table()] == compose_table(G)
 
 
 def test_table_matches_lookup_oracle():
@@ -617,8 +618,34 @@ def test_a_regular_group_is_its_own_table(monkeypatch):
         assert type(table) is list and len(table) == len(G)
         assert all(table[i] is p for i, p in enumerate(G.elements))
     assert calls == []
-    assert [G.table() for G in walked] == oracles
-    assert calls.count("base") == 3 and "composer" in calls
+    assert [[tuple(r) for r in G.table()] for G in walked] == oracles
+    # bytes rows come only from the row walk, which composes them by translate
+    assert calls.count("base") == 3 and "composer" not in calls
+    assert all(type(row) is bytes for G in walked for row in G.table())
+
+
+def test_rows_are_bytes_exactly_up_to_byte_limit():
+    # group order alone picks the rows: a non-regular group of at most
+    # BYTE_LIMIT elements keeps bytes rows, one above it tuple rows, and a
+    # regular group its element list; each equals the looked-up table.
+    # C2^8 on 16 points and C257 fixing one more point sit on either side
+    # of the cut, Aut(D42) and Aut(D34) are the engine's on either side
+    c2_8 = closure([tuple(x ^ 1 if x // 2 == i else x for x in range(16)) for i in range(8)])
+    c257 = closure([tuple(range(1, 257)) + (0, 257)], cap=BYTE_LIMIT + 1)
+    small = [
+        fresh_copy(build(Alternating4())),
+        automorphism_group.__wrapped__(D(42)),
+        fresh_copy(c2_8),
+    ]
+    large = [fresh_copy(c257), automorphism_group.__wrapped__(D(34))]
+    assert [len(G) for G in small + large] == [12, 252, BYTE_LIMIT, BYTE_LIMIT + 1, 272]
+    assert not any(is_regular(G) for G in small + large)
+    for G in small + large:
+        assert [tuple(r) for r in G.rows()] == lookup_table(G)
+    assert all(type(r) is bytes for G in small for r in G.rows())
+    assert all(type(r) is tuple for G in large for r in G.rows())
+    regular = fresh_copy(D(30))
+    assert all(r is p for r, p in zip(regular.rows(), regular.elements, strict=True))
 
 
 @pytest.mark.parametrize(
@@ -657,7 +684,7 @@ def test_a_given_base_is_checked_and_used():
         PermGroup(G.degree, G.elements, base=(0, 3)).table()
     H = PermGroup(G.degree, G.elements, base=(6, 3, 0))
     assert H._base_lookup()[0] == (6, 3, 0)
-    assert H.table() == lookup_table(G) == compose_table(G)
+    assert [tuple(r) for r in H.table()] == lookup_table(G) == compose_table(G)
 
 
 def test_automorphism_group_takes_the_frame_base():
@@ -764,7 +791,7 @@ def test_rows_above_table_limit_equal_composed_products(monkeypatch):
     # below the limit the rows are the table, built on the first call
     for H in (fresh_copy(D(30)), fresh_copy(holomorph(C(6)).group)):
         assert H.rows() is H.table()
-        assert H.rows() == compose_table(H)
+        assert [tuple(r) for r in H.rows()] == compose_table(H)
     # and above a lowered limit a non-abelian group's rows equal them too,
     # with no table built
     monkeypatch.setattr("hopfgalois.groups.TABLE_LIMIT", 10)
@@ -1000,7 +1027,7 @@ def small_closures(draw):
 def test_table_matches_compose_on_random_closures(G):
     # orders 1 and 2 given explicitly: there a one-argument itemgetter
     # would return a scalar
-    assert G.table() == compose_table(G)
+    assert [tuple(r) for r in G.table()] == compose_table(G)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -632,6 +632,22 @@ def test_transport_refuses_a_witness_swapped_inside_h():
         transport_characteristic(bad, M)
 
 
+def test_transport_refuses_a_preimage_that_is_not_closed():
+    # the images of an element inside H = g^-1(C15) and one outside it
+    # swapped: the preimage still has 15 elements and the identity, but
+    # is no subgroup, which only the walk on H's generators sees
+    G, N = build(parse_group_spec("C30")), build(parse_group_spec("D30"))
+    w = realizable_via_cocycles(G, N)
+    M = unique_odd_part(N)
+    h_idxs = [a for a in range(len(G)) if N.elements[w.g[a]] in M]
+    outside = next(a for a in range(len(G)) if a not in h_idxs)
+    bad = conftest.swapped(w, h_idxs[1], outside)
+    preimage = [a for a in range(len(G)) if N.elements[bad.g[a]] in M]
+    assert len(preimage) == len(M) and G.identity_index in preimage
+    with pytest.raises(CountingBugError, match="preimage of a characteristic subgroup is not closed"):
+        transport_characteristic(bad, M)
+
+
 def test_transport_refuses_a_subgroup_outside_n():
     w = realizable_via_cocycles(C(6), D(6))
     with pytest.raises(PreconditionError, match="not a subgroup of N"):
